@@ -11,6 +11,7 @@ significant digits) so emitted reports round-trip byte for byte.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from . import dixmier as dx
 from . import dos as dosmod
 from . import kernels, serialize, traces
 from .config import make_config
-from .errors import CalculusError
+from .errors import CalculusError, DomainError
 from .kernels import GridSpec
 from .operators import adjoint, compose, lp_norm, matrix_block, weighted_product
 
@@ -66,7 +67,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(round(v)) for v in _parse_floats(text))
+    try:
+        return tuple(int(round(v)) for v in _parse_floats(text))
+    except (OverflowError, ValueError) as exc:
+        raise UsageError("expected a comma-separated list of finite numbers: %r"
+                         % text) from exc
 
 
 def build_parser() -> _Parser:
@@ -215,10 +220,6 @@ def _weighted_spectrum(op, args, budget, kind=None):
     return spectrum, shells, kind
 
 
-def _complexish(value) -> complex:
-    return complex(value)
-
-
 # -- basis / op / kernel handlers ----------------------------------------
 
 
@@ -226,7 +227,7 @@ def cmd_basis_eval(args, cfg, budget):
     from .basis import psi
 
     value = psi(args.n, args.m, args.x1, args.x2, cfg)
-    return {"value": _complexish(value)}, True
+    return {"value": complex(value)}, True
 
 
 def cmd_basis_gram(args, cfg, budget):
@@ -262,18 +263,18 @@ def cmd_op_norm(args, cfg, budget):
 def cmd_op_block(args, cfg, budget):
     block = matrix_block(_load(args), args.m, args.count)
     return {"m": block.m,
-            "entries": [[_complexish(v) for v in row] for row in block.data],
-            "trace": _complexish(block.trace)}, True
+            "entries": [[complex(v) for v in row] for row in block.data],
+            "trace": complex(block.trace)}, True
 
 
 def cmd_kernel_eval(args, cfg, budget):
     value = kernels.kernel_of(_load(args), cfg)(args.x1, args.x2)
-    return {"value": _complexish(value)}, True
+    return {"value": complex(value)}, True
 
 
 def cmd_kernel_folner(args, cfg, budget):
     value = kernels.folner_trace(_load(args), args.radius, cfg)
-    return {"radius": args.radius, "value": _complexish(value)}, True
+    return {"radius": args.radius, "value": complex(value)}, True
 
 
 def cmd_kernel_commutant(args, cfg, budget):
@@ -290,7 +291,7 @@ def cmd_kernel_commutant(args, cfg, budget):
 
 
 def cmd_trace_diag(args, cfg, budget):
-    return {"value": _complexish(traces.tau_diagonal(_load(args)))}, True
+    return {"value": complex(traces.tau_diagonal(_load(args)))}, True
 
 
 def cmd_trace_residue(args, cfg, budget):
@@ -316,7 +317,7 @@ def cmd_trace_ordered(args, cfg, budget):
 
 def cmd_dixmier_spectrum(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget)
-    head = [_complexish(v) for v in spectrum.values[:16]]
+    head = [complex(v) for v in spectrum.values[:16]]
     return {"kind": kind, "shells": shells, "count": len(spectrum),
             "reliable": spectrum.reliable, "head": head,
             "provenance": spectrum.provenance}, True
@@ -331,11 +332,7 @@ def cmd_dixmier_gamma(args, cfg, budget):
 
 def cmd_dixmier_estimate(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget)
-    # Keep checkpoints in the top eighth of the reliable prefix: low
-    # counts carry 1/log^2 curvature that biases the linear model.
-    ladder = dx.checkpoint_ladder(spectrum, points=6,
-                                  minimum=len(spectrum))
-    table = dx.dixmier_estimate(spectrum, ladder)
+    table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
     return {"kind": kind, "shells": shells,
             "table": serialize.table_to_dict(table)}, table.converged
 
@@ -353,6 +350,8 @@ def cmd_dixmier_tauberian(args, cfg, budget):
 def _dos_operator(args, minimum: float = 0.0) -> dosmod.LandauDiagonalOperator:
     truncation = args.truncation
     if truncation is None:
+        if not math.isfinite(minimum):
+            raise DomainError("the threshold must be finite")
         truncation = max(64, int(minimum + 2.0))
     return dosmod.landau_hamiltonian(truncation)
 
@@ -405,25 +404,21 @@ def cmd_compare(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(
         op, argparse.Namespace(shells=None, form="left", lam=args.lam, lam2=None),
         budget)
-    # Keep checkpoints in the top eighth of the reliable prefix: low
-    # counts carry 1/log^2 curvature that biases the linear model.
-    ladder = dx.checkpoint_ladder(spectrum, points=6,
-                                  minimum=len(spectrum))
-    dixmier_table = dx.dixmier_estimate(spectrum, ladder)
+    dixmier_table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
     shell_sharp = shell.accelerated[-1]
     doubled = 2.0 * complex(ordered.extrapolated)
     rows = {
-        "diagonal": {"value": _complexish(tau), "gap": 0.0},
-        "residue": {"extrapolated": _complexish(residue.extrapolated),
+        "diagonal": {"value": complex(tau), "gap": 0.0},
+        "residue": {"extrapolated": complex(residue.extrapolated),
                     "residual": residue.residual,
                     "gap": abs(complex(residue.extrapolated) - tau)},
-        "shell": {"extrapolated": _complexish(shell.extrapolated),
-                  "accelerated": _complexish(shell_sharp),
+        "shell": {"extrapolated": complex(shell.extrapolated),
+                  "accelerated": complex(shell_sharp),
                   "gap": abs(complex(shell_sharp) - tau)},
-        "ordered": {"extrapolated": _complexish(ordered.extrapolated),
-                    "doubled": _complexish(doubled),
+        "ordered": {"extrapolated": complex(ordered.extrapolated),
+                    "doubled": complex(doubled),
                     "gap": abs(doubled - tau)},
-        "dixmier": {"extrapolated": _complexish(dixmier_table.extrapolated),
+        "dixmier": {"extrapolated": complex(dixmier_table.extrapolated),
                     "residual": dixmier_table.residual, "kind": kind,
                     "gap": abs(complex(dixmier_table.extrapolated) - tau)},
     }
@@ -455,7 +450,7 @@ def _payload_to_csv(payload: dict) -> str:
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, (int, float, complex, str, bool)) or value is None:
-            lines.append("%s,%s" % (key, serialize._cell(value)
+            lines.append("%s,%s" % (key, serialize.format_cell(value)
                                     if not isinstance(value, (str, bool)) else value))
     return "\n".join(lines) + "\n"
 
@@ -475,28 +470,25 @@ def run(argv) -> int:
         cfg = _config(args)
         budget = _budget(args)
         payload, ok = args.func(args, cfg, budget)
-    except CalculusError as err:
+        report = {"format_version": FORMAT_VERSION,
+                  "command": args.command + (" " + args.action
+                                             if getattr(args, "action", None) else ""),
+                  "config": {"ell": cfg.ell, "budget_profile": budget.name,
+                             "seed": args.seed},
+                  "wall_time_s": time.perf_counter() - start}
+        report.update(payload)
+        if args.format == "json":
+            text = serialize.canonical_json(report) + "\n"
+        else:
+            text = _payload_to_csv(payload)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (CalculusError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    report = {"format_version": FORMAT_VERSION,
-              "command": args.command + (" " + args.action if getattr(args, "action", None)
-                                         else ""),
-              "config": {"ell": cfg.ell, "budget_profile": budget.name,
-                         "seed": args.seed},
-              "wall_time_s": time.perf_counter() - start}
-    report.update(payload)
-    if args.format == "json":
-        text = serialize.canonical_json(report) + "\n"
-    else:
-        text = _payload_to_csv(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if ok else 3
 
 

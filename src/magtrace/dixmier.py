@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, RangeError
+from .errors import ComputationError, DomainError, RangeError, ResourceError
 from .extrapolate import ConvergenceTable, log_inverse_fit, richardson_zero
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import hurwitz_zeta
@@ -59,10 +59,19 @@ def _sorted_descending(values: np.ndarray) -> np.ndarray:
     return values[order]
 
 
-@dataclass(frozen=True, eq=False)
-class SingularSpectrum:
-    """Non-increasing singular values with provenance metadata.
+SPECTRUM_KINDS = ("singular", "eigen")
 
+# Largest weighted block stack collect_spectrum allocates, in bytes.
+STACK_BYTES_LIMIT = 256 * 2 ** 20
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Sorted spectrum of a compact operator with provenance metadata.
+
+    kind "singular" holds non-negative singular values in non-increasing
+    order; kind "eigen" holds complex eigenvalues ordered by non-increasing
+    modulus, ties broken toward the larger real, then imaginary, part.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator (None when the whole list is); `tail` is an
     optional analytic model for everything beyond the truncation.
@@ -70,99 +79,97 @@ class SingularSpectrum:
 
     values: np.ndarray
     provenance: str
+    kind: str = "singular"
     reliable: int | None = None
     tail: SpectralTail | None = None
 
     def __post_init__(self):
-        values = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
-        if values.size and values[-1] < 0.0:
-            raise DomainError("singular values must be non-negative")
+        if self.kind == "singular":
+            values = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
+            if values.size and values[-1] < 0.0:
+                raise DomainError("singular values must be non-negative")
+        elif self.kind == "eigen":
+            values = _sorted_descending(np.asarray(self.values, dtype=complex))
+        else:
+            raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, eq=False)
-class EigenSequence:
-    """Complex eigenvalues ordered by non-increasing modulus."""
+def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
+    """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
 
-    values: np.ndarray
-    provenance: str
-    reliable: int | None = None
-    tail: SpectralTail | None = None
+    A source block without off-diagonal entries is weighted on its
+    diagonal alone; otherwise the blocks m = 0 .. m_max + 1 are built as
+    one stack and factored by one batched SVD or eigendecomposition.
+    """
+    ms = np.arange(m_max + 2)
+    row, col = op.block_weights(ms, n_max)
+    source = op.source
+    if all(j == k or max(j, k) >= n_max for j, k in source.entries):
+        data = source.diagonal_array(n_max)
+        if row is not None:
+            data = row * data
+        if col is not None:
+            data = data * col
+        return data[:-1].ravel(), np.diag(data[-1])
+    size = (m_max + 2) * n_max * n_max * 16
+    if size > STACK_BYTES_LIMIT:
+        raise ResourceError("the weighted block stack needs %d bytes, over the "
+                            "limit of %d" % (size, STACK_BYTES_LIMIT))
+    stack = matrix_block(source, 0, n_max).data
+    if row is not None:
+        stack = row[:, :, None] * stack
+    if col is not None:
+        stack = stack * col[:, None, :]
+    blocks = stack[:-1]
+    if kind == "singular":
+        return np.linalg.svd(blocks, compute_uv=False).ravel(), stack[-1]
+    values, vectors = np.linalg.eig(blocks)
+    bad = np.flatnonzero(np.linalg.cond(vectors) > 1e12)
+    if bad.size:
+        raise ComputationError("block m=%d is numerically non-diagonalizable" % bad[0])
+    return values.ravel(), stack[-1]
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", _sorted_descending(values))
 
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def _block_singulars(block: np.ndarray) -> np.ndarray:
-    off = block - np.diag(np.diag(block))
-    if not off.any():
-        return np.abs(np.diag(block)).astype(float)
-    return np.linalg.svd(block, compute_uv=False)
-
-
-def _block_eigen(block: np.ndarray, block_id: int) -> np.ndarray:
-    off = block - np.diag(np.diag(block))
-    if not off.any():
-        return np.diag(block).astype(complex)
-    values, vectors = np.linalg.eig(block)
-    if np.linalg.cond(vectors) > 1e12:
-        raise ComputationError("block m=%d is numerically non-diagonalizable" % block_id)
-    return values
-
-
-def collect_spectrum(op, m_max: int, n_max: int, kind: str = "singular"):
+def collect_spectrum(op, m_max: int, n_max: int, kind: str = "singular") -> Spectrum:
     """Merged, sorted spectrum of the blocks m = 0 .. m_max at size n_max.
 
     For diagonal weights the values are enumerated directly; weighted
-    products go through per-block SVD (kind "singular") or a dense
-    eigendecomposition (kind "eigen"), with purely diagonal blocks read
-    off without factorization.  The reliable prefix length is the number
-    of retained values strictly above the largest value of the first
-    omitted block, beyond which sorting against the truncation boundary
-    would mix retained and missing contributions.
+    products go through SVD (kind "singular") or an eigendecomposition
+    (kind "eigen") of all blocks at once, and purely diagonal blocks are
+    read off without factorization.  The reliable prefix length is the
+    number of retained values strictly above the largest value of the
+    first omitted block, beyond which sorting against the truncation
+    boundary would mix retained and missing contributions.
     """
-    if kind not in ("singular", "eigen"):
-        raise DomainError("spectrum kind must be 'singular' or 'eigen'")
+    if kind not in SPECTRUM_KINDS:
+        raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
     if m_max < 0 or n_max < 1:
         raise DomainError("spectrum truncation needs m_max >= 0 and n_max >= 1")
     if isinstance(op, DiagonalWeight):
         n = np.arange(n_max, dtype=float)[:, None]
         m = np.arange(m_max + 1, dtype=float)[None, :]
-        grid = np.asarray(op.value(n, m), dtype=float)
+        values = np.asarray(op.value(n, m), dtype=float).ravel()
         frontier_n = np.max(op.value(np.full(m_max + 2, n_max, dtype=float),
                                      np.arange(m_max + 2, dtype=float)))
         frontier_m = np.max(op.value(np.arange(n_max + 1, dtype=float),
                                      np.full(n_max + 1, m_max + 1, dtype=float)))
         threshold = float(max(frontier_n, frontier_m))
-        flat = grid.ravel()
-        reliable = int((np.abs(flat) > threshold).sum())
         label = "diagonal weight %s over n<%d, m<=%d" % (op.kind, n_max, m_max)
-        if kind == "singular":
-            return SingularSpectrum(np.abs(flat), label, reliable=reliable)
-        return EigenSequence(flat.astype(complex), label, reliable=reliable)
-    if not isinstance(op, WeightedProduct):
+    elif isinstance(op, WeightedProduct):
+        values, frontier = _weighted_values(op, m_max, n_max, kind)
+        threshold = float(np.linalg.norm(frontier, ord=2))
+        label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
+            op.form, op.lam, op.lam2, op.s, n_max, m_max)
+    else:
         raise DomainError("collect_spectrum expects a DiagonalWeight or WeightedProduct")
-    chunks = []
-    for m in range(m_max + 1):
-        block = matrix_block(op, m, n_max).data
-        chunks.append(_block_singulars(block) if kind == "singular"
-                      else _block_eigen(block, m))
-    frontier = matrix_block(op, m_max + 1, n_max).data
-    threshold = float(np.linalg.norm(frontier, ord=2))
-    merged = np.concatenate(chunks) if chunks else np.zeros(0)
-    reliable = int((np.abs(merged) > threshold).sum())
-    label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
-        op.form, op.lam, op.lam2, op.s, n_max, m_max)
+    reliable = int((np.abs(values) > threshold).sum())
     if kind == "singular":
-        return SingularSpectrum(np.abs(merged), label, reliable=reliable)
-    return EigenSequence(merged, label, reliable=reliable)
+        values = np.abs(values)
+    return Spectrum(values, label, kind, reliable=reliable)
 
 
 def shell_spectrum(weight: DiagonalWeight, shells: int, kind: str = "singular"):
@@ -181,9 +188,7 @@ def shell_spectrum(weight: DiagonalWeight, shells: int, kind: str = "singular"):
     tail = SpectralTail(kind="shell_power", s=weight.s, shift=weight.lam,
                         start=shells + 1)
     label = "q_power(s=%g, lam=%g) over %d complete shells" % (weight.s, weight.lam, shells)
-    if kind == "singular":
-        return SingularSpectrum(values, label, reliable=values.size, tail=tail)
-    return EigenSequence(values.astype(complex), label, reliable=values.size, tail=tail)
+    return Spectrum(values, label, kind, reliable=values.size, tail=tail)
 
 
 def _check_count(spectrum, count: int, minimum: int = 0) -> None:
@@ -194,7 +199,7 @@ def _check_count(spectrum, count: int, minimum: int = 0) -> None:
                          % (count, len(spectrum)))
 
 
-def sigma_p(spectrum: SingularSpectrum, count: int, p: float = 1.0) -> float:
+def sigma_p(spectrum: Spectrum, count: int, p: float = 1.0) -> float:
     """Partial sum of mu^p over the first `count` singular values."""
     if p < 1.0:
         raise DomainError("sigma_p is defined for p >= 1")
@@ -202,13 +207,13 @@ def sigma_p(spectrum: SingularSpectrum, count: int, p: float = 1.0) -> float:
     return float((spectrum.values[:count] ** p).sum())
 
 
-def gamma(spectrum: SingularSpectrum, count: int) -> float:
+def gamma(spectrum: Spectrum, count: int) -> float:
     """Dixmier quotient sigma_N / log N at N = count >= 2."""
     _check_count(spectrum, count, minimum=2)
     return sigma_p(spectrum, count) / math.log(count)
 
 
-def calderon_norm(spectrum: SingularSpectrum) -> float:
+def calderon_norm(spectrum: Spectrum) -> float:
     """sup over N >= 2 of sigma_N / log N on the retained spectrum."""
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
@@ -221,7 +226,7 @@ def _partial_sums(spectrum, checkpoints) -> np.ndarray:
     values = spectrum.values
     sums = np.cumsum(values)
     out = sums[np.asarray(checkpoints, dtype=int) - 1]
-    if isinstance(spectrum, EigenSequence):
+    if spectrum.kind == "eigen":
         drift = float(np.max(np.abs(out.imag))) if out.size else 0.0
         if drift > _EIGEN_IMAG_TOL:
             raise ComputationError(
@@ -240,6 +245,16 @@ def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]
     low = max(2, min(minimum, top // 8))
     ladder = np.unique(np.geomspace(low, top, points).astype(int))
     return [int(n) for n in ladder if n >= 2]
+
+
+def deep_ladder(spectrum) -> list[int]:
+    """Six checkpoints from the top eighth of the reliable prefix upward.
+
+    Partial sums at low counts carry a 1/log^2 curvature that the linear-
+    in-1/log model cannot absorb, which biases the extrapolated trace, so
+    the ladder starts at max(2, top // 8) for a reliable prefix of top.
+    """
+    return checkpoint_ladder(spectrum, points=6, minimum=len(spectrum))
 
 
 def shell_checkpoints(shells: int, points: int = 6, min_shell: int = 8) -> list[int]:
@@ -277,8 +292,9 @@ def tauberian_zeta(spectrum, x: float) -> float:
     """zeta_T(x) = sum mu^(1+x), using the analytic tail when one is known."""
     if x <= 0.0:
         raise DomainError("the Tauberian zeta needs x > 0")
-    values = np.abs(spectrum.values) if isinstance(spectrum, EigenSequence) \
-        else spectrum.values
+    values = spectrum.values
+    if spectrum.kind == "eigen":
+        values = np.abs(values)
     positive = values[values > 0.0]
     total = float((positive ** (1.0 + x)).sum())
     if spectrum.tail is not None:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .dixmier import collect_spectrum, dixmier_estimate, checkpoint_ladder
+from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
 from .errors import DomainError, RangeError
-from .extrapolate import ConvergenceTable
+from .extrapolate import ConvergenceTable, log_inverse_limit
 from .operators import CoefficientOperator, weighted_product
-from .traces import _shell_sums, tau_diagonal, _checked_n_grid
+from .traces import checked_n_grid, shell_sums, tau_diagonal
 
 
 @dataclass(frozen=True)
@@ -189,21 +189,15 @@ def idos_shell_approx(op: LandauDiagonalOperator, eps: float, n_grid,
     sum, which is exact once N covers the projection.
     """
     projection = spectral_projection(op, eps)
-    ns = _checked_n_grid(n_grid)
+    ns = checked_n_grid(n_grid)
     top = ns[-1]
-    sums = _shell_sums(projection, top)
+    sums = shell_sums(projection, top)
     scale = 2.0 / cfg.omega_ell
     raw = tuple(scale * complex(sums[n]).real / math.log(n) for n in ns)
     counts = np.cumsum([1.0 if projection.diagonal_entry(n) != 0 else 0.0
                         for n in range(top)])
     accelerated = tuple(cfg.idos_scale * float(counts[n - 1]) for n in ns)
-    from .extrapolate import log_inverse_fit
-
-    if len(ns) >= 2:
-        limit, _, residual = log_inverse_fit(ns, raw)
-        model = "log_inverse"
-    else:
-        limit, residual, model = raw[0], float("inf"), "none"
+    limit, residual, model = log_inverse_limit(ns, raw)
     return ConvergenceTable(params=tuple(float(n) for n in ns),
                             raw=tuple(complex(r) for r in raw),
                             accelerated=tuple(complex(a) for a in accelerated),
@@ -237,11 +231,7 @@ def dixmier_dos_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
     weighted = weighted_product(family, form, lam, lam2, s=1.0)
     n_max = max(family.max_index + 1, 1)
     spectrum = collect_spectrum(weighted, m_max=m_max, n_max=n_max, kind="eigen")
-    # Checkpoints stay in the top eighth of the reliable prefix: partial
-    # sums at low counts carry a 1/log^2 curvature that the linear-in-
-    # 1/log model cannot absorb, which biases the extrapolated trace.
-    deep = max(64, len(spectrum))
-    table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum, points=6, minimum=deep))
+    table = dixmier_estimate(spectrum, deep_ladder(spectrum))
     measure_value = 0.5 * cfg.omega_ell * dos_measure(op, cfg).integrate(fn)
     return DixmierDOSCheck(dixmier_value=float(complex(table.extrapolated).real),
                            measure_value=measure_value, table=table)

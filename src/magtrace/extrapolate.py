@@ -82,3 +82,16 @@ def log_inverse_fit(params, values) -> tuple[complex, complex, float]:
     fit = design @ coef
     rms = float(np.sqrt(np.mean(np.abs(fit - v) ** 2)))
     return complex(coef[0]), complex(coef[1]), rms
+
+
+def log_inverse_limit(params, values) -> tuple[complex, float, str]:
+    """Limit, residual and model name of a log-inverse table.
+
+    Two or more rows are fitted by log_inverse_fit; a single row cannot be
+    fitted, so its value is reported as is under model "none" with an
+    infinite residual, which reads as not converged.
+    """
+    if len(values) < 2:
+        return values[0], float("inf"), "none"
+    limit, _, residual = log_inverse_fit(params, values)
+    return limit, residual, "log_inverse"

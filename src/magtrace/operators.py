@@ -227,6 +227,23 @@ class WeightedProduct:
     lam2: float
     s: float
 
+    def block_weights(self, m, count: int):
+        """Row and column weights (r, c) of the blocks m at truncation count.
+
+        m may be a scalar or an array; r and c have shape m.shape + (count,),
+        and block m of the product has entries r[n] * S[n, n'] * c[n'].  A
+        side that the form leaves unweighted is None rather than ones, so
+        weighted entries are exactly the products the form prescribes.
+        """
+        n = np.arange(count)
+        m = np.asarray(m, dtype=float)[..., None]
+        w = (n + m + 1.0 + self.lam) ** (-self.s)
+        if self.form == "left":
+            return w, None
+        if self.form == "right":
+            return None, w
+        return np.sqrt(w), np.sqrt((n + m + 1.0 + self.lam2) ** (-self.s))
+
 
 def weighted_product(source: CoefficientOperator, form: str, lam: float,
                      lam2: float | None = None, s: float = 1.0) -> WeightedProduct:
@@ -282,15 +299,12 @@ def matrix_block(op, m: int, count: int) -> TruncatedMatrix:
         return TruncatedMatrix(m=m, data=np.diag(np.asarray(op.value(n, m), dtype=float)
                                                  .astype(complex)))
     if isinstance(op, WeightedProduct):
-        block = _coefficient_block(op.source, count)
-        w = (n + float(m) + 1.0 + op.lam) ** (-op.s)
-        w2 = (n + float(m) + 1.0 + op.lam2) ** (-op.s)
-        if op.form == "left":
-            data = w[:, None] * block
-        elif op.form == "right":
-            data = block * w[None, :]
-        else:
-            data = np.sqrt(w)[:, None] * block * np.sqrt(w2)[None, :]
+        row, col = op.block_weights(m, count)
+        data = _coefficient_block(op.source, count)
+        if row is not None:
+            data = row[:, None] * data
+        if col is not None:
+            data = data * col[None, :]
         return TruncatedMatrix(m=m, data=data)
     raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
 

@@ -1,10 +1,9 @@
 """File formats and canonical report emission.
 
 Operators travel as JSON objects {"entries": [{"j","k","re","im"}...],
-"class": ...}; test functions as {"nodes": [[eps, value], ...]}; grid
-functions as CSV with columns (x1, x2, re, im).  JSON reports are emitted
-canonically: keys sorted, floats at 17 significant digits, so parsing and
-re-emitting a report is byte identical.
+"class": ...}; test functions as {"nodes": [[eps, value], ...]}.  JSON
+reports are emitted canonically: keys sorted, floats at 17 significant
+digits, so parsing and re-emitting a report is byte identical.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import numpy as np
 from .dos import CompactTestFunction
 from .errors import DomainError
 from .extrapolate import ConvergenceTable
-from .kernels import GridFunction, GridSpec
 from .operators import CoefficientOperator, OPERATOR_CLASSES
 
 
@@ -93,8 +91,11 @@ def operator_from_dict(data: dict) -> CoefficientOperator:
         if not isinstance(item, dict) or "j" not in item or "k" not in item:
             raise DomainError("operator entry %d must be an object with "
                               "j and k indices" % pos)
+        key = (item["j"], item["k"])
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
+            raise DomainError("operator entry %d must have integer j and k "
+                              "indices" % pos)
         try:
-            key = (int(item["j"]), int(item["k"]))
             value = complex(float(item.get("re", 0.0)),
                             float(item.get("im", 0.0)))
         except (TypeError, ValueError):
@@ -115,6 +116,8 @@ def _load_json(path: str):
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise DomainError("%s is not valid JSON: %s" % (path, exc))
+        except UnicodeDecodeError as exc:
+            raise DomainError("%s is not UTF-8 text: %s" % (path, exc))
 
 
 def load_operator(path: str) -> CoefficientOperator:
@@ -132,7 +135,8 @@ def load_test_function(path: str) -> CompactTestFunction:
     return CompactTestFunction(nodes=nodes)
 
 
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell: complex as a+bj (real alone when b == 0), None empty."""
     if isinstance(value, complex):
         if value.imag == 0.0:
             return format_float(value.real)
@@ -148,9 +152,10 @@ def table_to_csv(table: ConvergenceTable) -> str:
     lines = ["param,raw,accelerated,extrapolated,residual"]
     residual = table.residual if math.isfinite(table.residual) else None
     for pos, (param, raw, acc) in enumerate(table.rows()):
-        tail = (_cell(table.extrapolated), _cell(residual)) if pos == 0 \
+        tail = (format_cell(table.extrapolated), format_cell(residual)) if pos == 0 \
             else ("", "")
-        lines.append(",".join([_cell(param), _cell(raw), _cell(acc), *tail]))
+        lines.append(",".join([format_cell(param), format_cell(raw), format_cell(acc),
+                               *tail]))
     return "\n".join(lines) + "\n"
 
 
@@ -165,25 +170,3 @@ def table_to_dict(table: ConvergenceTable) -> dict:
         "residual": table.residual if math.isfinite(table.residual) else None,
         "converged": table.converged,
     }
-
-
-def grid_to_csv(fn: GridFunction) -> str:
-    axis = fn.spec.axis()
-    lines = ["x1,x2,re,im"]
-    for i, x1 in enumerate(axis):
-        for j, x2 in enumerate(axis):
-            v = fn.values[i, j]
-            lines.append(",".join([format_float(x1), format_float(x2),
-                                   format_float(v.real), format_float(v.imag)]))
-    return "\n".join(lines) + "\n"
-
-
-def grid_from_csv(text: str, spec: GridSpec) -> GridFunction:
-    rows = text.strip().splitlines()[1:]
-    values = np.zeros((spec.nodes, spec.nodes), dtype=complex)
-    axis = spec.axis()
-    lookup = {format_float(x): i for i, x in enumerate(axis)}
-    for row in rows:
-        x1, x2, re, im = row.split(",")
-        values[lookup[x1], lookup[x2]] = complex(float(re), float(im))
-    return GridFunction(spec, values)

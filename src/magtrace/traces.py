@@ -19,7 +19,7 @@ import numpy as np
 from .basis import QuadratureSpec
 from .config import MagneticConfig
 from .errors import DomainError
-from .extrapolate import ConvergenceTable, log_inverse_fit, richardson_zero
+from .extrapolate import ConvergenceTable, log_inverse_limit, richardson_zero
 from .operators import CoefficientOperator, adjoint, compose
 
 _BERNOULLI_EVEN = (
@@ -27,32 +27,6 @@ _BERNOULLI_EVEN = (
     -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
     -174611.0 / 330.0, 854513.0 / 138.0, -236364091.0 / 2730.0,
 )
-
-
-class HarmonicNumbers:
-    """Cached harmonic numbers h_n = 1 + 1/2 + ... + 1/n with h_0 = 0."""
-
-    def __init__(self):
-        self._values = np.zeros(1, dtype=float)
-
-    def upto(self, n: int) -> np.ndarray:
-        """Array of h_0 .. h_n."""
-        if n < 0:
-            raise DomainError("harmonic numbers are indexed by n >= 0")
-        if n >= self._values.size:
-            start = self._values.size
-            extension = 1.0 / np.arange(start, n + 1, dtype=float)
-            grown = np.concatenate([self._values, extension])
-            np.cumsum(grown[start:], out=grown[start:])
-            grown[start:] += self._values[-1]
-            self._values = grown
-        return self._values[: n + 1]
-
-    def __getitem__(self, n: int) -> float:
-        return float(self.upto(n)[n])
-
-
-harmonic = HarmonicNumbers()
 
 
 def hurwitz_zeta(t: float, q: float) -> float:
@@ -154,7 +128,7 @@ def _diagonal_prefixes(s: CoefficientOperator, count: int) -> np.ndarray:
     return np.concatenate([prefix, pad])
 
 
-def _shell_sums(s: CoefficientOperator, n_max: int) -> np.ndarray:
+def shell_sums(s: CoefficientOperator, n_max: int) -> np.ndarray:
     """Cumulative shell averages W[N] = sum_{j<=N} w_j(S) for N = 0 .. n_max."""
     prefix = _diagonal_prefixes(s, n_max)
     js = np.arange(1, n_max + 1, dtype=float)
@@ -162,7 +136,8 @@ def _shell_sums(s: CoefficientOperator, n_max: int) -> np.ndarray:
     return np.concatenate([[0.0 + 0.0j], np.cumsum(w)])
 
 
-def _checked_n_grid(n_grid, minimum: int = 2) -> list[int]:
+def checked_n_grid(n_grid, minimum: int = 2) -> list[int]:
+    """Sorted distinct truncation points, each at least `minimum`."""
     ns = sorted({int(n) for n in n_grid})
     if len(ns) < 1:
         raise DomainError("at least one truncation point is required")
@@ -181,17 +156,13 @@ def tau_shell(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     estimator directly.  The extrapolated limit comes from the raw column
     under the log_inverse model.
     """
-    ns = _checked_n_grid(n_grid)
+    ns = checked_n_grid(n_grid)
     top = ns[-1]
-    sums = _shell_sums(s, top)
+    sums = shell_sums(s, top)
     prefix = _diagonal_prefixes(s, top)
     raw = tuple(complex(sums[n]) / math.log(n) for n in ns)
     accelerated = tuple(complex(prefix[min(n, prefix.size - 1)]) for n in ns)
-    if len(ns) >= 2:
-        limit, _, residual = log_inverse_fit(ns, raw)
-        model = "log_inverse"
-    else:
-        limit, residual, model = raw[0], float("inf"), "none"
+    limit, residual, model = log_inverse_limit(ns, raw)
     return ConvergenceTable(params=tuple(float(n) for n in ns), raw=raw,
                             accelerated=accelerated, extrapolated=limit,
                             residual=residual, model=model)
@@ -213,22 +184,18 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     rounded down to a completed shell so partial sums are well defined
     regardless of tie ordering; the rounded N values appear in the table.
     """
-    ns = _checked_n_grid(n_grid)
+    ns = checked_n_grid(n_grid)
     shells = sorted({completed_shells(n + 1) for n in ns})
     if shells[0] < 2:
         raise DomainError("ordered-basis truncations must cover at least two shells")
-    sums = _shell_sums(s, shells[-1])
+    sums = shell_sums(s, shells[-1])
     params = []
     raw = []
     for e in shells:
         states = e * (e + 1) // 2
         params.append(float(states - 1))
         raw.append(complex(sums[e]) / math.log(states))
-    if len(params) >= 2:
-        limit, _, residual = log_inverse_fit([p + 1.0 for p in params], raw)
-        model = "log_inverse"
-    else:
-        limit, residual, model = raw[0], float("inf"), "none"
+    limit, residual, model = log_inverse_limit([p + 1.0 for p in params], raw)
     return ConvergenceTable(params=tuple(params), raw=tuple(raw), accelerated=None,
                             extrapolated=limit, residual=residual, model=model)
 

@@ -21,11 +21,11 @@ from magtrace import (
     absorb_product,
     adjoint,
     apply_kernel,
-    checkpoint_ladder,
     coefficient_bound_check,
     collect_spectrum,
     commutant_residual,
     compose,
+    deep_ladder,
     dixmier_dos_check,
     dixmier_estimate,
     folner_trace,
@@ -63,18 +63,11 @@ def _report(label, ok, detail):
     print("%s: %s (%s)" % (label, "PASS" if ok else "FAIL", detail))
 
 
-def _deep_ladder(spectrum):
-    # Checkpoints confined to the top eighth of the reliable prefix: low
-    # checkpoints carry a 1/log^2 curvature that the linear-in-1/log
-    # model cannot absorb, which would bias the extrapolated value.
-    return checkpoint_ladder(spectrum, points=6, minimum=len(spectrum))
-
-
 def _weighted_eigen_estimate(op, form, lam, lam2, m_max):
     weighted = weighted_product(op, form, lam, lam2, s=1.0)
     spectrum = collect_spectrum(weighted, m_max=m_max,
                                 n_max=op.max_index + 1, kind="eigen")
-    table = dixmier_estimate(spectrum, _deep_ladder(spectrum))
+    table = dixmier_estimate(spectrum, deep_ladder(spectrum))
     return complex(table.extrapolated).real
 
 
@@ -163,7 +156,7 @@ def test_criterion_03_hurwitz_zeta_residue():
 def test_criterion_04_inverse_square_weight_dixmier_half():
     start = time.perf_counter()
     # The ladder starts at shell 512 for the same curvature reason as
-    # _deep_ladder: the raw gamma sequence bends like 1/log^2 below that.
+    # deep_ladder: the raw gamma sequence bends like 1/log^2 below that.
     checkpoints = shell_checkpoints(2000, points=6, min_shell=512)
     worst_half = 0.0
     worst_agree = 0.0

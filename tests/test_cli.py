@@ -53,10 +53,22 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
     assert rc == 2
     assert out == ""
     assert "invertible only for lambda > -1" in err
+    for eps in ("nan", "inf"):
+        rc, out, err = invoke(["dos", "idos", "--eps", eps], capsys)
+        assert (rc, out) == (2, "")
+        assert "threshold must be finite" in err
+    # a non-finite report value is refused at emission
+    rc, out, err = invoke(["basis", "eval", "--n", "2000", "--m", "0",
+                           "--x1", "30", "--x2", "0"], capsys)
+    assert (rc, out) == (2, "")
+    assert "non-finite" in err
 
 
-def test_exit_2_on_missing_file(capsys):
+def test_exit_2_on_missing_file(tmp_path, capsys):
     rc, _, err = invoke(["trace", "diag", "--op", "/no/such/file.json"], capsys)
+    assert rc == 2
+    assert err.startswith("error:")
+    rc, _, err = invoke(["trace", "diag", "--op", str(tmp_path)], capsys)
     assert rc == 2
     assert err.startswith("error:")
 
@@ -72,12 +84,26 @@ def test_exit_2_on_malformed_operator_file(tmp_path, capsys):
     rc, _, err = invoke(["trace", "diag", "--op", str(path)], capsys)
     assert rc == 2
     assert "not valid JSON" in err
+    path.write_bytes(b'{"entries": [], "class": "L1\xff"}')
+    rc, _, err = invoke(["trace", "diag", "--op", str(path)], capsys)
+    assert rc == 2
+    assert "not UTF-8" in err
+    for j, k in ((1.7, True), (1.0, 0), ("1", 0), (0, False)):
+        path.write_text(json.dumps({"entries": [{"j": j, "k": k, "re": 1.0}]}),
+                        encoding="utf-8")
+        rc, out, err = invoke(["trace", "diag", "--op", str(path)], capsys)
+        assert (rc, out) == (2, "")
+        assert "integer j and k" in err
 
 
 def test_exit_64_on_usage_errors(pi0_file, capsys):
     assert invoke([], capsys)[0] == 64
     assert invoke(["trace"], capsys)[0] == 64
     assert invoke(["--bogus-flag", "trace", "diag", "--op", pi0_file], capsys)[0] == 64
+    for grid in ("1e400", "100,nan"):
+        rc, _, err = invoke(["trace", "shell", "--op", pi0_file, "--Ngrid", grid], capsys)
+        assert rc == 64
+        assert err.startswith("usage error:")
     rc, _, err = invoke(["--format", "xml", "trace", "diag", "--op", pi0_file], capsys)
     assert rc == 64
     assert err.startswith("usage error:")

@@ -10,14 +10,15 @@ from magtrace import (
     ComputationError,
     DiagonalWeight,
     DomainError,
-    EigenSequence,
     RangeError,
-    SingularSpectrum,
+    ResourceError,
+    Spectrum,
     adjoint,
     calderon_norm,
     checkpoint_ladder,
     collect_spectrum,
     compose,
+    deep_ladder,
     dixmier_estimate,
     gamma,
     hurwitz_zeta,
@@ -35,20 +36,22 @@ X_GRID = (1e-1, 1e-2, 1e-3)
 
 
 def harmonic_spectrum(count):
-    return SingularSpectrum(1.0 / np.arange(1, count + 1, dtype=float),
+    return Spectrum(1.0 / np.arange(1, count + 1, dtype=float),
                             "harmonic sequence")
 
 
 def test_singular_spectrum_sorts_and_validates():
-    spec = SingularSpectrum(np.array([0.5, 2.0, 1.0]), "scrambled")
+    spec = Spectrum(np.array([0.5, 2.0, 1.0]), "scrambled")
     assert np.array_equal(spec.values, [2.0, 1.0, 0.5])
     assert len(spec) == 3
     with pytest.raises(DomainError):
-        SingularSpectrum(np.array([1.0, -0.5]), "negative")
+        Spectrum(np.array([1.0, -0.5]), "negative")
+    with pytest.raises(DomainError):
+        Spectrum(np.array([1.0]), "bogus kind", kind="bogus")
 
 
 def test_eigen_sequence_orders_by_modulus():
-    seq = EigenSequence(np.array([1.0 - 1.0j, 3.0, -0.5j, 1.0 + 1.0j]), "mixed")
+    seq = Spectrum(np.array([1.0 - 1.0j, 3.0, -0.5j, 1.0 + 1.0j]), "mixed", "eigen")
     assert seq.values[0] == 3.0
     assert abs(seq.values[1]) == pytest.approx(math.sqrt(2.0))
     # tie in modulus is broken toward the larger imaginary part
@@ -110,12 +113,16 @@ def test_collect_spectrum_validation():
         collect_spectrum(weight, m_max=3, n_max=0)
     with pytest.raises(DomainError):
         collect_spectrum(CoefficientOperator.projection(0), m_max=3, n_max=4)
+    # the dense block stack is refused before it is allocated
+    wide = weighted_product(CoefficientOperator({(0, 1): 1.0, (3000, 3000): 1.0}), "left", 0.0)
+    with pytest.raises(ResourceError):
+        collect_spectrum(wide, m_max=10, n_max=3001)
 
 
 def test_collect_spectrum_non_diagonalizable_block():
     src = CoefficientOperator({(0, 1): 1.0})
     wp = weighted_product(src, "left", 0.0)
-    with pytest.raises(ComputationError, match="non-diagonalizable"):
+    with pytest.raises(ComputationError, match="block m=0 is numerically non-diagonalizable"):
         collect_spectrum(wp, m_max=2, n_max=2, kind="eigen")
 
 
@@ -155,10 +162,10 @@ def test_sigma_and_gamma():
 
 
 def test_calderon_norm_single_atom():
-    spec = SingularSpectrum(np.array([5.0, 0.0, 0.0]), "atom")
+    spec = Spectrum(np.array([5.0, 0.0, 0.0]), "atom")
     assert calderon_norm(spec) == pytest.approx(5.0 / math.log(2.0), rel=1e-14)
     with pytest.raises(DomainError):
-        calderon_norm(SingularSpectrum(np.array([1.0]), "too short"))
+        calderon_norm(Spectrum(np.array([1.0]), "too short"))
 
 
 def test_checkpoint_ladder_shape():
@@ -168,10 +175,15 @@ def test_checkpoint_ladder_shape():
     assert ladder[-1] == 10000
     assert ladder == sorted(ladder)
     assert len(ladder) <= 6
-    capped = SingularSpectrum(spec.values, "capped", reliable=50)
+    capped = Spectrum(spec.values, "capped", reliable=50)
     assert checkpoint_ladder(capped)[-1] == 50
+    # the deep ladder starts at the top eighth of the reliable prefix
+    assert deep_ladder(spec)[0] == 10000 // 8
+    assert deep_ladder(spec)[-1] == 10000
+    assert len(deep_ladder(spec)) == 6
+    assert deep_ladder(capped) == [6, 9, 14, 21, 32, 50]
     with pytest.raises(DomainError):
-        checkpoint_ladder(SingularSpectrum(np.array([1.0, 0.5, 0.25]), "short"))
+        checkpoint_ladder(Spectrum(np.array([1.0, 0.5, 0.25]), "short"))
 
 
 def test_shell_checkpoints():
@@ -228,13 +240,13 @@ def test_tauberian_residue_matches_dixmier():
 def test_tauberian_residue_harmonic_tail():
     values = 1.0 / np.arange(1, 101, dtype=float)
     tail = SpectralTail(kind="plain_power", s=1.0, shift=1.0, start=100)
-    spec = SingularSpectrum(values, "harmonic with tail", tail=tail)
+    spec = Spectrum(values, "harmonic with tail", tail=tail)
     table = tauberian_residue(spec, X_GRID)
     assert abs(table.extrapolated - 1.0) <= 1e-6
 
 
 def test_tauberian_residue_trace_class_vanishes():
-    spec = SingularSpectrum(2.0 ** -np.arange(60, dtype=float), "geometric")
+    spec = Spectrum(2.0 ** -np.arange(60, dtype=float), "geometric")
     table = tauberian_residue(spec, X_GRID)
     assert abs(table.extrapolated) <= 1e-4
     with pytest.raises(DomainError):

@@ -1,18 +1,14 @@
-"""Canonical JSON, operator files, tables and grid CSV."""
+"""Canonical JSON, operator files and tables."""
 
 import json
 import math
 
-import numpy as np
 import pytest
 
-from magtrace import CoefficientOperator, ConvergenceTable, DomainError, GridSpec
-from magtrace.kernels import GridFunction
+from magtrace import CoefficientOperator, ConvergenceTable, DomainError
 from magtrace.serialize import (
     canonical_json,
     format_float,
-    grid_from_csv,
-    grid_to_csv,
     load_operator,
     load_test_function,
     operator_from_dict,
@@ -154,12 +150,3 @@ def test_table_to_dict_flags():
     assert data["residual"] is None
     assert data["converged"] is False
 
-
-def test_grid_csv_round_trip(rng):
-    spec = GridSpec(extent=2.0, nodes=4)
-    values = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    fn = GridFunction(spec, values.astype(complex))
-    text = grid_to_csv(fn)
-    assert text.splitlines()[0] == "x1,x2,re,im"
-    back = grid_from_csv(text, spec)
-    assert np.array_equal(back.values, fn.values)
