@@ -296,20 +296,19 @@ def cmd_trace_diag(args, cfg, budget):
 
 def cmd_trace_residue(args, cfg, budget):
     table = traces.tau_residue(_load(args), args.lam, args.xgrid or budget.x_grid)
-    return {"lambda": args.lam, "table": serialize.table_to_dict(table)}, table.converged
+    return {"lambda": args.lam, "table": table}, table.converged
 
 
 def cmd_trace_shell(args, cfg, budget):
     table = traces.tau_shell(_load(args), args.ngrid or budget.n_grid)
-    return {"table": serialize.table_to_dict(table)}, table.converged
+    return {"table": table}, table.converged
 
 
 def cmd_trace_ordered(args, cfg, budget):
     grid = args.ngrid or tuple(e * (e + 1) // 2 - 1 for e in budget.ordered_shells)
     table = traces.tau_ordered_basis(_load(args), grid)
     doubled = 2.0 * complex(table.extrapolated)
-    return {"table": serialize.table_to_dict(table),
-            "doubled": doubled}, table.converged
+    return {"table": table, "doubled": doubled}, table.converged
 
 
 # -- dixmier handlers ------------------------------------------------------
@@ -333,15 +332,14 @@ def cmd_dixmier_gamma(args, cfg, budget):
 def cmd_dixmier_estimate(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget)
     table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
-    return {"kind": kind, "shells": shells,
-            "table": serialize.table_to_dict(table)}, table.converged
+    return {"kind": kind, "shells": shells, "table": table}, table.converged
 
 
 def cmd_dixmier_tauberian(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget,
                                                 kind="singular")
     table = dx.tauberian_residue(spectrum, args.xgrid or budget.x_grid)
-    return {"shells": shells, "table": serialize.table_to_dict(table)}, table.converged
+    return {"shells": shells, "table": table}, table.converged
 
 
 # -- dos handlers -----------------------------------------------------------
@@ -378,7 +376,7 @@ def cmd_dos_spectral(args, cfg, budget):
 def cmd_dos_approx(args, cfg, budget):
     op = _dos_operator(args, args.eps)
     table = dosmod.idos_shell_approx(op, args.eps, args.ngrid or budget.n_grid, cfg)
-    return {"eps": args.eps, "table": serialize.table_to_dict(table)}, table.converged
+    return {"eps": args.eps, "table": table}, table.converged
 
 
 def cmd_dos_dixmier(args, cfg, budget):
@@ -387,8 +385,7 @@ def cmd_dos_dixmier(args, cfg, budget):
     check = dosmod.dixmier_dos_check(op, fn, cfg, form=args.form, lam=args.lam,
                                      lam2=args.lam2, m_max=budget.shells * 4 - 1)
     return {"dixmier_value": check.dixmier_value, "measure_value": check.measure_value,
-            "gap": check.gap,
-            "table": serialize.table_to_dict(check.table)}, check.table.converged
+            "gap": check.gap, "table": check.table}, check.table.converged
 
 
 # -- compare ----------------------------------------------------------------
@@ -434,18 +431,8 @@ def cmd_compare(args, cfg, budget):
 
 
 def _payload_to_csv(payload: dict) -> str:
-    table = payload.get("table")
-    if isinstance(table, dict):
-        from .extrapolate import ConvergenceTable
-
-        rebuilt = ConvergenceTable(
-            params=tuple(table["params"]),
-            raw=tuple(table["raw"]),
-            accelerated=None if table["accelerated"] is None else tuple(table["accelerated"]),
-            extrapolated=table["extrapolated"],
-            residual=table["residual"] if table["residual"] is not None else float("nan"),
-            model=table["model"])
-        return serialize.table_to_csv(rebuilt)
+    if "table" in payload:
+        return serialize.table_to_csv(payload["table"])
     lines = ["key,value"]
     for key in sorted(payload):
         value = payload[key]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, DomainError, RangeError, ResourceError
-from .extrapolate import ConvergenceTable, log_inverse_fit, richardson_zero
+from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import hurwitz_zeta
 
@@ -281,11 +281,7 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
         raise DomainError("checkpoints must be at least 2")
     _check_count(spectrum, ns[-1], minimum=2)
     sums = _partial_sums(spectrum, ns)
-    raw = tuple(float(s) / math.log(n) for s, n in zip(sums, ns))
-    limit, _, residual = log_inverse_fit(ns, raw)
-    return ConvergenceTable(params=tuple(float(n) for n in ns), raw=raw,
-                            accelerated=None, extrapolated=limit.real,
-                            residual=residual, model="log_inverse")
+    return log_inverse_table(ns, [float(s) / math.log(n) for s, n in zip(sums, ns)])
 
 
 def tauberian_zeta(spectrum, x: float) -> float:
@@ -308,13 +304,4 @@ def tauberian_residue(spectrum, x_grid) -> ConvergenceTable:
     Matching this limit against the Dixmier estimate is the measurability
     evidence: for Tauberian operators the two routes agree.
     """
-    xs = sorted({float(x) for x in x_grid}, reverse=True)
-    if len(xs) < 3:
-        raise DomainError("the Tauberian residue needs at least three x samples")
-    if xs[-1] <= 0.0:
-        raise DomainError("residue samples must be positive")
-    raw = tuple(x * tauberian_zeta(spectrum, x) for x in xs)
-    limit, residual = richardson_zero(xs, raw)
-    return ConvergenceTable(params=tuple(xs), raw=raw, accelerated=None,
-                            extrapolated=limit.real, residual=residual,
-                            model="richardson_x")
+    return richardson_table(x_grid, lambda x: tauberian_zeta(spectrum, x))

@@ -19,9 +19,9 @@ import numpy as np
 from .config import MagneticConfig
 from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
 from .errors import DomainError, RangeError
-from .extrapolate import ConvergenceTable, log_inverse_limit
+from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
-from .traces import checked_n_grid, shell_sums, tau_diagonal
+from .traces import checked_n_grid, diagonal_prefix, shell_sums, tau_diagonal
 
 
 @dataclass(frozen=True)
@@ -190,19 +190,11 @@ def idos_shell_approx(op: LandauDiagonalOperator, eps: float, n_grid,
     """
     projection = spectral_projection(op, eps)
     ns = checked_n_grid(n_grid)
-    top = ns[-1]
-    sums = shell_sums(projection, top)
+    prefix = diagonal_prefix(projection, ns[-1])
+    sums = shell_sums(prefix)
     scale = 2.0 / cfg.omega_ell
-    raw = tuple(scale * complex(sums[n]).real / math.log(n) for n in ns)
-    counts = np.cumsum([1.0 if projection.diagonal_entry(n) != 0 else 0.0
-                        for n in range(top)])
-    accelerated = tuple(cfg.idos_scale * float(counts[n - 1]) for n in ns)
-    limit, residual, model = log_inverse_limit(ns, raw)
-    return ConvergenceTable(params=tuple(float(n) for n in ns),
-                            raw=tuple(complex(r) for r in raw),
-                            accelerated=tuple(complex(a) for a in accelerated),
-                            extrapolated=complex(limit).real, residual=residual,
-                            model=model)
+    return log_inverse_table(ns, [scale * sums[n].real / math.log(n) for n in ns],
+                             [cfg.idos_scale * prefix[n].real for n in ns])
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,16 @@ extrapolated limit, and a residual quantifying how well the declared
 model fits.  Model "richardson_x" removes polynomial error terms in a
 small parameter x -> 0+ by Neville elimination; "log_inverse" fits
 value(N) = L + c / log N by least squares.
+
+Two builders make every table: richardson_table for samples in x -> 0+
+and log_inverse_table for sequences in a truncation N -> infinity.
+Estimators hand them their raw (and accelerated) columns only, so the
+grid rule, the fit, the value types and the model name are decided here.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +90,48 @@ def log_inverse_fit(params, values) -> tuple[complex, complex, float]:
     return complex(coef[0]), complex(coef[1]), rms
 
 
-def log_inverse_limit(params, values) -> tuple[complex, float, str]:
-    """Limit, residual and model name of a log-inverse table.
+def _column(values) -> tuple:
+    """Values as Python numbers: float where real, complex otherwise."""
+    return tuple(float(v) if isinstance(v, numbers.Real) else complex(v) for v in values)
+
+
+def _table(params, raw, accelerated, limit, residual, model) -> ConvergenceTable:
+    # The limit is real exactly when every raw value is.
+    if all(isinstance(v, float) for v in raw):
+        limit = limit.real
+    return ConvergenceTable(params=tuple(float(p) for p in params), raw=raw,
+                            accelerated=None if accelerated is None else _column(accelerated),
+                            extrapolated=limit, residual=float(residual), model=model)
+
+
+def richardson_table(x_grid, fn) -> ConvergenceTable:
+    """x * fn(x) over x_grid, extrapolated to x = 0 under model "richardson_x".
+
+    The grid needs at least three samples, all positive and distinct
+    (duplicates are rejected, not merged); rows run in descending x.
+    """
+    xs = [float(x) for x in x_grid]
+    if len(xs) < 3:
+        raise DomainError("the residue route needs at least three x samples")
+    if not all(x > 0.0 for x in xs):
+        raise DomainError("residue samples must be positive")
+    if len(set(xs)) != len(xs):
+        raise DomainError("residue samples must be distinct")
+    xs.sort(reverse=True)
+    raw = _column(x * fn(x) for x in xs)
+    limit, residual = richardson_zero(xs, raw)
+    return _table(xs, raw, None, limit, residual, "richardson_x")
+
+
+def log_inverse_table(params, raw, accelerated=None) -> ConvergenceTable:
+    """Table of raw values at truncations params under model "log_inverse".
 
     Two or more rows are fitted by log_inverse_fit; a single row cannot be
     fitted, so its value is reported as is under model "none" with an
     infinite residual, which reads as not converged.
     """
-    if len(values) < 2:
-        return values[0], float("inf"), "none"
-    limit, _, residual = log_inverse_fit(params, values)
-    return limit, residual, "log_inverse"
+    raw = _column(raw)
+    if len(raw) < 2:
+        return _table(params, raw, accelerated, complex(raw[0]), float("inf"), "none")
+    limit, _, residual = log_inverse_fit(params, raw)
+    return _table(params, raw, accelerated, limit, residual, "log_inverse")

@@ -164,6 +164,13 @@ def lp_norm(a: CoefficientOperator, p: float) -> float:
     return float((mags ** p).sum() ** (1.0 / p))
 
 
+def check_shift(lam: float) -> None:
+    """Reject a shift lam that is not above -1, NaN included."""
+    if not lam > -1.0:
+        raise DomainError("lambda must exceed -1: the shifted oscillator "
+                          "Q + lambda*1 is invertible only for lambda > -1")
+
+
 @dataclass(frozen=True)
 class DiagonalWeight:
     """Diagonal operator in the doubly indexed basis, given by value(n, m).
@@ -184,11 +191,9 @@ class DiagonalWeight:
 
     @classmethod
     def q_power(cls, s: float, lam: float = 0.0) -> "DiagonalWeight":
-        if s <= 0.0:
+        if not s > 0.0:
             raise DomainError("q_power exponent must be positive")
-        if lam <= -1.0:
-            raise DomainError("lambda must exceed -1: the shifted oscillator "
-                              "Q + lambda*1 is invertible only for lambda > -1")
+        check_shift(lam)
         return cls(kind="q_power", s=float(s), lam=float(lam))
 
     @classmethod
@@ -249,14 +254,12 @@ def weighted_product(source: CoefficientOperator, form: str, lam: float,
                      lam2: float | None = None, s: float = 1.0) -> WeightedProduct:
     if form not in WEIGHT_FORMS:
         raise DomainError("weight form must be one of %s" % (WEIGHT_FORMS,))
-    if s <= 0.0:
+    if not s > 0.0:
         raise DomainError("weight exponent s must be positive")
     if lam2 is None:
         lam2 = lam
-    for shift in (lam, lam2):
-        if shift <= -1.0:
-            raise DomainError("lambda must exceed -1: the shifted oscillator "
-                              "Q + lambda*1 is invertible only for lambda > -1")
+    check_shift(lam)
+    check_shift(lam2)
     return WeightedProduct(source=source, form=form, lam=float(lam),
                            lam2=float(lam2), s=float(s))
 

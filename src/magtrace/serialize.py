@@ -45,6 +45,8 @@ def _emit(obj, out) -> None:
         _emit({"im": obj.imag, "re": obj.real}, out)
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
+    elif isinstance(obj, ConvergenceTable):
+        _emit(table_to_dict(obj), out)
     elif isinstance(obj, dict):
         out.write("{")
         for pos, key in enumerate(sorted(obj)):
@@ -77,6 +79,16 @@ def operator_to_dict(op: CoefficientOperator) -> dict:
     return {"entries": entries, "class": op.declared_class}
 
 
+def _number(value, message: str) -> float:
+    """A JSON number (int or float, not bool) as a float; DomainError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise DomainError(message)
+
+
 def operator_from_dict(data: dict) -> CoefficientOperator:
     if not isinstance(data, dict):
         raise DomainError("an operator document must be a JSON object")
@@ -95,12 +107,10 @@ def operator_from_dict(data: dict) -> CoefficientOperator:
         if not all(isinstance(i, int) and not isinstance(i, bool) for i in key):
             raise DomainError("operator entry %d must have integer j and k "
                               "indices" % pos)
-        try:
-            value = complex(float(item.get("re", 0.0)),
-                            float(item.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise DomainError("operator entry %d has non-numeric fields" % pos)
-        entries[key] = entries.get(key, 0.0) + value
+        real, imag = (_number(item.get(part, 0.0),
+                              "operator entry %d has non-numeric fields" % pos)
+                      for part in ("re", "im"))
+        entries[key] = entries.get(key, 0.0) + complex(real, imag)
     return CoefficientOperator(entries, declared)
 
 
@@ -128,11 +138,11 @@ def load_test_function(path: str) -> CompactTestFunction:
     data = _load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise DomainError("a test function document needs a nodes array")
-    try:
-        nodes = tuple((float(e), float(v)) for e, v in data["nodes"])
-    except (TypeError, ValueError):
-        raise DomainError("test function nodes must be [eps, value] pairs")
-    return CompactTestFunction(nodes=nodes)
+    message = "test function nodes must be [eps, value] pairs of JSON numbers"
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in data["nodes"]):
+        raise DomainError(message)
+    return CompactTestFunction(nodes=tuple(tuple(_number(x, message) for x in pair)
+                                           for pair in data["nodes"]))
 
 
 def format_cell(value) -> str:

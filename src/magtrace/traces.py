@@ -12,15 +12,15 @@ of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import QuadratureSpec
 from .config import MagneticConfig
 from .errors import DomainError
-from .extrapolate import ConvergenceTable, log_inverse_limit, richardson_zero
-from .operators import CoefficientOperator, adjoint, compose
+from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
+from .operators import CoefficientOperator, adjoint, check_shift, compose
 
 _BERNOULLI_EVEN = (
     1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
@@ -66,27 +66,14 @@ def tau_diagonal(s: CoefficientOperator) -> complex:
 
 def theta(s: CoefficientOperator, x: float, lam: float = 0.0) -> complex:
     """Spectral zeta series theta_S(x) = sum_n s_nn * zeta(1 + x, n + 1 + lam)."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError("theta is defined for x > 0")
-    if lam <= -1.0:
-        raise DomainError("lambda must exceed -1: the shifted oscillator "
-                          "Q + lambda*1 is invertible only for lambda > -1")
+    check_shift(lam)
     total = 0.0 + 0.0j
     for (j, k), v in sorted(s.entries.items()):
         if j == k:
             total += v * hurwitz_zeta(1.0 + x, j + 1.0 + lam)
     return total
-
-
-def _checked_x_grid(x_grid) -> list[float]:
-    xs = [float(x) for x in x_grid]
-    if len(xs) < 3:
-        raise DomainError("the residue route needs at least three x samples")
-    if any(x <= 0.0 for x in xs):
-        raise DomainError("residue samples must be positive")
-    if len(set(xs)) != len(xs):
-        raise DomainError("residue samples must be distinct")
-    return sorted(xs, reverse=True)
 
 
 def tau_residue(s: CoefficientOperator, lam: float, x_grid) -> ConvergenceTable:
@@ -96,12 +83,7 @@ def tau_residue(s: CoefficientOperator, lam: float, x_grid) -> ConvergenceTable:
     to the diagonal sum; it is polynomial in x to high accuracy, so Neville
     elimination over the sample grid recovers the limit.
     """
-    xs = _checked_x_grid(x_grid)
-    raw = tuple(x * theta(s, x, lam) for x in xs)
-    limit, residual = richardson_zero(xs, raw)
-    return ConvergenceTable(params=tuple(xs), raw=raw, accelerated=None,
-                            extrapolated=limit, residual=residual,
-                            model="richardson_x")
+    return richardson_table(x_grid, lambda x: theta(s, x, lam))
 
 
 def shell_average(s: CoefficientOperator, j: int) -> complex:
@@ -116,33 +98,28 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
     return complex(total) / j
 
 
-def _diagonal_prefixes(s: CoefficientOperator, count: int) -> np.ndarray:
+def diagonal_prefix(s: CoefficientOperator, count: int) -> np.ndarray:
     """Prefix sums p[j] = sum_{n<j} s_nn for j = 0 .. count."""
-    top = s.max_index
-    diag = s.diagonal_array(top + 1) if top >= 0 else np.zeros(0, dtype=complex)
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(diag)]) if diag.size else \
-        np.zeros(1, dtype=complex)
-    if count + 1 <= prefix.size:
-        return prefix[: count + 1]
-    pad = np.full(count + 1 - prefix.size, prefix[-1], dtype=complex)
-    return np.concatenate([prefix, pad])
+    return np.concatenate([[0.0 + 0.0j], np.cumsum(s.diagonal_array(count))])
 
 
-def shell_sums(s: CoefficientOperator, n_max: int) -> np.ndarray:
-    """Cumulative shell averages W[N] = sum_{j<=N} w_j(S) for N = 0 .. n_max."""
-    prefix = _diagonal_prefixes(s, n_max)
-    js = np.arange(1, n_max + 1, dtype=float)
-    w = prefix[np.minimum(np.arange(1, n_max + 1), prefix.size - 1)] / js
-    return np.concatenate([[0.0 + 0.0j], np.cumsum(w)])
+def shell_sums(prefix: np.ndarray) -> np.ndarray:
+    """Cumulative shell averages W[N] = sum_{j<=N} w_j(S) for N = 0 .. n_max.
+
+    prefix holds the diagonal prefix sums p[0 .. n_max] of S, since the
+    j-th shell average is w_j(S) = p[j] / j.
+    """
+    js = np.arange(1, prefix.size, dtype=float)
+    return np.concatenate([[0.0 + 0.0j], np.cumsum(prefix[1:] / js)])
 
 
-def checked_n_grid(n_grid, minimum: int = 2) -> list[int]:
-    """Sorted distinct truncation points, each at least `minimum`."""
+def checked_n_grid(n_grid) -> list[int]:
+    """Sorted distinct truncation points, each at least 2."""
     ns = sorted({int(n) for n in n_grid})
     if len(ns) < 1:
         raise DomainError("at least one truncation point is required")
-    if ns[0] < minimum:
-        raise DomainError("truncation points must be at least %d" % minimum)
+    if ns[0] < 2:
+        raise DomainError("truncation points must be at least 2")
     return ns
 
 
@@ -157,15 +134,10 @@ def tau_shell(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     under the log_inverse model.
     """
     ns = checked_n_grid(n_grid)
-    top = ns[-1]
-    sums = shell_sums(s, top)
-    prefix = _diagonal_prefixes(s, top)
-    raw = tuple(complex(sums[n]) / math.log(n) for n in ns)
-    accelerated = tuple(complex(prefix[min(n, prefix.size - 1)]) for n in ns)
-    limit, residual, model = log_inverse_limit(ns, raw)
-    return ConvergenceTable(params=tuple(float(n) for n in ns), raw=raw,
-                            accelerated=accelerated, extrapolated=limit,
-                            residual=residual, model=model)
+    prefix = diagonal_prefix(s, ns[-1])
+    sums = shell_sums(prefix)
+    return log_inverse_table(ns, [complex(sums[n]) / math.log(n) for n in ns],
+                             [prefix[n] for n in ns])
 
 
 def completed_shells(state_limit: int) -> int:
@@ -183,21 +155,17 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     value(N) = (1/log(N+1)) * sum_{r<=N} entry_r.  Each requested N is
     rounded down to a completed shell so partial sums are well defined
     regardless of tie ordering; the rounded N values appear in the table.
+    The fit runs in the state count N + 1, the argument of the logarithm.
     """
     ns = checked_n_grid(n_grid)
     shells = sorted({completed_shells(n + 1) for n in ns})
     if shells[0] < 2:
         raise DomainError("ordered-basis truncations must cover at least two shells")
-    sums = shell_sums(s, shells[-1])
-    params = []
-    raw = []
-    for e in shells:
-        states = e * (e + 1) // 2
-        params.append(float(states - 1))
-        raw.append(complex(sums[e]) / math.log(states))
-    limit, residual, model = log_inverse_limit([p + 1.0 for p in params], raw)
-    return ConvergenceTable(params=tuple(params), raw=tuple(raw), accelerated=None,
-                            extrapolated=limit, residual=residual, model=model)
+    sums = shell_sums(diagonal_prefix(s, shells[-1]))
+    states = [e * (e + 1) // 2 for e in shells]
+    table = log_inverse_table(states, [complex(sums[e]) / math.log(n)
+                                       for e, n in zip(shells, states)])
+    return replace(table, params=tuple(n - 1.0 for n in table.params))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
     assert rc == 2
     assert out == ""
     assert "invertible only for lambda > -1" in err
+    rc, out, err = invoke(["dixmier", "estimate", "--op", pi0_file, "--lambda", "nan"], capsys)
+    assert (rc, out) == (2, "")
+    assert "invertible only for lambda > -1" in err
     for eps in ("nan", "inf"):
         rc, out, err = invoke(["dos", "idos", "--eps", eps], capsys)
         assert (rc, out) == (2, "")
@@ -94,6 +97,12 @@ def test_exit_2_on_malformed_operator_file(tmp_path, capsys):
         rc, out, err = invoke(["trace", "diag", "--op", str(path)], capsys)
         assert (rc, out) == (2, "")
         assert "integer j and k" in err
+    for real, imag in ((True, 0.0), (1.0, "0.5"), (None, 0.0), (1.0, [0.5]), (10 ** 400, 0.0)):
+        path.write_text(json.dumps({"entries": [{"j": 0, "k": 0, "re": real, "im": imag}]}),
+                        encoding="utf-8")
+        rc, out, err = invoke(["trace", "diag", "--op", str(path)], capsys)
+        assert (rc, out) == (2, "")
+        assert "non-numeric" in err
 
 
 def test_exit_64_on_usage_errors(pi0_file, capsys):

@@ -1,7 +1,8 @@
-"""Guards for two design rules of the package.
+"""Guards for three design rules of the package.
 
-Modules use each other's public names only, and the trace routes that
-cross-check the diagonal sum never compute it themselves.
+Modules use each other's public names only, the trace routes that
+cross-check the diagonal sum never compute it themselves, and every
+convergence table comes from the two builders in extrapolate.py.
 """
 
 import ast
@@ -65,6 +66,34 @@ def test_private_use_scan_flags_both_forms():
     tree = ast.parse("from .traces import _shell_sums\nfrom . import serialize\n"
                      "serialize._cell(1.0)\nserialize.__name__\n")
     assert _private_uses(tree) == ["from traces import _shell_sums", "serialize._cell"]
+
+
+# Callables that only extrapolate.py may call: its table builders wrap them.
+TABLE_MAKERS = {"ConvergenceTable", "log_inverse_fit", "richardson_zero"}
+
+
+def _table_maker_calls(tree):
+    """Names in TABLE_MAKERS called directly or as a module attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in TABLE_MAKERS:
+                found.append(name)
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES if path.name != "extrapolate.py"],
+                         ids=lambda path: path.name)
+def test_tables_come_from_the_extrapolate_builders(path):
+    assert _table_maker_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_table_maker_scan_flags_both_forms():
+    tree = ast.parse("ConvergenceTable(params=())\nextrapolate.log_inverse_fit(p, v)\n"
+                     "richardson_table(xs, fn)\n")
+    assert _table_maker_calls(tree) == ["ConvergenceTable", "log_inverse_fit"]
 
 
 def test_trace_routes_do_not_call_the_diagonal_sum(monkeypatch):

@@ -253,6 +253,8 @@ def test_tauberian_residue_trace_class_vanishes():
         tauberian_residue(spec, (0.1, 0.01))
     with pytest.raises(DomainError):
         tauberian_residue(spec, (0.1, 0.01, -0.001))
+    with pytest.raises(DomainError, match="distinct"):
+        tauberian_residue(spec, (0.1, 0.1, 0.01))
 
 
 def test_weighted_estimate_is_shift_and_form_independent():

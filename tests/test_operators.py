@@ -153,6 +153,16 @@ def test_weight_validation():
         weighted_product(CoefficientOperator.projection(0), "middle", 0.0)
     with pytest.raises(DomainError):
         weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=-1.0)
+    nan = float("nan")
+    with pytest.raises(DomainError, match="exponent must be positive"):
+        DiagonalWeight.q_power(nan)
+    with pytest.raises(DomainError, match="invertible only for lambda > -1"):
+        DiagonalWeight.q_power(1.0, lam=nan)
+    for lam, lam2 in ((nan, None), (0.0, nan)):
+        with pytest.raises(DomainError, match="invertible only for lambda > -1"):
+            weighted_product(CoefficientOperator.projection(0), "split", lam, lam2)
+    with pytest.raises(DomainError, match="exponent s must be positive"):
+        weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=nan)
 
 
 @pytest.mark.parametrize("form", ["left", "right", "split"])

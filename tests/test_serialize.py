@@ -110,6 +110,11 @@ def test_malformed_files_are_rejected(tmp_path):
     bad_nodes.write_text('{"nodes": [[0.0, 0.0], ["a"]]}', encoding="utf-8")
     with pytest.raises(DomainError, match="pairs"):
         load_test_function(str(bad_nodes))
+    for nodes in ('[[0, false], ["1.5", true], [3, 0]]', '[[0, 0], [1, 1, 1], [3, 0]]',
+                  '[[0, 0], {"1": 1}, [3, 0]]'):
+        bad_nodes.write_text('{"nodes": %s}' % nodes, encoding="utf-8")
+        with pytest.raises(DomainError, match="pairs of JSON numbers"):
+            load_test_function(str(bad_nodes))
 
 
 def test_table_to_csv_layout():
@@ -149,4 +154,6 @@ def test_table_to_dict_flags():
     data = table_to_dict(bad)
     assert data["residual"] is None
     assert data["converged"] is False
+    # reports carry the table itself, emitted through table_to_dict
+    assert canonical_json({"table": bad}) == canonical_json({"table": data})
 

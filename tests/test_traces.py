@@ -1,6 +1,7 @@
 """Canonical trace: four estimator routes and their numerical contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from magtrace import (
     tau_shell,
     theta,
 )
+from magtrace.extrapolate import log_inverse_table, richardson_table
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -96,6 +98,10 @@ def test_theta_domain():
         theta(s, -0.5)
     with pytest.raises(DomainError, match="invertible only for lambda > -1"):
         theta(s, 0.1, lam=-1.0)
+    with pytest.raises(DomainError, match="invertible only for lambda > -1"):
+        theta(s, 0.1, lam=float("nan"))
+    with pytest.raises(DomainError, match="x > 0"):
+        theta(s, float("nan"))
 
 
 def test_tau_residue_projection():
@@ -151,6 +157,8 @@ def test_tau_residue_grid_validation():
         tau_residue(s, 0.0, (0.1, -0.01, 0.001))
     with pytest.raises(DomainError):
         tau_residue(s, 0.0, (0.1, 0.1, 0.01))
+    with pytest.raises(DomainError, match="positive"):
+        tau_residue(s, 0.0, (0.1, float("nan"), 0.001))
 
 
 def test_shell_average_values():
@@ -325,3 +333,40 @@ def test_log_inverse_fit_validation():
         log_inverse_fit((10.0,), (1.0,))
     with pytest.raises(DomainError):
         log_inverse_fit((1.0, 10.0), (1.0, 2.0))
+
+
+def test_shell_routes_are_sized_by_the_grid():
+    # One far diagonal entry must not size the prefix sums: the shell
+    # routes allocate for the largest truncation point only.
+    s = CoefficientOperator({(0, 0): 1.0, (2_000_000, 2_000_000): 1.0})
+    tracemalloc.start()
+    try:
+        table = tau_shell(s, (100, 1000, 10000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.accelerated == (1.0, 1.0, 1.0)
+    assert peak < 8 * 2 ** 20
+
+
+def test_richardson_table_sorts_and_keeps_real_limits_real():
+    table = richardson_table((0.1, 0.4, 0.2), lambda x: 3.0 / x - 2.0 + x)
+    assert table.params == (0.4, 0.2, 0.1)
+    assert table.model == "richardson_x"
+    assert table.extrapolated == pytest.approx(3.0, abs=1e-12)
+    assert type(table.extrapolated) is float and table.converged is True
+
+
+def test_log_inverse_table_rows_and_types():
+    single = log_inverse_table((50,), [np.float64(1.5)], [np.float64(1.0)])
+    assert (single.model, single.residual, single.extrapolated) == ("none", math.inf, 1.5)
+    assert single.converged is False
+    assert type(single.raw[0]) is float and type(single.accelerated[0]) is float
+    params = (10, 100, 1000)
+    real = log_inverse_table(params, [np.float64(2.0 + 0.5 / math.log(p)) for p in params])
+    assert real.model == "log_inverse"
+    assert real.params == (10.0, 100.0, 1000.0)
+    assert type(real.extrapolated) is float and real.converged is True
+    assert real.extrapolated == pytest.approx(2.0, abs=1e-12)
+    mixed = log_inverse_table(params, [2.0, 1.0 + 0.0j, 2.0])
+    assert type(mixed.extrapolated) is complex and type(mixed.raw[1]) is complex
