@@ -209,9 +209,9 @@ def _load(args):
     return serialize.load_operator(args.infile)
 
 
-def _weighted_spectrum(op, args, budget, kind=None):
-    shells = args.shells if getattr(args, "shells", None) else budget.shells
-    product = weighted_product(op, args.form, args.lam, args.lam2, s=1.0)
+def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
+    shells = budget.shells if shells is None else shells
+    product = weighted_product(op, form, lam, lam2, s=1.0)
     n_max = max(op.max_index + 1, 1)
     if kind is None:
         diag_real = op.is_diagonal and all(abs(v.imag) == 0.0 for v in op.entries.values())
@@ -234,9 +234,9 @@ def cmd_basis_gram(args, cfg, budget):
     from .basis import QuadratureSpec, orthonormality_check
 
     quad = QuadratureSpec.default(cfg)
-    if args.extent or args.nodes:
-        quad = QuadratureSpec(extent=args.extent or quad.extent,
-                              nodes=args.nodes or quad.nodes)
+    if args.extent is not None or args.nodes is not None:
+        quad = QuadratureSpec(extent=quad.extent if args.extent is None else args.extent,
+                              nodes=quad.nodes if args.nodes is None else args.nodes)
     errors = orthonormality_check(args.max_index, cfg, quad)
     return {"max_index": args.max_index, "max_error": float(errors.max()),
             "errors": [[float(v) for v in row] for row in errors]}, True
@@ -262,9 +262,8 @@ def cmd_op_norm(args, cfg, budget):
 
 def cmd_op_block(args, cfg, budget):
     block = matrix_block(_load(args), args.m, args.count)
-    return {"m": block.m,
-            "entries": [[complex(v) for v in row] for row in block.data],
-            "trace": complex(block.trace)}, True
+    return {"m": args.m, "entries": [[complex(v) for v in row] for row in block],
+            "trace": complex(np.trace(block))}, True
 
 
 def cmd_kernel_eval(args, cfg, budget):
@@ -278,8 +277,8 @@ def cmd_kernel_folner(args, cfg, budget):
 
 
 def cmd_kernel_commutant(args, cfg, budget):
-    extent = args.extent or budget.kernel_extent_ells * cfg.ell
-    nodes = args.nodes or budget.kernel_nodes
+    extent = budget.kernel_extent_ells * cfg.ell if args.extent is None else args.extent
+    nodes = budget.kernel_nodes if args.nodes is None else args.nodes
     spec = GridSpec(extent=extent, nodes=nodes)
     phi = kernels.sample_basis(0, 0, spec, cfg)
     residual = kernels.commutant_residual(_load(args), (args.a1, args.a2), phi, cfg)
@@ -315,7 +314,8 @@ def cmd_trace_ordered(args, cfg, budget):
 
 
 def cmd_dixmier_spectrum(args, cfg, budget):
-    spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget)
+    spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
+                                                args.shells, budget)
     head = [complex(v) for v in spectrum.values[:16]]
     return {"kind": kind, "shells": shells, "count": len(spectrum),
             "reliable": spectrum.reliable, "head": head,
@@ -323,21 +323,22 @@ def cmd_dixmier_spectrum(args, cfg, budget):
 
 
 def cmd_dixmier_gamma(args, cfg, budget):
-    spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget,
-                                                kind="singular")
+    spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
+                                                args.shells, budget, kind="singular")
     return {"N": args.count, "gamma": dx.gamma(spectrum, args.count),
             "calderon": dx.calderon_norm(spectrum)}, True
 
 
 def cmd_dixmier_estimate(args, cfg, budget):
-    spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget)
+    spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
+                                                args.shells, budget)
     table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
     return {"kind": kind, "shells": shells, "table": table}, table.converged
 
 
 def cmd_dixmier_tauberian(args, cfg, budget):
-    spectrum, shells, kind = _weighted_spectrum(_load(args), args, budget,
-                                                kind="singular")
+    spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
+                                                args.shells, budget, kind="singular")
     table = dx.tauberian_residue(spectrum, args.xgrid or budget.x_grid)
     return {"shells": shells, "table": table}, table.converged
 
@@ -398,9 +399,7 @@ def cmd_compare(args, cfg, budget):
     shell = traces.tau_shell(op, budget.n_grid)
     ordered_grid = tuple(e * (e + 1) // 2 - 1 for e in budget.ordered_shells)
     ordered = traces.tau_ordered_basis(op, ordered_grid)
-    spectrum, shells, kind = _weighted_spectrum(
-        op, argparse.Namespace(shells=None, form="left", lam=args.lam, lam2=None),
-        budget)
+    spectrum, shells, kind = _weighted_spectrum(op, "left", args.lam, None, None, budget)
     dixmier_table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
     shell_sharp = shell.accelerated[-1]
     doubled = 2.0 * complex(ordered.extrapolated)

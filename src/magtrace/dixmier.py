@@ -119,7 +119,7 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     if size > STACK_BYTES_LIMIT:
         raise ResourceError("the weighted block stack needs %d bytes, over the "
                             "limit of %d" % (size, STACK_BYTES_LIMIT))
-    stack = matrix_block(source, 0, n_max).data
+    stack = matrix_block(source, 0, n_max)
     if row is not None:
         stack = row[:, :, None] * stack
     if col is not None:
@@ -134,38 +134,28 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     return values.ravel(), stack[-1]
 
 
-def collect_spectrum(op, m_max: int, n_max: int, kind: str = "singular") -> Spectrum:
+def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
+                     kind: str = "singular") -> Spectrum:
     """Merged, sorted spectrum of the blocks m = 0 .. m_max at size n_max.
 
-    For diagonal weights the values are enumerated directly; weighted
-    products go through SVD (kind "singular") or an eigendecomposition
-    (kind "eigen") of all blocks at once, and purely diagonal blocks are
-    read off without factorization.  The reliable prefix length is the
-    number of retained values strictly above the largest value of the
-    first omitted block, beyond which sorting against the truncation
-    boundary would mix retained and missing contributions.
+    The blocks of the weighted product go through SVD (kind "singular")
+    or an eigendecomposition (kind "eigen") all at once, and purely
+    diagonal blocks are read off without factorization.  The reliable
+    prefix length is the number of retained values strictly above the
+    norm of the first omitted block, beyond which sorting against the
+    truncation boundary would mix retained and missing contributions.
+    shell_spectrum is the route for a bare DiagonalWeight.
     """
+    if not isinstance(op, WeightedProduct):
+        raise DomainError("collect_spectrum expects a WeightedProduct")
     if kind not in SPECTRUM_KINDS:
         raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
     if m_max < 0 or n_max < 1:
         raise DomainError("spectrum truncation needs m_max >= 0 and n_max >= 1")
-    if isinstance(op, DiagonalWeight):
-        n = np.arange(n_max, dtype=float)[:, None]
-        m = np.arange(m_max + 1, dtype=float)[None, :]
-        values = np.asarray(op.value(n, m), dtype=float).ravel()
-        frontier_n = np.max(op.value(np.full(m_max + 2, n_max, dtype=float),
-                                     np.arange(m_max + 2, dtype=float)))
-        frontier_m = np.max(op.value(np.arange(n_max + 1, dtype=float),
-                                     np.full(n_max + 1, m_max + 1, dtype=float)))
-        threshold = float(max(frontier_n, frontier_m))
-        label = "diagonal weight %s over n<%d, m<=%d" % (op.kind, n_max, m_max)
-    elif isinstance(op, WeightedProduct):
-        values, frontier = _weighted_values(op, m_max, n_max, kind)
-        threshold = float(np.linalg.norm(frontier, ord=2))
-        label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
-            op.form, op.lam, op.lam2, op.s, n_max, m_max)
-    else:
-        raise DomainError("collect_spectrum expects a DiagonalWeight or WeightedProduct")
+    values, frontier = _weighted_values(op, m_max, n_max, kind)
+    threshold = float(np.linalg.norm(frontier, ord=2))
+    label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
+        op.form, op.lam, op.lam2, op.s, n_max, m_max)
     reliable = int((np.abs(values) > threshold).sum())
     if kind == "singular":
         values = np.abs(values)
@@ -179,8 +169,6 @@ def shell_spectrum(weight: DiagonalWeight, shells: int, kind: str = "singular"):
     complete shells makes every checkpoint N = e(e+1)/2 comparable and the
     remainder exactly summable, which feeds the Tauberian route.
     """
-    if weight.kind != "q_power":
-        raise DomainError("shell enumeration applies to q_power weights only")
     if shells < 1:
         raise DomainError("at least one shell is required")
     e = np.arange(1, shells + 1, dtype=float)

@@ -38,10 +38,6 @@ class GridSpec:
         if self.extent <= 0.0 or self.nodes < 2:
             raise DomainError("grids need positive extent and at least two nodes")
 
-    @classmethod
-    def default(cls, cfg: MagneticConfig) -> "GridSpec":
-        return cls(extent=12.0 * cfg.ell, nodes=256)
-
     @property
     def spacing(self) -> float:
         return 2.0 * self.extent / (self.nodes - 1)
@@ -232,7 +228,7 @@ def folner_trace(s: CoefficientOperator, box_radius: float,
     ell^2), so the box average equals that constant for every radius and
     the scaled value reproduces the canonical trace.
     """
-    if box_radius <= 0.0:
-        raise DomainError("the averaging box must have positive radius")
+    if not (box_radius > 0.0 and math.isfinite(box_radius)):
+        raise DomainError("the averaging box must have a positive, finite radius")
     diagonal = kernel_at_zero(s, cfg) / (2.0 * math.pi * cfg.ell ** 2)
     return complex(0.5 * cfg.omega_ell * diagonal)

@@ -15,8 +15,8 @@ a finite coefficient family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -165,53 +165,34 @@ def lp_norm(a: CoefficientOperator, p: float) -> float:
 
 
 def check_shift(lam: float) -> None:
-    """Reject a shift lam that is not above -1, NaN included."""
-    if not lam > -1.0:
-        raise DomainError("lambda must exceed -1: the shifted oscillator "
-                          "Q + lambda*1 is invertible only for lambda > -1")
+    """Reject a shift lam that is not a finite number above -1."""
+    if not (lam > -1.0 and math.isfinite(lam)):
+        raise DomainError("lambda must be finite and exceed -1: the shifted "
+                          "oscillator Q + lambda*1 is invertible only for lambda > -1")
 
 
 @dataclass(frozen=True)
 class DiagonalWeight:
-    """Diagonal operator in the doubly indexed basis, given by value(n, m).
+    """The inverse power (n + m + 1 + lam) ** (-s) of the shifted oscillator.
 
-    Three kinds are supported:
-      * q_power: (n + m + 1 + lam) ** (-s), the inverse power of the
-        shifted harmonic oscillator; requires s > 0 and lam > -1.
-      * m_power: (m + 1) ** r, a weight in the degeneracy index only.
-      * shell_function: an arbitrary tagged function of (n, m).
+    It is diagonal in the doubly indexed basis; q_power checks s > 0 and
+    a finite lam > -1.
     """
 
-    kind: str
-    s: float = 0.0
+    s: float
     lam: float = 0.0
-    r: float = 0.0
-    tag: str = ""
-    fn: Callable[[int, int], float] | None = field(default=None, compare=False)
 
     @classmethod
     def q_power(cls, s: float, lam: float = 0.0) -> "DiagonalWeight":
         if not s > 0.0:
             raise DomainError("q_power exponent must be positive")
         check_shift(lam)
-        return cls(kind="q_power", s=float(s), lam=float(lam))
-
-    @classmethod
-    def m_power(cls, r: float) -> "DiagonalWeight":
-        return cls(kind="m_power", r=float(r))
-
-    @classmethod
-    def shell_function(cls, tag: str, fn: Callable[[int, int], float]) -> "DiagonalWeight":
-        return cls(kind="shell_function", tag=tag, fn=fn)
+        return cls(s=float(s), lam=float(lam))
 
     def value(self, n, m):
         """Weight at (n, m); broadcasts over numpy arrays."""
-        if self.kind == "q_power":
-            return (np.asarray(n, dtype=float) + np.asarray(m, dtype=float)
-                    + 1.0 + self.lam) ** (-self.s)
-        if self.kind == "m_power":
-            return (np.asarray(m, dtype=float) + 1.0) ** self.r
-        return self.fn(n, m)
+        return (np.asarray(n, dtype=float) + np.asarray(m, dtype=float)
+                + 1.0 + self.lam) ** (-self.s)
 
 
 WEIGHT_FORMS = ("left", "right", "split")
@@ -222,8 +203,9 @@ class WeightedProduct:
     """Inverse-oscillator weight combined with a coefficient operator.
 
     form "left" is Q_lam^{-s} S, "right" is S Q_lam^{-s} and "split" is
-    Q_lam^{-s/..} on both sides: value^{1/2} S value'^{1/2} with shifts
-    lam and lam2.  All blocks stay diagonal in the degeneracy index m.
+    Q_lam^{-s/2} S Q_lam2^{-s/2}, with Q_lam^{-s} the DiagonalWeight of
+    exponent s and shift lam.  All blocks stay diagonal in the degeneracy
+    index m.
     """
 
     source: CoefficientOperator
@@ -235,19 +217,19 @@ class WeightedProduct:
     def block_weights(self, m, count: int):
         """Row and column weights (r, c) of the blocks m at truncation count.
 
-        m may be a scalar or an array; r and c have shape m.shape + (count,),
-        and block m of the product has entries r[n] * S[n, n'] * c[n'].  A
-        side that the form leaves unweighted is None rather than ones, so
+        r and c have shape m.shape + (count,), and block m of the product
+        is r[:, None] * matrix_block(source, m, count) * c[None, :].  A side
+        that the form leaves unweighted is None rather than ones, so
         weighted entries are exactly the products the form prescribes.
         """
         n = np.arange(count)
         m = np.asarray(m, dtype=float)[..., None]
-        w = (n + m + 1.0 + self.lam) ** (-self.s)
+        w = DiagonalWeight(self.s, self.lam).value(n, m)
         if self.form == "left":
             return w, None
         if self.form == "right":
             return None, w
-        return np.sqrt(w), np.sqrt((n + m + 1.0 + self.lam2) ** (-self.s))
+        return np.sqrt(w), np.sqrt(DiagonalWeight(self.s, self.lam2).value(n, m))
 
 
 def weighted_product(source: CoefficientOperator, form: str, lam: float,
@@ -264,52 +246,24 @@ def weighted_product(source: CoefficientOperator, form: str, lam: float,
                            lam2=float(lam2), s=float(s))
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedMatrix:
-    """Finite block of an operator at fixed degeneracy index m."""
-
-    m: int
-    data: np.ndarray
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-
-def _coefficient_block(a: CoefficientOperator, count: int) -> np.ndarray:
-    """Matrix of the m-independent block: entry (n, n') equals a_{n',n}."""
-    block = np.zeros((count, count), dtype=complex)
-    for (j, k), v in a.entries.items():
-        if k < count and j < count:
-            block[k, j] = v
-    return block
-
-
-def matrix_block(op, m: int, count: int) -> TruncatedMatrix:
+def matrix_block(op: CoefficientOperator, m: int, count: int) -> np.ndarray:
     """Truncated matrix of `op` on the block with degeneracy index m.
 
-    Rows and columns run over the Landau indices n, n' in [0, count).
-    Accepts a CoefficientOperator, a DiagonalWeight or a WeightedProduct.
+    Rows and columns run over the Landau indices n, n' in [0, count), and
+    entry (n, n') is a_{n',n}.  The operator acts as the identity on the
+    degeneracy index, so every block m has the same matrix.
     """
+    if not isinstance(op, CoefficientOperator):
+        raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
     if m < 0:
         raise DomainError("block index m must be non-negative")
     if count < 1:
         raise DomainError("truncation size must be at least 1")
-    n = np.arange(count)
-    if isinstance(op, CoefficientOperator):
-        return TruncatedMatrix(m=m, data=_coefficient_block(op, count))
-    if isinstance(op, DiagonalWeight):
-        return TruncatedMatrix(m=m, data=np.diag(np.asarray(op.value(n, m), dtype=float)
-                                                 .astype(complex)))
-    if isinstance(op, WeightedProduct):
-        row, col = op.block_weights(m, count)
-        data = _coefficient_block(op.source, count)
-        if row is not None:
-            data = row[:, None] * data
-        if col is not None:
-            data = data * col[None, :]
-        return TruncatedMatrix(m=m, data=data)
-    raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
+    block = np.zeros((count, count), dtype=complex)
+    for (j, k), v in op.entries.items():
+        if k < count and j < count:
+            block[k, j] = v
+    return block
 
 
 def absorb_product(a1: CoefficientOperator, t_entries: Mapping[tuple[int, int], complex],
@@ -324,17 +278,8 @@ def absorb_product(a1: CoefficientOperator, t_entries: Mapping[tuple[int, int], 
         if factor.declared_class != "L1":
             raise DomainError("absorb_product requires %s declared L1, got %s"
                               % (name, factor.declared_class))
-    out: dict[tuple[int, int], complex] = {}
-    t_by_row: dict[int, list[tuple[int, complex]]] = {}
-    for (j, k), v in t_entries.items():
-        t_by_row.setdefault(j, []).append((k, v))
-    for (r, s), v1 in a1.entries.items():
-        for (p, q), v2 in a2.entries.items():
-            for k, tv in t_by_row.get(q, ()):
-                if k == r:
-                    key = (p, s)
-                    out[key] = out.get(key, 0.0) + v1 * tv * v2
-    return CoefficientOperator(out, "L1")
+    product = compose(compose(a1, CoefficientOperator(t_entries)), a2)
+    return CoefficientOperator(product.entries, "L1")
 
 
 @dataclass(frozen=True)
@@ -361,41 +306,7 @@ def coefficient_bound_check(t_entries: Mapping[tuple[int, int], complex],
     if op.max_index >= count:
         raise DomainError("truncation %d does not cover entries up to index %d"
                           % (count, op.max_index))
-    block = _coefficient_block(op, count)
-    norm = float(np.linalg.norm(block, ord=2)) if count else 0.0
+    block = matrix_block(op, 0, count)
+    norm = float(np.linalg.norm(block, ord=2))
     max_entry = float(max((abs(v) for v in op.entries.values()), default=0.0))
     return BoundCheck(max_entry=max_entry, block_norm=norm)
-
-
-@dataclass(frozen=True)
-class HSKernelReport:
-    """Partial sum of squared kernel entries of W*A over m <= m_max."""
-
-    value: float
-    convergent: bool | None
-    m_max: int
-
-
-def hs_kernel_norm(weight: DiagonalWeight, a: CoefficientOperator, m_max: int) -> HSKernelReport:
-    """Squared Hilbert-Schmidt mass of the kernel of W*A up to block m_max.
-
-    The kernel entry on block m at (n, n') is value(n, m) * a_{n',n}, so the
-    squared sum factorizes into sum_{j,k} |a_jk|^2 * value(k, m)^2 summed
-    over m <= m_max.  The convergence flag reports whether the infinite sum
-    over m exists: for m_power(r) this needs -r > 1/2, for q_power(s, lam)
-    it needs s > 1/2; for shell_function weights no criterion is attached.
-    """
-    if m_max < 0:
-        raise DomainError("m_max must be non-negative")
-    m = np.arange(m_max + 1, dtype=float)
-    total = 0.0
-    for (j, k), v in a.entries.items():
-        w = np.asarray(weight.value(k, m), dtype=float)
-        total += abs(v) ** 2 * float((w * w).sum())
-    if weight.kind == "m_power":
-        convergent = bool(-weight.r > 0.5)
-    elif weight.kind == "q_power":
-        convergent = bool(weight.s > 0.5)
-    else:
-        convergent = None
-    return HSKernelReport(value=total, convergent=convergent, m_max=m_max)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import magtrace
 from magtrace import adjoint, make_config, psi
 from magtrace.cli import run
 from magtrace.serialize import canonical_json, load_operator
@@ -56,6 +58,12 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
     rc, out, err = invoke(["dixmier", "estimate", "--op", pi0_file, "--lambda", "nan"], capsys)
     assert (rc, out) == (2, "")
     assert "invertible only for lambda > -1" in err
+    for argv in (["trace", "residue", "--op", pi0_file], ["compare", "--op", pi0_file],
+                 ["dixmier", "spectrum", "--op", pi0_file],
+                 ["dixmier", "estimate", "--op", pi0_file, "--lambda2", "0"]):
+        rc, out, err = invoke(argv + ["--lambda", "inf"], capsys)
+        assert (rc, out) == (2, "")
+        assert "invertible only for lambda > -1" in err
     for eps in ("nan", "inf"):
         rc, out, err = invoke(["dos", "idos", "--eps", eps], capsys)
         assert (rc, out) == (2, "")
@@ -307,8 +315,27 @@ def test_length_flag_changes_idos(capsys):
     assert json.loads(out)["idos"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13)
 
 
+def test_zero_flags_are_rejected(pi0_file, capsys):
+    # a 0 is validated like any other value, not replaced by the budget default
+    for argv in (["dixmier", "estimate", "--op", pi0_file, "--shells", "0"],
+                 ["dixmier", "spectrum", "--op", pi0_file, "--shells", "0"],
+                 ["kernel", "commutant", "--op", pi0_file, "--a1", "1", "--a2", "0",
+                  "--nodes", "0", "--extent", "0"],
+                 ["kernel", "commutant", "--op", pi0_file, "--a1", "1", "--a2", "0",
+                  "--extent", "0"],
+                 ["basis", "gram", "--max-index", "1", "--nodes", "0", "--extent", "0"],
+                 ["basis", "gram", "--max-index", "1", "--nodes", "0"]):
+        rc, out, err = invoke(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ")
+
+
 def test_module_entry_point(pi0_file):
+    # the child finds the package that this test imported, installed or not
+    package_root = os.path.dirname(os.path.dirname(magtrace.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "magtrace.cli", "trace", "diag",
-                           "--op", pi0_file], capture_output=True, text=True)
+                           "--op", pi0_file], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"]["re"] == 1.0

@@ -72,18 +72,6 @@ def test_spectral_tail_power_sums():
         SpectralTail(kind="bogus", s=2.0, shift=0.0, start=5).power_sum(2.0)
 
 
-def test_collect_spectrum_diagonal_weight():
-    weight = DiagonalWeight.q_power(1.0, 0.0)
-    spec = collect_spectrum(weight, m_max=3, n_max=4)
-    assert len(spec) == 16
-    assert spec.values[0] == 1.0
-    # values strictly above both truncation frontiers: n + m <= 3
-    assert spec.reliable == 10
-    direct = sorted((1.0 / (n + m + 1.0) for n in range(4) for m in range(4)),
-                    reverse=True)
-    assert np.allclose(spec.values, direct, rtol=1e-15)
-
-
 def test_collect_spectrum_offdiagonal_closed_form():
     # each block is antidiagonal with entries 1/(m+1) and 1/(m+2), so the
     # singular values and eigenvalues are known in closed form
@@ -104,15 +92,16 @@ def test_collect_spectrum_offdiagonal_closed_form():
 
 
 def test_collect_spectrum_validation():
-    weight = DiagonalWeight.q_power(1.0, 0.0)
-    with pytest.raises(DomainError):
-        collect_spectrum(weight, m_max=3, n_max=4, kind="bogus")
-    with pytest.raises(DomainError):
-        collect_spectrum(weight, m_max=-1, n_max=4)
-    with pytest.raises(DomainError):
-        collect_spectrum(weight, m_max=3, n_max=0)
-    with pytest.raises(DomainError):
-        collect_spectrum(CoefficientOperator.projection(0), m_max=3, n_max=4)
+    wp = weighted_product(CoefficientOperator.projection(0), "left", 0.0)
+    with pytest.raises(DomainError, match="spectrum kind"):
+        collect_spectrum(wp, m_max=3, n_max=4, kind="bogus")
+    with pytest.raises(DomainError, match="truncation"):
+        collect_spectrum(wp, m_max=-1, n_max=4)
+    with pytest.raises(DomainError, match="truncation"):
+        collect_spectrum(wp, m_max=3, n_max=0)
+    for op in (CoefficientOperator.projection(0), DiagonalWeight.q_power(1.0, 0.0)):
+        with pytest.raises(DomainError, match="expects a WeightedProduct"):
+            collect_spectrum(op, m_max=3, n_max=4)
     # the dense block stack is refused before it is allocated
     wide = weighted_product(CoefficientOperator({(0, 1): 1.0, (3000, 3000): 1.0}), "left", 0.0)
     with pytest.raises(ResourceError):
@@ -142,8 +131,6 @@ def test_shell_spectrum_multiplicities():
     assert spec.tail.kind == "shell_power"
     assert spec.tail.start == 5
     assert spec.reliable == 10
-    with pytest.raises(DomainError):
-        shell_spectrum(DiagonalWeight.m_power(-2.0), 4)
     with pytest.raises(DomainError):
         shell_spectrum(weight, 0)
 

@@ -190,8 +190,9 @@ def test_folner_trace_linearity(cfg):
 
 
 def test_folner_trace_needs_positive_radius(cfg):
-    with pytest.raises(DomainError):
-        folner_trace(CoefficientOperator.projection(0), 0.0, cfg)
+    for radius in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            folner_trace(CoefficientOperator.projection(0), radius, cfg)
 
 
 def test_folner_matches_other_lengths():

@@ -12,8 +12,8 @@ from magtrace import (
     absorb_product,
     adjoint,
     coefficient_bound_check,
+    collect_spectrum,
     compose,
-    hs_kernel_norm,
     lp_norm,
     matrix_block,
     tau_diagonal,
@@ -77,8 +77,8 @@ def test_compose_matches_block_product(rng):
     for trial in range(5):
         a = random_operator(rng, max_index=SIZE - 1, count=16)
         b = random_operator(rng, max_index=SIZE - 1, count=16)
-        lhs = matrix_block(compose(a, b), 0, SIZE).data
-        rhs = matrix_block(a, 0, SIZE).data @ matrix_block(b, 0, SIZE).data
+        lhs = matrix_block(compose(a, b), 0, SIZE)
+        rhs = matrix_block(a, 0, SIZE) @ matrix_block(b, 0, SIZE)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -138,8 +138,12 @@ def test_lp_norm_values():
 
 def test_weight_block_is_diagonal_of_inverse_shells():
     w = DiagonalWeight.q_power(1.0)
-    block = matrix_block(w, 3, 2).data
-    assert np.allclose(block, np.diag([0.25, 0.2]), atol=1e-15)
+    assert np.allclose(w.value(np.arange(2), 3), [0.25, 0.2], atol=1e-15)
+    # matrix_block takes coefficient operators only
+    with pytest.raises(DomainError, match="unsupported operand type"):
+        matrix_block(w, 3, 2)
+    with pytest.raises(DomainError, match="unsupported operand type"):
+        matrix_block(weighted_product(CoefficientOperator.projection(0), "left", 0.0), 3, 2)
 
 
 def test_weight_validation():
@@ -156,9 +160,11 @@ def test_weight_validation():
     nan = float("nan")
     with pytest.raises(DomainError, match="exponent must be positive"):
         DiagonalWeight.q_power(nan)
-    with pytest.raises(DomainError, match="invertible only for lambda > -1"):
-        DiagonalWeight.q_power(1.0, lam=nan)
-    for lam, lam2 in ((nan, None), (0.0, nan)):
+    inf = float("inf")
+    for lam in (nan, inf):
+        with pytest.raises(DomainError, match="invertible only for lambda > -1"):
+            DiagonalWeight.q_power(1.0, lam=lam)
+    for lam, lam2 in ((nan, None), (0.0, nan), (inf, None), (0.0, inf)):
         with pytest.raises(DomainError, match="invertible only for lambda > -1"):
             weighted_product(CoefficientOperator.projection(0), "split", lam, lam2)
     with pytest.raises(DomainError, match="exponent s must be positive"):
@@ -168,20 +174,23 @@ def test_weight_validation():
 @pytest.mark.parametrize("form", ["left", "right", "split"])
 def test_weighted_block_matches_dense(form, rng):
     a = random_operator(rng, max_index=SIZE - 1, count=16)
-    lam, lam2, s, m = 0.5, 1.5, 0.8, 2
+    lam, lam2, s, m_max = 0.5, 1.5, 0.8, 3
     product = weighted_product(a, form, lam, lam2, s=s)
-    block = matrix_block(product, m, SIZE).data
-    base = matrix_block(a, m, SIZE).data
+    spectrum = collect_spectrum(product, m_max, SIZE)
+    base = dense_matrix(a, SIZE).T
     n = np.arange(SIZE)
-    w = (n + m + 1.0 + lam) ** (-s)
-    w2 = (n + m + 1.0 + lam2) ** (-s)
-    if form == "left":
-        expected = np.diag(w) @ base
-    elif form == "right":
-        expected = base @ np.diag(w)
-    else:
-        expected = np.diag(np.sqrt(w)) @ base @ np.diag(np.sqrt(w2))
-    assert np.allclose(block, expected, atol=1e-14)
+    expected = []
+    for m in range(m_max + 1):
+        w = (n + m + 1.0 + lam) ** (-s)
+        w2 = (n + m + 1.0 + lam2) ** (-s)
+        if form == "left":
+            block = np.diag(w) @ base
+        elif form == "right":
+            block = base @ np.diag(w)
+        else:
+            block = np.diag(np.sqrt(w)) @ base @ np.diag(np.sqrt(w2))
+        expected.extend(np.linalg.svd(block, compute_uv=False))
+    assert np.allclose(spectrum.values, sorted(expected, reverse=True), rtol=1e-12, atol=1e-15)
 
 
 def test_absorb_projection_sandwich():
@@ -215,34 +224,3 @@ def test_absorb_l1_bound(rng):
 def test_bound_check_requires_covering_block():
     with pytest.raises(DomainError):
         coefficient_bound_check({(5, 0): 1.0}, 4)
-
-
-def test_hs_kernel_norm_projection_series():
-    # weight (m + 1)^(-1) against the lowest projection: partial zeta(2) sums
-    weight = DiagonalWeight.m_power(-1.0)
-    report = hs_kernel_norm(weight, CoefficientOperator.projection(0), 9)
-    expected = sum(1.0 / (m + 1) ** 2 for m in range(10))
-    assert report.value == pytest.approx(expected, rel=1e-14)
-    assert report.convergent is True
-    assert report.m_max == 9
-
-
-def test_hs_kernel_norm_matches_bruteforce(rng):
-    a = random_operator(rng, max_index=4, count=9)
-    weight = DiagonalWeight.q_power(0.75, lam=0.5)
-    report = hs_kernel_norm(weight, a, 30)
-    brute = 0.0
-    for (j, k), v in a.entries.items():
-        for m in range(31):
-            brute += abs(v * (k + m + 1.0 + 0.5) ** -0.75) ** 2
-    assert report.value == pytest.approx(brute, rel=1e-12)
-    assert report.convergent is True
-
-
-def test_hs_kernel_norm_divergence_flags():
-    pi0 = CoefficientOperator.projection(0)
-    assert hs_kernel_norm(DiagonalWeight.m_power(-0.4), pi0, 5).convergent is False
-    assert hs_kernel_norm(DiagonalWeight.q_power(0.4), pi0, 5).convergent is False
-    shell = DiagonalWeight.shell_function("ones", lambda n, m: np.ones_like(
-        np.asarray(m, dtype=float)))
-    assert hs_kernel_norm(shell, pi0, 5).convergent is None
