@@ -107,8 +107,9 @@ class QuadratureSpec:
         return cls(extent=12.0 * cfg.ell, nodes=160)
 
     def axis(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.nodes < 1 or self.extent <= 0.0:
-            raise DomainError("quadrature rule needs positive extent and at least one node")
+        if self.nodes < 1 or not (self.extent > 0.0 and math.isfinite(self.extent)):
+            raise DomainError("quadrature rule needs a positive, finite extent and at "
+                              "least one node")
         t, w = np.polynomial.legendre.leggauss(self.nodes)
         return self.extent * t, self.extent * w
 

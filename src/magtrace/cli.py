@@ -280,6 +280,7 @@ def cmd_kernel_commutant(args, cfg, budget):
     extent = budget.kernel_extent_ells * cfg.ell if args.extent is None else args.extent
     nodes = budget.kernel_nodes if args.nodes is None else args.nodes
     spec = GridSpec(extent=extent, nodes=nodes)
+    kernels.check_convolution_budget(spec)
     phi = kernels.sample_basis(0, 0, spec, cfg)
     residual = kernels.commutant_residual(_load(args), (args.a1, args.a2), phi, cfg)
     return {"a": [args.a1, args.a2], "residual": residual,

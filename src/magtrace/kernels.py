@@ -8,8 +8,10 @@ via the twisted convolution
 
     (A phi)(x) = (1/(2 pi ell^2)) * Int f_A(y - x) e^{i (x ^ y)/(2 ell^2)} phi(y) dy
 
-where x ^ y = x1*y2 - x2*y1.  The phase is not translation invariant, so
-the quadrature is evaluated directly point by point instead of by FFT.
+where x ^ y = x1*y2 - x2*y1.  The phase is not translation invariant, but
+it is bilinear, so it splits into two chirps, one in (x1, y2) and one in
+(x2, y1), as in Bluestein's chirp-z transform: the quadrature becomes
+batched 1-D FFT correlations followed by one contraction.
 Magnetic translations V(a), which generate the commutant, act as
 (V(a) phi)(x) = e^{i (x ^ a)/(2 ell^2)} phi(x - a).
 """
@@ -22,9 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi
+
+# Largest kernel table, row FFTs and slabs apply_kernel allocates, in bytes.
+KERNEL_BYTES_LIMIT = 256 * 2 ** 20
+# Output rows are convolved in slabs whose FFT array stays within this;
+# at 64-128 nodes 2 MiB slabs ran as fast as 16 MiB ones, in less memory.
+SLAB_BYTES = 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -35,8 +43,8 @@ class GridSpec:
     nodes: int
 
     def __post_init__(self):
-        if self.extent <= 0.0 or self.nodes < 2:
-            raise DomainError("grids need positive extent and at least two nodes")
+        if not (self.extent > 0.0 and math.isfinite(self.extent)) or self.nodes < 2:
+            raise DomainError("grids need a positive, finite extent and at least two nodes")
 
     @property
     def spacing(self) -> float:
@@ -135,44 +143,109 @@ def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
     return float(np.abs(values[mask]).sum()) / total
 
 
+def _fft_length(minimum: int) -> int:
+    """Smallest 2**a * 3**b * 5**c that is at least `minimum`."""
+    best = 1 << (minimum - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-minimum // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _slab_rows(nodes: int, length: int) -> int:
+    """Output rows per slab, so that one slab stays within SLAB_BYTES."""
+    return max(1, min(nodes, SLAB_BYTES // (nodes * length * 16)))
+
+
+def check_convolution_budget(spec: GridSpec) -> None:
+    """Raise ResourceError when apply_kernel on `spec` would pass the memory limit.
+
+    Counts the (2n-1)^2 kernel table, the FFTs of its rows and three
+    slab-sized arrays (a bound on what one slab keeps alive), before any
+    of them is allocated.
+    """
+    n = spec.nodes
+    length = _fft_length(2 * n - 1)
+    size = 16 * ((2 * n - 1) * (2 * n - 1 + length) + 3 * _slab_rows(n, length) * n * length)
+    if size > KERNEL_BYTES_LIMIT:
+        raise ResourceError("the twisted convolution on %d nodes needs %d bytes, over "
+                            "the limit of %d" % (n, size, KERNEL_BYTES_LIMIT))
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelTable:
+    """FFTs of the reversed kernel rows on the lattice of grid differences.
+
+    spectra[d + n - 1] is the length-L FFT of the reversed row
+    f_S(d h, (m - n + 1) h), m = 0..2n-2; edge is the share of the table's
+    mass on its boundary.
+    """
+
+    spectra: np.ndarray
+    edge: float
+
+
+def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _KernelTable:
+    check_convolution_budget(spec)
+    n = spec.nodes
+    diffs = np.arange(-(n - 1), n) * spec.spacing
+    table = kernel_of(s, cfg)(diffs[:, None], diffs[None, :])
+    spectra = np.fft.fft(table[:, ::-1], n=_fft_length(2 * n - 1), axis=1)
+    return _KernelTable(spectra, _edge_band_fraction(table, 1, 1))
+
+
+def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
+    spec = phi.spec
+    n = spec.nodes
+    g = spec.axis()
+    w = spec.trapezoid_weights()
+    weighted = (w[:, None] * w[None, :]) * phi.values
+    phase = np.exp(1j * np.outer(g, g) / (2.0 * cfg.ell ** 2))
+    phase_back = np.conjugate(phase)
+    length = table.spectra.shape[1]
+    # rows[s, j1] is the spectrum of kernel row j1 - i1 for s = n - 1 - i1
+    rows = np.lib.stride_tricks.sliding_window_view(table.spectra, n, axis=0)
+    rows = rows.transpose(0, 2, 1)
+    out = np.empty((n, n), dtype=complex)
+    step = _slab_rows(n, length)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # slab[i1, j1] is the FFT of W[j1, j2] e^{i g_i1 g_j2 / 2 ell^2} over j2
+        slab = np.fft.fft(weighted * phase[start:stop, None, :], n=length, axis=-1)
+        slab *= rows[n - stop: n - start][::-1]
+        # reassigning frees the forward slab; lag i2 sits at index n - 1 + i2
+        slab = np.fft.ifft(slab, axis=-1)
+        out[start:stop] = np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], phase_back)
+    out /= 2.0 * math.pi * cfg.ell ** 2
+    result = GridFunction(spec, out, phi.warnings)
+    tail = _edge_band_fraction(phi.values, 1, 1)
+    if tail > 1e-9 or table.edge > 1e-9:
+        result = result.with_warning(
+            "grid may be too small: boundary carries %.1e of the data mass"
+            % max(tail, table.edge))
+    return result
+
+
 def apply_kernel(s: CoefficientOperator, phi: GridFunction,
                  cfg: MagneticConfig) -> GridFunction:
     """Twisted convolution of the kernel of S with the grid function phi.
 
-    The kernel is tabulated once on the lattice of grid differences, then
-    for every output row the oscillatory quadrature is contracted with an
-    einsum over a sliding window.  Cost grows like nodes**4; grids around
-    128 nodes per axis keep sup errors near 1e-7 for low-index data.
+    The kernel is tabulated once on the lattice of grid differences.  The
+    phase x ^ y splits into the chirps e^{i x1 y2 / 2 ell^2} and
+    e^{-i x2 y1 / 2 ell^2}: for fixed (x1, y1) the y2-sum is a 1-D
+    correlation with one kernel row, and all of them run as batched FFTs
+    of a 5-smooth length L >= 2n - 1 (so nothing aliases into the kept
+    lags); the y1-sum is then one contraction.  Cost grows like
+    nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES,
+    and ResourceError is raised before allocating when the table and a
+    slab would pass KERNEL_BYTES_LIMIT.  Grids around 128 nodes per axis
+    keep sup errors near 1e-7 for low-index data.
     """
-    spec = phi.spec
-    n = spec.nodes
-    g = spec.axis()
-    h = spec.spacing
-    ker = kernel_of(s, cfg)
-    diffs = np.arange(-(n - 1), n) * h
-    kernel_table = ker(diffs[:, None], diffs[None, :])
-    w = spec.trapezoid_weights()
-    weighted = (w[:, None] * w[None, :]) * phi.values
-    phase = np.exp(1j * np.outer(g, g) / (2.0 * cfg.ell ** 2))
-    phase_rev = np.conjugate(phase)[::-1]
-    out = np.empty((n, n), dtype=complex)
-    window = np.lib.stride_tricks.sliding_window_view
-    for i1 in range(n):
-        rows = kernel_table[n - 1 - i1: 2 * n - 1 - i1, :]
-        # win[j1, s, j2] = rows[j1, s + j2] with s = n - 1 - i2
-        win = window(rows, n, axis=1)
-        contracted = np.einsum("jsk,jk,sj,k->s", win, weighted, phase_rev, phase[i1],
-                               optimize=True)
-        out[i1] = contracted[::-1]
-    out /= 2.0 * math.pi * cfg.ell ** 2
-    result = GridFunction(spec, out, phi.warnings)
-    tail = _edge_band_fraction(phi.values, 1, 1)
-    ker_tail = _edge_band_fraction(kernel_table, 1, 1)
-    if tail > 1e-9 or ker_tail > 1e-9:
-        result = result.with_warning(
-            "grid may be too small: boundary carries %.1e of the data mass"
-            % max(tail, ker_tail))
-    return result
+    return _convolve(_tabulate(s, phi.spec, cfg), phi, cfg)
 
 
 def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
@@ -185,6 +258,8 @@ def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunctio
     around, which is flagged instead of silently accepted.
     """
     a1, a2 = (float(a[0]), float(a[1]))
+    if not (math.isfinite(a1) and math.isfinite(a2)):
+        raise DomainError("magnetic translations need a finite displacement")
     spec = phi.spec
     n = spec.nodes
     h = spec.spacing
@@ -214,8 +289,10 @@ def commutant_residual(s: CoefficientOperator, a, phi: GridFunction,
     norm = grid_norm(phi)
     if norm == 0.0:
         raise DomainError("commutant residual needs a nonzero test function")
-    lhs = apply_kernel(s, magnetic_translate(a, phi, cfg), cfg)
-    rhs = magnetic_translate(a, apply_kernel(s, phi, cfg), cfg)
+    shifted = magnetic_translate(a, phi, cfg)
+    table = _tabulate(s, phi.spec, cfg)
+    lhs = _convolve(table, shifted, cfg)
+    rhs = magnetic_translate(a, _convolve(table, phi, cfg), cfg)
     defect = GridFunction(phi.spec, lhs.values - rhs.values)
     return grid_norm(defect) / norm
 

@@ -15,6 +15,7 @@ import scipy.special
 
 from magtrace import (
     BasisIndex,
+    DomainError,
     QuadratureSpec,
     ResourceError,
     laguerre_poly,
@@ -168,3 +169,11 @@ def test_quadrature_default_tracks_ell():
     wide = make_config(3.0)
     spec = QuadratureSpec.default(wide)
     assert spec.extent == pytest.approx(36.0)
+
+
+def test_quadrature_needs_finite_positive_extent():
+    for extent in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            QuadratureSpec(extent=extent, nodes=16).axis()
+    with pytest.raises(DomainError):
+        QuadratureSpec(extent=1.0, nodes=0).axis()

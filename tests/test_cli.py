@@ -330,6 +330,35 @@ def test_zero_flags_are_rejected(pi0_file, capsys):
         assert err.startswith("error: ")
 
 
+def test_kernel_commutant_rejects_non_finite_input(pi0_file, capsys):
+    base = ["--budget-profile", "quick", "kernel", "commutant", "--op", pi0_file]
+    for flags in (["--a1", "1", "--a2", "0", "--extent", "nan", "--nodes", "8"],
+                  ["--a1", "1", "--a2", "0", "--extent", "inf", "--nodes", "8"],
+                  ["--a1", "nan", "--a2", "0", "--nodes", "8"],
+                  ["--a1", "inf", "--a2", "0", "--nodes", "8"],
+                  ["--a1", "0", "--a2=-inf", "--nodes", "8"]):
+        rc, out, err = invoke(base + flags, capsys)
+        assert (rc, out) == (2, ""), flags
+        assert "finite" in err
+
+
+def test_kernel_commutant_budget_is_checked_first(pi0_file, capsys):
+    # 1e5 nodes would need 160 GB for the probe alone: the guard must fire
+    # before the probe or the kernel table is allocated
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc, out, err = invoke(["kernel", "commutant", "--op", pi0_file, "--a1", "1",
+                               "--a2", "0", "--nodes", "100000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert "over the limit" in err
+    assert peak < 8 * 2 ** 20
+
+
 def test_module_entry_point(pi0_file):
     # the child finds the package that this test imported, installed or not
     package_root = os.path.dirname(os.path.dirname(magtrace.__file__))

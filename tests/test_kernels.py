@@ -8,7 +8,9 @@ import pytest
 from magtrace import (
     CoefficientOperator,
     DomainError,
+    GridFunction,
     GridSpec,
+    ResourceError,
     adjoint,
     apply_kernel,
     commutant_residual,
@@ -21,6 +23,7 @@ from magtrace import (
     kernel_at_zero,
     kernel_of,
     magnetic_translate,
+    make_config,
     sample_basis,
     tau_diagonal,
 )
@@ -112,6 +115,82 @@ def test_apply_kernel_flags_small_grid(cfg):
     assert any("boundary" in w for w in out.warnings)
 
 
+def _brute_force_apply(s, phi, cfg):
+    # the trapezoid double sum over (y1, y2) = (g[j1], g[j2]), written out
+    # for every output point x = (g[i1], g[i2])
+    spec = phi.spec
+    n = spec.nodes
+    g = spec.axis()
+    w = np.full(n, spec.spacing)
+    w[0] = w[-1] = 0.5 * spec.spacing
+    y1, y2 = g[:, None], g[None, :]
+    ker = kernel_of(s, cfg)
+    out = np.zeros((n, n), dtype=complex)
+    for i1 in range(n):
+        for i2 in range(n):
+            x1, x2 = g[i1], g[i2]
+            wedge = x1 * y2 - x2 * y1
+            terms = (ker(y1 - x1, y2 - x2) * np.exp(1j * wedge / (2.0 * cfg.ell ** 2))
+                     * w[:, None] * w[None, :] * phi.values)
+            out[i1, i2] = terms.sum() / (2.0 * math.pi * cfg.ell ** 2)
+    return out
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 16, 17])
+@pytest.mark.parametrize("ell", [1.0, 2.0])
+def test_apply_kernel_matches_brute_force_sum(nodes, ell):
+    # catches index and phase slips (a reversed lag slice, say) that the
+    # 1e-6 basis checks cannot see
+    rng = np.random.default_rng([nodes, int(ell)])
+    cfg = make_config(ell)
+    s = CoefficientOperator({(0, 0): 0.7, (0, 1): 1.0 - 0.5j, (2, 1): -0.3 + 0.8j,
+                             (1, 3): 0.25j})
+    spec = GridSpec(extent=2.5 * ell, nodes=nodes)
+    phi = GridFunction(spec, rng.normal(size=(nodes, nodes))
+                       + 1j * rng.normal(size=(nodes, nodes)))
+    out = apply_kernel(s, phi, cfg)
+    expected = _brute_force_apply(s, phi, cfg)
+    assert out.spec == spec
+    assert np.abs(out.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_commutant_residual_matches_explicit_applications(cfg):
+    rng = np.random.default_rng(7)
+    spec = GridSpec(extent=6.0, nodes=24)
+    s = CoefficientOperator({(0, 0): 1.0, (1, 2): 0.5 - 0.2j})
+    phi = GridFunction(spec, rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24)))
+    a = (0.8, -0.4)
+    lhs = apply_kernel(s, magnetic_translate(a, phi, cfg), cfg)
+    rhs = magnetic_translate(a, apply_kernel(s, phi, cfg), cfg)
+    defect = GridFunction(spec, lhs.values - rhs.values)
+    expected = grid_norm(defect) / grid_norm(phi)
+    assert expected > 1e-3
+    assert commutant_residual(s, a, phi, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+def test_grid_spec_needs_finite_positive_extent():
+    for extent in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError):
+            GridSpec(extent=extent, nodes=8)
+    with pytest.raises(DomainError):
+        GridSpec(extent=1.0, nodes=1)
+
+
+def test_apply_kernel_refuses_oversized_grids(cfg):
+    # the budget is checked on the grid alone, before the kernel table is
+    # tabulated; the zero-stride input allocates nothing either
+    from magtrace.kernels import check_convolution_budget
+
+    check_convolution_budget(GridSpec(extent=9.0, nodes=128))
+    for nodes in (2000, 100000):
+        spec = GridSpec(extent=9.0, nodes=nodes)
+        with pytest.raises(ResourceError):
+            check_convolution_budget(spec)
+        phi = GridFunction(spec, np.broadcast_to(np.complex128(1.0), (nodes, nodes)))
+        with pytest.raises(ResourceError):
+            apply_kernel(CoefficientOperator.projection(0), phi, cfg)
+
+
 def test_translate_identity(cfg, work_basis):
     out = magnetic_translate((0.0, 0.0), work_basis[(0, 0)], cfg)
     assert np.abs(out.values - work_basis[(0, 0)].values).max() <= 1e-12
@@ -139,6 +218,15 @@ def test_translate_flags_clipping(cfg):
     phi = sample_basis(0, 0, spec, cfg)
     out = magnetic_translate((5.0, 0.0), phi, cfg)
     assert any("clipped" in w for w in out.warnings)
+
+
+def test_translate_needs_finite_displacement(cfg):
+    phi = sample_basis(0, 0, GridSpec(extent=6.0, nodes=16), cfg)
+    for a in ((float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)):
+        with pytest.raises(DomainError):
+            magnetic_translate(a, phi, cfg)
+        with pytest.raises(DomainError):
+            commutant_residual(CoefficientOperator.projection(0), a, phi, cfg)
 
 
 def test_commutant_residual_projection(cfg, work_basis):
