@@ -14,20 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, check_memory
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True, order=True)
-class BasisIndex:
-    n: int
-    m: int
-
-    @property
-    def shell(self) -> int:
-        """1-based shell number n + m + 1."""
-        return self.n + self.m + 1
 
 
 def laguerre_poly(n: int, alpha: float, zeta):
@@ -114,18 +103,15 @@ class QuadratureSpec:
         return self.extent * t, self.extent * w
 
 
-def basis_grid(max_index: int) -> list[BasisIndex]:
-    """All (n, m) with both indices <= max_index, in lexicographic order."""
-    return [BasisIndex(n, m) for n in range(max_index + 1) for m in range(max_index + 1)]
-
-
 def orthonormality_check(max_index: int, cfg: MagneticConfig,
                          grid: QuadratureSpec | None = None) -> np.ndarray:
     """Matrix of |<psi_a, psi_b> - delta_ab| over all index pairs.
 
-    Rows and columns follow basis_grid(max_index).  Raises ResourceError
-    when the quadrature rule is too small to resolve the requested index
-    range (the default 160-node rule supports max_index up to 8).
+    Rows and columns run over all (n, m) with both indices <= max_index,
+    in lexicographic order.  Raises ResourceError when the quadrature rule
+    is too small to resolve the requested index range (the default
+    160-node rule supports max_index up to 8), or when the sampled basis
+    functions would pass the memory limit.
     """
     if max_index < 0:
         raise DomainError("max_index must be non-negative")
@@ -135,11 +121,16 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig,
         raise ResourceError(
             "quadrature budget exceeded: %d nodes per axis cannot resolve indices up to %d"
             % (grid.nodes, max_index))
+    indices = [(n, m) for n in range(max_index + 1) for m in range(max_index + 1)]
+    # the sampled functions, their conjugates and the weighted conjugates,
+    # plus eight temporaries, all nodes x nodes complex arrays; leggauss's
+    # nodes x nodes companion matrix fits within that
+    check_memory(16 * grid.nodes ** 2 * (3 * len(indices) + 8),
+                 "the Gram matrix on %d nodes" % grid.nodes)
     x, w = grid.axis()
     x1 = x[:, None]
     x2 = x[None, :]
     weights = (w[:, None] * w[None, :]).ravel()
-    indices = basis_grid(max_index)
-    stack = np.stack([psi(ix.n, ix.m, x1, x2, cfg).ravel() for ix in indices])
+    stack = np.stack([psi(n, m, x1, x2, cfg).ravel() for n, m in indices])
     gram = (stack.conj() * weights) @ stack.T
     return np.abs(gram - np.eye(len(indices)))

@@ -141,9 +141,11 @@ def build_parser() -> _Parser:
                           ("shell", cmd_trace_shell), ("ordered", cmd_trace_ordered)):
         p = trace.add_parser(name)
         p.add_argument("--op", dest="infile", required=True)
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--xgrid", type=_parse_floats, default=None)
-        p.add_argument("--Ngrid", dest="ngrid", type=_parse_ints, default=None)
+        if name == "residue":
+            p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+            p.add_argument("--xgrid", type=_parse_floats, default=None)
+        if name in ("shell", "ordered"):
+            p.add_argument("--Ngrid", dest="ngrid", type=_parse_ints, default=None)
         p.set_defaults(func=handler)
 
     dix = sub.add_parser("dixmier").add_subparsers(dest="action")

@@ -28,11 +28,15 @@ def make_config(ell: float = 1.0) -> MagneticConfig:
     ell = float(ell)
     if not math.isfinite(ell) or ell <= 0.0:
         raise DomainError("magnetic length must be positive and finite")
-    cfg = MagneticConfig(
-        ell=ell,
-        omega_ell=math.pi * (2.0 * ell) ** 2,
-        idos_scale=1.0 / (2.0 * math.pi * ell * ell),
-    )
+    try:
+        omega_ell = math.pi * (2.0 * ell) ** 2
+        idos_scale = 1.0 / (2.0 * math.pi * ell * ell)
+    except (OverflowError, ZeroDivisionError):
+        omega_ell = idos_scale = 0.0
+    if not all(0.0 < v < math.inf for v in (omega_ell, idos_scale)):
+        raise DomainError("magnetic length %g is out of range: omega_ell and idos_scale "
+                          "must be finite and positive" % ell)
+    cfg = MagneticConfig(ell=ell, omega_ell=omega_ell, idos_scale=idos_scale)
     # the two derived constants must stay consistent to rounding
     assert abs(cfg.idos_scale * cfg.omega_ell - 2.0) < 1e-12
     return cfg

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, RangeError, ResourceError
+from .errors import ComputationError, DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import hurwitz_zeta
@@ -28,28 +28,20 @@ _EIGEN_IMAG_TOL = 1e-10
 class SpectralTail:
     """Analytic model for the spectrum beyond a truncation.
 
-    kind "shell_power" describes values (e + shift)^(-s) carried with
-    multiplicity e by every shell e >= start; kind "plain_power" describes
-    a simple sequence (n + shift)^(-s) for n >= start.  power_sum(p) is
-    the exact tail of sum mu^p, evaluated through the Hurwitz zeta.
+    It describes values (e + shift)^(-s) carried with multiplicity e by
+    every shell e >= start.  power_sum(p) is the exact tail of sum mu^p,
+    evaluated through the Hurwitz zeta.
     """
 
-    kind: str
     s: float
     shift: float
     start: int
 
     def power_sum(self, p: float) -> float:
+        if self.s * p <= 2.0:
+            raise DomainError("shell tail power sum diverges for s*p <= 2")
         q = self.start + self.shift
-        if self.kind == "plain_power":
-            if self.s * p <= 1.0:
-                raise DomainError("tail power sum diverges for s*p <= 1")
-            return hurwitz_zeta(self.s * p, q)
-        if self.kind == "shell_power":
-            if self.s * p <= 2.0:
-                raise DomainError("shell tail power sum diverges for s*p <= 2")
-            return hurwitz_zeta(self.s * p - 1.0, q) - self.shift * hurwitz_zeta(self.s * p, q)
-        raise DomainError("unknown tail kind %r" % (self.kind,))
+        return hurwitz_zeta(self.s * p - 1.0, q) - self.shift * hurwitz_zeta(self.s * p, q)
 
 
 def _sorted_descending(values: np.ndarray) -> np.ndarray:
@@ -60,9 +52,6 @@ def _sorted_descending(values: np.ndarray) -> np.ndarray:
 
 
 SPECTRUM_KINDS = ("singular", "eigen")
-
-# Largest weighted block stack collect_spectrum allocates, in bytes.
-STACK_BYTES_LIMIT = 256 * 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +93,26 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     A source block without off-diagonal entries is weighted on its
     diagonal alone; otherwise the blocks m = 0 .. m_max + 1 are built as
     one stack and factored by one batched SVD or eigendecomposition.
+    The memory budget is checked before the block weights are built.
     """
-    ms = np.arange(m_max + 2)
-    row, col = op.block_weights(ms, n_max)
     source = op.source
-    if all(j == k or max(j, k) >= n_max for j, k in source.entries):
+    diagonal = all(j == k or max(j, k) >= n_max for j, k in source.entries)
+    # 16 bytes per (m, n): the two real weight arrays, or one complex array
+    unit = 16 * (m_max + 2) * n_max
+    if diagonal:
+        # the weights, two weighted diagonals and the dense frontier block
+        check_memory(3 * unit + 16 * n_max * n_max, "the diagonal block spectrum")
+    else:
+        # the weights and the stack of n_max x n_max blocks
+        check_memory(unit * (1 + n_max), "the weighted block stack")
+    row, col = op.block_weights(np.arange(m_max + 2), n_max)
+    if diagonal:
         data = source.diagonal_array(n_max)
         if row is not None:
             data = row * data
         if col is not None:
             data = data * col
         return data[:-1].ravel(), np.diag(data[-1])
-    size = (m_max + 2) * n_max * n_max * 16
-    if size > STACK_BYTES_LIMIT:
-        raise ResourceError("the weighted block stack needs %d bytes, over the "
-                            "limit of %d" % (size, STACK_BYTES_LIMIT))
     stack = matrix_block(source, 0, n_max)
     if row is not None:
         stack = row[:, :, None] * stack
@@ -162,7 +156,7 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
     return Spectrum(values, label, kind, reliable=reliable)
 
 
-def shell_spectrum(weight: DiagonalWeight, shells: int, kind: str = "singular"):
+def shell_spectrum(weight: DiagonalWeight, shells: int) -> Spectrum:
     """Whole-shell spectrum of a q_power weight with its analytic tail.
 
     Shell e carries the value (e + lam)^(-s) with multiplicity e; keeping
@@ -173,10 +167,9 @@ def shell_spectrum(weight: DiagonalWeight, shells: int, kind: str = "singular"):
         raise DomainError("at least one shell is required")
     e = np.arange(1, shells + 1, dtype=float)
     values = np.repeat((e + weight.lam) ** (-weight.s), np.arange(1, shells + 1))
-    tail = SpectralTail(kind="shell_power", s=weight.s, shift=weight.lam,
-                        start=shells + 1)
+    tail = SpectralTail(s=weight.s, shift=weight.lam, start=shells + 1)
     label = "q_power(s=%g, lam=%g) over %d complete shells" % (weight.s, weight.lam, shells)
-    return Spectrum(values, label, kind, reliable=values.size, tail=tail)
+    return Spectrum(values, label, reliable=values.size, tail=tail)
 
 
 def _check_count(spectrum, count: int, minimum: int = 0) -> None:
@@ -187,12 +180,10 @@ def _check_count(spectrum, count: int, minimum: int = 0) -> None:
                          % (count, len(spectrum)))
 
 
-def sigma_p(spectrum: Spectrum, count: int, p: float = 1.0) -> float:
-    """Partial sum of mu^p over the first `count` singular values."""
-    if p < 1.0:
-        raise DomainError("sigma_p is defined for p >= 1")
+def sigma_p(spectrum: Spectrum, count: int) -> float:
+    """Partial sum sigma_N of the first N = `count` singular values."""
     _check_count(spectrum, count)
-    return float((spectrum.values[:count] ** p).sum())
+    return float(spectrum.values[:count].sum())
 
 
 def gamma(spectrum: Spectrum, count: int) -> float:

@@ -18,24 +18,27 @@ import numpy as np
 
 from .config import MagneticConfig
 from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
 from .traces import checked_n_grid, diagonal_prefix, shell_sums, tau_diagonal
 
+# Peak bytes per level of the routes below: the level itself and one
+# coefficient entry of a projection or f(H), as Python objects (about 350
+# measured; 512 leaves room).
+LEVEL_BYTES = 512
+
 
 @dataclass(frozen=True)
 class LandauDiagonalOperator:
-    """Levels h_j for j below the truncation, plus tail information.
+    """Levels h_j for j below the truncation, plus a bound on the rest.
 
-    eps_inf is the essential upper bound of the spectrum (the identity
-    projection threshold); tail_inf is a lower bound for every level
-    beyond the truncation, so spectral projections below tail_inf are
-    exactly representable from the stored levels.
+    tail_inf is a lower bound for every level beyond the truncation, so
+    spectral projections below tail_inf are exactly representable from
+    the stored levels.
     """
 
     levels: tuple[float, ...]
-    eps_inf: float = math.inf
     tail_inf: float = math.inf
 
     def __post_init__(self):
@@ -50,27 +53,27 @@ class LandauDiagonalOperator:
 
 
 def landau_hamiltonian(truncation: int) -> LandauDiagonalOperator:
-    """Landau Hamiltonian with levels j + 1/2 for j < truncation."""
+    """Landau Hamiltonian with levels j + 1/2 for j < truncation.
+
+    The memory budget is checked for LEVEL_BYTES per level before any
+    level is built.
+    """
     if truncation < 1:
         raise DomainError("the Landau Hamiltonian needs at least one level")
+    check_memory(LEVEL_BYTES * truncation, "a Landau operator with %d levels" % truncation)
     levels = tuple(j + 0.5 for j in range(truncation))
-    return LandauDiagonalOperator(levels=levels, eps_inf=math.inf,
-                                  tail_inf=truncation + 0.5)
+    return LandauDiagonalOperator(levels=levels, tail_inf=truncation + 0.5)
 
 
 def spectral_projection(op: LandauDiagonalOperator, eps: float) -> CoefficientOperator:
     """Projection onto levels h_j <= eps as a diagonal coefficient family.
 
     The threshold convention is half-open from above: a level equal to eps
-    is included.  eps must stay below eps_inf (the projection would be the
-    non-representable identity otherwise) and below tail_inf (levels beyond
+    is included.  eps must be finite and stay below tail_inf (levels beyond
     the truncation could not be accounted for).
     """
     if not math.isfinite(eps):
         raise DomainError("the threshold must be finite")
-    if eps >= op.eps_inf:
-        raise DomainError("threshold reaches eps_inf: the projection would be "
-                          "the identity, which the algebra does not contain")
     if eps >= op.tail_inf:
         raise RangeError("threshold %g reaches levels beyond the truncation "
                          "(tail bound %g)" % (eps, op.tail_inf))
@@ -89,13 +92,6 @@ class DOSMeasure:
     """Purely atomic DOS: sorted atoms (energy, weight)."""
 
     atoms: tuple[tuple[float, float], ...]
-
-    def mass(self, interval: tuple[float, float]) -> float:
-        """Measure of the half-open interval (a, b]."""
-        a, b = interval
-        if not (a < b):
-            raise DomainError("interval must satisfy a < b")
-        return math.fsum(w for e, w in self.atoms if a < e <= b)
 
     def integrate(self, fn) -> float:
         return math.fsum(w * fn(e) for e, w in self.atoms)
@@ -147,12 +143,10 @@ def functional_calculus(op: LandauDiagonalOperator,
                         fn: CompactTestFunction) -> CoefficientOperator:
     """Diagonal family f(H) with entries f(h_j); requires representability.
 
-    The support must stay below eps_inf and below the tail bound, so that
-    no level outside the truncation can carry a nonzero value of f.
+    The support must stay below the tail bound, so that no level outside
+    the truncation can carry a nonzero value of f.
     """
-    lo, hi = fn.support
-    if hi >= op.eps_inf:
-        raise DomainError("test function support reaches eps_inf")
+    hi = fn.support[1]
     if hi >= op.tail_inf:
         raise RangeError("test function support %g reaches levels beyond the "
                          "truncation (tail bound %g)" % (hi, op.tail_inf))

@@ -24,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .errors import DomainError, ResourceError
+from .errors import DomainError, check_memory
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi
 
-# Largest kernel table, row FFTs and slabs apply_kernel allocates, in bytes.
-KERNEL_BYTES_LIMIT = 256 * 2 ** 20
 # Output rows are convolved in slabs whose FFT array stays within this;
 # at 64-128 nodes 2 MiB slabs ran as fast as 16 MiB ones, in less memory.
 SLAB_BYTES = 2 * 2 ** 20
@@ -45,6 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.extent > 0.0 and math.isfinite(self.extent)) or self.nodes < 2:
             raise DomainError("grids need a positive, finite extent and at least two nodes")
+        if not math.isfinite(self.spacing):
+            raise DomainError("the grid spacing 2 * extent / (nodes - 1) must be finite")
 
     @property
     def spacing(self) -> float:
@@ -115,17 +115,12 @@ def kernel_of(a: CoefficientOperator, cfg: MagneticConfig) -> KernelFunction:
     return KernelFunction(source=a, cfg=cfg)
 
 
-def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig | None = None) -> complex:
+def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
     """f_S(0), which equals the diagonal coefficient sum.
 
     Off-diagonal basis functions vanish at the origin, so the kernel series
-    collapses onto the diagonal there.  The value does not depend on ell;
-    a unit-length configuration is used when none is supplied.
+    collapses onto the diagonal there.  The value does not depend on ell.
     """
-    if cfg is None:
-        from .config import make_config
-
-        cfg = make_config(1.0)
     return kernel_of(s, cfg)(0.0, 0.0)
 
 
@@ -171,9 +166,7 @@ def check_convolution_budget(spec: GridSpec) -> None:
     n = spec.nodes
     length = _fft_length(2 * n - 1)
     size = 16 * ((2 * n - 1) * (2 * n - 1 + length) + 3 * _slab_rows(n, length) * n * length)
-    if size > KERNEL_BYTES_LIMIT:
-        raise ResourceError("the twisted convolution on %d nodes needs %d bytes, over "
-                            "the limit of %d" % (n, size, KERNEL_BYTES_LIMIT))
+    check_memory(size, "the twisted convolution on %d nodes" % n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +235,7 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     lags); the y1-sum is then one contraction.  Cost grows like
     nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES,
     and ResourceError is raised before allocating when the table and a
-    slab would pass KERNEL_BYTES_LIMIT.  Grids around 128 nodes per axis
+    slab would pass the memory limit.  Grids around 128 nodes per axis
     keep sup errors near 1e-7 for low-index data.
     """
     return _convolve(_tabulate(s, phi.spec, cfg), phi, cfg)

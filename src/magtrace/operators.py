@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_memory
 
 OPERATOR_CLASSES = ("L1", "L2", "Itau", "unclassified")
 
@@ -65,20 +65,6 @@ class CoefficientOperator:
         """Spectral projection onto Landau level j (a diagonal transition)."""
         return cls({(j, j): 1.0}, "L1")
 
-    @classmethod
-    def diagonal(cls, values, declared_class: str = "L1") -> "CoefficientOperator":
-        """Diagonal operator from a sequence or {index: value} mapping."""
-        if isinstance(values, Mapping):
-            data = {(int(n), int(n)): v for n, v in values.items()}
-        else:
-            data = {(n, n): v for n, v in enumerate(values)}
-        return cls(data, declared_class)
-
-    @classmethod
-    def identity(cls) -> "CoefficientOperator":
-        raise DomainError("the algebra is non-unital: no identity is representable "
-                          "as a summable coefficient family")
-
     # -- bookkeeping ---------------------------------------------------
 
     @property
@@ -91,9 +77,6 @@ class CoefficientOperator:
     @property
     def is_diagonal(self) -> bool:
         return all(j == k for j, k in self.entries)
-
-    def diagonal_entry(self, n: int) -> complex:
-        return self.entries.get((n, n), 0.0 + 0.0j)
 
     def diagonal_array(self, count: int) -> np.ndarray:
         out = np.zeros(count, dtype=complex)
@@ -259,6 +242,7 @@ def matrix_block(op: CoefficientOperator, m: int, count: int) -> np.ndarray:
         raise DomainError("block index m must be non-negative")
     if count < 1:
         raise DomainError("truncation size must be at least 1")
+    check_memory(16 * count * count, "a block of size %d" % count)
     block = np.zeros((count, count), dtype=complex)
     for (j, k), v in op.entries.items():
         if k < count and j < count:

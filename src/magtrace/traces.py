@@ -12,15 +12,13 @@ of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .basis import QuadratureSpec
-from .config import MagneticConfig
-from .errors import DomainError
+from .errors import DomainError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
-from .operators import CoefficientOperator, adjoint, check_shift, compose
+from .operators import CoefficientOperator, check_shift
 
 _BERNOULLI_EVEN = (
     1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
@@ -99,7 +97,12 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
 
 
 def diagonal_prefix(s: CoefficientOperator, count: int) -> np.ndarray:
-    """Prefix sums p[j] = sum_{n<j} s_nn for j = 0 .. count."""
+    """Prefix sums p[j] = sum_{n<j} s_nn for j = 0 .. count.
+
+    The memory budget covers five complex arrays of count + 1 entries:
+    the peak of these sums and of the shell sums built from them.
+    """
+    check_memory(80 * (count + 1), "the diagonal prefix up to %d" % count)
     return np.concatenate([[0.0 + 0.0j], np.cumsum(s.diagonal_array(count))])
 
 
@@ -167,38 +170,3 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
                                        for e, n in zip(shells, states)])
     return replace(table, params=tuple(n - 1.0 for n in table.params))
 
-
-@dataclass(frozen=True)
-class ResiduePairResult:
-    """Residue table for A*B next to the kernel-pairing cross-check."""
-
-    table: ConvergenceTable
-    pairing: complex
-
-    @property
-    def gap(self) -> float:
-        return abs(self.table.extrapolated - self.pairing)
-
-
-def residue_pair(a: CoefficientOperator, b: CoefficientOperator, lam: float,
-                 x_grid, cfg: MagneticConfig,
-                 quad: QuadratureSpec | None = None) -> ResiduePairResult:
-    """Residue estimator for S = A* B checked against the kernel pairing.
-
-    The pairing (1/(2 pi ell^2)) <f_A, f_B> computed by quadrature must
-    match the extrapolated residue of the composed family.
-    """
-    from .kernels import kernel_of  # local import keeps the module graph acyclic
-
-    s = compose(adjoint(a), b)
-    table = tau_residue(s, lam, x_grid)
-    quad = quad or QuadratureSpec.default(cfg)
-    x, w = quad.axis()
-    x1 = x[:, None]
-    x2 = x[None, :]
-    weights = w[:, None] * w[None, :]
-    fa = kernel_of(a, cfg)(x1, x2)
-    fb = kernel_of(b, cfg)(x1, x2)
-    pairing = complex((weights * np.conjugate(fa) * fb).sum()
-                      / (2.0 * math.pi * cfg.ell ** 2))
-    return ResiduePairResult(table=table, pairing=pairing)

@@ -14,7 +14,6 @@ import pytest
 import scipy.special
 
 from magtrace import (
-    BasisIndex,
     DomainError,
     QuadratureSpec,
     ResourceError,
@@ -71,11 +70,6 @@ def test_laguerre_accepts_arrays():
     values = laguerre_poly(2, 0, xs)
     expected = [laguerre_sum(2, 0, x) for x in xs]
     assert np.allclose(values, expected, atol=1e-12)
-
-
-def test_shell_index():
-    assert BasisIndex(0, 0).shell == 1
-    assert BasisIndex(2, 3).shell == 6
 
 
 def test_psi_ground_state_at_origin(cfg):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -75,6 +76,15 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
     assert "non-finite" in err
 
 
+def test_exit_2_on_extreme_length(pi0_file, capsys):
+    # a finite length whose derived constants overflow or divide by zero
+    for ell in ("1e170", "1e-170"):
+        for argv in (["trace", "diag", "--op", pi0_file], ["dos", "idos", "--eps", "2"]):
+            rc, out, err = invoke(["--ell", ell] + argv, capsys)
+            assert (rc, out) == (2, ""), (ell, argv)
+            assert "omega_ell and idos_scale" in err
+
+
 def test_exit_2_on_missing_file(tmp_path, capsys):
     rc, _, err = invoke(["trace", "diag", "--op", "/no/such/file.json"], capsys)
     assert rc == 2
@@ -124,6 +134,14 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
     rc, _, err = invoke(["--format", "xml", "trace", "diag", "--op", pi0_file], capsys)
     assert rc == 64
     assert err.startswith("usage error:")
+    # each trace subcommand takes only the flags that its route reads
+    for action, flag, value in (("diag", "--lambda", "1"), ("diag", "--xgrid", "1,2,3"),
+                                ("diag", "--Ngrid", "3"), ("residue", "--Ngrid", "3"),
+                                ("shell", "--lambda", "1"), ("shell", "--xgrid", "1,2,3"),
+                                ("ordered", "--lambda", "1"), ("ordered", "--xgrid", "1,2,3")):
+        rc, out, err = invoke(["trace", action, "--op", pi0_file, flag, value], capsys)
+        assert (rc, out) == (64, ""), (action, flag)
+        assert "unrecognized arguments" in err
 
 
 def test_exit_3_on_unconverged_table(pi0_file, capsys):
@@ -342,18 +360,59 @@ def test_kernel_commutant_rejects_non_finite_input(pi0_file, capsys):
         assert "finite" in err
 
 
-def test_kernel_commutant_budget_is_checked_first(pi0_file, capsys):
-    # 1e5 nodes would need 160 GB for the probe alone: the guard must fire
-    # before the probe or the kernel table is allocated
-    import tracemalloc
+@pytest.mark.filterwarnings("error")
+def test_kernel_commutant_rejects_overflowing_spacing(pi0_file, capsys):
+    # the extent is finite but 2 * extent / (nodes - 1) is not: nothing is sampled
+    rc, out, err = invoke(["--budget-profile", "quick", "kernel", "commutant", "--op", pi0_file,
+                           "--a1", "1", "--a2", "0", "--extent", "1e308", "--nodes", "8"],
+                          capsys)
+    assert (rc, out) == (2, "")
+    assert "grid spacing" in err
 
+
+def invoke_traced(argv, capsys):
+    """invoke, also returning the peak of Python allocations during the run."""
     tracemalloc.start()
     try:
-        rc, out, err = invoke(["kernel", "commutant", "--op", pi0_file, "--a1", "1",
-                               "--a2", "0", "--nodes", "100000"], capsys)
+        rc, out, err = invoke(argv, capsys)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return rc, out, err, peak
+
+
+def test_kernel_commutant_budget_is_checked_first(pi0_file, capsys):
+    # 1e5 nodes would need 160 GB for the probe alone: the guard must fire
+    # before the probe or the kernel table is allocated
+    rc, out, err, peak = invoke_traced(["kernel", "commutant", "--op", pi0_file, "--a1", "1",
+                                        "--a2", "0", "--nodes", "100000"], capsys)
+    assert (rc, out) == (2, "")
+    assert "over the limit" in err
+    assert peak < 8 * 2 ** 20
+
+
+OVERSIZED = {
+    "trace-shell": ["trace", "shell", "--op", "{pi0}", "--Ngrid", "100,1e12"],
+    "dos-approx": ["dos", "approx", "--eps", "2", "--Ngrid", "100,1e12"],
+    "dos-idos": ["dos", "idos", "--eps", "1e9"],
+    "dos-idos-far": ["dos", "idos", "--eps", "1e30"],
+    "dos-measure": ["dos", "measure", "--J", "1000000000"],
+    "basis-gram": ["basis", "gram", "--max-index", "1", "--nodes", "40000"],
+    "dixmier-diagonal": ["dixmier", "estimate", "--op", "{pi0}", "--shells", "100000000"],
+    "dixmier-stack": ["dixmier", "estimate", "--op", "{dense16}", "--shells", "100000000"],
+    "op-block": ["op", "block", "--in", "{pi0}", "--m", "0", "--N", "100000"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_memory_budget_is_checked_first(name, pi0_file, tmp_path, capsys):
+    # each command sizes an allocation from its input: the budget check must
+    # refuse it before the allocation, or anything proportional to it, is made
+    dense16 = tmp_path / "dense16.json"
+    dense16.write_text(json.dumps({"entries": [{"j": j, "k": k, "re": 1.0}
+                                               for j in range(16) for k in range(16)]}))
+    argv = [arg.format(pi0=pi0_file, dense16=dense16) for arg in OVERSIZED[name]]
+    rc, out, err, peak = invoke_traced(argv, capsys)
     assert (rc, out) == (2, "")
     assert "over the limit" in err
     assert peak < 8 * 2 ** 20

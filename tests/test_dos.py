@@ -29,7 +29,6 @@ def test_landau_hamiltonian_levels():
     assert op.levels == (0.5, 1.5, 2.5, 3.5, 4.5)
     assert op.truncation == 5
     assert op.tail_inf == 5.5
-    assert math.isinf(op.eps_inf)
     with pytest.raises(DomainError):
         landau_hamiltonian(0)
 
@@ -57,9 +56,6 @@ def test_spectral_projection_domain():
         spectral_projection(op, math.inf)
     with pytest.raises(RangeError):
         spectral_projection(op, 5.5)
-    bounded = LandauDiagonalOperator(levels=(0.2, 0.4), eps_inf=1.0)
-    with pytest.raises(DomainError, match="identity"):
-        spectral_projection(bounded, 1.0)
 
 
 def test_idos_of_landau_hamiltonian(cfg):
@@ -87,17 +83,19 @@ def test_dos_measure_flat_band(cfg):
     flat = LandauDiagonalOperator(levels=(7.0, 7.0, 7.0, 9.0))
     measure = dos_measure(flat, cfg)
     assert measure.atoms[0] == (7.0, pytest.approx(3.0 * cfg.idos_scale))
-    assert measure.mass((6.0, 7.0)) == pytest.approx(3.0 * cfg.idos_scale)
-    assert measure.mass((7.0, 9.5)) == pytest.approx(cfg.idos_scale)
-    with pytest.raises(DomainError):
-        measure.mass((2.0, 2.0))
+    assert measure.atoms[1:] == ((9.0, pytest.approx(cfg.idos_scale)),)
+
+
+def mass(measure, a, b):
+    """Measure of the half-open interval (a, b], summed over the atoms."""
+    return math.fsum(w for e, w in measure.atoms if a < e <= b)
 
 
 def test_dos_mass_matches_idos_difference(cfg):
     op = landau_hamiltonian(12)
     measure = dos_measure(op, cfg)
     for a, b in [(0.0, 2.0), (1.5, 6.25), (3.0, 3.5)]:
-        assert measure.mass((a, b)) == pytest.approx(
+        assert mass(measure, a, b) == pytest.approx(
             idos(op, b, cfg) - idos(op, a, cfg), abs=1e-15)
 
 
@@ -137,9 +135,6 @@ def test_functional_calculus_domain():
     wide = CompactTestFunction(nodes=((0.0, 0.0), (1.0, 1.0), (3.0, 0.0)))
     with pytest.raises(RangeError):
         functional_calculus(short, wide)
-    bounded = LandauDiagonalOperator(levels=(0.2, 0.4), eps_inf=1.5)
-    with pytest.raises(DomainError):
-        functional_calculus(bounded, BUMP)
 
 
 def test_spectral_formula(cfg):

@@ -71,12 +71,12 @@ def test_kernel_at_zero_ignores_offdiagonal(cfg):
     assert kernel_at_zero(s, cfg) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_kernel_at_zero_gram(rng):
+def test_kernel_at_zero_gram(rng, cfg):
     # f at the origin of A*A carries the squared coefficient mass
     a = random_operator(rng, max_index=5, count=10)
     gram = compose(adjoint(a), a)
     expected = sum(abs(v) ** 2 for v in a.entries.values())
-    assert kernel_at_zero(gram) == pytest.approx(expected, abs=1e-12)
+    assert kernel_at_zero(gram, cfg) == pytest.approx(expected, abs=1e-12)
 
 
 def test_apply_kernel_projection_fixes_range(cfg, work_basis):
@@ -174,6 +174,13 @@ def test_grid_spec_needs_finite_positive_extent():
             GridSpec(extent=extent, nodes=8)
     with pytest.raises(DomainError):
         GridSpec(extent=1.0, nodes=1)
+
+
+def test_grid_spec_needs_finite_spacing():
+    # a finite extent can still overflow the spacing 2 * extent / (nodes - 1)
+    with pytest.raises(DomainError, match="spacing"):
+        GridSpec(extent=1e308, nodes=8)
+    assert math.isfinite(GridSpec(extent=8e307, nodes=8).spacing)
 
 
 def test_apply_kernel_refuses_oversized_grids(cfg):

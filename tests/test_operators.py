@@ -35,20 +35,8 @@ def test_constructors_and_zero_dropping():
     tr = CoefficientOperator.transition(1, 4, 2.0 - 1.0j)
     assert tr.entries == {(1, 4): 2.0 - 1.0j}
     assert not tr.is_diagonal
-
-
-def test_diagonal_constructor_forms():
-    from_map = CoefficientOperator.diagonal({0: 1.0, 3: 2.0j})
-    from_seq = CoefficientOperator.diagonal([1.0, 0.0, 0.0, 2.0j])
-    assert from_map.entries == from_seq.entries
-    assert np.allclose(from_map.diagonal_array(5), [1.0, 0.0, 0.0, 2.0j, 0.0])
-    assert from_map.diagonal_entry(3) == 2.0j
-    assert from_map.diagonal_entry(1) == 0.0
-
-
-def test_identity_is_rejected():
-    with pytest.raises(DomainError):
-        CoefficientOperator.identity()
+    diag = CoefficientOperator({(0, 0): 1.0, (3, 3): 2.0j, (1, 2): 5.0})
+    assert np.allclose(diag.diagonal_array(5), [1.0, 0.0, 0.0, 2.0j, 0.0])
 
 
 def test_invalid_entries_rejected():

@@ -15,7 +15,6 @@ from magtrace import (
     completed_shells,
     hurwitz_zeta,
     log_inverse_fit,
-    residue_pair,
     richardson_zero,
     shell_average,
     tau_diagonal,
@@ -261,24 +260,6 @@ def test_tau_ordered_basis_small_grids():
     table = tau_ordered_basis(CoefficientOperator.projection(0), (9,))
     assert table.model == "none"
     assert not table.converged
-
-
-def test_residue_pair_projection(cfg):
-    result = residue_pair(CoefficientOperator.projection(0),
-                          CoefficientOperator.projection(0), 0.0, X_GRID, cfg)
-    assert result.pairing == pytest.approx(1.0, abs=1e-8)
-    assert result.gap <= 1e-6
-
-
-def test_residue_pair_random(cfg):
-    rng = np.random.default_rng(3)
-    a = random_operator(rng, max_index=4, count=8)
-    b = random_operator(rng, max_index=4, count=8)
-    exact = sum(np.conj(v) * b.entries.get(key, 0.0)
-                for key, v in a.entries.items())
-    result = residue_pair(a, b, 0.0, X_GRID, cfg)
-    assert result.pairing == pytest.approx(exact, abs=1e-6)
-    assert result.gap <= 1e-5
 
 
 def test_engines_agree_on_mixed_operator():
