@@ -35,8 +35,16 @@ def test_constructors_and_zero_dropping():
     tr = CoefficientOperator.transition(1, 4, 2.0 - 1.0j)
     assert tr.entries == {(1, 4): 2.0 - 1.0j}
     assert not tr.is_diagonal
-    diag = CoefficientOperator({(0, 0): 1.0, (3, 3): 2.0j, (1, 2): 5.0})
-    assert np.allclose(diag.diagonal_array(5), [1.0, 0.0, 0.0, 2.0j, 0.0])
+
+
+def test_diagonal_constructor_forms():
+    from_map = CoefficientOperator({(0, 0): 1.0, (3, 3): 2.0j})
+    from_sum = CoefficientOperator.projection(0) + CoefficientOperator.projection(3) * 2.0j
+    assert from_map.entries == from_sum.entries
+    assert from_map.is_diagonal
+    assert np.allclose(from_map.diagonal_array(5), [1.0, 0.0, 0.0, 2.0j, 0.0])
+    mixed = CoefficientOperator({(0, 0): 1.0, (3, 3): 2.0j, (1, 2): 5.0})
+    assert np.allclose(mixed.diagonal_array(5), [1.0, 0.0, 0.0, 2.0j, 0.0])
 
 
 def test_invalid_entries_rejected():
