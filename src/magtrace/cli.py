@@ -24,7 +24,8 @@ from . import kernels, serialize, traces
 from .config import make_config
 from .errors import CalculusError, DomainError
 from .kernels import GridSpec
-from .operators import adjoint, compose, lp_norm, matrix_block, weighted_product
+from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
+                        weighted_product)
 
 FORMAT_VERSION = "1"
 
@@ -40,7 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Budget:
-    name: str
     shells: int
     x_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
@@ -48,12 +48,17 @@ class Budget:
     kernel_nodes: int
     kernel_extent_ells: float
 
+    @property
+    def ordered_grid(self) -> tuple[int, ...]:
+        """State counts N = e(e+1)/2 - 1 that close the ordered shells e."""
+        return tuple(e * (e + 1) // 2 - 1 for e in self.ordered_shells)
+
 
 BUDGETS = {
-    "full": Budget(name="full", shells=512, x_grid=(1e-1, 1e-2, 1e-3),
+    "full": Budget(shells=512, x_grid=(1e-1, 1e-2, 1e-3),
                    n_grid=(100, 1000, 10000), ordered_shells=(250, 500, 1000, 2000),
                    kernel_nodes=128, kernel_extent_ells=10.0),
-    "quick": Budget(name="quick", shells=128, x_grid=(1e-1, 1e-2, 1e-3),
+    "quick": Budget(shells=128, x_grid=(1e-1, 1e-2, 1e-3),
                     n_grid=(100, 1000), ordered_shells=(60, 125, 250, 500),
                     kernel_nodes=96, kernel_extent_ells=9.0),
 }
@@ -74,137 +79,44 @@ def _parse_ints(text: str) -> tuple[int, ...]:
                          % text) from exc
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="magtrace", description=__doc__)
-    parser.add_argument("--ell", type=float, default=1.0,
-                        help="magnetic length (default 1.0)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; no randomized algorithms are used")
-    parser.add_argument("--budget-profile", choices=tuple(BUDGETS), default="full")
-    sub = parser.add_subparsers(dest="command")
-
-    basis = sub.add_parser("basis").add_subparsers(dest="action")
-    b_eval = basis.add_parser("eval")
-    b_eval.add_argument("--n", type=int, required=True)
-    b_eval.add_argument("--m", type=int, required=True)
-    b_eval.add_argument("--x1", type=float, required=True)
-    b_eval.add_argument("--x2", type=float, required=True)
-    b_eval.set_defaults(func=cmd_basis_eval)
-    b_gram = basis.add_parser("gram")
-    b_gram.add_argument("--max-index", type=int, default=4)
-    b_gram.add_argument("--extent", type=float, default=None)
-    b_gram.add_argument("--nodes", type=int, default=None)
-    b_gram.set_defaults(func=cmd_basis_gram)
-
-    op = sub.add_parser("op").add_subparsers(dest="action")
-    for name, handler, extra in (
-            ("compose", cmd_op_compose, ("infile2",)),
-            ("adjoint", cmd_op_adjoint, ()),
-            ("norm", cmd_op_norm, ("p",)),
-            ("block", cmd_op_block, ("m", "N"))):
-        p = op.add_parser(name)
-        p.add_argument("--in", dest="infile", required=True)
-        if "infile2" in extra:
-            p.add_argument("--in2", dest="infile2", required=True)
-        if "p" in extra:
-            p.add_argument("--p", type=float, required=True)
-        if "m" in extra:
-            p.add_argument("--m", type=int, required=True)
-        if "N" in extra:
-            p.add_argument("--N", dest="count", type=int, required=True)
-        p.add_argument("--save", default=None,
-                       help="also write the resulting operator to this path")
-        p.set_defaults(func=handler)
-
-    kernel = sub.add_parser("kernel").add_subparsers(dest="action")
-    k_eval = kernel.add_parser("eval")
-    k_eval.add_argument("--op", dest="infile", required=True)
-    k_eval.add_argument("--x1", type=float, required=True)
-    k_eval.add_argument("--x2", type=float, required=True)
-    k_eval.set_defaults(func=cmd_kernel_eval)
-    k_folner = kernel.add_parser("folner")
-    k_folner.add_argument("--op", dest="infile", required=True)
-    k_folner.add_argument("--R", dest="radius", type=float, default=8.0)
-    k_folner.set_defaults(func=cmd_kernel_folner)
-    k_comm = kernel.add_parser("commutant")
-    k_comm.add_argument("--op", dest="infile", required=True)
-    k_comm.add_argument("--a1", type=float, required=True)
-    k_comm.add_argument("--a2", type=float, required=True)
-    k_comm.add_argument("--extent", type=float, default=None)
-    k_comm.add_argument("--nodes", type=int, default=None)
-    k_comm.set_defaults(func=cmd_kernel_commutant)
-
-    trace = sub.add_parser("trace").add_subparsers(dest="action")
-    for name, handler in (("diag", cmd_trace_diag), ("residue", cmd_trace_residue),
-                          ("shell", cmd_trace_shell), ("ordered", cmd_trace_ordered)):
-        p = trace.add_parser(name)
-        p.add_argument("--op", dest="infile", required=True)
-        if name == "residue":
-            p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-            p.add_argument("--xgrid", type=_parse_floats, default=None)
-        if name in ("shell", "ordered"):
-            p.add_argument("--Ngrid", dest="ngrid", type=_parse_ints, default=None)
-        p.set_defaults(func=handler)
-
-    dix = sub.add_parser("dixmier").add_subparsers(dest="action")
-    for name, handler in (("spectrum", cmd_dixmier_spectrum), ("gamma", cmd_dixmier_gamma),
-                          ("estimate", cmd_dixmier_estimate),
-                          ("tauberian", cmd_dixmier_tauberian)):
-        p = dix.add_parser(name)
-        p.add_argument("--op", dest="infile", required=True)
-        p.add_argument("--form", choices=("left", "right", "split"), default="left")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--lambda2", dest="lam2", type=float, default=None)
-        p.add_argument("--shells", type=int, default=None)
-        if name == "gamma":
-            p.add_argument("--N", dest="count", type=int, required=True)
-        if name == "tauberian":
-            p.add_argument("--xgrid", type=_parse_floats, default=None)
-        p.set_defaults(func=handler)
-
-    dos = sub.add_parser("dos").add_subparsers(dest="action")
-    d_idos = dos.add_parser("idos")
-    d_idos.add_argument("--eps", type=float, required=True)
-    d_idos.add_argument("--J", dest="truncation", type=int, default=None)
-    d_idos.set_defaults(func=cmd_dos_idos)
-    d_meas = dos.add_parser("measure")
-    d_meas.add_argument("--J", dest="truncation", type=int, default=16)
-    d_meas.set_defaults(func=cmd_dos_measure)
-    d_spec = dos.add_parser("spectral")
-    d_spec.add_argument("--f", dest="testfn", required=True)
-    d_spec.add_argument("--J", dest="truncation", type=int, default=None)
-    d_spec.set_defaults(func=cmd_dos_spectral)
-    d_appr = dos.add_parser("approx")
-    d_appr.add_argument("--eps", type=float, required=True)
-    d_appr.add_argument("--J", dest="truncation", type=int, default=None)
-    d_appr.add_argument("--Ngrid", dest="ngrid", type=_parse_ints, default=None)
-    d_appr.set_defaults(func=cmd_dos_approx)
-    d_dix = dos.add_parser("dixmier")
-    d_dix.add_argument("--f", dest="testfn", required=True)
-    d_dix.add_argument("--form", choices=("left", "right", "split"), default="left")
-    d_dix.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    d_dix.add_argument("--lambda2", dest="lam2", type=float, default=None)
-    d_dix.add_argument("--J", dest="truncation", type=int, default=None)
-    d_dix.set_defaults(func=cmd_dos_dixmier)
-
-    comp = sub.add_parser("compare")
-    comp.add_argument("--op", dest="infile", required=True)
-    comp.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    comp.set_defaults(func=cmd_compare)
-    return parser
+# Every flag once, with its add_argument keywords; GLOBAL_FLAGS precede the subcommand.
+FLAGS = {
+    "--ell": dict(type=float, default=1.0, help="magnetic length (default 1.0)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(default=None, help="write the report to a file"),
+    "--seed": dict(type=int, default=None,
+                   help="reserved; no randomized algorithms are used"),
+    "--budget-profile": dict(choices=tuple(BUDGETS), default="full"),
+    "--n": dict(type=int, required=True),
+    "--m": dict(type=int, required=True),
+    "--x1": dict(type=float, required=True),
+    "--x2": dict(type=float, required=True),
+    "--max-index": dict(type=int, default=4),
+    "--extent": dict(type=float, default=None),
+    "--nodes": dict(type=int, default=None),
+    "--in": dict(dest="infile", required=True),
+    "--in2": dict(dest="infile2", required=True),
+    "--op": dict(dest="infile", required=True),
+    "--p": dict(type=float, required=True),
+    "--N": dict(dest="count", type=int, required=True),
+    "--save": dict(default=None, help="also write the resulting operator to this path"),
+    "--R": dict(dest="radius", type=float, default=8.0),
+    "--a1": dict(type=float, required=True),
+    "--a2": dict(type=float, required=True),
+    "--lambda": dict(dest="lam", type=float, default=0.0),
+    "--lambda2": dict(dest="lam2", type=float, default=None),
+    "--xgrid": dict(type=_parse_floats, default=None),
+    "--Ngrid": dict(dest="ngrid", type=_parse_ints, default=None),
+    "--form": dict(choices=WEIGHT_FORMS, default="left"),
+    "--shells": dict(type=int, default=None),
+    "--eps": dict(type=float, required=True),
+    "--J": dict(dest="truncation", type=int, default=None),
+    "--f": dict(dest="testfn", required=True),
+}
+GLOBAL_FLAGS = ("--ell", "--format", "--out", "--seed", "--budget-profile")
 
 
 # -- helpers ------------------------------------------------------------
-
-
-def _budget(args) -> Budget:
-    return BUDGETS[args.budget_profile]
-
-
-def _config(args):
-    return make_config(args.ell)
 
 
 def _load(args):
@@ -307,8 +219,7 @@ def cmd_trace_shell(args, cfg, budget):
 
 
 def cmd_trace_ordered(args, cfg, budget):
-    grid = args.ngrid or tuple(e * (e + 1) // 2 - 1 for e in budget.ordered_shells)
-    table = traces.tau_ordered_basis(_load(args), grid)
+    table = traces.tau_ordered_basis(_load(args), args.ngrid or budget.ordered_grid)
     doubled = 2.0 * complex(table.extrapolated)
     return {"table": table, "doubled": doubled}, table.converged
 
@@ -364,7 +275,7 @@ def cmd_dos_idos(args, cfg, budget):
 
 
 def cmd_dos_measure(args, cfg, budget):
-    op = dosmod.landau_hamiltonian(args.truncation)
+    op = dosmod.landau_hamiltonian(16 if args.truncation is None else args.truncation)
     measure = dosmod.dos_measure(op, cfg)
     return {"atoms": [[e, w] for e, w in measure.atoms]}, True
 
@@ -400,8 +311,7 @@ def cmd_compare(args, cfg, budget):
     tau = traces.tau_diagonal(op)
     residue = traces.tau_residue(op, args.lam, budget.x_grid)
     shell = traces.tau_shell(op, budget.n_grid)
-    ordered_grid = tuple(e * (e + 1) // 2 - 1 for e in budget.ordered_shells)
-    ordered = traces.tau_ordered_basis(op, ordered_grid)
+    ordered = traces.tau_ordered_basis(op, budget.ordered_grid)
     spectrum, shells, kind = _weighted_spectrum(op, "left", args.lam, None, None, budget)
     dixmier_table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
     shell_sharp = shell.accelerated[-1]
@@ -424,9 +334,59 @@ def cmd_compare(args, cfg, budget):
     max_gap = max(row["gap"] for row in rows.values())
     ok = all(t.converged for t in (residue, shell, ordered, dixmier_table))
     return {"engines": rows, "max_gap": max_gap,
-            "budget": {"name": budget.name, "shells": shells,
+            "budget": {"name": args.budget_profile, "shells": shells,
                        "x_grid": list(budget.x_grid),
                        "N_grid": [int(n) for n in budget.n_grid]}}, ok
+
+
+# -- command table ------------------------------------------------------------
+
+WEIGHTED_SPECTRUM_FLAGS = ("--op", "--form", "--lambda", "--lambda2", "--shells")
+
+# Each subcommand once, keyed by the name that its report carries.
+COMMANDS = {
+    "basis eval": (cmd_basis_eval, ("--n", "--m", "--x1", "--x2")),
+    "basis gram": (cmd_basis_gram, ("--max-index", "--extent", "--nodes")),
+    "op compose": (cmd_op_compose, ("--in", "--in2", "--save")),
+    "op adjoint": (cmd_op_adjoint, ("--in", "--save")),
+    "op norm": (cmd_op_norm, ("--in", "--p")),
+    "op block": (cmd_op_block, ("--in", "--m", "--N")),
+    "kernel eval": (cmd_kernel_eval, ("--op", "--x1", "--x2")),
+    "kernel folner": (cmd_kernel_folner, ("--op", "--R")),
+    "kernel commutant": (cmd_kernel_commutant,
+                         ("--op", "--a1", "--a2", "--extent", "--nodes")),
+    "trace diag": (cmd_trace_diag, ("--op",)),
+    "trace residue": (cmd_trace_residue, ("--op", "--lambda", "--xgrid")),
+    "trace shell": (cmd_trace_shell, ("--op", "--Ngrid")),
+    "trace ordered": (cmd_trace_ordered, ("--op", "--Ngrid")),
+    "dixmier spectrum": (cmd_dixmier_spectrum, WEIGHTED_SPECTRUM_FLAGS),
+    "dixmier gamma": (cmd_dixmier_gamma, WEIGHTED_SPECTRUM_FLAGS + ("--N",)),
+    "dixmier estimate": (cmd_dixmier_estimate, WEIGHTED_SPECTRUM_FLAGS),
+    "dixmier tauberian": (cmd_dixmier_tauberian, WEIGHTED_SPECTRUM_FLAGS + ("--xgrid",)),
+    "dos idos": (cmd_dos_idos, ("--eps", "--J")),
+    "dos measure": (cmd_dos_measure, ("--J",)),
+    "dos spectral": (cmd_dos_spectral, ("--f", "--J")),
+    "dos approx": (cmd_dos_approx, ("--eps", "--J", "--Ngrid")),
+    "dos dixmier": (cmd_dos_dixmier, ("--f", "--form", "--lambda", "--lambda2", "--J")),
+    "compare": (cmd_compare, ("--op", "--lambda")),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="magtrace", description=__doc__)
+    for flag in GLOBAL_FLAGS:
+        parser.add_argument(flag, **FLAGS[flag])
+    groups = {"": parser.add_subparsers(dest="command")}
+    for name, (handler, flags) in COMMANDS.items():
+        group, _, action = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group).add_subparsers(dest="action")
+        leaf = groups[group].add_parser(action)
+        for flag in flags:
+            leaf.add_argument(flag, **FLAGS[flag])
+        # a subparser's defaults overwrite the group name stored under "command"
+        leaf.set_defaults(func=handler, command=name)
+    return parser
 
 
 # -- driver -----------------------------------------------------------------
@@ -456,13 +416,10 @@ def run(argv) -> int:
         return 64
     start = time.perf_counter()
     try:
-        cfg = _config(args)
-        budget = _budget(args)
-        payload, ok = args.func(args, cfg, budget)
-        report = {"format_version": FORMAT_VERSION,
-                  "command": args.command + (" " + args.action
-                                             if getattr(args, "action", None) else ""),
-                  "config": {"ell": cfg.ell, "budget_profile": budget.name,
+        cfg = make_config(args.ell)
+        payload, ok = args.func(args, cfg, BUDGETS[args.budget_profile])
+        report = {"format_version": FORMAT_VERSION, "command": args.command,
+                  "config": {"ell": cfg.ell, "budget_profile": args.budget_profile,
                              "seed": args.seed},
                   "wall_time_s": time.perf_counter() - start}
         report.update(payload)

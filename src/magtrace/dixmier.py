@@ -180,10 +180,26 @@ def _check_count(spectrum, count: int, minimum: int = 0) -> None:
                          % (count, len(spectrum)))
 
 
+def _real_sums(spectrum, sums: np.ndarray) -> np.ndarray:
+    """Partial sums as reals; eigenvalue sums must have negligible imaginary drift."""
+    if spectrum.kind == "eigen":
+        drift = float(np.max(np.abs(sums.imag), initial=0.0))
+        if drift > _EIGEN_IMAG_TOL:
+            raise ComputationError(
+                "eigenvalue partial sums have imaginary drift %.2e; "
+                "the operator is not numerically self-adjoint" % drift)
+        sums = sums.real
+    return sums.astype(float)
+
+
 def sigma_p(spectrum: Spectrum, count: int) -> float:
-    """Partial sum sigma_N of the first N = `count` singular values."""
+    """Partial sum sigma_N of the first N = `count` values, as a real number.
+
+    An eigen spectrum's sum must have negligible imaginary drift, as in
+    dixmier_estimate; a singular spectrum's sum is taken as it is.
+    """
     _check_count(spectrum, count)
-    return float(spectrum.values[:count].sum())
+    return float(_real_sums(spectrum, np.asarray(spectrum.values[:count].sum())))
 
 
 def gamma(spectrum: Spectrum, count: int) -> float:
@@ -193,7 +209,9 @@ def gamma(spectrum: Spectrum, count: int) -> float:
 
 
 def calderon_norm(spectrum: Spectrum) -> float:
-    """sup over N >= 2 of sigma_N / log N on the retained spectrum."""
+    """sup over N >= 2 of sigma_N / log N on the retained singular values."""
+    if spectrum.kind != "singular":
+        raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
     sums = np.cumsum(spectrum.values)
@@ -202,17 +220,8 @@ def calderon_norm(spectrum: Spectrum) -> float:
 
 
 def _partial_sums(spectrum, checkpoints) -> np.ndarray:
-    values = spectrum.values
-    sums = np.cumsum(values)
-    out = sums[np.asarray(checkpoints, dtype=int) - 1]
-    if spectrum.kind == "eigen":
-        drift = float(np.max(np.abs(out.imag))) if out.size else 0.0
-        if drift > _EIGEN_IMAG_TOL:
-            raise ComputationError(
-                "eigenvalue partial sums have imaginary drift %.2e; "
-                "the operator is not numerically self-adjoint" % drift)
-        out = out.real
-    return out.astype(float)
+    sums = np.cumsum(spectrum.values)
+    return _real_sums(spectrum, sums[np.asarray(checkpoints, dtype=int) - 1])
 
 
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:

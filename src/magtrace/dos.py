@@ -110,9 +110,9 @@ def dos_measure(op: LandauDiagonalOperator, cfg: MagneticConfig) -> DOSMeasure:
 class CompactTestFunction:
     """Continuous piecewise-linear function vanishing outside its nodes.
 
-    Nodes are (energy, value) pairs with strictly increasing energies; the
-    first and last values must vanish so the function is continuous on the
-    whole line with compact support [nodes[0], nodes[-1]].
+    Nodes are finite (energy, value) pairs with strictly increasing
+    energies; the first and last values must vanish so the function is
+    continuous on the whole line with compact support [nodes[0], nodes[-1]].
     """
 
     nodes: tuple[tuple[float, float], ...]
@@ -120,6 +120,8 @@ class CompactTestFunction:
     def __post_init__(self):
         if len(self.nodes) < 2:
             raise DomainError("a test function needs at least two nodes")
+        if not all(math.isfinite(x) for node in self.nodes for x in node):
+            raise DomainError("test function nodes must be finite")
         energies = [e for e, _ in self.nodes]
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise DomainError("test function nodes must be strictly increasing")

@@ -137,7 +137,7 @@ def compose(a: CoefficientOperator, b: CoefficientOperator) -> CoefficientOperat
 
 def lp_norm(a: CoefficientOperator, p: float) -> float:
     """Coefficient lp norm (sum |a_jk|^p)^(1/p); requires p >= 1."""
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError("lp norms of coefficient families require p >= 1")
     if not a.entries:
         return 0.0

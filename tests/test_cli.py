@@ -142,6 +142,27 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
         rc, out, err = invoke(["trace", action, "--op", pi0_file, flag, value], capsys)
         assert (rc, out) == (64, ""), (action, flag)
         assert "unrecognized arguments" in err
+    # only compose and adjoint produce an operator to save
+    for argv in (["op", "norm", "--in", pi0_file, "--p", "2"],
+                 ["op", "block", "--in", pi0_file, "--m", "0", "--N", "2"]):
+        rc, out, err = invoke(argv + ["--save", pi0_file + ".saved"], capsys)
+        assert (rc, out) == (64, ""), argv
+        assert "unrecognized arguments: --save" in err
+        assert not os.path.exists(pi0_file + ".saved")
+
+
+def test_exit_2_on_non_finite_input(pi0_file, tmp_path, capsys):
+    path = tmp_path / "fn.json"
+    for nodes in ("[[0.2, 0], [0.3, NaN], [0.4, 0]]", "[[-Infinity, 0], [1, 1], [3, 0]]",
+                  "[[0, 0], [NaN, 1], [3, 0]]"):
+        path.write_text('{"nodes": %s}' % nodes, encoding="utf-8")
+        for action in ("spectral", "dixmier"):
+            rc, out, err = invoke(["dos", action, "--f", str(path)], capsys)
+            assert (rc, out) == (2, ""), (action, nodes)
+            assert "nodes must be finite" in err
+    rc, out, err = invoke(["op", "norm", "--in", pi0_file, "--p", "nan"], capsys)
+    assert (rc, out) == (2, "")
+    assert "require p >= 1" in err
 
 
 def test_exit_3_on_unconverged_table(pi0_file, capsys):

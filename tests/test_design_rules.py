@@ -1,10 +1,12 @@
-"""Guards for three design rules of the package.
+"""Guards for four design rules of the package.
 
 Modules use each other's public names only, the trace routes that
-cross-check the diagonal sum never compute it themselves, and every
-convergence table comes from the two builders in extrapolate.py.
+cross-check the diagonal sum never compute it themselves, every
+convergence table comes from the two builders in extrapolate.py, and
+every flag that a CLI subcommand declares is read by its handler.
 """
 
+import argparse
 import ast
 import inspect
 import pathlib
@@ -13,6 +15,7 @@ import sys
 import pytest
 
 import magtrace
+from magtrace import cli
 from magtrace import (
     CoefficientOperator,
     collect_spectrum,
@@ -137,3 +140,56 @@ def test_export_scan_flags_unlisted_names():
     tree = ast.parse("from __future__ import annotations\nfrom .a import b, _c\n"
                      "from .d import e as f\nimport numpy\n")
     assert _exported_imports(tree) == ["b", "f"]
+
+
+def _args_read(func, functions):
+    """Attributes read off `args` in func and in the functions it passes args to."""
+    found = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            found.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in functions
+              and any(isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args)):
+            found |= _args_read(functions[node.func.id], functions)
+    return found
+
+
+def _unread_flags(parser, source, path=()):
+    """Flags of each leaf subcommand whose dest its handler never reads."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found += _unread_flags(child, source, path + (name,))
+    func = parser.get_default("func")
+    if func is not None:
+        read = _args_read(functions[func.__name__], functions)
+        found += ["%s %s" % (" ".join(path), action.option_strings[0])
+                  for action in parser._actions
+                  if action.option_strings and action.dest != "help"
+                  and action.dest not in read]
+    return found
+
+
+def test_every_cli_flag_is_read_by_its_handler():
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    assert _unread_flags(cli.build_parser(), source) == []
+
+
+def test_unread_flag_scan_flags_an_ignored_flag():
+    source = ("def _load(args):\n    return args.infile\n"
+              "def cmd_norm(args, cfg, budget):\n    return _load(args), args.p\n")
+
+    def cmd_norm():
+        pass
+
+    parser = argparse.ArgumentParser()
+    leaf = parser.add_subparsers().add_parser("norm")
+    for flag, dest in (("--in", "infile"), ("--p", "p"), ("--save", "save")):
+        leaf.add_argument(flag, dest=dest)
+    leaf.set_defaults(func=cmd_norm)
+    assert _unread_flags(parser, source) == ["norm --save"]

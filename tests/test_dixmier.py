@@ -146,6 +146,22 @@ def test_calderon_norm_single_atom():
         calderon_norm(Spectrum(np.array([1.0]), "too short"))
 
 
+@pytest.mark.filterwarnings("error")
+def test_partial_sums_of_an_eigen_spectrum_are_real():
+    # gamma sums the real parts after the drift check, as dixmier_estimate does,
+    # with no ComplexWarning for a discarded imaginary part
+    spec = Spectrum(np.array([1.0, 0.5 + 1e-13j, -0.25, 0.125 - 1e-13j]), "eigen", kind="eigen")
+    assert sigma_p(spec, 4) == 1.375
+    assert isinstance(sigma_p(spec, 4), float)
+    assert gamma(spec, 3) == pytest.approx(1.25 / math.log(3.0), rel=1e-15)
+    drifting = Spectrum(np.array([1.0, 0.5 + 1e-3j, 0.25]), "drifting", kind="eigen")
+    with pytest.raises(ComputationError, match="imaginary drift"):
+        gamma(drifting, 3)
+    # the Calderon norm is a supremum over singular values only
+    with pytest.raises(DomainError, match="singular values"):
+        calderon_norm(spec)
+
+
 def test_checkpoint_ladder_shape():
     spec = harmonic_spectrum(10000)
     ladder = checkpoint_ladder(spec)

@@ -119,6 +119,13 @@ def test_compact_test_function_validation():
         CompactTestFunction(nodes=((0.0, 0.5), (1.0, 0.0)))
     with pytest.raises(DomainError):
         CompactTestFunction(nodes=((0.0, 0.0), (1.0, 0.5)))
+    # every node is finite: no NaN level or value, and a compact support
+    nan, inf = float("nan"), float("inf")
+    for nodes in (((0.2, 0.0), (0.3, nan), (0.4, 0.0)), ((-inf, 0.0), (1.0, 1.0), (3.0, 0.0)),
+                  ((0.0, 0.0), (nan, 1.0), (3.0, 0.0)), ((0.0, 0.0), (1.0, inf), (3.0, 0.0)),
+                  ((0.0, 0.0), (1.0, 1.0), (inf, 0.0))):
+        with pytest.raises(DomainError, match="finite"):
+            CompactTestFunction(nodes=nodes)
 
 
 def test_functional_calculus_entries():

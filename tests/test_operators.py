@@ -128,8 +128,9 @@ def test_lp_norm_values():
     assert lp_norm(op, 2) == pytest.approx(math.sqrt(5.0), abs=1e-15)
     assert lp_norm(op, float("inf")) == pytest.approx(2.0, abs=1e-15)
     assert lp_norm(CoefficientOperator({}), 1) == 0.0
-    with pytest.raises(DomainError):
-        lp_norm(op, 0.5)
+    for p in (0.5, float("nan")):
+        with pytest.raises(DomainError, match="p >= 1"):
+            lp_norm(op, p)
 
 
 def test_weight_block_is_diagonal_of_inverse_shells():

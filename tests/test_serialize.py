@@ -115,6 +115,11 @@ def test_malformed_files_are_rejected(tmp_path):
         bad_nodes.write_text('{"nodes": %s}' % nodes, encoding="utf-8")
         with pytest.raises(DomainError, match="pairs of JSON numbers"):
             load_test_function(str(bad_nodes))
+    for nodes in ("[[0.2, 0], [0.3, NaN], [0.4, 0]]", "[[-Infinity, 0], [1, 1], [3, 0]]",
+                  "[[0, 0], [NaN, 1], [3, 0]]"):
+        bad_nodes.write_text('{"nodes": %s}' % nodes, encoding="utf-8")
+        with pytest.raises(DomainError, match="nodes must be finite"):
+            load_test_function(str(bad_nodes))
 
 
 def test_table_to_csv_layout():
