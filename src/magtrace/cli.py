@@ -21,6 +21,7 @@ import numpy as np
 from . import dixmier as dx
 from . import dos as dosmod
 from . import kernels, serialize, traces
+from .basis import QuadratureSpec, orthonormality_check, psi
 from .config import make_config
 from .errors import CalculusError, DomainError
 from .kernels import GridSpec
@@ -28,6 +29,7 @@ from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
                         weighted_product)
 
 FORMAT_VERSION = "1"
+X_GRID = (1e-1, 1e-2, 1e-3)  # residue-route samples, the same in every budget profile
 
 
 class UsageError(Exception):
@@ -42,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class Budget:
     shells: int
-    x_grid: tuple[float, ...]
     n_grid: tuple[int, ...]
     ordered_shells: tuple[int, ...]
     kernel_nodes: int
@@ -55,28 +56,26 @@ class Budget:
 
 
 BUDGETS = {
-    "full": Budget(shells=512, x_grid=(1e-1, 1e-2, 1e-3),
-                   n_grid=(100, 1000, 10000), ordered_shells=(250, 500, 1000, 2000),
+    "full": Budget(shells=512, n_grid=(100, 1000, 10000),
+                   ordered_shells=(250, 500, 1000, 2000),
                    kernel_nodes=128, kernel_extent_ells=10.0),
-    "quick": Budget(shells=128, x_grid=(1e-1, 1e-2, 1e-3),
-                    n_grid=(100, 1000), ordered_shells=(60, 125, 250, 500),
+    "quick": Budget(shells=128, n_grid=(100, 1000), ordered_shells=(60, 125, 250, 500),
                     kernel_nodes=96, kernel_extent_ells=9.0),
 }
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(part) for part in text.split(",") if part)
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError("expected a comma-separated list of numbers: %r" % text) from exc
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(round(v)) for v in _parse_floats(text))
-    except (OverflowError, ValueError) as exc:
-        raise UsageError("expected a comma-separated list of finite numbers: %r"
-                         % text) from exc
+    values = _parse_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise UsageError("expected a comma-separated list of integers: %r" % text)
+    return tuple(int(v) for v in values)
 
 
 # Every flag once, with its add_argument keywords; GLOBAL_FLAGS precede the subcommand.
@@ -105,7 +104,7 @@ FLAGS = {
     "--a2": dict(type=float, required=True),
     "--lambda": dict(dest="lam", type=float, default=0.0),
     "--lambda2": dict(dest="lam2", type=float, default=None),
-    "--xgrid": dict(type=_parse_floats, default=None),
+    "--xgrid": dict(type=_parse_floats, default=X_GRID),
     "--Ngrid": dict(dest="ngrid", type=_parse_ints, default=None),
     "--form": dict(choices=WEIGHT_FORMS, default="left"),
     "--shells": dict(type=int, default=None),
@@ -138,15 +137,11 @@ def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
 
 
 def cmd_basis_eval(args, cfg, budget):
-    from .basis import psi
-
     value = psi(args.n, args.m, args.x1, args.x2, cfg)
     return {"value": complex(value)}, True
 
 
 def cmd_basis_gram(args, cfg, budget):
-    from .basis import QuadratureSpec, orthonormality_check
-
     quad = QuadratureSpec.default(cfg)
     if args.extent is not None or args.nodes is not None:
         quad = QuadratureSpec(extent=quad.extent if args.extent is None else args.extent,
@@ -175,8 +170,8 @@ def cmd_op_norm(args, cfg, budget):
 
 
 def cmd_op_block(args, cfg, budget):
-    block = matrix_block(_load(args), args.m, args.count)
-    return {"m": args.m, "entries": [[complex(v) for v in row] for row in block],
+    block = matrix_block(_load(args), args.count)
+    return {"entries": [[complex(v) for v in row] for row in block],
             "trace": complex(np.trace(block))}, True
 
 
@@ -209,17 +204,19 @@ def cmd_trace_diag(args, cfg, budget):
 
 
 def cmd_trace_residue(args, cfg, budget):
-    table = traces.tau_residue(_load(args), args.lam, args.xgrid or budget.x_grid)
+    table = traces.tau_residue(_load(args), args.lam, args.xgrid)
     return {"lambda": args.lam, "table": table}, table.converged
 
 
 def cmd_trace_shell(args, cfg, budget):
-    table = traces.tau_shell(_load(args), args.ngrid or budget.n_grid)
+    n_grid = budget.n_grid if args.ngrid is None else args.ngrid
+    table = traces.tau_shell(_load(args), n_grid)
     return {"table": table}, table.converged
 
 
 def cmd_trace_ordered(args, cfg, budget):
-    table = traces.tau_ordered_basis(_load(args), args.ngrid or budget.ordered_grid)
+    n_grid = budget.ordered_grid if args.ngrid is None else args.ngrid
+    table = traces.tau_ordered_basis(_load(args), n_grid)
     doubled = 2.0 * complex(table.extrapolated)
     return {"table": table, "doubled": doubled}, table.converged
 
@@ -253,7 +250,7 @@ def cmd_dixmier_estimate(args, cfg, budget):
 def cmd_dixmier_tauberian(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget, kind="singular")
-    table = dx.tauberian_residue(spectrum, args.xgrid or budget.x_grid)
+    table = dx.tauberian_residue(spectrum, args.xgrid)
     return {"shells": shells, "table": table}, table.converged
 
 
@@ -290,7 +287,8 @@ def cmd_dos_spectral(args, cfg, budget):
 
 def cmd_dos_approx(args, cfg, budget):
     op = _dos_operator(args, args.eps)
-    table = dosmod.idos_shell_approx(op, args.eps, args.ngrid or budget.n_grid, cfg)
+    n_grid = budget.n_grid if args.ngrid is None else args.ngrid
+    table = dosmod.idos_shell_approx(op, args.eps, n_grid, cfg)
     return {"eps": args.eps, "table": table}, table.converged
 
 
@@ -309,7 +307,7 @@ def cmd_dos_dixmier(args, cfg, budget):
 def cmd_compare(args, cfg, budget):
     op = _load(args)
     tau = traces.tau_diagonal(op)
-    residue = traces.tau_residue(op, args.lam, budget.x_grid)
+    residue = traces.tau_residue(op, args.lam, X_GRID)
     shell = traces.tau_shell(op, budget.n_grid)
     ordered = traces.tau_ordered_basis(op, budget.ordered_grid)
     spectrum, shells, kind = _weighted_spectrum(op, "left", args.lam, None, None, budget)
@@ -335,7 +333,7 @@ def cmd_compare(args, cfg, budget):
     ok = all(t.converged for t in (residue, shell, ordered, dixmier_table))
     return {"engines": rows, "max_gap": max_gap,
             "budget": {"name": args.budget_profile, "shells": shells,
-                       "x_grid": list(budget.x_grid),
+                       "x_grid": list(X_GRID),
                        "N_grid": [int(n) for n in budget.n_grid]}}, ok
 
 
@@ -350,7 +348,7 @@ COMMANDS = {
     "op compose": (cmd_op_compose, ("--in", "--in2", "--save")),
     "op adjoint": (cmd_op_adjoint, ("--in", "--save")),
     "op norm": (cmd_op_norm, ("--in", "--p")),
-    "op block": (cmd_op_block, ("--in", "--m", "--N")),
+    "op block": (cmd_op_block, ("--in", "--N")),
     "kernel eval": (cmd_kernel_eval, ("--op", "--x1", "--x2")),
     "kernel folner": (cmd_kernel_folner, ("--op", "--R")),
     "kernel commutant": (cmd_kernel_commutant,

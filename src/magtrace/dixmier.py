@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ComputationError, DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
-from .traces import hurwitz_zeta
+from .traces import checked_n_grid, hurwitz_zeta
 
 _EIGEN_IMAG_TOL = 1e-10
 
@@ -113,7 +113,7 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
         if col is not None:
             data = data * col
         return data[:-1].ravel(), np.diag(data[-1])
-    stack = matrix_block(source, 0, n_max)
+    stack = matrix_block(source, n_max)
     if row is not None:
         stack = row[:, :, None] * stack
     if col is not None:
@@ -172,7 +172,7 @@ def shell_spectrum(weight: DiagonalWeight, shells: int) -> Spectrum:
     return Spectrum(values, label, reliable=values.size, tail=tail)
 
 
-def _check_count(spectrum, count: int, minimum: int = 0) -> None:
+def _check_count(spectrum, count: int, minimum: int = 1) -> None:
     if count < minimum:
         raise DomainError("partial sums need at least %d terms" % minimum)
     if count > len(spectrum):
@@ -180,8 +180,14 @@ def _check_count(spectrum, count: int, minimum: int = 0) -> None:
                          % (count, len(spectrum)))
 
 
-def _real_sums(spectrum, sums: np.ndarray) -> np.ndarray:
-    """Partial sums as reals; eigenvalue sums must have negligible imaginary drift."""
+def _partial_sums(spectrum, counts) -> np.ndarray:
+    """Real partial sums sigma_N at each N in counts, read off one cumsum.
+
+    The cumsum runs over the whole spectrum: a sliced or zero-padded one
+    raised peak memory.  Eigenvalue sums must have negligible imaginary
+    drift; singular sums are taken as they are.
+    """
+    sums = np.cumsum(spectrum.values)[np.asarray(counts, dtype=int) - 1]
     if spectrum.kind == "eigen":
         drift = float(np.max(np.abs(sums.imag), initial=0.0))
         if drift > _EIGEN_IMAG_TOL:
@@ -193,13 +199,9 @@ def _real_sums(spectrum, sums: np.ndarray) -> np.ndarray:
 
 
 def sigma_p(spectrum: Spectrum, count: int) -> float:
-    """Partial sum sigma_N of the first N = `count` values, as a real number.
-
-    An eigen spectrum's sum must have negligible imaginary drift, as in
-    dixmier_estimate; a singular spectrum's sum is taken as it is.
-    """
+    """Partial sum sigma_N of the first N = `count` >= 1 values, as a real number."""
     _check_count(spectrum, count)
-    return float(_real_sums(spectrum, np.asarray(spectrum.values[:count].sum())))
+    return float(_partial_sums(spectrum, [count])[0])
 
 
 def gamma(spectrum: Spectrum, count: int) -> float:
@@ -214,14 +216,8 @@ def calderon_norm(spectrum: Spectrum) -> float:
         raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
-    sums = np.cumsum(spectrum.values)
     counts = np.arange(2, len(spectrum) + 1)
-    return float(np.max(sums[1:] / np.log(counts)))
-
-
-def _partial_sums(spectrum, checkpoints) -> np.ndarray:
-    sums = np.cumsum(spectrum.values)
-    return _real_sums(spectrum, sums[np.asarray(checkpoints, dtype=int) - 1])
+    return float(np.max(_partial_sums(spectrum, counts) / np.log(counts)))
 
 
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:
@@ -257,17 +253,17 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
     """Extrapolated Dixmier trace from partial sums at the checkpoints.
 
     Rows hold (N, sigma_N / log N); the limit is fitted under the
-    log_inverse model.  Eigenvalue sequences are summed through their real
+    log_inverse model.  The checkpoints obey traces.checked_n_grid
+    (distinct integers, each at least 2), and there must be at least
+    three of them.  Eigenvalue sequences are summed through their real
     parts, with the imaginary drift asserted to be negligible rather than
     silently discarded.  Slow or absent convergence shows up in the
     residual; no exception is raised for it.
     """
-    ns = sorted({int(n) for n in checkpoints})
+    ns = checked_n_grid(checkpoints)
     if len(ns) < 3:
         raise DomainError("the Dixmier estimator needs at least three checkpoints")
-    if ns[0] < 2:
-        raise DomainError("checkpoints must be at least 2")
-    _check_count(spectrum, ns[-1], minimum=2)
+    _check_count(spectrum, ns[-1])
     sums = _partial_sums(spectrum, ns)
     return log_inverse_table(ns, [float(s) / math.log(n) for s, n in zip(sums, ns)])
 

@@ -21,7 +21,7 @@ from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
 from .errors import DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
-from .traces import checked_n_grid, diagonal_prefix, shell_sums, tau_diagonal
+from .traces import tau_diagonal, tau_shell
 
 # Peak bytes per level of the routes below: the level itself and one
 # coefficient entry of a projection or f(H), as Python objects (about 350
@@ -176,21 +176,17 @@ def spectral_formula_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
 
 def idos_shell_approx(op: LandauDiagonalOperator, eps: float, n_grid,
                       cfg: MagneticConfig) -> ConvergenceTable:
-    """Energy-shell route to the IDOS.
+    """Energy-shell route to the IDOS: idos_scale times tau_shell of P.
 
-    Raw column: (2 / (omega_ell * log N)) * sum_{j<=N} w_j(P) for the
-    spectral projection P at threshold eps; it approaches the IDOS from
+    P is the spectral projection at threshold eps.  The raw column
+    idos_scale * (1/log N) * sum_{j<=N} w_j(P) approaches the IDOS from
     above like 1/log N.  The accelerated column applies the harmonic
     rearrangement, collapsing to idos_scale times the partial diagonal
     sum, which is exact once N covers the projection.
     """
-    projection = spectral_projection(op, eps)
-    ns = checked_n_grid(n_grid)
-    prefix = diagonal_prefix(projection, ns[-1])
-    sums = shell_sums(prefix)
-    scale = 2.0 / cfg.omega_ell
-    return log_inverse_table(ns, [scale * sums[n].real / math.log(n) for n in ns],
-                             [cfg.idos_scale * prefix[n].real for n in ns])
+    shell = tau_shell(spectral_projection(op, eps), n_grid)
+    return log_inverse_table(shell.params, [cfg.idos_scale * v.real for v in shell.raw],
+                             [cfg.idos_scale * v.real for v in shell.accelerated])
 
 
 @dataclass(frozen=True)

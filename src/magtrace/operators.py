@@ -201,7 +201,7 @@ class WeightedProduct:
         """Row and column weights (r, c) of the blocks m at truncation count.
 
         r and c have shape m.shape + (count,), and block m of the product
-        is r[:, None] * matrix_block(source, m, count) * c[None, :].  A side
+        is r[:, None] * matrix_block(source, count) * c[None, :].  A side
         that the form leaves unweighted is None rather than ones, so
         weighted entries are exactly the products the form prescribes.
         """
@@ -229,17 +229,15 @@ def weighted_product(source: CoefficientOperator, form: str, lam: float,
                            lam2=float(lam2), s=float(s))
 
 
-def matrix_block(op: CoefficientOperator, m: int, count: int) -> np.ndarray:
-    """Truncated matrix of `op` on the block with degeneracy index m.
+def matrix_block(op: CoefficientOperator, count: int) -> np.ndarray:
+    """Truncated matrix of `op` on any block of fixed degeneracy index.
 
     Rows and columns run over the Landau indices n, n' in [0, count), and
     entry (n, n') is a_{n',n}.  The operator acts as the identity on the
-    degeneracy index, so every block m has the same matrix.
+    degeneracy index, so every block has this same matrix.
     """
     if not isinstance(op, CoefficientOperator):
         raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
-    if m < 0:
-        raise DomainError("block index m must be non-negative")
     if count < 1:
         raise DomainError("truncation size must be at least 1")
     check_memory(16 * count * count, "a block of size %d" % count)
@@ -290,7 +288,7 @@ def coefficient_bound_check(t_entries: Mapping[tuple[int, int], complex],
     if op.max_index >= count:
         raise DomainError("truncation %d does not cover entries up to index %d"
                           % (count, op.max_index))
-    block = matrix_block(op, 0, count)
+    block = matrix_block(op, count)
     norm = float(np.linalg.norm(block, ord=2))
     max_entry = float(max((abs(v) for v in op.entries.values()), default=0.0))
     return BoundCheck(max_entry=max_entry, block_norm=norm)

@@ -12,6 +12,7 @@ of this module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -96,29 +97,30 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
     return complex(total) / j
 
 
-def diagonal_prefix(s: CoefficientOperator, count: int) -> np.ndarray:
-    """Prefix sums p[j] = sum_{n<j} s_nn for j = 0 .. count.
+def shell_sums(s: CoefficientOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal prefix sums and cumulative shell averages up to count.
 
-    The memory budget covers five complex arrays of count + 1 entries:
-    the peak of these sums and of the shell sums built from them.
+    Returns (p, W) with p[N] = sum_{n<N} s_nn and W[N] = sum_{j<=N} w_j(S)
+    for N = 0 .. count, since the j-th shell average is w_j(S) = p[j] / j.
+    The memory budget covers five complex arrays of count + 1 entries,
+    the peak of building both.
     """
     check_memory(80 * (count + 1), "the diagonal prefix up to %d" % count)
-    return np.concatenate([[0.0 + 0.0j], np.cumsum(s.diagonal_array(count))])
-
-
-def shell_sums(prefix: np.ndarray) -> np.ndarray:
-    """Cumulative shell averages W[N] = sum_{j<=N} w_j(S) for N = 0 .. n_max.
-
-    prefix holds the diagonal prefix sums p[0 .. n_max] of S, since the
-    j-th shell average is w_j(S) = p[j] / j.
-    """
-    js = np.arange(1, prefix.size, dtype=float)
-    return np.concatenate([[0.0 + 0.0j], np.cumsum(prefix[1:] / js)])
+    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(s.diagonal_array(count))])
+    js = np.arange(1, count + 1, dtype=float)
+    return prefix, np.concatenate([[0.0 + 0.0j], np.cumsum(prefix[1:] / js)])
 
 
 def checked_n_grid(n_grid) -> list[int]:
-    """Sorted distinct truncation points, each at least 2."""
-    ns = sorted({int(n) for n in n_grid})
+    """Sorted truncation points: distinct integral values, each at least 2.
+
+    Integers and integral floats such as 1e12 are accepted; non-integral,
+    non-finite and repeated values are refused rather than rounded or merged.
+    """
+    ns = sorted({int(n) for n in n_grid if isinstance(n, numbers.Integral)
+                 or (math.isfinite(n) and n == math.floor(n))})
+    if len(ns) != len(n_grid):
+        raise DomainError("truncation points must be distinct integers: %r" % (n_grid,))
     if len(ns) < 1:
         raise DomainError("at least one truncation point is required")
     if ns[0] < 2:
@@ -137,8 +139,7 @@ def tau_shell(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     under the log_inverse model.
     """
     ns = checked_n_grid(n_grid)
-    prefix = diagonal_prefix(s, ns[-1])
-    sums = shell_sums(prefix)
+    prefix, sums = shell_sums(s, ns[-1])
     return log_inverse_table(ns, [complex(sums[n]) / math.log(n) for n in ns],
                              [prefix[n] for n in ns])
 
@@ -164,7 +165,7 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     shells = sorted({completed_shells(n + 1) for n in ns})
     if shells[0] < 2:
         raise DomainError("ordered-basis truncations must cover at least two shells")
-    sums = shell_sums(diagonal_prefix(s, shells[-1]))
+    _, sums = shell_sums(s, shells[-1])
     states = [e * (e + 1) // 2 for e in shells]
     table = log_inverse_table(states, [complex(sums[e]) / math.log(n)
                                        for e, n in zip(shells, states)])

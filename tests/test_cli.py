@@ -127,9 +127,14 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
     assert invoke([], capsys)[0] == 64
     assert invoke(["trace"], capsys)[0] == 64
     assert invoke(["--bogus-flag", "trace", "diag", "--op", pi0_file], capsys)[0] == 64
-    for grid in ("1e400", "100,nan"):
-        rc, _, err = invoke(["trace", "shell", "--op", pi0_file, "--Ngrid", grid], capsys)
-        assert rc == 64
+    # grids are validated, not rounded, and an empty list is no grid
+    for grid in ("1e400", "100,nan", ",", "", "100,,1000", "100.7,1000.2,9999.6"):
+        rc, out, err = invoke(["trace", "shell", "--op", pi0_file, "--Ngrid", grid], capsys)
+        assert (rc, out) == (64, ""), grid
+        assert err.startswith("usage error:")
+    for grid in (",", "0.1,0.01,0.001,"):
+        rc, out, err = invoke(["trace", "residue", "--op", pi0_file, "--xgrid", grid], capsys)
+        assert (rc, out) == (64, ""), grid
         assert err.startswith("usage error:")
     rc, _, err = invoke(["--format", "xml", "trace", "diag", "--op", pi0_file], capsys)
     assert rc == 64
@@ -144,11 +149,15 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
         assert "unrecognized arguments" in err
     # only compose and adjoint produce an operator to save
     for argv in (["op", "norm", "--in", pi0_file, "--p", "2"],
-                 ["op", "block", "--in", pi0_file, "--m", "0", "--N", "2"]):
+                 ["op", "block", "--in", pi0_file, "--N", "2"]):
         rc, out, err = invoke(argv + ["--save", pi0_file + ".saved"], capsys)
         assert (rc, out) == (64, ""), argv
         assert "unrecognized arguments: --save" in err
         assert not os.path.exists(pi0_file + ".saved")
+    # every block has the same matrix, so op block takes no block index
+    rc, out, err = invoke(["op", "block", "--in", pi0_file, "--m", "0", "--N", "2"], capsys)
+    assert (rc, out) == (64, "")
+    assert "unrecognized arguments: --m" in err
 
 
 def test_exit_2_on_non_finite_input(pi0_file, tmp_path, capsys):
@@ -163,6 +172,20 @@ def test_exit_2_on_non_finite_input(pi0_file, tmp_path, capsys):
     rc, out, err = invoke(["op", "norm", "--in", pi0_file, "--p", "nan"], capsys)
     assert (rc, out) == (2, "")
     assert "require p >= 1" in err
+
+
+def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
+    # a repeated truncation point or sample is refused, not merged
+    for argv in (["trace", "shell", "--op", pi0_file, "--Ngrid", "100,100,1000"],
+                 ["trace", "ordered", "--op", pi0_file, "--Ngrid", "100,100,1000"],
+                 ["dos", "approx", "--eps", "2", "--Ngrid", "100,100,1000"]):
+        rc, out, err = invoke(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert "truncation points must be distinct integers" in err
+    rc, out, err = invoke(["trace", "residue", "--op", pi0_file, "--xgrid", "0.1,0.1,0.01"],
+                          capsys)
+    assert (rc, out) == (2, "")
+    assert "must be distinct" in err
 
 
 def test_exit_3_on_unconverged_table(pi0_file, capsys):
@@ -228,10 +251,10 @@ def test_op_compose_norm_block(pi0_file, capsys):
     assert rc == 0
     assert json.loads(out)["norm"] == 1.0
 
-    rc, out, _ = invoke(["op", "block", "--in", pi0_file, "--m", "0", "--N", "2"],
-                        capsys)
+    rc, out, _ = invoke(["op", "block", "--in", pi0_file, "--N", "2"], capsys)
     assert rc == 0
     report = json.loads(out)
+    assert "m" not in report
     assert report["trace"] == {"im": 0.0, "re": 1.0}
     assert report["entries"][0][0] == {"im": 0.0, "re": 1.0}
     assert report["entries"][1][1] == {"im": 0.0, "re": 0.0}
@@ -421,7 +444,7 @@ OVERSIZED = {
     "basis-gram": ["basis", "gram", "--max-index", "1", "--nodes", "40000"],
     "dixmier-diagonal": ["dixmier", "estimate", "--op", "{pi0}", "--shells", "100000000"],
     "dixmier-stack": ["dixmier", "estimate", "--op", "{dense16}", "--shells", "100000000"],
-    "op-block": ["op", "block", "--in", "{pi0}", "--m", "0", "--N", "100000"],
+    "op-block": ["op", "block", "--in", "{pi0}", "--N", "100000"],
 }
 
 

@@ -136,7 +136,21 @@ def test_sigma_and_gamma():
     with pytest.raises(RangeError):
         sigma_p(spec, 10001)
     with pytest.raises(DomainError):
+        sigma_p(spec, 0)
+    with pytest.raises(DomainError):
         gamma(spec, 1)
+
+
+def test_gamma_reads_the_estimate_rows():
+    # gamma and dixmier_estimate share one partial-sum path: equal bits
+    singular = harmonic_spectrum(4000)
+    hop = CoefficientOperator({(0, 1): 0.5, (1, 0): 0.5, (1, 1): -0.25})
+    eigen = collect_spectrum(weighted_product(hop, "left", 0.0), m_max=255, n_max=2,
+                             kind="eigen")
+    for spec in (singular, eigen):
+        ladder = checkpoint_ladder(spec)
+        table = dixmier_estimate(spec, ladder)
+        assert list(table.raw) == [gamma(spec, n) for n in ladder]
 
 
 def test_calderon_norm_single_atom():
@@ -197,6 +211,8 @@ def test_dixmier_estimate_harmonic():
         dixmier_estimate(spec, (10, 100))
     with pytest.raises(DomainError):
         dixmier_estimate(spec, (1, 10, 100))
+    with pytest.raises(DomainError, match="distinct"):
+        dixmier_estimate(spec, (10, 100, 100, 1000))
     with pytest.raises(RangeError):
         dixmier_estimate(spec, (10, 100, 200000))
 

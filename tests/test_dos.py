@@ -19,6 +19,7 @@ from magtrace import (
     spectral_formula_check,
     spectral_projection,
     tau_diagonal,
+    tau_shell,
 )
 
 BUMP = CompactTestFunction(nodes=((0.0, 0.0), (1.0, 1.0), (2.2, 0.0)))
@@ -170,6 +171,19 @@ def test_idos_shell_approx(cfg):
     assert table.accelerated == (exact,) * 3
     assert abs(table.extrapolated - exact) <= 1e-2
     assert table.converged
+
+
+def test_idos_shell_approx_is_scaled_tau_shell():
+    # the IDOS shell route is idos_scale times the shell trace of the projection
+    for ell, eps in ((1.0, 2.0), (0.7, 5.5)):
+        cfg = make_config(ell)
+        op = landau_hamiltonian(40)
+        table = idos_shell_approx(op, eps, (100, 1000, 10000), cfg)
+        shell = tau_shell(spectral_projection(op, eps), (100, 1000, 10000))
+        assert table.params == shell.params
+        assert table.accelerated == tuple(cfg.idos_scale * v.real for v in shell.accelerated)
+        for value, shell_value in zip(table.raw, shell.raw):
+            assert value == pytest.approx(cfg.idos_scale * shell_value.real, rel=1e-15)
 
 
 def test_idos_shell_approx_propagates_domain_errors(cfg):

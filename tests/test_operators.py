@@ -73,8 +73,8 @@ def test_compose_matches_block_product(rng):
     for trial in range(5):
         a = random_operator(rng, max_index=SIZE - 1, count=16)
         b = random_operator(rng, max_index=SIZE - 1, count=16)
-        lhs = matrix_block(compose(a, b), 0, SIZE)
-        rhs = matrix_block(a, 0, SIZE) @ matrix_block(b, 0, SIZE)
+        lhs = matrix_block(compose(a, b), SIZE)
+        rhs = matrix_block(a, SIZE) @ matrix_block(b, SIZE)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -138,9 +138,9 @@ def test_weight_block_is_diagonal_of_inverse_shells():
     assert np.allclose(w.value(np.arange(2), 3), [0.25, 0.2], atol=1e-15)
     # matrix_block takes coefficient operators only
     with pytest.raises(DomainError, match="unsupported operand type"):
-        matrix_block(w, 3, 2)
+        matrix_block(w, 2)
     with pytest.raises(DomainError, match="unsupported operand type"):
-        matrix_block(weighted_product(CoefficientOperator.projection(0), "left", 0.0), 3, 2)
+        matrix_block(weighted_product(CoefficientOperator.projection(0), "left", 0.0), 2)
 
 
 def test_weight_validation():

@@ -24,6 +24,7 @@ from magtrace import (
     theta,
 )
 from magtrace.extrapolate import log_inverse_table, richardson_table
+from magtrace.traces import checked_n_grid
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -226,6 +227,15 @@ def test_tau_shell_grid_validation():
         tau_shell(s, ())
     with pytest.raises(DomainError):
         tau_shell(s, (1, 100))
+
+
+def test_checked_n_grid():
+    # one rule for every truncation grid: distinct integral values >= 2, sorted
+    assert checked_n_grid((1000, 100, 1e12)) == [100, 1000, 10 ** 12]
+    assert checked_n_grid((np.int64(7), 2.0)) == [2, 7]
+    for grid in ((100.7,), (100, 100, 1000), (100, float("nan")), (100, float("inf")), ()):
+        with pytest.raises(DomainError):
+            checked_n_grid(grid)
 
 
 def test_completed_shells():
