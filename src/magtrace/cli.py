@@ -75,7 +75,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     values = _parse_floats(text)
     if not all(v.is_integer() for v in values):
         raise UsageError("expected a comma-separated list of integers: %r" % text)
-    return tuple(int(v) for v in values)
+    # an all-digit entry is read exactly, not rounded through float
+    return tuple(int(p) if p.isdigit() else int(v) for p, v in zip(text.split(","), values))
 
 
 # Every flag once, with its add_argument keywords; GLOBAL_FLAGS precede the subcommand.

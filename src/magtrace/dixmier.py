@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, RangeError, check_memory
+from .errors import DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import checked_n_grid, hurwitz_zeta
-
-_EIGEN_IMAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -44,13 +42,6 @@ class SpectralTail:
         return hurwitz_zeta(self.s * p - 1.0, q) - self.shift * hurwitz_zeta(self.s * p, q)
 
 
-def _sorted_descending(values: np.ndarray) -> np.ndarray:
-    order = np.lexsort((-values.imag if np.iscomplexobj(values) else np.zeros_like(values),
-                        -values.real,
-                        -np.abs(values)))
-    return values[order]
-
-
 SPECTRUM_KINDS = ("singular", "eigen")
 
 
@@ -59,8 +50,9 @@ class Spectrum:
     """Sorted spectrum of a compact operator with provenance metadata.
 
     kind "singular" holds non-negative singular values in non-increasing
-    order; kind "eigen" holds complex eigenvalues ordered by non-increasing
-    modulus, ties broken toward the larger real, then imaginary, part.
+    order; kind "eigen" holds the real eigenvalues of a self-adjoint
+    operator ordered by non-increasing modulus, ties broken toward the
+    positive value.  Eigenvalues with a non-zero imaginary part are refused.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator (None when the whole list is); `tail` is an
     optional analytic model for everything beyond the truncation.
@@ -74,11 +66,16 @@ class Spectrum:
 
     def __post_init__(self):
         if self.kind == "singular":
-            values = np.sort(np.asarray(self.values, dtype=float))[::-1].copy()
+            # a reversed view: a contiguous copy raised peak memory
+            values = np.sort(np.asarray(self.values, dtype=float))[::-1]
             if values.size and values[-1] < 0.0:
                 raise DomainError("singular values must be non-negative")
         elif self.kind == "eigen":
-            values = _sorted_descending(np.asarray(self.values, dtype=complex))
+            values = np.asarray(self.values)
+            if np.iscomplexobj(values) and np.any(values.imag):
+                raise DomainError("eigen spectra hold real eigenvalues only")
+            values = values.real.astype(float, copy=False)
+            values = values[np.lexsort((-values, -np.abs(values)))]
         else:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
         object.__setattr__(self, "values", values)
@@ -87,16 +84,33 @@ class Spectrum:
         return int(self.values.size)
 
 
+def _weighted_blocks(block, row, col, m):
+    """Blocks A S B of the source block at weight index or slice m; None weighs 1."""
+    if row is not None:
+        block = row[m, :, None] * block
+    if col is not None:
+        block = block * col[m, None, :]
+    return block
+
+
 def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
 
     A source block without off-diagonal entries is weighted on its
-    diagonal alone; otherwise the blocks m = 0 .. m_max + 1 are built as
-    one stack and factored by one batched SVD or eigendecomposition.
-    The memory budget is checked before the block weights are built.
+    diagonal alone; otherwise the blocks m = 0 .. m_max are built as one
+    stack and factored by one batched SVD or eigvalsh.  For a Hermitian
+    source S, A S B is similar to the Hermitian (AB)^(1/2) S (AB)^(1/2),
+    so kind "eigen" refuses any other source and factors that stack.
+    The frontier block m_max + 1 is the form's own A S B.  The memory
+    budget is checked before the block weights are built.
     """
     source = op.source
-    diagonal = all(j == k or max(j, k) >= n_max for j, k in source.entries)
+    truncated = {key: v for key, v in source.entries.items() if max(key) < n_max}
+    if kind == "eigen" and any(truncated.get((k, j), 0.0) != v.conjugate()
+                               for (j, k), v in truncated.items()):
+        raise DomainError("kind \"eigen\" needs a Hermitian source: a_kj = conj(a_jk) "
+                          "for all j, k < %d" % n_max)
+    diagonal = all(j == k for j, k in truncated)
     # 16 bytes per (m, n): the two real weight arrays, or one complex array
     unit = 16 * (m_max + 2) * n_max
     if diagonal:
@@ -113,28 +127,27 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
         if col is not None:
             data = data * col
         return data[:-1].ravel(), np.diag(data[-1])
-    stack = matrix_block(source, n_max)
-    if row is not None:
-        stack = row[:, :, None] * stack
-    if col is not None:
-        stack = stack * col[:, None, :]
-    blocks = stack[:-1]
+    block = matrix_block(source, n_max)
+    frontier = _weighted_blocks(block, row, col, -1)
     if kind == "singular":
-        return np.linalg.svd(blocks, compute_uv=False).ravel(), stack[-1]
-    values, vectors = np.linalg.eig(blocks)
-    bad = np.flatnonzero(np.linalg.cond(vectors) > 1e12)
-    if bad.size:
-        raise ComputationError("block m=%d is numerically non-diagonalizable" % bad[0])
-    return values.ravel(), stack[-1]
+        stack = _weighted_blocks(block, row, col, slice(-1))
+        return np.linalg.svd(stack, compute_uv=False).ravel(), frontier
+    root = np.sqrt((1.0 if row is None else row[:-1]) * (1.0 if col is None else col[:-1]))
+    stack = root[:, :, None] * block
+    stack *= root[:, None, :]
+    return np.linalg.eigvalsh(stack).ravel(), frontier
 
 
 def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
                      kind: str = "singular") -> Spectrum:
     """Merged, sorted spectrum of the blocks m = 0 .. m_max at size n_max.
 
-    The blocks of the weighted product go through SVD (kind "singular")
-    or an eigendecomposition (kind "eigen") all at once, and purely
-    diagonal blocks are read off without factorization.  The reliable
+    The blocks of the weighted product go through one batched SVD (kind
+    "singular") or one batched eigvalsh (kind "eigen"), and purely
+    diagonal blocks are read off without factorization.  Kind "eigen"
+    needs a source whose truncation is exactly Hermitian, a_kj = conj(a_jk)
+    for max(j, k) < n_max, and returns real eigenvalues; any other source
+    is refused with DomainError before anything is allocated.  The reliable
     prefix length is the number of retained values strictly above the
     norm of the first omitted block, beyond which sorting against the
     truncation boundary would mix retained and missing contributions.
@@ -184,18 +197,9 @@ def _partial_sums(spectrum, counts) -> np.ndarray:
     """Real partial sums sigma_N at each N in counts, read off one cumsum.
 
     The cumsum runs over the whole spectrum: a sliced or zero-padded one
-    raised peak memory.  Eigenvalue sums must have negligible imaginary
-    drift; singular sums are taken as they are.
+    raised peak memory.
     """
-    sums = np.cumsum(spectrum.values)[np.asarray(counts, dtype=int) - 1]
-    if spectrum.kind == "eigen":
-        drift = float(np.max(np.abs(sums.imag), initial=0.0))
-        if drift > _EIGEN_IMAG_TOL:
-            raise ComputationError(
-                "eigenvalue partial sums have imaginary drift %.2e; "
-                "the operator is not numerically self-adjoint" % drift)
-        sums = sums.real
-    return sums.astype(float)
+    return np.cumsum(spectrum.values)[np.asarray(counts, dtype=int) - 1]
 
 
 def sigma_p(spectrum: Spectrum, count: int) -> float:
@@ -255,10 +259,9 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
     Rows hold (N, sigma_N / log N); the limit is fitted under the
     log_inverse model.  The checkpoints obey traces.checked_n_grid
     (distinct integers, each at least 2), and there must be at least
-    three of them.  Eigenvalue sequences are summed through their real
-    parts, with the imaginary drift asserted to be negligible rather than
-    silently discarded.  Slow or absent convergence shows up in the
-    residual; no exception is raised for it.
+    three of them.  Eigenvalue sequences are summed with their signs.
+    Slow or absent convergence shows up in the residual; no exception is
+    raised for it.
     """
     ns = checked_n_grid(checkpoints)
     if len(ns) < 3:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and its one memory budget.
 
-Every raised condition falls into one of four buckets so the command line
+Every raised condition falls into one of three buckets so the command line
 front end can map failures onto stable exit codes.
 """
 
@@ -22,10 +22,6 @@ class RangeError(CalculusError, ValueError):
 
 class ResourceError(CalculusError, RuntimeError):
     """A computation would exceed the configured numerical budget."""
-
-
-class ComputationError(CalculusError, RuntimeError):
-    """A numerical routine failed to produce a trustworthy result."""
 
 
 def check_memory(size: int, what: str) -> None:

@@ -188,6 +188,14 @@ def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
     assert "must be distinct" in err
 
 
+def test_exit_2_names_an_ngrid_integer_exactly(pi0_file, capsys):
+    # an all-digit entry above 2**53 reaches the memory budget unrounded
+    rc, out, err = invoke(["trace", "shell", "--op", pi0_file,
+                           "--Ngrid", "100,12345678901234567891"], capsys)
+    assert (rc, out) == (2, "")
+    assert "prefix up to 12345678901234567891 needs" in err
+
+
 def test_exit_3_on_unconverged_table(pi0_file, capsys):
     rc, out, _ = invoke(["trace", "shell", "--op", pi0_file,
                          "--Ngrid", "100"], capsys)

@@ -7,7 +7,6 @@ import pytest
 
 from magtrace import (
     CoefficientOperator,
-    ComputationError,
     DiagonalWeight,
     DomainError,
     RangeError,
@@ -51,12 +50,14 @@ def test_singular_spectrum_sorts_and_validates():
 
 
 def test_eigen_sequence_orders_by_modulus():
-    seq = Spectrum(np.array([1.0 - 1.0j, 3.0, -0.5j, 1.0 + 1.0j]), "mixed", "eigen")
-    assert seq.values[0] == 3.0
-    assert abs(seq.values[1]) == pytest.approx(math.sqrt(2.0))
-    # tie in modulus is broken toward the larger imaginary part
-    assert seq.values[1] == 1.0 + 1.0j
-    assert seq.values[-1] == -0.5j
+    seq = Spectrum(np.array([-0.5, 3.0, 0.25, -1.0, 1.0]), "mixed", "eigen")
+    assert seq.values.dtype == float
+    # a tie in modulus is broken toward the positive value
+    assert list(seq.values) == [3.0, 1.0, -1.0, -0.5, 0.25]
+    # complex input whose imaginary parts vanish is held as real
+    tie = Spectrum(np.array([-2.0 + 0.0j, 2.0 + 0.0j]), "tie", "eigen")
+    assert tie.values.dtype == float
+    assert list(tie.values) == [2.0, -2.0]
 
 
 def test_spectral_tail_power_sums():
@@ -102,19 +103,58 @@ def test_collect_spectrum_validation():
         collect_spectrum(wide, m_max=10, n_max=3001)
 
 
-def test_collect_spectrum_non_diagonalizable_block():
-    src = CoefficientOperator({(0, 1): 1.0})
-    wp = weighted_product(src, "left", 0.0)
-    with pytest.raises(ComputationError, match="block m=0 is numerically non-diagonalizable"):
-        collect_spectrum(wp, m_max=2, n_max=2, kind="eigen")
+def test_eigen_spectra_refuse_non_hermitian_sources():
+    # one-sided (a non-diagonalizable block), anti-Hermitian (imaginary
+    # eigenvalues) and a complex diagonal entry
+    for entries in ({(0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -1.0}, {(0, 0): 1j}):
+        wp = weighted_product(CoefficientOperator(entries), "left", 0.0)
+        with pytest.raises(DomainError, match="Hermitian source"):
+            collect_spectrum(wp, m_max=2, n_max=2, kind="eigen")
+        # the entries are checked before the memory budget is
+        with pytest.raises(DomainError, match="Hermitian source"):
+            collect_spectrum(wp, m_max=10 ** 9, n_max=2, kind="eigen")
+        # singular values need no symmetry
+        assert len(collect_spectrum(wp, m_max=2, n_max=2)) == 6
+    # only the truncated source has to be Hermitian
+    beyond = CoefficientOperator({(0, 0): 1.0, (0, 5): 1.0})
+    spec = collect_spectrum(weighted_product(beyond, "left", 0.0), m_max=2, n_max=2,
+                            kind="eigen")
+    assert spec.values.dtype == float
 
 
-def test_eigen_partial_sums_reject_imaginary_drift():
-    src = CoefficientOperator({(0, 1): 1.0, (1, 0): -1.0})
-    wp = weighted_product(src, "left", 0.0)
-    spec = collect_spectrum(wp, m_max=4, n_max=2, kind="eigen")
-    with pytest.raises(ComputationError, match="imaginary drift"):
-        dixmier_estimate(spec, (2, 3, 4))
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form):
+    rng = np.random.default_rng(2024)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = h + h.conj().T
+    source = CoefficientOperator({(j, k): h[j, k] for j in range(6) for k in range(6)})
+    lam, lam2, m_max = -0.5, 10.0, 7
+    spectrum = collect_spectrum(weighted_product(source, form, lam, lam2), m_max, 6, "eigen")
+
+    # the explicit, non-symmetrised blocks A S B, with block entry (n, n') = a_{n'n}
+    n = np.arange(6.0)
+    m = np.arange(m_max + 2.0)[:, None]
+    w, w2, ones = 1.0 / (n + m + 1.0 + lam), 1.0 / (n + m + 1.0 + lam2), np.ones((m_max + 2, 6))
+    a, b = {"left": (w, ones), "right": (ones, w), "split": (np.sqrt(w), np.sqrt(w2))}[form]
+    blocks = a[:, :, None] * h.T * b[:, None, :]
+    expected = np.linalg.eigvals(blocks[:-1]).ravel()
+    scale = np.abs(expected).max()
+    assert np.abs(expected.imag).max() <= 1e-12 * scale
+    assert spectrum.values.dtype == float
+    assert np.abs(np.sort(spectrum.values) - np.sort(expected.real)).max() <= 1e-12 * scale
+    # the reliable prefix stops at the 2-norm of the form's own frontier
+    # block; at this small m_max the symmetrised block would admit more
+    threshold = np.linalg.norm(blocks[-1], ord=2)
+    assert spectrum.reliable == np.count_nonzero(np.abs(spectrum.values) > threshold)
+    root = np.sqrt(a[-1] * b[-1])
+    symmetrised = np.linalg.norm(root[:, None] * h.T * root[None, :], ord=2)
+    assert spectrum.reliable < np.count_nonzero(np.abs(spectrum.values) > symmetrised)
+
+    # hopping eigenvalues come in exact +- pairs, each sorted positive first
+    hop = CoefficientOperator({(0, 1): 0.6 - 0.8j, (1, 0): 0.6 + 0.8j})
+    pairs = collect_spectrum(weighted_product(hop, form, lam, lam2), 255, 2, "eigen").values
+    assert np.all(pairs[0::2] > 0.0)
+    assert np.array_equal(pairs[1::2], -pairs[0::2])
 
 
 def test_shell_spectrum_multiplicities():
@@ -162,15 +202,15 @@ def test_calderon_norm_single_atom():
 
 @pytest.mark.filterwarnings("error")
 def test_partial_sums_of_an_eigen_spectrum_are_real():
-    # gamma sums the real parts after the drift check, as dixmier_estimate does,
-    # with no ComplexWarning for a discarded imaginary part
-    spec = Spectrum(np.array([1.0, 0.5 + 1e-13j, -0.25, 0.125 - 1e-13j]), "eigen", kind="eigen")
+    # gamma sums signed real eigenvalues, as dixmier_estimate does, with no
+    # ComplexWarning for complex input whose imaginary parts vanish
+    spec = Spectrum(np.array([1.0, 0.5 + 0.0j, -0.25, 0.125 - 0.0j]), "eigen", kind="eigen")
     assert sigma_p(spec, 4) == 1.375
     assert isinstance(sigma_p(spec, 4), float)
     assert gamma(spec, 3) == pytest.approx(1.25 / math.log(3.0), rel=1e-15)
-    drifting = Spectrum(np.array([1.0, 0.5 + 1e-3j, 0.25]), "drifting", kind="eigen")
-    with pytest.raises(ComputationError, match="imaginary drift"):
-        gamma(drifting, 3)
+    # an eigenvalue off the real axis is refused when the spectrum is built
+    with pytest.raises(DomainError, match="real eigenvalues"):
+        Spectrum([1, 0.5 + 1e-3j], "drifting", kind="eigen")
     # the Calderon norm is a supremum over singular values only
     with pytest.raises(DomainError, match="singular values"):
         calderon_norm(spec)
