@@ -103,18 +103,33 @@ def test_collect_spectrum_validation():
         collect_spectrum(wide, m_max=10, n_max=3001)
 
 
+def _assert_eigen_refused(entries):
+    wp = weighted_product(CoefficientOperator(entries), "left", 0.0)
+    with pytest.raises(DomainError, match="Hermitian source"):
+        collect_spectrum(wp, m_max=2, n_max=2, kind="eigen")
+    # the entries are checked before the memory budget is
+    with pytest.raises(DomainError, match="Hermitian source"):
+        collect_spectrum(wp, m_max=10 ** 9, n_max=2, kind="eigen")
+    # singular values need no symmetry
+    assert len(collect_spectrum(wp, m_max=2, n_max=2)) == 6
+
+
+def test_collect_spectrum_non_diagonalizable_block():
+    # a one-sided source has non-diagonalizable blocks; it is refused as
+    # non-Hermitian before any block is factored
+    _assert_eigen_refused({(0, 1): 1.0})
+
+
+def test_eigen_partial_sums_reject_imaginary_drift():
+    # an anti-Hermitian source has imaginary eigenvalues; it is refused
+    # before summation, and so is a spectrum holding such a value
+    _assert_eigen_refused({(0, 1): 1.0, (1, 0): -1.0})
+    with pytest.raises(DomainError):
+        Spectrum(np.array([1.0, 1j]), "imaginary", kind="eigen")
+
+
 def test_eigen_spectra_refuse_non_hermitian_sources():
-    # one-sided (a non-diagonalizable block), anti-Hermitian (imaginary
-    # eigenvalues) and a complex diagonal entry
-    for entries in ({(0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -1.0}, {(0, 0): 1j}):
-        wp = weighted_product(CoefficientOperator(entries), "left", 0.0)
-        with pytest.raises(DomainError, match="Hermitian source"):
-            collect_spectrum(wp, m_max=2, n_max=2, kind="eigen")
-        # the entries are checked before the memory budget is
-        with pytest.raises(DomainError, match="Hermitian source"):
-            collect_spectrum(wp, m_max=10 ** 9, n_max=2, kind="eigen")
-        # singular values need no symmetry
-        assert len(collect_spectrum(wp, m_max=2, n_max=2)) == 6
+    _assert_eigen_refused({(0, 0): 1j})
     # only the truncated source has to be Hermitian
     beyond = CoefficientOperator({(0, 0): 1.0, (0, 5): 1.0})
     spec = collect_spectrum(weighted_product(beyond, "left", 0.0), m_max=2, n_max=2,
