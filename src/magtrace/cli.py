@@ -5,7 +5,9 @@ dos, and a cross-engine compare.  Exit codes: 0 on success, 2 when a
 precondition is violated, 3 when a limit is computed but flagged as
 non-convergent, 64 on usage errors.  Reports are deterministic for fixed
 inputs and budgets; JSON output is canonical (sorted keys, floats at 17
-significant digits) so emitted reports round-trip byte for byte.
+significant digits) so emitted reports round-trip byte for byte.  CSV
+output lists each leaf of the same report as a key,value row: its dotted
+path, such as table.raw.0.re, and its JSON text (strings raw, null empty).
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ FLAGS = {
     "--form": dict(choices=WEIGHT_FORMS, default="left"),
     "--shells": dict(type=int, default=None),
     "--eps": dict(type=float, required=True),
-    "--J": dict(dest="truncation", type=int, default=None),
+    "--J": dict(dest="truncation", type=int, default=16),
     "--f": dict(dest="testfn", required=True),
 }
 GLOBAL_FLAGS = ("--ell", "--format", "--out", "--seed", "--budget-profile")
@@ -258,36 +260,34 @@ def cmd_dixmier_tauberian(args, cfg, budget):
 # -- dos handlers -----------------------------------------------------------
 
 
-def _dos_operator(args, minimum: float = 0.0) -> dosmod.LandauDiagonalOperator:
-    truncation = args.truncation
-    if truncation is None:
-        if not math.isfinite(minimum):
-            raise DomainError("the threshold must be finite")
-        truncation = max(64, int(minimum + 2.0))
-    return dosmod.landau_hamiltonian(truncation)
+def _dos_operator(minimum: float) -> dosmod.LandauDiagonalOperator:
+    """The Landau levels that cover a threshold or support end `minimum`."""
+    if not math.isfinite(minimum):
+        raise DomainError("the threshold must be finite")
+    return dosmod.landau_hamiltonian(max(64, int(minimum + 2.0)))
 
 
 def cmd_dos_idos(args, cfg, budget):
-    op = _dos_operator(args, args.eps)
+    op = _dos_operator(args.eps)
     return {"eps": args.eps, "idos": dosmod.idos(op, args.eps, cfg)}, True
 
 
 def cmd_dos_measure(args, cfg, budget):
-    op = dosmod.landau_hamiltonian(16 if args.truncation is None else args.truncation)
+    op = dosmod.landau_hamiltonian(args.truncation)
     measure = dosmod.dos_measure(op, cfg)
     return {"atoms": [[e, w] for e, w in measure.atoms]}, True
 
 
 def cmd_dos_spectral(args, cfg, budget):
     fn = serialize.load_test_function(args.testfn)
-    op = _dos_operator(args, fn.support[1])
+    op = _dos_operator(fn.support[1])
     check = dosmod.spectral_formula_check(op, fn, cfg)
     return {"trace_value": check.trace_value, "measure_value": check.measure_value,
             "gap": check.gap}, True
 
 
 def cmd_dos_approx(args, cfg, budget):
-    op = _dos_operator(args, args.eps)
+    op = _dos_operator(args.eps)
     n_grid = budget.n_grid if args.ngrid is None else args.ngrid
     table = dosmod.idos_shell_approx(op, args.eps, n_grid, cfg)
     return {"eps": args.eps, "table": table}, table.converged
@@ -295,7 +295,7 @@ def cmd_dos_approx(args, cfg, budget):
 
 def cmd_dos_dixmier(args, cfg, budget):
     fn = serialize.load_test_function(args.testfn)
-    op = _dos_operator(args, fn.support[1])
+    op = _dos_operator(fn.support[1])
     check = dosmod.dixmier_dos_check(op, fn, cfg, form=args.form, lam=args.lam,
                                      lam2=args.lam2, m_max=budget.shells * 4 - 1)
     return {"dixmier_value": check.dixmier_value, "measure_value": check.measure_value,
@@ -362,11 +362,11 @@ COMMANDS = {
     "dixmier gamma": (cmd_dixmier_gamma, WEIGHTED_SPECTRUM_FLAGS + ("--N",)),
     "dixmier estimate": (cmd_dixmier_estimate, WEIGHTED_SPECTRUM_FLAGS),
     "dixmier tauberian": (cmd_dixmier_tauberian, WEIGHTED_SPECTRUM_FLAGS + ("--xgrid",)),
-    "dos idos": (cmd_dos_idos, ("--eps", "--J")),
+    "dos idos": (cmd_dos_idos, ("--eps",)),
     "dos measure": (cmd_dos_measure, ("--J",)),
-    "dos spectral": (cmd_dos_spectral, ("--f", "--J")),
-    "dos approx": (cmd_dos_approx, ("--eps", "--J", "--Ngrid")),
-    "dos dixmier": (cmd_dos_dixmier, ("--f", "--form", "--lambda", "--lambda2", "--J")),
+    "dos spectral": (cmd_dos_spectral, ("--f",)),
+    "dos approx": (cmd_dos_approx, ("--eps", "--Ngrid")),
+    "dos dixmier": (cmd_dos_dixmier, ("--f", "--form", "--lambda", "--lambda2")),
     "compare": (cmd_compare, ("--op", "--lambda")),
 }
 
@@ -391,18 +391,6 @@ def build_parser() -> _Parser:
 # -- driver -----------------------------------------------------------------
 
 
-def _payload_to_csv(payload: dict) -> str:
-    if "table" in payload:
-        return serialize.table_to_csv(payload["table"])
-    lines = ["key,value"]
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, (int, float, complex, str, bool)) or value is None:
-            lines.append("%s,%s" % (key, serialize.format_cell(value)
-                                    if not isinstance(value, (str, bool)) else value))
-    return "\n".join(lines) + "\n"
-
-
 def run(argv) -> int:
     parser = build_parser()
     try:
@@ -425,7 +413,13 @@ def run(argv) -> int:
         if args.format == "json":
             text = serialize.canonical_json(report) + "\n"
         else:
-            text = _payload_to_csv(payload)
+            import csv  # here, not at the top: JSON runs skip its import cost
+            import io
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(("key", "value"))
+            writer.writerows(serialize.report_rows(report))
+            text = buffer.getvalue()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -88,7 +88,9 @@ def _weighted_blocks(block, row, col, m):
     """Blocks A S B of the source block at weight index or slice m; None weighs 1."""
     if row is not None:
         block = row[m, :, None] * block
-    if col is not None:
+        if col is not None:  # in place, into the array just made: one split stack
+            block *= col[m, None, :]
+    elif col is not None:  # the source block is shared and stays as it is
         block = block * col[m, None, :]
     return block
 

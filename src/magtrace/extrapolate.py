@@ -42,10 +42,6 @@ class ConvergenceTable:
         if self.accelerated is not None and len(self.accelerated) != len(self.params):
             raise DomainError("accelerated column length must match the parameter column")
 
-    def rows(self):
-        acc = self.accelerated or (None,) * len(self.params)
-        return list(zip(self.params, self.raw, acc))
-
     @property
     def converged(self) -> bool:
         """Heuristic flag: the fit residual is small on the scale of the limit."""

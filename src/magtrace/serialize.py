@@ -4,6 +4,7 @@ Operators travel as JSON objects {"entries": [{"j","k","re","im"}...],
 "class": ...}; test functions as {"nodes": [[eps, value], ...]}.  JSON
 reports are emitted canonically: keys sorted, floats at 17 significant
 digits, so parsing and re-emitting a report is byte identical.
+report_rows lists the leaves of the same report for CSV.
 """
 
 from __future__ import annotations
@@ -32,6 +33,30 @@ def canonical_json(obj) -> str:
     out = io.StringIO()
     _emit(obj, out)
     return out.getvalue()
+
+
+def report_rows(obj, path=()):
+    """(key path, cell) for each leaf that canonical_json emits, in its order.
+
+    A path joins mapping keys and list positions with dots, as in
+    "engines.dixmier.gap" or "table.raw.0.re".  A number cell is its
+    canonical JSON text, a string cell the raw string, and None an empty
+    cell.
+    """
+    if isinstance(obj, complex):
+        obj = {"im": obj.imag, "re": obj.real}
+    elif isinstance(obj, ConvergenceTable):
+        obj = table_to_dict(obj)
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from report_rows(obj[key], path + (key,))
+    elif isinstance(obj, (list, tuple)):
+        for pos, item in enumerate(obj):
+            yield from report_rows(item, path + (str(pos),))
+    elif obj is None or isinstance(obj, str):
+        yield ".".join(path), obj or ""
+    else:
+        yield ".".join(path), canonical_json(obj)
 
 
 def _emit(obj, out) -> None:
@@ -143,30 +168,6 @@ def load_test_function(path: str) -> CompactTestFunction:
         raise DomainError(message)
     return CompactTestFunction(nodes=tuple(tuple(_number(x, message) for x in pair)
                                            for pair in data["nodes"]))
-
-
-def format_cell(value) -> str:
-    """One CSV cell: complex as a+bj (real alone when b == 0), None empty."""
-    if isinstance(value, complex):
-        if value.imag == 0.0:
-            return format_float(value.real)
-        return "%s%+sj" % (format_float(value.real), format_float(value.imag))
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format_float(float(value))
-
-
-def table_to_csv(table: ConvergenceTable) -> str:
-    lines = ["param,raw,accelerated,extrapolated,residual"]
-    residual = table.residual if math.isfinite(table.residual) else None
-    for pos, (param, raw, acc) in enumerate(table.rows()):
-        tail = (format_cell(table.extrapolated), format_cell(residual)) if pos == 0 \
-            else ("", "")
-        lines.append(",".join([format_cell(param), format_cell(raw), format_cell(acc),
-                               *tail]))
-    return "\n".join(lines) + "\n"
 
 
 def table_to_dict(table: ConvergenceTable) -> dict:

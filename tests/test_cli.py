@@ -1,5 +1,7 @@
 """End-to-end command line checks: exit codes, payloads, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -69,11 +71,12 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
         rc, out, err = invoke(["dos", "idos", "--eps", eps], capsys)
         assert (rc, out) == (2, "")
         assert "threshold must be finite" in err
-    # a non-finite report value is refused at emission
-    rc, out, err = invoke(["basis", "eval", "--n", "2000", "--m", "0",
-                           "--x1", "30", "--x2", "0"], capsys)
-    assert (rc, out) == (2, "")
-    assert "non-finite" in err
+    # a non-finite report value is refused at emission, in either format
+    for fmt in ("json", "csv"):
+        rc, out, err = invoke(["--format", fmt, "basis", "eval", "--n", "2000", "--m", "0",
+                               "--x1", "30", "--x2", "0"], capsys)
+        assert (rc, out) == (2, ""), fmt
+        assert "non-finite" in err
 
 
 def test_exit_2_on_extreme_length(pi0_file, capsys):
@@ -154,6 +157,12 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
         assert (rc, out) == (64, ""), argv
         assert "unrecognized arguments: --save" in err
         assert not os.path.exists(pi0_file + ".saved")
+    # a threshold or a support sets the Landau truncation; only dos measure takes --J
+    for argv in (["idos", "--eps", "2"], ["spectral", "--f", pi0_file],
+                 ["approx", "--eps", "2"], ["dixmier", "--f", pi0_file]):
+        rc, out, err = invoke(["dos"] + argv + ["--J", "300"], capsys)
+        assert (rc, out) == (64, ""), argv
+        assert "unrecognized arguments: --J" in err
     # every block has the same matrix, so op block takes no block index
     rc, out, err = invoke(["op", "block", "--in", pi0_file, "--m", "0", "--N", "2"], capsys)
     assert (rc, out) == (64, "")
@@ -206,23 +215,46 @@ def test_exit_3_on_unconverged_table(pi0_file, capsys):
     assert report["table"]["converged"] is False
 
 
-def test_csv_table_output(pi0_file, capsys):
-    rc, out, _ = invoke(["--format", "csv", "trace", "shell",
-                         "--op", pi0_file], capsys)
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "param,raw,accelerated,extrapolated,residual"
-    assert len(lines) == 4
-    assert lines[2].split(",")[3:] == ["", ""]
+CSV_COMMANDS = {
+    "trace-diag": ["trace", "diag", "--op", "{pi0}"],
+    "trace-shell": ["trace", "shell", "--op", "{pi0}"],
+    "trace-ordered": ["trace", "ordered", "--op", "{pi0}"],
+    "compare": ["compare", "--op", "{pi0}"],
+    "dixmier-spectrum": ["dixmier", "spectrum", "--op", "{pi0}"],
+    "dos-measure": ["dos", "measure"],
+    "basis-gram": ["basis", "gram", "--max-index", "2"],
+    "op-adjoint": ["op", "adjoint", "--in", "{pi0}"],
+    "dos-dixmier": ["dos", "dixmier", "--f", "{bump}"],
+}
 
 
-def test_csv_scalar_output(pi0_file, capsys):
-    rc, out, _ = invoke(["--format", "csv", "trace", "diag",
-                         "--op", pi0_file], capsys)
-    assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "key,value"
-    assert "value,1" in lines
+def _json_leaves(node, path=()):
+    """(dotted path, text) of each leaf of a report parsed with its numbers as text."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for pos, value in enumerate(node):
+            yield from _json_leaves(value, path + (str(pos),))
+    elif isinstance(node, bool):
+        yield ".".join(path), "true" if node else "false"
+    else:
+        yield ".".join(path), "" if node is None else node
+
+
+@pytest.mark.parametrize("name", CSV_COMMANDS)
+def test_csv_lists_every_leaf_of_the_json_report(name, pi0_file, bump_file, capsys):
+    argv = ["--budget-profile", "quick"] + [
+        arg.format(pi0=pi0_file, bump=bump_file) for arg in CSV_COMMANDS[name]]
+    rc, out, _ = invoke(["--format", "json"] + argv, capsys)
+    rc_csv, text, err = invoke(["--format", "csv"] + argv, capsys)
+    assert (rc, rc_csv, err) == (0, 0, "")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    report = json.loads(out, parse_float=str, parse_int=str)
+    assert [row for row in rows[1:] if row[0] != "wall_time_s"] == [
+        [key, cell] for key, cell in _json_leaves(report) if key != "wall_time_s"]
 
 
 def test_out_file(pi0_file, tmp_path, capsys):
@@ -353,6 +385,8 @@ def test_dos_commands(bump_file, capsys):
     atoms = json.loads(out)["atoms"]
     assert [a[0] for a in atoms] == [0.5, 1.5, 2.5]
     assert atoms[0][1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+    rc, out, _ = invoke(["dos", "measure"], capsys)
+    assert (rc, len(json.loads(out)["atoms"])) == (0, 16)
 
     rc, out, _ = invoke(["dos", "spectral", "--f", bump_file], capsys)
     assert rc == 0

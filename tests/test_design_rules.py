@@ -1,9 +1,10 @@
-"""Guards for four design rules of the package.
+"""Guards for five design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
-convergence table comes from the two builders in extrapolate.py, and
-every flag that a CLI subcommand declares is read by its handler.
+convergence table comes from the two builders in extrapolate.py, every
+flag that a CLI subcommand declares is read by its handler, and every
+flag entry is declared by the parser or by some subcommand.
 """
 
 import argparse
@@ -193,3 +194,19 @@ def test_unread_flag_scan_flags_an_ignored_flag():
         leaf.add_argument(flag, dest=dest)
     leaf.set_defaults(func=cmd_norm)
     assert _unread_flags(parser, source) == ["norm --save"]
+
+
+def _undeclared_flags(flags, global_flags, commands):
+    """Flag entries that neither the global flags nor any subcommand declare."""
+    declared = set(global_flags).union(*(names for _, names in commands.values()))
+    return sorted(set(flags) - declared)
+
+
+def test_every_cli_flag_entry_is_declared():
+    assert _undeclared_flags(cli.FLAGS, cli.GLOBAL_FLAGS, cli.COMMANDS) == []
+
+
+def test_undeclared_flag_scan_flags_a_dead_entry():
+    flags = {"--ell": {}, "--op": {}, "--J": {}, "--eps": {}}
+    commands = {"trace diag": (None, ("--op",)), "dos idos": (None, ("--eps",))}
+    assert _undeclared_flags(flags, ("--ell",), commands) == ["--J"]

@@ -1,6 +1,7 @@
 """Dixmier trace estimation from partial sums of singular values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form):
     pairs = collect_spectrum(weighted_product(hop, form, lam, lam2), 255, 2, "eigen").values
     assert np.all(pairs[0::2] > 0.0)
     assert np.array_equal(pairs[1::2], -pairs[0::2])
+
+
+@pytest.mark.parametrize("kind", ("singular", "eigen"))
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_weighted_stack_stays_within_its_memory_estimate(form, kind):
+    # a dense source is factored as one block stack: every form and kind
+    # holds it once, within the check_memory estimate unit * (1 + n_max)
+    rng = np.random.default_rng(16)
+    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    h = h + h.conj().T
+    source = CoefficientOperator({(j, k): h[j, k] for j in range(16) for k in range(16)})
+    product = weighted_product(source, form, 0.0, 1.0)
+    m_max, n_max = 4095, 16
+    estimate = 16 * (m_max + 2) * n_max * (1 + n_max)
+    tracemalloc.start()
+    try:
+        collect_spectrum(product, m_max, n_max, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * estimate
 
 
 def test_shell_spectrum_multiplicities():

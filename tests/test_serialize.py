@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from magtrace import CoefficientOperator, ConvergenceTable, DomainError
@@ -13,8 +14,8 @@ from magtrace.serialize import (
     load_test_function,
     operator_from_dict,
     operator_to_dict,
+    report_rows,
     save_operator,
-    table_to_csv,
     table_to_dict,
 )
 
@@ -122,29 +123,30 @@ def test_malformed_files_are_rejected(tmp_path):
             load_test_function(str(bad_nodes))
 
 
-def test_table_to_csv_layout():
-    table = ConvergenceTable(params=(10.0, 100.0, 1000.0),
-                             raw=(1.5 + 0.0j, 1.2 + 0.0j, 1.1 - 0.5j),
+def test_report_rows_are_the_canonical_leaves():
+    report = {"z": 1.0 + 0.1j, "label": "a, b", "none": None, "n": np.int64(3),
+              "flags": [True, False]}
+    assert list(report_rows(report)) == [
+        ("flags.0", "true"), ("flags.1", "false"), ("label", "a, b"), ("n", "3"),
+        ("none", ""), ("z.im", "0.10000000000000001"), ("z.re", "1")]
+    table = ConvergenceTable(params=(10.0, 100.0), raw=(1.5 + 0.0j, 1.1 - 0.5j),
                              accelerated=None, extrapolated=1.0 + 0.0j,
                              residual=0.01, model="log_inverse")
-    lines = table_to_csv(table).strip().splitlines()
-    assert lines[0] == "param,raw,accelerated,extrapolated,residual"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[0] == "10"
-    assert first[3] == "1"
-    assert float(first[4]) == 0.01
-    # later rows leave the extrapolated and residual columns empty
-    assert lines[2].split(",")[3:] == ["", ""]
-    assert "1.1000000000000001-0.5j" in lines[3]
+    rows = dict(report_rows({"table": table}))
+    assert [key for key in rows if key.startswith("table.raw.")] == [
+        "table.raw.0.im", "table.raw.0.re", "table.raw.1.im", "table.raw.1.re"]
+    assert rows["table.raw.1.re"] == "1.1000000000000001"
+    assert (rows["table.accelerated"], rows["table.converged"]) == ("", "true")
+    with pytest.raises(DomainError):
+        list(report_rows({"value": math.nan}))
 
 
-def test_table_to_csv_non_finite_residual():
+def test_report_rows_non_finite_residual():
     table = ConvergenceTable(params=(10.0,), raw=(1.0 + 0.0j,), accelerated=None,
                              extrapolated=1.0 + 0.0j, residual=math.inf,
                              model="none")
-    lines = table_to_csv(table).strip().splitlines()
-    assert lines[1].split(",")[4] == ""
+    rows = dict(report_rows(table))
+    assert (rows["residual"], rows["converged"]) == ("", "false")
 
 
 def test_table_to_dict_flags():
