@@ -5,8 +5,11 @@ the Dixmier trace of interest here is the limit of gamma_N = sigma_N / log N
 with sigma_N the N-th partial sum.  Operators are truncated block by block
 in the degeneracy index, singular values (or eigenvalues) of the blocks are
 merged into one sorted sequence, and gamma_N is extrapolated over a ladder
-of checkpoints under the log_inverse model.  A zeta-function route
-x * Tr(T^(1+x)) -> x = 0 provides the independent Tauberian cross-check.
+of checkpoints under the log_inverse model.  The whole-shell spectrum of
+the shifted oscillator is held as runs, one value per shell with its
+multiplicity, and its partial sums and zeta values are read off the runs.
+A zeta-function route x * Tr(T^(1+x)) -> x = 0 provides the independent
+Tauberian cross-check.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ class Spectrum:
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator (None when the whole list is); `tail` is an
     optional analytic model for everything beyond the truncation.
+
+    With `counts` the spectrum is held as runs: the i-th stored value
+    occurs counts[i] times, and both arrays are sorted by one permutation.
+    Counts are integers of at least 1, one per value.  len() and
+    `reliable` count elements, not runs.
     """
 
     values: np.ndarray
@@ -63,25 +71,52 @@ class Spectrum:
     kind: str = "singular"
     reliable: int | None = None
     tail: SpectralTail | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind == "singular":
-            # a reversed view: a contiguous copy raised peak memory
-            values = np.sort(np.asarray(self.values, dtype=float))[::-1]
-            if values.size and values[-1] < 0.0:
-                raise DomainError("singular values must be non-negative")
+            values = np.asarray(self.values, dtype=float)
         elif self.kind == "eigen":
             values = np.asarray(self.values)
             if np.iscomplexobj(values) and np.any(values.imag):
                 raise DomainError("eigen spectra hold real eigenvalues only")
             values = values.real.astype(float, copy=False)
-            values = values[np.lexsort((-values, -np.abs(values)))]
         else:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
+        if self.kind == "singular" and self.counts is None:
+            # a reversed view: a contiguous copy raised peak memory
+            values = np.sort(values)[::-1]
+        else:
+            if self.kind == "singular":
+                order = np.argsort(values)[::-1]
+            else:
+                order = np.lexsort((-values, -np.abs(values)))
+            if self.counts is not None:
+                object.__setattr__(self, "counts", _run_counts(self.counts, values)[order])
+            values = values[order]
+        if self.kind == "singular" and values.size and values[-1] < 0.0:
+            raise DomainError("singular values must be non-negative")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return int(self.values.size)
+        if self.counts is None:
+            return int(self.values.size)
+        return int(self.counts.sum())
+
+
+def _run_counts(counts, values: np.ndarray) -> np.ndarray:
+    """Run lengths as int64, refusing what is not one integer >= 1 per value."""
+    counts = np.asarray(counts)
+    if counts.ndim != 1 or counts.shape != values.shape:
+        raise DomainError("run counts must be a 1-D array with one count per value")
+    if counts.dtype.kind not in "iuf" or not np.all(np.isfinite(counts)):
+        raise DomainError("run counts must be finite integers")
+    if np.any(counts != np.floor(counts)) or np.any(counts < 1):
+        raise DomainError("run counts must be integers of at least 1")
+    # the element count and the cumsum of the counts are int64
+    if counts.sum(dtype=float) > 2.0 ** 62:
+        raise DomainError("run counts must total at most 2**62 elements")
+    return counts.astype(np.int64)
 
 
 def _weighted_blocks(block, row, col, m):
@@ -176,15 +211,20 @@ def shell_spectrum(weight: DiagonalWeight, shells: int) -> Spectrum:
 
     Shell e carries the value (e + lam)^(-s) with multiplicity e; keeping
     complete shells makes every checkpoint N = e(e+1)/2 comparable and the
-    remainder exactly summable, which feeds the Tauberian route.
+    remainder exactly summable, which feeds the Tauberian route.  The
+    spectrum is held as runs, one value per shell with counts 1 .. shells,
+    so its storage grows with the shells, not with the e(e+1)/2 elements.
     """
     if shells < 1:
         raise DomainError("at least one shell is required")
-    e = np.arange(1, shells + 1, dtype=float)
-    values = np.repeat((e + weight.lam) ** (-weight.s), np.arange(1, shells + 1))
+    # the values, counts and sort permutation, and the run cumsums read off them
+    check_memory(48 * shells, "the shell spectrum")
+    counts = np.arange(1, shells + 1)
+    values = (counts + weight.lam) ** (-weight.s)
     tail = SpectralTail(s=weight.s, shift=weight.lam, start=shells + 1)
     label = "q_power(s=%g, lam=%g) over %d complete shells" % (weight.s, weight.lam, shells)
-    return Spectrum(values, label, reliable=values.size, tail=tail)
+    return Spectrum(values, label, reliable=shells * (shells + 1) // 2, tail=tail,
+                    counts=counts)
 
 
 def _check_count(spectrum, count: int, minimum: int = 1) -> None:
@@ -195,13 +235,21 @@ def _check_count(spectrum, count: int, minimum: int = 1) -> None:
                          % (count, len(spectrum)))
 
 
-def _partial_sums(spectrum, counts) -> np.ndarray:
-    """Real partial sums sigma_N at each N in counts, read off one cumsum.
+def _partial_sums(spectrum, ns) -> np.ndarray:
+    """Real partial sums sigma_N at each N in ns, read off one cumsum.
 
     The cumsum runs over the whole spectrum: a sliced or zero-padded one
-    raised peak memory.
+    raised peak memory.  A run spectrum takes cumsums over its runs, of
+    the counts and of values * counts, finds the run that holds each N
+    and subtracts the part of that run beyond N.
     """
-    return np.cumsum(spectrum.values)[np.asarray(counts, dtype=int) - 1]
+    ns = np.asarray(ns, dtype=int)
+    if spectrum.counts is None:
+        return np.cumsum(spectrum.values)[ns - 1]
+    ends = np.cumsum(spectrum.counts)
+    run = np.searchsorted(ends, ns)
+    sums = np.cumsum(spectrum.values * spectrum.counts)[run]
+    return sums - (ends[run] - ns) * spectrum.values[run]
 
 
 def sigma_p(spectrum: Spectrum, count: int) -> float:
@@ -222,8 +270,11 @@ def calderon_norm(spectrum: Spectrum) -> float:
         raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
-    counts = np.arange(2, len(spectrum) + 1)
-    return float(np.max(_partial_sums(spectrum, counts) / np.log(counts)))
+    # the counts N, the partial sums and their quotients: at most 40 bytes
+    # per element, and a run spectrum holds many more elements than values
+    check_memory(40 * len(spectrum), "the Calderon quotients")
+    ns = np.arange(2, len(spectrum) + 1)
+    return float(np.max(_partial_sums(spectrum, ns) / np.log(ns)))
 
 
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:
@@ -280,8 +331,11 @@ def tauberian_zeta(spectrum, x: float) -> float:
     values = spectrum.values
     if spectrum.kind == "eigen":
         values = np.abs(values)
-    positive = values[values > 0.0]
-    total = float((positive ** (1.0 + x)).sum())
+    positive = values > 0.0
+    terms = values[positive] ** (1.0 + x)
+    if spectrum.counts is not None:
+        terms *= spectrum.counts[positive]
+    total = float(terms.sum())
     if spectrum.tail is not None:
         total += spectrum.tail.power_sum(1.0 + x)
     return total

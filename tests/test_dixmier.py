@@ -198,11 +198,110 @@ def test_shell_spectrum_multiplicities():
     weight = DiagonalWeight.q_power(1.0, 0.0)
     spec = shell_spectrum(weight, 4)
     assert len(spec) == 10
-    assert np.count_nonzero(np.isclose(spec.values, 1.0 / 3.0, rtol=1e-13)) == 3
+    # shell 3 is one run: the value 1/3 with count 3
+    assert spec.values[2] == pytest.approx(1.0 / 3.0, rel=1e-13)
+    assert spec.counts[2] == 3
+    assert list(spec.counts) == [1, 2, 3, 4]
     assert (spec.tail.s, spec.tail.shift, spec.tail.start) == (1.0, 0.0, 5)
     assert spec.reliable == 10
     with pytest.raises(DomainError):
         shell_spectrum(weight, 0)
+
+
+def test_run_spectrum_validation():
+    values = np.array([0.25, 1.0, 0.5])
+    runs = Spectrum(values, "runs", counts=[3, 1, 2])
+    assert list(runs.values) == [1.0, 0.5, 0.25]
+    assert list(runs.counts) == [1, 2, 3]
+    assert runs.counts.dtype == np.int64
+    assert len(runs) == 6
+    # integral floats are accepted and held as integers
+    assert list(Spectrum(values, "float counts", counts=[3.0, 1.0, 2.0]).counts) == [1, 2, 3]
+    for counts in ([[3, 1, 2]], [3, 1], [3, 1, 2, 1], [3, 2.5, 2], [3, 0, 2], [3, -1, 2],
+                   [3, np.inf, 2], [3, np.nan, 2], [True, True, True], ["3", "1", "2"],
+                   [2 ** 62, 2 ** 62, 1]):
+        with pytest.raises(DomainError, match="run counts"):
+            Spectrum(values, "bad counts", counts=counts)
+    with pytest.raises(DomainError, match="non-negative"):
+        Spectrum(np.array([1.0, -0.5]), "negative run", counts=[1, 2])
+    # an eigen run spectrum is ordered by the permutation of a flat one
+    eigen = Spectrum(np.array([-0.5, 3.0, 0.25, -1.0, 1.0]), "mixed runs", "eigen",
+                     counts=[1, 2, 3, 4, 5])
+    assert list(eigen.values) == [3.0, 1.0, -1.0, -0.5, 0.25]
+    assert list(eigen.counts) == [2, 5, 4, 1, 3]
+    flat = Spectrum(np.repeat(eigen.values, eigen.counts), "mixed", "eigen")
+    for n in range(1, len(flat) + 1):
+        assert sigma_p(eigen, n) == pytest.approx(sigma_p(flat, n), rel=1e-15, abs=1e-15)
+    assert tauberian_zeta(eigen, 0.5) == pytest.approx(tauberian_zeta(flat, 0.5), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 2.0])
+@pytest.mark.parametrize("shells", [1, 4, 64])
+def test_shell_runs_match_the_expanded_spectrum(shells, lam):
+    runs = shell_spectrum(DiagonalWeight.q_power(2.0, lam), shells)
+    flat = Spectrum(np.repeat(runs.values, runs.counts), "expanded", tail=runs.tail)
+    assert len(runs) == len(flat) == runs.reliable == shells * (shells + 1) // 2
+    # every N, inside runs and at their ends
+    for n in range(1, len(flat) + 1):
+        assert sigma_p(runs, n) == pytest.approx(sigma_p(flat, n), rel=1e-13)
+        if n >= 2:
+            assert gamma(runs, n) == pytest.approx(gamma(flat, n), rel=1e-13)
+    with pytest.raises(RangeError):
+        sigma_p(runs, len(flat) + 1)
+    if shells >= 4:
+        on_shells = shell_checkpoints(shells, min_shell=2)
+        off_shells = [n + 1 for n in on_shells[:-1]] + [on_shells[-1] - 1]
+        for ladder in (on_shells, off_shells):
+            got, want = dixmier_estimate(runs, ladder), dixmier_estimate(flat, ladder)
+            assert np.allclose(got.raw, want.raw, rtol=1e-13, atol=0.0)
+            assert got.extrapolated == pytest.approx(want.extrapolated, rel=1e-13)
+    for x in (0.5, 0.1, 0.01):
+        assert tauberian_zeta(runs, x) == pytest.approx(tauberian_zeta(flat, x), rel=1e-13)
+
+
+def test_shell_route_checks_the_memory_budget():
+    # refused at once, before anything sized by the shells is allocated
+    with pytest.raises(ResourceError, match="shell spectrum"):
+        shell_spectrum(DiagonalWeight.q_power(2.0), 10 ** 8)
+    # a run spectrum of 10^5 shells stores 10^5 values but holds 5 * 10^9
+    spec = shell_spectrum(DiagonalWeight.q_power(2.0), 10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="Calderon"):
+            calderon_norm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+def test_shell_route_stays_small():
+    # the criterion 4 route holds arrays of the shells, not of their
+    # 2 001 000 elements (16 MB each)
+    checkpoints = shell_checkpoints(2000, points=6, min_shell=512)
+    weight = DiagonalWeight.q_power(2.0, 2.0)
+    dixmier_estimate(shell_spectrum(weight, 2000), checkpoints)  # first-call imports
+    tracemalloc.start()
+    try:
+        spec = shell_spectrum(weight, 2000)
+        dixmier_estimate(spec, checkpoints)
+        tauberian_residue(spec, X_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
+def test_shell_gamma_column_matches_harmonic_sums():
+    # at lam = 0, sigma_N over the complete shells 1 .. e is the harmonic sum H_e
+    checkpoints = shell_checkpoints(2000, points=6, min_shell=512)
+    table = dixmier_estimate(shell_spectrum(DiagonalWeight.q_power(2.0, 0.0), 2000),
+                             checkpoints)
+    for n, value in zip(checkpoints, table.raw):
+        e = (math.isqrt(8 * n + 1) - 1) // 2
+        assert e * (e + 1) // 2 == n
+        oracle = math.fsum(1.0 / k for k in range(1, e + 1)) / math.log(n)
+        assert value == pytest.approx(oracle, rel=1e-14)
 
 
 def test_sigma_and_gamma():
