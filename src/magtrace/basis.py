@@ -4,17 +4,17 @@ The basis functions are indexed by a pair (n, m) of non-negative integers.
 Products of a Gaussian, a power of (x1 + i*x2) and a generalized Laguerre
 polynomial make them orthonormal; the index n labels the energy shell
 direction that magnetic operators act on, while m is a degeneracy index.
+kernels.orthonormality_check verifies the orthonormality on a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MagneticConfig
-from .errors import DomainError, ResourceError, check_memory
+from .errors import DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -81,56 +81,3 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
     base = (a1 + 1j * a2) / (ell * math.sqrt(2.0))
     val = gauss * ratio * base ** (n - m) * laguerre_poly(m, n - m, zeta)
     return complex(val) if scalar else np.asarray(val, dtype=complex)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor Gauss-Legendre rule on the square [-extent, extent]^2."""
-
-    extent: float
-    nodes: int
-
-    @classmethod
-    def default(cls, cfg: MagneticConfig) -> "QuadratureSpec":
-        # 12 ell covers the Gaussian tails of all low-index basis functions
-        return cls(extent=12.0 * cfg.ell, nodes=160)
-
-    def axis(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.nodes < 1 or not (self.extent > 0.0 and math.isfinite(self.extent)):
-            raise DomainError("quadrature rule needs a positive, finite extent and at "
-                              "least one node")
-        t, w = np.polynomial.legendre.leggauss(self.nodes)
-        return self.extent * t, self.extent * w
-
-
-def orthonormality_check(max_index: int, cfg: MagneticConfig,
-                         grid: QuadratureSpec | None = None) -> np.ndarray:
-    """Matrix of |<psi_a, psi_b> - delta_ab| over all index pairs.
-
-    Rows and columns run over all (n, m) with both indices <= max_index,
-    in lexicographic order.  Raises ResourceError when the quadrature rule
-    is too small to resolve the requested index range (the default
-    160-node rule supports max_index up to 8), or when the sampled basis
-    functions would pass the memory limit.
-    """
-    if max_index < 0:
-        raise DomainError("max_index must be non-negative")
-    if grid is None:
-        grid = QuadratureSpec.default(cfg)
-    if grid.nodes < 16 * (max_index + 1):
-        raise ResourceError(
-            "quadrature budget exceeded: %d nodes per axis cannot resolve indices up to %d"
-            % (grid.nodes, max_index))
-    indices = [(n, m) for n in range(max_index + 1) for m in range(max_index + 1)]
-    # the sampled functions, their conjugates and the weighted conjugates,
-    # plus eight temporaries, all nodes x nodes complex arrays; leggauss's
-    # nodes x nodes companion matrix fits within that
-    check_memory(16 * grid.nodes ** 2 * (3 * len(indices) + 8),
-                 "the Gram matrix on %d nodes" % grid.nodes)
-    x, w = grid.axis()
-    x1 = x[:, None]
-    x2 = x[None, :]
-    weights = (w[:, None] * w[None, :]).ravel()
-    stack = np.stack([psi(n, m, x1, x2, cfg).ravel() for n, m in indices])
-    gram = (stack.conj() * weights) @ stack.T
-    return np.abs(gram - np.eye(len(indices)))

@@ -23,7 +23,7 @@ import numpy as np
 from . import dixmier as dx
 from . import dos as dosmod
 from . import kernels, serialize, traces
-from .basis import QuadratureSpec, orthonormality_check, psi
+from .basis import psi
 from .config import make_config
 from .errors import CalculusError, DomainError
 from .kernels import GridSpec
@@ -145,11 +145,7 @@ def cmd_basis_eval(args, cfg, budget):
 
 
 def cmd_basis_gram(args, cfg, budget):
-    quad = QuadratureSpec.default(cfg)
-    if args.extent is not None or args.nodes is not None:
-        quad = QuadratureSpec(extent=quad.extent if args.extent is None else args.extent,
-                              nodes=quad.nodes if args.nodes is None else args.nodes)
-    errors = orthonormality_check(args.max_index, cfg, quad)
+    errors = kernels.orthonormality_check(args.max_index, cfg, args.extent, args.nodes)
     return {"max_index": args.max_index, "max_error": float(errors.max()),
             "errors": [[float(v) for v in row] for row in errors]}, True
 

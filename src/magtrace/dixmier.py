@@ -120,13 +120,10 @@ def _run_counts(counts, values: np.ndarray) -> np.ndarray:
 
 
 def _weighted_blocks(block, row, col, m):
-    """Blocks A S B of the source block at weight index or slice m; None weighs 1."""
-    if row is not None:
-        block = row[m, :, None] * block
-        if col is not None:  # in place, into the array just made: one split stack
-            block *= col[m, None, :]
-    elif col is not None:  # the source block is shared and stays as it is
-        block = block * col[m, None, :]
+    """Blocks A S B of the source block at weight index or slice m."""
+    # in place, into the array just made: the source block stays as it is
+    block = row[m, :, None] * block
+    block *= col[m, None, :]
     return block
 
 
@@ -158,18 +155,15 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
         check_memory(unit * (1 + n_max), "the weighted block stack")
     row, col = op.block_weights(np.arange(m_max + 2), n_max)
     if diagonal:
-        data = source.diagonal_array(n_max)
-        if row is not None:
-            data = row * data
-        if col is not None:
-            data = data * col
+        data = row * source.diagonal_array(n_max)
+        data *= col
         return data[:-1].ravel(), np.diag(data[-1])
     block = matrix_block(source, n_max)
     frontier = _weighted_blocks(block, row, col, -1)
     if kind == "singular":
         stack = _weighted_blocks(block, row, col, slice(-1))
         return np.linalg.svd(stack, compute_uv=False).ravel(), frontier
-    root = np.sqrt((1.0 if row is None else row[:-1]) * (1.0 if col is None else col[:-1]))
+    root = np.sqrt(row[:-1] * col[:-1])
     stack = root[:, :, None] * block
     stack *= root[:, None, :]
     return np.linalg.eigvalsh(stack).ravel(), frontier
@@ -277,15 +271,18 @@ def calderon_norm(spectrum: Spectrum) -> float:
     return float(np.max(_partial_sums(spectrum, ns) / np.log(ns)))
 
 
+def _geometric_ladder(low: int, top: int, points: int) -> list[int]:
+    """Distinct integer parts of `points` geometric steps from low to top."""
+    return [int(n) for n in np.unique(np.geomspace(low, top, points).astype(int))]
+
+
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:
     """Geometric ladder of checkpoint counts within the reliable prefix."""
     top = spectrum.reliable if spectrum.reliable is not None else len(spectrum)
     top = min(top, len(spectrum))
     if top < 4:
         raise DomainError("spectrum too short for a checkpoint ladder")
-    low = max(2, min(minimum, top // 8))
-    ladder = np.unique(np.geomspace(low, top, points).astype(int))
-    return [int(n) for n in ladder if n >= 2]
+    return _geometric_ladder(max(2, min(minimum, top // 8)), top, points)
 
 
 def deep_ladder(spectrum) -> list[int]:
@@ -302,8 +299,7 @@ def shell_checkpoints(shells: int, points: int = 6, min_shell: int = 8) -> list[
     """Checkpoints N = e(e+1)/2 at a geometric ladder of complete shells."""
     if shells < min_shell:
         raise DomainError("need at least %d shells for checkpoints" % min_shell)
-    ladder = np.unique(np.geomspace(min_shell, shells, points).astype(int))
-    return [int(e) * (int(e) + 1) // 2 for e in ladder]
+    return [e * (e + 1) // 2 for e in _geometric_ladder(min_shell, shells, points)]
 
 
 def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:

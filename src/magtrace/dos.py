@@ -152,7 +152,7 @@ def functional_calculus(op: LandauDiagonalOperator,
     if hi >= op.tail_inf:
         raise RangeError("test function support %g reaches levels beyond the "
                          "truncation (tail bound %g)" % (hi, op.tail_inf))
-    entries = {(j, j): fn(h) for j, h in enumerate(op.levels) if fn(h) != 0.0}
+    entries = {(j, j): v for j, h in enumerate(op.levels) if (v := fn(h)) != 0.0}
     return CoefficientOperator(entries, "L1")
 
 

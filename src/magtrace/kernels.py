@@ -14,6 +14,9 @@ it is bilinear, so it splits into two chirps, one in (x1, y2) and one in
 batched 1-D FFT correlations followed by one contraction.
 Magnetic translations V(a), which generate the commutant, act as
 (V(a) phi)(x) = e^{i (x ^ a)/(2 ell^2)} phi(x - a).
+Every integral on a grid uses one rule, the trapezoid weights of
+GridSpec: grid inner products, the convolution, and the Gram matrix
+of the sampled basis functions that checks their orthonormality.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .errors import DomainError, check_memory
+from .errors import DomainError, ResourceError, check_memory
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi
 
@@ -90,6 +93,38 @@ def grid_inner(f: GridFunction, g: GridFunction) -> complex:
 
 def grid_norm(f: GridFunction) -> float:
     return math.sqrt(max(grid_inner(f, f).real, 0.0))
+
+
+def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | None = None,
+                         nodes: int | None = None) -> np.ndarray:
+    """Matrix of |<psi_a, psi_b> - delta_ab| over all index pairs.
+
+    Rows and columns run over all (n, m) with both indices <= max_index,
+    in lexicographic order.  The inner products are the trapezoid sums of
+    grid_inner over the basis functions sampled on GridSpec(extent,
+    nodes), by default 12 ell and 160 nodes per axis.  A grid needs
+    16 * (max_index + 1) nodes per axis, so 160 nodes support max_index
+    <= 8; ResourceError is raised for a smaller grid, or when the sampled
+    basis functions would pass the memory limit.
+    """
+    if max_index < 0:
+        raise DomainError("max_index must be non-negative")
+    spec = GridSpec(extent=12.0 * cfg.ell if extent is None else extent,
+                    nodes=160 if nodes is None else nodes)
+    if spec.nodes < 16 * (max_index + 1):
+        raise ResourceError(
+            "quadrature budget exceeded: %d nodes per axis cannot resolve indices up to %d"
+            % (spec.nodes, max_index))
+    indices = [(n, m) for n in range(max_index + 1) for m in range(max_index + 1)]
+    # the sampled functions, their conjugates and the weighted conjugates,
+    # plus eight temporaries, all nodes x nodes complex arrays
+    check_memory(16 * spec.nodes ** 2 * (3 * len(indices) + 8),
+                 "the Gram matrix on %d nodes" % spec.nodes)
+    w = spec.trapezoid_weights()
+    weights = (w[:, None] * w[None, :]).ravel()
+    stack = np.stack([sample_basis(n, m, spec, cfg).values.ravel() for n, m in indices])
+    gram = (stack.conj() * weights) @ stack.T
+    return np.abs(gram - np.eye(len(indices)))
 
 
 @dataclass(frozen=True)

@@ -202,16 +202,17 @@ class WeightedProduct:
 
         r and c have shape m.shape + (count,), and block m of the product
         is r[:, None] * matrix_block(source, count) * c[None, :].  A side
-        that the form leaves unweighted is None rather than ones, so
-        weighted entries are exactly the products the form prescribes.
+        that the form leaves unweighted is a read-only broadcast of 1.0,
+        which allocates nothing and multiplies exactly.
         """
         n = np.arange(count)
         m = np.asarray(m, dtype=float)[..., None]
         w = DiagonalWeight(self.s, self.lam).value(n, m)
+        ones = np.broadcast_to(1.0, w.shape)
         if self.form == "left":
-            return w, None
+            return w, ones
         if self.form == "right":
-            return None, w
+            return ones, w
         return np.sqrt(w), np.sqrt(DiagonalWeight(self.s, self.lam2).value(n, m))
 
 

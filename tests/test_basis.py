@@ -15,7 +15,6 @@ import scipy.special
 
 from magtrace import (
     DomainError,
-    QuadratureSpec,
     ResourceError,
     laguerre_poly,
     make_config,
@@ -151,23 +150,34 @@ def test_psi_decay_at_twelve_lengths(cfg):
 def test_orthonormality_default_grid(cfg):
     errors = orthonormality_check(4, cfg)
     assert errors.shape == (25, 25)
-    assert errors.max() <= 1e-8
+    assert errors.max() <= 1e-13
+    # the default 160 nodes support max_index 8, where evaluating psi, not
+    # the quadrature, sets the error
+    assert orthonormality_check(8, cfg).max() <= 1e-11
 
 
 def test_orthonormality_coarse_grid_rejected(cfg):
+    # 64 nodes resolve indices up to 3, not 4
     with pytest.raises(ResourceError):
-        orthonormality_check(4, cfg, QuadratureSpec(extent=12.0, nodes=64))
+        orthonormality_check(4, cfg, nodes=64)
 
 
-def test_quadrature_default_tracks_ell():
-    wide = make_config(3.0)
-    spec = QuadratureSpec.default(wide)
-    assert spec.extent == pytest.approx(36.0)
+def test_orthonormality_on_the_coarsest_admitted_grid(cfg):
+    # max_index 1 admits 32 nodes; the trapezoid rule is spectrally
+    # accurate on these Gaussian-decaying functions
+    assert orthonormality_check(1, cfg, nodes=32).max() <= 1e-9
 
 
-def test_quadrature_needs_finite_positive_extent():
+def test_quadrature_default_tracks_ell(cfg):
+    # the default extent is 12 ell, so the Gram matrix does not depend on ell
+    wide = orthonormality_check(2, make_config(3.0))
+    assert np.abs(wide - orthonormality_check(2, cfg)).max() <= 1e-14
+
+
+def test_quadrature_needs_finite_positive_extent(cfg):
     for extent in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            QuadratureSpec(extent=extent, nodes=16).axis()
-    with pytest.raises(DomainError):
-        QuadratureSpec(extent=1.0, nodes=0).axis()
+            orthonormality_check(0, cfg, extent=extent, nodes=16)
+    for nodes in (0, 1):
+        with pytest.raises(DomainError):
+            orthonormality_check(0, cfg, extent=1.0, nodes=nodes)

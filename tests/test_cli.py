@@ -456,6 +456,14 @@ def test_kernel_commutant_rejects_overflowing_spacing(pi0_file, capsys):
     assert "grid spacing" in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_basis_gram_rejects_overflowing_spacing(capsys):
+    # the same grid check as kernel commutant: refused before any sampling
+    rc, out, err = invoke(["basis", "gram", "--max-index", "1", "--extent", "1e308"], capsys)
+    assert (rc, out) == (2, "")
+    assert "grid spacing" in err
+
+
 def invoke_traced(argv, capsys):
     """invoke, also returning the peak of Python allocations during the run."""
     tracemalloc.start()

@@ -1,10 +1,12 @@
-"""Guards for five design rules of the package.
+"""Guards for six design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
 convergence table comes from the two builders in extrapolate.py, every
-flag that a CLI subcommand declares is read by its handler, and every
-flag entry is declared by the parser or by some subcommand.
+flag that a CLI subcommand declares is read by its handler, every flag
+entry is declared by the parser or by some subcommand, and every public
+name is reached by a command, an acceptance criterion or a magbench
+workload.
 """
 
 import argparse
@@ -141,6 +143,36 @@ def test_export_scan_flags_unlisted_names():
     tree = ast.parse("from __future__ import annotations\nfrom .a import b, _c\n"
                      "from .d import e as f\nimport numpy\n")
     assert _exported_imports(tree) == ["b", "f"]
+
+
+def _unreached_exports(exports, trees):
+    """Exported names that no tree reads as a Name or an Attribute."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(set(exports) - used)
+
+
+def test_every_public_name_is_reached():
+    # the package modules other than __init__.py, the acceptance criteria
+    # and the benchmark; magbench is only read here
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = ([path for path in SOURCES if path.name != "__init__.py"]
+             + [root / "tests" / "test_acceptance.py"]
+             + sorted((root / "magbench").glob("*.py")))
+    assert any(path.parent.name == "magbench" for path in paths)
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    assert _unreached_exports(magtrace.__all__, trees) == []
+
+
+def test_unreached_export_scan_flags_an_unused_name():
+    # an import alone does not reach a name; a call or an attribute does
+    trees = [ast.parse("from .a import b, c\nb(1)\n"), ast.parse("mod.d\n")]
+    assert _unreached_exports(["b", "c", "d", "e"], trees) == ["c", "e"]
 
 
 def _args_read(func, functions):

@@ -173,6 +173,28 @@ def test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form):
     assert np.array_equal(pairs[1::2], -pairs[0::2])
 
 
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_singular_spectrum_is_the_svd_of_the_explicit_blocks(form):
+    rng = np.random.default_rng(2025)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    source = CoefficientOperator({(j, k): h[j, k] for j in range(6) for k in range(6)})
+    lam, lam2, m_max = -0.5, 10.0, 63
+    spectrum = collect_spectrum(weighted_product(source, form, lam, lam2), m_max, 6)
+
+    # the blocks A S B written out, with block entry (n, n') = a_{n'n}
+    n = np.arange(6.0)
+    m = np.arange(m_max + 2.0)[:, None]
+    w, w2 = DiagonalWeight(1.0, lam).value(n, m), DiagonalWeight(1.0, lam2).value(n, m)
+    ones = np.ones((m_max + 2, 6))
+    a, b = {"left": (w, ones), "right": (ones, w), "split": (np.sqrt(w), np.sqrt(w2))}[form]
+    blocks = a[:, :, None] * h.T * b[:, None, :]
+    expected = np.sort(np.linalg.svd(blocks[:-1], compute_uv=False).ravel())[::-1]
+    assert np.array_equal(spectrum.values, expected)
+    threshold = np.linalg.norm(blocks[-1], ord=2)
+    assert spectrum.reliable == np.count_nonzero(expected > threshold)
+    assert 0 < spectrum.reliable < len(spectrum)
+
+
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
 @pytest.mark.parametrize("form", ("left", "right", "split"))
 def test_weighted_stack_stays_within_its_memory_estimate(form, kind):
