@@ -55,7 +55,10 @@ class Spectrum:
     kind "singular" holds non-negative singular values in non-increasing
     order; kind "eigen" holds the real eigenvalues of a self-adjoint
     operator ordered by non-increasing modulus, ties broken toward the
-    positive value.  Eigenvalues with a non-zero imaginary part are refused.
+    value whose sign bit is clear, so +0.0 comes before -0.0.
+    Eigenvalues with a non-zero imaginary part are refused, and so are
+    values that are not finite real numbers (booleans and strings
+    included), before sorting.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator (None when the whole list is); `tail` is an
     optional analytic model for everything beyond the truncation.
@@ -74,26 +77,23 @@ class Spectrum:
     counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind == "singular":
-            values = np.asarray(self.values, dtype=float)
-        elif self.kind == "eigen":
-            values = np.asarray(self.values)
-            if np.iscomplexobj(values) and np.any(values.imag):
-                raise DomainError("eigen spectra hold real eigenvalues only")
-            values = values.real.astype(float, copy=False)
-        else:
+        if self.kind not in SPECTRUM_KINDS:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
-        if self.kind == "singular" and self.counts is None:
-            # a reversed view: a contiguous copy raised peak memory
-            values = np.sort(values)[::-1]
-        else:
+        values = _finite_values(self.values, self.kind)
+        if self.counts is not None:
             if self.kind == "singular":
                 order = np.argsort(values)[::-1]
             else:
-                order = np.lexsort((-values, -np.abs(values)))
-            if self.counts is not None:
-                object.__setattr__(self, "counts", _run_counts(self.counts, values)[order])
+                order = np.argsort(~_eigen_keys(values), kind="stable")
+            object.__setattr__(self, "counts", _run_counts(self.counts, values)[order])
             values = values[order]
+        elif self.kind == "singular":
+            # a reversed view: a contiguous copy raised peak memory
+            values = np.sort(values)[::-1]
+        else:
+            key = _eigen_keys(values)
+            key.sort()
+            values = _decode_keys(key)[::-1]
         if self.kind == "singular" and values.size and values[-1] < 0.0:
             raise DomainError("singular values must be non-negative")
         object.__setattr__(self, "values", values)
@@ -102,6 +102,51 @@ class Spectrum:
         if self.counts is None:
             return int(self.values.size)
         return int(self.counts.sum())
+
+
+def _finite_values(values, kind: str) -> np.ndarray:
+    """Spectrum values as a 1-D float array, refusing what is not finite and real.
+
+    Booleans, strings and other non-numeric input are refused rather than
+    cast; so are complex values, except that kind "eigen" holds complex
+    input whose imaginary parts all vanish as real.
+    """
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise DomainError("spectrum values must be a 1-D array")
+    if kind == "eigen" and values.dtype.kind == "c":
+        if np.any(values.imag):
+            raise DomainError("eigen spectra hold real eigenvalues only")
+        values = values.real
+    elif values.dtype.kind not in "iuf":
+        raise DomainError("spectrum values must be real numbers, not %s" % values.dtype)
+    values = values.astype(float, copy=False)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("spectrum values must be finite")
+    return values
+
+
+def _eigen_keys(values: np.ndarray) -> np.ndarray:
+    """uint64 keys whose ascending order is the reverse of the eigen order.
+
+    The bit pattern of a finite |v| orders like |v| as an unsigned integer,
+    and its top bit is clear, so shifting it left by one leaves the low
+    bit for the sign: set when the sign bit of v is clear.  Equal keys
+    are equal values, sign bit included.
+    """
+    key = np.abs(values).view(np.uint64)
+    key <<= 1
+    key |= ~np.signbit(values)
+    return key
+
+
+def _decode_keys(key: np.ndarray) -> np.ndarray:
+    """The float64 values of _eigen_keys, decoded in place."""
+    key ^= 1
+    sign = key << 63
+    key >>= 1
+    key |= sign
+    return key.view(float)
 
 
 def _run_counts(counts, values: np.ndarray) -> np.ndarray:
@@ -131,7 +176,8 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
 
     A source block without off-diagonal entries is weighted on its
-    diagonal alone; otherwise the blocks m = 0 .. m_max are built as one
+    diagonal alone, as real numbers: d.real for kind "eigen" and |d| for
+    kind "singular"; otherwise the blocks m = 0 .. m_max are built as one
     stack and factored by one batched SVD or eigvalsh.  For a Hermitian
     source S, A S B is similar to the Hermitian (AB)^(1/2) S (AB)^(1/2),
     so kind "eigen" refuses any other source and factors that stack.
@@ -155,7 +201,9 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
         check_memory(unit * (1 + n_max), "the weighted block stack")
     row, col = op.block_weights(np.arange(m_max + 2), n_max)
     if diagonal:
-        data = row * source.diagonal_array(n_max)
+        # real weights: the Hermitian check makes d.real exact for kind "eigen"
+        d = source.diagonal_array(n_max)
+        data = row * (d.real if kind == "eigen" else np.abs(d))
         data *= col
         return data[:-1].ravel(), np.diag(data[-1])
     block = matrix_block(source, n_max)

@@ -512,6 +512,22 @@ def test_memory_budget_is_checked_first(name, pi0_file, tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("budget", ("quick", "full"))
+def test_far_diagonal_source_stays_refused(budget, tmp_path, capsys):
+    # the (5000, 5000) chain lies wholly below the frontier, so none of its
+    # values is reliable: admitted, the estimate reads about 0.997, flagged
+    # converged, for a trace of 2.  A real frontier block needs half the
+    # bytes, and the budget must still count the complex one.
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps({"entries": [{"j": 0, "k": 0, "re": 1.0},
+                                           {"j": 5000, "k": 5000, "re": 1.0}]}))
+    rc, out, err, peak = invoke_traced(["--budget-profile", budget, "dixmier", "estimate",
+                                        "--op", str(far)], capsys)
+    assert (rc, out) == (2, "")
+    assert "over the limit" in err
+    assert peak < 8 * 2 ** 20
+
+
 def test_module_entry_point(pi0_file):
     # the child finds the package that this test imported, installed or not
     package_root = os.path.dirname(os.path.dirname(magtrace.__file__))

@@ -59,6 +59,69 @@ def test_eigen_sequence_orders_by_modulus():
     tie = Spectrum(np.array([-2.0 + 0.0j, 2.0 + 0.0j]), "tie", "eigen")
     assert tie.values.dtype == float
     assert list(tie.values) == [2.0, -2.0]
+    # the sign bit breaks the tie of +0.0 and -0.0, whatever the input order
+    zeros = Spectrum(np.array([-0.0, 1.0, 0.0, -0.0]), "zeros", "eigen")
+    assert list(np.signbit(zeros.values)) == [False, False, True, True]
+
+
+def _lexsort_order(values):
+    """The eigen order as a stable lexsort: modulus, then value, then sign bit."""
+    return np.lexsort((np.signbit(values), -values, -np.abs(values)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eigen_order_matches_the_lexsort_rule(seed):
+    rng = np.random.default_rng([seed, 15])
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=300)
+    signed = magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size)
+    tiny = np.array([5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.0, -0.0])
+    small = rng.integers(-3, 4, size=60).astype(float)
+    # ties in modulus, repeated values, subnormals and signed zeros
+    values = np.concatenate([signed, -signed[:80], rng.choice(signed, 80), tiny, small])
+    values = rng.permutation(values)
+    spec = Spectrum(values, "mixed", "eigen")
+    expected = values[_lexsort_order(values)]
+    assert np.array_equal(spec.values, expected)
+    assert np.array_equal(np.signbit(spec.values), np.signbit(expected))
+    # without zeros the sign-bit key changes nothing in the plain lexsort rule
+    nonzero = values[values != 0.0]
+    plain = nonzero[np.lexsort((-nonzero, -np.abs(nonzero)))]
+    assert np.array_equal(Spectrum(nonzero, "nonzero", "eigen").values, plain)
+    # an eigen run spectrum keeps each count with its value
+    counts = rng.permutation(values.size) + 1
+    runs = Spectrum(values, "runs", "eigen", counts=counts)
+    order = _lexsort_order(values)
+    assert np.array_equal(runs.counts, counts[order])
+    assert np.array_equal(np.signbit(runs.values), np.signbit(values[order]))
+    assert np.array_equal(runs.values, values[order])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ("singular", "eigen"))
+@pytest.mark.parametrize("values,match", [
+    pytest.param([1.0, np.nan], "finite", id="nan"),
+    pytest.param([np.inf, 1.0], "finite", id="inf"),
+    pytest.param([-np.inf], "finite", id="-inf"),
+    pytest.param(np.array([np.nan + 0.0j]), "finite|real", id="complex-nan"),
+    pytest.param(["1.5", "2"], "real numbers", id="strings"),
+    pytest.param([True, False], "real numbers", id="booleans"),
+    pytest.param([1.0, None], "real numbers", id="object"),
+    pytest.param([[1.0, 0.5]], "1-D", id="2-d"),
+    pytest.param(1.0, "1-D", id="scalar"),
+])
+def test_spectrum_refuses_values_that_are_not_finite_reals(kind, values, match):
+    with pytest.raises(DomainError, match=match):
+        Spectrum(values, "refused", kind)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_spectrum_refuses_complex_values():
+    # the imaginary part used to be dropped with a ComplexWarning
+    for values in (np.array([1.0 + 1.0j, 2.0]), np.array([1.0 + 0.0j, 2.0])):
+        with pytest.raises(DomainError, match="real numbers"):
+            Spectrum(values, "complex")
+    with pytest.raises(DomainError, match="real eigenvalues"):
+        Spectrum(np.array([1.0 + 1.0j, 2.0]), "complex", "eigen")
 
 
 def test_spectral_tail_power_sums():
@@ -214,6 +277,28 @@ def test_weighted_stack_stays_within_its_memory_estimate(form, kind):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * estimate
+
+
+@pytest.mark.parametrize("kind", ("singular", "eigen"))
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_diagonal_spectrum_stays_within_its_memory_estimate(form, kind):
+    # the landau-dos shape: 11 signed levels, one of them 0, at m_max 32767;
+    # the weighted diagonal is real for both kinds, and the estimate
+    # 3 * unit + 16 * n_max**2 still counts it as complex
+    levels = np.linspace(-1.0, 1.0, 11)
+    levels[4] = 0.0
+    source = CoefficientOperator({(j, j): float(v) for j, v in enumerate(levels)})
+    product = weighted_product(source, form, 0.0, 1.0)
+    m_max, n_max = 32767, 11
+    estimate = 3 * 16 * (m_max + 2) * n_max + 16 * n_max ** 2
+    tracemalloc.start()
+    try:
+        spectrum = collect_spectrum(product, m_max, n_max, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum) == (m_max + 1) * n_max
+    assert peak <= estimate
 
 
 def test_shell_spectrum_multiplicities():
