@@ -194,14 +194,25 @@ def _slab_rows(nodes: int, length: int) -> int:
 def check_convolution_budget(spec: GridSpec) -> None:
     """Raise ResourceError when apply_kernel on `spec` would pass the memory limit.
 
-    Counts the (2n-1)^2 kernel table, the FFTs of its rows and three
-    slab-sized arrays (a bound on what one slab keeps alive), before any
-    of them is allocated.
+    The larger of two counts is checked, before anything is allocated:
+
+    - tabulating the (2n-1)^2 kernel table: its running sum and the
+      temporaries of one basis function (psi) at their peak, 104 bytes
+      per entry (16 for the sum; 8 each for the radius and the Gaussian,
+      16 each for the complex power and a partial product, and 40 for
+      the five real arrays of the Laguerre recurrence), beside the
+      translated grid function that commutant_residual holds;
+    - convolving: the table, the FFTs of its rows, the one slab buffer
+      that the in-place FFTs reuse, and two more slab-sized arrays, a
+      bound on the grid-sized arrays (weighted input, chirps, output)
+      that live beside it.
     """
     n = spec.nodes
+    entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
-    size = 16 * ((2 * n - 1) * (2 * n - 1 + length) + 3 * _slab_rows(n, length) * n * length)
-    check_memory(size, "the twisted convolution on %d nodes" % n)
+    tabulation = 104 * entries + 16 * n * n
+    convolution = 16 * (entries + (2 * n - 1) * length + 3 * _slab_rows(n, length) * n * length)
+    check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,13 +251,18 @@ def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> Gr
     rows = rows.transpose(0, 2, 1)
     out = np.empty((n, n), dtype=complex)
     step = _slab_rows(n, length)
+    buffer = np.empty((step, n, length), dtype=complex)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        # slab[i1, j1] is the FFT of W[j1, j2] e^{i g_i1 g_j2 / 2 ell^2} over j2
-        slab = np.fft.fft(weighted * phase[start:stop, None, :], n=length, axis=-1)
+        slab = buffer[:stop - start]
+        # slab[i1, j1] is the FFT of W[j1, j2] e^{i g_i1 g_j2 / 2 ell^2} over j2,
+        # zero-padded to the length L; both transforms run in place
+        np.multiply(weighted, phase[start:stop, None, :], out=slab[:, :, :n])
+        slab[:, :, n:] = 0.0
+        np.fft.fft(slab, axis=-1, out=slab)
         slab *= rows[n - stop: n - start][::-1]
-        # reassigning frees the forward slab; lag i2 sits at index n - 1 + i2
-        slab = np.fft.ifft(slab, axis=-1)
+        np.fft.ifft(slab, axis=-1, out=slab)
+        # lag i2 sits at index n - 1 + i2
         out[start:stop] = np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], phase_back)
     out /= 2.0 * math.pi * cfg.ell ** 2
     result = GridFunction(spec, out, phi.warnings)
@@ -268,9 +284,13 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     correlation with one kernel row, and all of them run as batched FFTs
     of a 5-smooth length L >= 2n - 1 (so nothing aliases into the kept
     lags); the y1-sum is then one contraction.  Cost grows like
-    nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES,
-    and ResourceError is raised before allocating when the table and a
-    slab would pass the memory limit.  Grids around 128 nodes per axis
+    nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES
+    through one buffer, allocated once per call, that holds each slab's
+    chirped input with its zero padding; the forward FFT, the product
+    with the kernel spectra and the inverse FFT all run in it in place.
+    ResourceError is raised before allocating when tabulating the kernel
+    or convolving would pass the memory limit (check_convolution_budget
+    says what it counts).  Grids around 128 nodes per axis
     keep sup errors near 1e-7 for low-index data.
     """
     return _convolve(_tabulate(s, phi.spec, cfg), phi, cfg)

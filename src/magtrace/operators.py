@@ -213,7 +213,8 @@ class WeightedProduct:
             return w, ones
         if self.form == "right":
             return ones, w
-        return np.sqrt(w), np.sqrt(DiagonalWeight(self.s, self.lam2).value(n, m))
+        w2 = DiagonalWeight(self.s, self.lam2).value(n, m)
+        return np.sqrt(w, out=w), np.sqrt(w2, out=w2)
 
 
 def weighted_product(source: CoefficientOperator, form: str, lam: float,

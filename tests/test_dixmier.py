@@ -301,6 +301,27 @@ def test_diagonal_spectrum_stays_within_its_memory_estimate(form, kind):
     assert peak <= estimate
 
 
+@pytest.mark.parametrize("kind", ("singular", "eigen"))
+def test_split_weights_take_their_roots_in_place(kind):
+    # the split form holds its two real weight arrays (one unit) and one
+    # real weighted diagonal (half a unit), not a second copy of the
+    # weights for their square roots (2.05 units)
+    levels = np.linspace(-1.0, 1.0, 11)
+    levels[4] = 0.0
+    source = CoefficientOperator({(j, j): float(v) for j, v in enumerate(levels)})
+    product = weighted_product(source, "split", -0.5, 2.0)
+    m_max, n_max = 32767, 11
+    unit = 16 * (m_max + 2) * n_max
+    collect_spectrum(product, 8, n_max, kind)  # first-call imports
+    tracemalloc.start()
+    try:
+        collect_spectrum(product, m_max, n_max, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * unit
+
+
 def test_shell_spectrum_multiplicities():
     weight = DiagonalWeight.q_power(1.0, 0.0)
     spec = shell_spectrum(weight, 4)

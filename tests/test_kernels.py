@@ -1,6 +1,7 @@
 """Integral-kernel realization checked against the coefficient picture."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,11 +137,7 @@ def _brute_force_apply(s, phi, cfg):
     return out
 
 
-@pytest.mark.parametrize("nodes", [2, 3, 16, 17])
-@pytest.mark.parametrize("ell", [1.0, 2.0])
-def test_apply_kernel_matches_brute_force_sum(nodes, ell):
-    # catches index and phase slips (a reversed lag slice, say) that the
-    # 1e-6 basis checks cannot see
+def _brute_force_case(nodes, ell):
     rng = np.random.default_rng([nodes, int(ell)])
     cfg = make_config(ell)
     s = CoefficientOperator({(0, 0): 0.7, (0, 1): 1.0 - 0.5j, (2, 1): -0.3 + 0.8j,
@@ -148,10 +145,37 @@ def test_apply_kernel_matches_brute_force_sum(nodes, ell):
     spec = GridSpec(extent=2.5 * ell, nodes=nodes)
     phi = GridFunction(spec, rng.normal(size=(nodes, nodes))
                        + 1j * rng.normal(size=(nodes, nodes)))
+    return s, phi, cfg
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 16, 17])
+@pytest.mark.parametrize("ell", [1.0, 2.0])
+def test_apply_kernel_matches_brute_force_sum(nodes, ell):
+    # catches index and phase slips (a reversed lag slice, say) that the
+    # 1e-6 basis checks cannot see
+    s, phi, cfg = _brute_force_case(nodes, ell)
     out = apply_kernel(s, phi, cfg)
     expected = _brute_force_apply(s, phi, cfg)
-    assert out.spec == spec
+    assert out.spec == phi.spec
     assert np.abs(out.values - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("nodes", [16, 17])
+def test_apply_kernel_slabs_match_one_slab(nodes, monkeypatch):
+    # slabs of 3 rows, the last one partial, reuse one buffer: a stale
+    # padding tail or a misplaced slab would show against one slab
+    from magtrace import kernels
+
+    s, phi, cfg = _brute_force_case(nodes, 1.0)
+    length = kernels._fft_length(2 * nodes - 1)
+    assert kernels._slab_rows(nodes, length) == nodes
+    one_slab = apply_kernel(s, phi, cfg).values
+    monkeypatch.setattr(kernels, "SLAB_BYTES", 3 * nodes * length * 16)
+    assert kernels._slab_rows(nodes, length) == 3 and nodes % 3 != 0
+    out = apply_kernel(s, phi, cfg).values
+    expected = _brute_force_apply(s, phi, cfg)
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(out, one_slab)
 
 
 def test_commutant_residual_matches_explicit_applications(cfg):
@@ -196,6 +220,41 @@ def test_apply_kernel_refuses_oversized_grids(cfg):
         phi = GridFunction(spec, np.broadcast_to(np.complex128(1.0), (nodes, nodes)))
         with pytest.raises(ResourceError):
             apply_kernel(CoefficientOperator.projection(0), phi, cfg)
+
+
+FOUR_ENTRY = {(0, 1): 0.3 + 0.1j, (2, 0): -0.5, (1, 1): 0.2j, (1, 2): 0.7}
+INDEX_SEVEN = {(5, 3): 1.0, (0, 7): 0.5j}
+
+
+@pytest.mark.parametrize("nodes, entries", [(112, {(0, 0): 1.0}), (112, FOUR_ENTRY),
+                                            (112, INDEX_SEVEN), (200, FOUR_ENTRY),
+                                            (200, INDEX_SEVEN), (400, INDEX_SEVEN)],
+                         ids=["112-ground", "112-four", "112-seven", "200-four", "200-seven",
+                              "400-seven"])
+def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatch, cfg):
+    # tabulating the kernel peaks above the table and its spectra (96
+    # bytes per table entry for indices near 7), so the estimate has to
+    # count the temporaries of the basis functions as well
+    from magtrace import kernels
+
+    estimates = []
+    check = kernels.check_memory
+    monkeypatch.setattr(kernels, "check_memory",
+                        lambda size, what: (estimates.append(size), check(size, what)))
+    phi = sample_basis(0, 1, GridSpec(extent=9.0, nodes=nodes), cfg)
+    s = CoefficientOperator(entries)
+    apply_kernel(s, sample_basis(0, 1, GridSpec(extent=9.0, nodes=8), cfg), cfg)  # first call
+    for run in (lambda: apply_kernel(s, phi, cfg),
+                lambda: commutant_residual(s, (0.5, -0.3), phi, cfg)):
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(set(estimates)) == 1
+        assert peak <= estimates[0]
 
 
 def test_translate_identity(cfg, work_basis):
