@@ -56,7 +56,6 @@ from .kernels import (
     grid_inner,
     grid_norm,
     kernel_at_zero,
-    kernel_of,
     magnetic_translate,
     orthonormality_check,
     sample_basis,
@@ -127,7 +126,6 @@ __all__ = [
     "idos",
     "idos_shell_approx",
     "kernel_at_zero",
-    "kernel_of",
     "laguerre_poly",
     "landau_hamiltonian",
     "log_inverse_fit",

@@ -86,8 +86,6 @@ FLAGS = {
     "--ell": dict(type=float, default=1.0, help="magnetic length (default 1.0)"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--out": dict(default=None, help="write the report to a file"),
-    "--seed": dict(type=int, default=None,
-                   help="reserved; no randomized algorithms are used"),
     "--budget-profile": dict(choices=tuple(BUDGETS), default="full"),
     "--n": dict(type=int, required=True),
     "--m": dict(type=int, required=True),
@@ -115,7 +113,7 @@ FLAGS = {
     "--J": dict(dest="truncation", type=int, default=16),
     "--f": dict(dest="testfn", required=True),
 }
-GLOBAL_FLAGS = ("--ell", "--format", "--out", "--seed", "--budget-profile")
+GLOBAL_FLAGS = ("--ell", "--format", "--out", "--budget-profile")
 
 
 # -- helpers ------------------------------------------------------------
@@ -140,14 +138,12 @@ def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
 
 
 def cmd_basis_eval(args, cfg, budget):
-    value = psi(args.n, args.m, args.x1, args.x2, cfg)
-    return {"value": complex(value)}, True
+    return {"value": psi(args.n, args.m, args.x1, args.x2, cfg)}, True
 
 
 def cmd_basis_gram(args, cfg, budget):
     errors = kernels.orthonormality_check(args.max_index, cfg, args.extent, args.nodes)
-    return {"max_index": args.max_index, "max_error": float(errors.max()),
-            "errors": [[float(v) for v in row] for row in errors]}, True
+    return {"max_index": args.max_index, "max_error": errors.max(), "errors": errors}, True
 
 
 def cmd_op_compose(args, cfg, budget):
@@ -170,18 +166,16 @@ def cmd_op_norm(args, cfg, budget):
 
 def cmd_op_block(args, cfg, budget):
     block = matrix_block(_load(args), args.count)
-    return {"entries": [[complex(v) for v in row] for row in block],
-            "trace": complex(np.trace(block))}, True
+    return {"entries": block, "trace": np.trace(block)}, True
 
 
 def cmd_kernel_eval(args, cfg, budget):
-    value = kernels.kernel_of(_load(args), cfg)(args.x1, args.x2)
-    return {"value": complex(value)}, True
+    return {"value": kernels.KernelFunction(_load(args), cfg)(args.x1, args.x2)}, True
 
 
 def cmd_kernel_folner(args, cfg, budget):
     value = kernels.folner_trace(_load(args), args.radius, cfg)
-    return {"radius": args.radius, "value": complex(value)}, True
+    return {"radius": args.radius, "value": value}, True
 
 
 def cmd_kernel_commutant(args, cfg, budget):
@@ -199,7 +193,7 @@ def cmd_kernel_commutant(args, cfg, budget):
 
 
 def cmd_trace_diag(args, cfg, budget):
-    return {"value": complex(traces.tau_diagonal(_load(args)))}, True
+    return {"value": traces.tau_diagonal(_load(args))}, True
 
 
 def cmd_trace_residue(args, cfg, budget):
@@ -226,9 +220,8 @@ def cmd_trace_ordered(args, cfg, budget):
 def cmd_dixmier_spectrum(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget)
-    head = [complex(v) for v in spectrum.values[:16]]
     return {"kind": kind, "shells": shells, "count": len(spectrum),
-            "reliable": spectrum.reliable, "head": head,
+            "reliable": spectrum.reliable, "head": spectrum.values[:16].astype(complex),
             "provenance": spectrum.provenance}, True
 
 
@@ -271,7 +264,7 @@ def cmd_dos_idos(args, cfg, budget):
 def cmd_dos_measure(args, cfg, budget):
     op = dosmod.landau_hamiltonian(args.truncation)
     measure = dosmod.dos_measure(op, cfg)
-    return {"atoms": [[e, w] for e, w in measure.atoms]}, True
+    return {"atoms": measure.atoms}, True
 
 
 def cmd_dos_spectral(args, cfg, budget):
@@ -301,37 +294,50 @@ def cmd_dos_dixmier(args, cfg, budget):
 # -- compare ----------------------------------------------------------------
 
 
+def _dixmier_trace(op, lam, budget):
+    """D(H1) + i D(H2) for the Hermitian H1 = (S + S*)/2 and H2 = (S - S*)/(2i).
+
+    Each part is estimated from its eigenvalues (singular values would give
+    the trace norm of S).  D(0) = 0, so a part without entries is skipped,
+    unless both are empty.  Returns the value, the residual hypot(r1, r2)
+    and the tables.
+    """
+    star = adjoint(op)
+    value, tables = 0j, []
+    for unit, part in ((1.0, 0.5 * (op + star)), (1j, -0.5j * (op - star))):
+        if part.entries or (unit == 1j and not tables):
+            spectrum, _, _ = _weighted_spectrum(part, "left", lam, None, None, budget, "eigen")
+            tables.append(dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum)))
+            value += unit * complex(tables[-1].extrapolated)
+    return value, math.hypot(*(table.residual for table in tables)), tables
+
+
 def cmd_compare(args, cfg, budget):
     op = _load(args)
     tau = traces.tau_diagonal(op)
     residue = traces.tau_residue(op, args.lam, X_GRID)
     shell = traces.tau_shell(op, budget.n_grid)
     ordered = traces.tau_ordered_basis(op, budget.ordered_grid)
-    spectrum, shells, kind = _weighted_spectrum(op, "left", args.lam, None, None, budget)
-    dixmier_table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
-    shell_sharp = shell.accelerated[-1]
+    dixmier, dixmier_residual, dixmier_tables = _dixmier_trace(op, args.lam, budget)
+    shell_sharp = complex(shell.accelerated[-1])
     doubled = 2.0 * complex(ordered.extrapolated)
     rows = {
-        "diagonal": {"value": complex(tau), "gap": 0.0},
+        "diagonal": {"value": tau, "gap": 0.0},
         "residue": {"extrapolated": complex(residue.extrapolated),
                     "residual": residue.residual,
                     "gap": abs(complex(residue.extrapolated) - tau)},
         "shell": {"extrapolated": complex(shell.extrapolated),
-                  "accelerated": complex(shell_sharp),
-                  "gap": abs(complex(shell_sharp) - tau)},
+                  "accelerated": shell_sharp, "gap": abs(shell_sharp - tau)},
         "ordered": {"extrapolated": complex(ordered.extrapolated),
-                    "doubled": complex(doubled),
-                    "gap": abs(doubled - tau)},
-        "dixmier": {"extrapolated": complex(dixmier_table.extrapolated),
-                    "residual": dixmier_table.residual, "kind": kind,
-                    "gap": abs(complex(dixmier_table.extrapolated) - tau)},
+                    "doubled": doubled, "gap": abs(doubled - tau)},
+        "dixmier": {"extrapolated": dixmier, "residual": dixmier_residual,
+                    "kind": "eigen", "gap": abs(dixmier - tau)},
     }
     max_gap = max(row["gap"] for row in rows.values())
-    ok = all(t.converged for t in (residue, shell, ordered, dixmier_table))
+    ok = all(t.converged for t in (residue, shell, ordered, *dixmier_tables))
     return {"engines": rows, "max_gap": max_gap,
-            "budget": {"name": args.budget_profile, "shells": shells,
-                       "x_grid": list(X_GRID),
-                       "N_grid": [int(n) for n in budget.n_grid]}}, ok
+            "budget": {"name": args.budget_profile, "shells": budget.shells,
+                       "x_grid": X_GRID, "N_grid": budget.n_grid}}, ok
 
 
 # -- command table ------------------------------------------------------------
@@ -402,20 +408,10 @@ def run(argv) -> int:
         cfg = make_config(args.ell)
         payload, ok = args.func(args, cfg, BUDGETS[args.budget_profile])
         report = {"format_version": FORMAT_VERSION, "command": args.command,
-                  "config": {"ell": cfg.ell, "budget_profile": args.budget_profile,
-                             "seed": args.seed},
+                  "config": {"ell": cfg.ell, "budget_profile": args.budget_profile},
                   "wall_time_s": time.perf_counter() - start}
         report.update(payload)
-        if args.format == "json":
-            text = serialize.canonical_json(report) + "\n"
-        else:
-            import csv  # here, not at the top: JSON runs skip its import cost
-            import io
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(("key", "value"))
-            writer.writerows(serialize.report_rows(report))
-            text = buffer.getvalue()
+        text = serialize.report_text(report, args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

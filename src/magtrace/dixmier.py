@@ -243,8 +243,6 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
     label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
         op.form, op.lam, op.lam2, op.s, n_max, m_max)
     reliable = int((np.abs(values) > threshold).sum())
-    if kind == "singular":
-        values = np.abs(values)
     return Spectrum(values, label, kind, reliable=reliable)
 
 

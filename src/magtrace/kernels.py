@@ -146,17 +146,13 @@ class KernelFunction:
         return complex(total.reshape(())) if scalar else total
 
 
-def kernel_of(a: CoefficientOperator, cfg: MagneticConfig) -> KernelFunction:
-    return KernelFunction(source=a, cfg=cfg)
-
-
 def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
     """f_S(0), which equals the diagonal coefficient sum.
 
     Off-diagonal basis functions vanish at the origin, so the kernel series
     collapses onto the diagonal there.  The value does not depend on ell.
     """
-    return kernel_of(s, cfg)(0.0, 0.0)
+    return KernelFunction(s, cfg)(0.0, 0.0)
 
 
 def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
@@ -232,7 +228,7 @@ def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _K
     check_convolution_budget(spec)
     n = spec.nodes
     diffs = np.arange(-(n - 1), n) * spec.spacing
-    table = kernel_of(s, cfg)(diffs[:, None], diffs[None, :])
+    table = KernelFunction(s, cfg)(diffs[:, None], diffs[None, :])
     spectra = np.fft.fft(table[:, ::-1], n=_fft_length(2 * n - 1), axis=1)
     return _KernelTable(spectra, _edge_band_fraction(table, 1, 1))
 

@@ -24,18 +24,67 @@ from .operators import CoefficientOperator, OPERATOR_CLASSES
 def format_float(value: float) -> str:
     if not math.isfinite(value):
         raise DomainError("reports may not contain non-finite numbers")
-    text = format(float(value), ".17g")
-    return text
+    return format(float(value), ".17g")
+
+
+def _plain(obj):
+    """A report as plain JSON values, object keys sorted: the one report encoder.
+
+    Complex numbers become {"im", "re"}, tables go through table_to_dict, tuples
+    and arrays become lists and numpy numbers int or float; all else is refused.
+    """
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, complex):
+        return {"im": float(obj.imag), "re": float(obj.real)}
+    if isinstance(obj, dict):
+        if not all(isinstance(key, str) for key in obj):
+            raise DomainError("report keys must be strings")
+        return {key: _plain(obj[key]) for key in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, ConvergenceTable):
+        return _plain(table_to_dict(obj))
+    raise DomainError("cannot serialize %r" % type(obj))
+
+
+def _json_text(node) -> str:
+    """JSON text of a plain value: ", " and ": " separators, floats by format_float."""
+    if isinstance(node, float):
+        return format_float(node)
+    if isinstance(node, dict):
+        return "{%s}" % ", ".join("%s: %s" % (json.dumps(key), _json_text(value))
+                                  for key, value in node.items())
+    if isinstance(node, list):
+        return "[%s]" % ", ".join(map(_json_text, node))
+    return json.dumps(node)
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed float formatting."""
-    out = io.StringIO()
-    _emit(obj, out)
-    return out.getvalue()
+    return _json_text(_plain(obj))
 
 
-def report_rows(obj, path=()):
+def _leaves(node, path):
+    if isinstance(node, dict):
+        for key, item in node.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(node, list):
+        for pos, item in enumerate(node):
+            yield from _leaves(item, path + (str(pos),))
+    elif node is None or isinstance(node, str):
+        yield ".".join(path), node or ""
+    else:
+        yield ".".join(path), _json_text(node)
+
+
+def report_rows(obj):
     """(key path, cell) for each leaf that canonical_json emits, in its order.
 
     A path joins mapping keys and list positions with dots, as in
@@ -43,59 +92,17 @@ def report_rows(obj, path=()):
     canonical JSON text, a string cell the raw string, and None an empty
     cell.
     """
-    if isinstance(obj, complex):
-        obj = {"im": obj.imag, "re": obj.real}
-    elif isinstance(obj, ConvergenceTable):
-        obj = table_to_dict(obj)
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            yield from report_rows(obj[key], path + (key,))
-    elif isinstance(obj, (list, tuple)):
-        for pos, item in enumerate(obj):
-            yield from report_rows(item, path + (str(pos),))
-    elif obj is None or isinstance(obj, str):
-        yield ".".join(path), obj or ""
-    else:
-        yield ".".join(path), canonical_json(obj)
+    return _leaves(_plain(obj), ())
 
 
-def _emit(obj, out) -> None:
-    if obj is None or isinstance(obj, bool):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.write(str(obj))
-    elif isinstance(obj, float):
-        out.write(format_float(obj))
-    elif isinstance(obj, complex):
-        _emit({"im": obj.imag, "re": obj.real}, out)
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj))
-    elif isinstance(obj, ConvergenceTable):
-        _emit(table_to_dict(obj), out)
-    elif isinstance(obj, dict):
-        out.write("{")
-        for pos, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise DomainError("report keys must be strings")
-            if pos:
-                out.write(", ")
-            out.write(json.dumps(key))
-            out.write(": ")
-            _emit(obj[key], out)
-        out.write("}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for pos, item in enumerate(obj):
-            if pos:
-                out.write(", ")
-            _emit(item, out)
-        out.write("]")
-    elif isinstance(obj, (np.integer,)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (np.floating,)):
-        out.write(format_float(float(obj)))
-    else:
-        raise DomainError("cannot serialize %r" % type(obj))
+def report_text(report, fmt: str) -> str:
+    """The text of --format json (one canonical line) or csv (a key,value row per leaf)."""
+    if fmt == "json":
+        return canonical_json(report) + "\n"
+    import csv  # here, not at the top: JSON reports skip its import cost
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([("key", "value"), *report_rows(report)])
+    return buffer.getvalue()
 
 
 def operator_to_dict(op: CoefficientOperator) -> dict:

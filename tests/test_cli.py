@@ -9,12 +9,13 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import magtrace
-from magtrace import adjoint, make_config, psi
+from magtrace import CoefficientOperator, adjoint, make_config, psi
 from magtrace.cli import run
-from magtrace.serialize import canonical_json, load_operator
+from magtrace.serialize import canonical_json, load_operator, save_operator
 
 
 def invoke(argv, capsys):
@@ -130,6 +131,10 @@ def test_exit_64_on_usage_errors(pi0_file, capsys):
     assert invoke([], capsys)[0] == 64
     assert invoke(["trace"], capsys)[0] == 64
     assert invoke(["--bogus-flag", "trace", "diag", "--op", pi0_file], capsys)[0] == 64
+    # no randomized algorithm is used, so there is no seed to set
+    rc, out, err = invoke(["--seed", "1", "trace", "diag", "--op", pi0_file], capsys)
+    assert (rc, out) == (64, "")
+    assert err.startswith("usage error:")
     # grids are validated, not rounded, and an empty list is no grid
     for grid in ("1e400", "100,nan", ",", "", "100,,1000", "100.7,1000.2,9999.6"):
         rc, out, err = invoke(["trace", "shell", "--op", pi0_file, "--Ngrid", grid], capsys)
@@ -411,6 +416,26 @@ def test_compare(pi0_file, capsys):
     assert set(engines) == {"diagonal", "residue", "shell", "ordered", "dixmier"}
     assert engines["diagonal"]["gap"] == 0.0
     assert engines["shell"]["gap"] == 0.0
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0, None],
+                         ids=["hermitian", "anti-hermitian", "non-hermitian"])
+def test_compare_dixmier_row_estimates_the_trace(sign, rng, tmp_path, capsys):
+    # a dense source: the singular values would give its trace norm, not its trace
+    matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    if sign is not None:
+        matrix = 0.5 * (matrix + sign * matrix.conj().T)
+    path = tmp_path / "dense.json"
+    save_operator(CoefficientOperator({(j, k): matrix[j, k] for j in range(6)
+                                       for k in range(6)}), str(path))
+    rc, out, _ = invoke(["compare", "--op", str(path)], capsys)
+    assert rc in (0, 3)
+    dixmier = json.loads(out)["engines"]["dixmier"]
+    trace_norm = np.linalg.svd(matrix, compute_uv=False).sum()
+    assert dixmier["gap"] <= 0.05 * trace_norm
+    assert dixmier["kind"] == "eigen"
+    value = complex(dixmier["extrapolated"]["re"], dixmier["extrapolated"]["im"])
+    assert abs(value - np.trace(matrix)) == pytest.approx(dixmier["gap"], rel=1e-12)
 
 
 def test_length_flag_changes_idos(capsys):

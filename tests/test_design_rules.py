@@ -1,12 +1,12 @@
-"""Guards for six design rules of the package.
+"""Guards for seven design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
 convergence table comes from the two builders in extrapolate.py, every
 flag that a CLI subcommand declares is read by its handler, every flag
-entry is declared by the parser or by some subcommand, and every public
+entry is declared by the parser or by some subcommand, every public
 name is reached by a command, an acceptance criterion or a magbench
-workload.
+workload, and every CLI report is encoded by serialize.
 """
 
 import argparse
@@ -242,3 +242,29 @@ def test_undeclared_flag_scan_flags_a_dead_entry():
     flags = {"--ell": {}, "--op": {}, "--J": {}, "--eps": {}}
     commands = {"trace diag": (None, ("--op",)), "dos idos": (None, ("--eps",))}
     assert _undeclared_flags(flags, ("--ell",), commands) == ["--J"]
+
+
+# Modules that encode report text; the CLI leaves that to serialize.
+ENCODERS = {"json", "csv", "io"}
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules imported anywhere in a tree, relative ones aside."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_cli_leaves_report_encoding_to_serialize():
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    assert _imported_modules(ast.parse(source)) & ENCODERS == set()
+
+
+def test_imported_module_scan_flags_nested_and_from_imports():
+    tree = ast.parse("import os.path\nfrom json import dumps\nfrom . import serialize\n"
+                     "def emit():\n    import csv\n")
+    assert _imported_modules(tree) == {"os", "json", "csv"}

@@ -22,12 +22,12 @@ from magtrace import (
     grid_inner,
     grid_norm,
     kernel_at_zero,
-    kernel_of,
     magnetic_translate,
     make_config,
     sample_basis,
     tau_diagonal,
 )
+from magtrace.kernels import KernelFunction
 from conftest import random_operator
 
 WORK_GRID = GridSpec(extent=9.0, nodes=96)
@@ -44,7 +44,7 @@ def work_basis():
 
 def test_kernel_of_ground_projection(cfg):
     # the kernel of the lowest projection is the plain Gaussian
-    fn = kernel_of(CoefficientOperator.projection(0), cfg)
+    fn = KernelFunction(CoefficientOperator.projection(0), cfg)
     assert fn(0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
     for x1, x2 in [(0.5, 0.2), (2.0, -1.0), (0.0, 3.0)]:
         expected = math.exp(-(x1 * x1 + x2 * x2) / 4.0)
@@ -52,12 +52,12 @@ def test_kernel_of_ground_projection(cfg):
 
 
 def test_kernel_of_transition_vanishes_at_origin(cfg):
-    fn = kernel_of(CoefficientOperator.transition(0, 1), cfg)
+    fn = KernelFunction(CoefficientOperator.transition(0, 1), cfg)
     assert abs(fn(0.0, 0.0)) == 0.0
 
 
 def test_kernel_of_zero_operator(cfg):
-    fn = kernel_of(CoefficientOperator({}), cfg)
+    fn = KernelFunction(CoefficientOperator({}), cfg)
     assert fn(1.0, 2.0) == 0.0
 
 
@@ -125,7 +125,7 @@ def _brute_force_apply(s, phi, cfg):
     w = np.full(n, spec.spacing)
     w[0] = w[-1] = 0.5 * spec.spacing
     y1, y2 = g[:, None], g[None, :]
-    ker = kernel_of(s, cfg)
+    ker = KernelFunction(s, cfg)
     out = np.zeros((n, n), dtype=complex)
     for i1 in range(n):
         for i2 in range(n):
@@ -363,7 +363,7 @@ def test_kernel_norm_bound(rng, cfg):
     spec = GridSpec(extent=12.0, nodes=192)
     for trial in range(4):
         a = random_operator(rng, max_index=4, count=8)
-        fa = grid_from_function(kernel_of(a, cfg), spec)
+        fa = grid_from_function(KernelFunction(a, cfg), spec)
         block_norm = coefficient_bound_check(dict(a.entries), 5).block_norm
         assert math.sqrt(2.0 * math.pi) * block_norm <= grid_norm(fa) + 1e-8
 
@@ -374,8 +374,8 @@ def test_kernel_pairing_matches_coefficients(rng, cfg):
     for trial in range(3):
         a = random_operator(rng, max_index=4, count=8)
         b = random_operator(rng, max_index=4, count=8)
-        fa = grid_from_function(kernel_of(a, cfg), spec)
-        fb = grid_from_function(kernel_of(b, cfg), spec)
+        fa = grid_from_function(KernelFunction(a, cfg), spec)
+        fb = grid_from_function(KernelFunction(b, cfg), spec)
         quad = grid_inner(fa, fb) / (2.0 * math.pi * cfg.ell ** 2)
         exact = sum(np.conj(v) * b.entries.get(key, 0.0) for key, v in a.entries.items())
         assert quad == pytest.approx(exact, abs=1e-6)

@@ -164,3 +164,32 @@ def test_table_to_dict_flags():
     # reports carry the table itself, emitted through table_to_dict
     assert canonical_json({"table": bad}) == canonical_json({"table": data})
 
+
+
+@pytest.mark.parametrize("value, plain", [
+    (np.array([0.5, -2.0, 1e-300]), [0.5, -2.0, 1e-300]),
+    (np.array([[1.0 - 0.5j, 0.0j], [2.0 + 1j, -3.0j]]),
+     [[1.0 - 0.5j, 0.0j], [2.0 + 1j, -3.0j]]),
+    (np.array([3, -1, 0], dtype=np.int64), [3, -1, 0]),
+    (np.zeros((2, 0)), [[], []]),
+    (np.complex128(0.1 - 2.0j), 0.1 - 2.0j),
+    (np.float64(0.1), 0.1),
+    (np.int64(-7), -7),
+    ((1.5, (2, "x"), None), [1.5, [2, "x"], None]),
+], ids=["float-array", "complex-array", "int-array", "empty-rows", "complex128",
+        "float64", "int64", "tuple"])
+def test_numpy_values_encode_as_python_values(value, plain):
+    report = {"value": value, "nested": {"items": [value]}}
+    expected = {"value": plain, "nested": {"items": [plain]}}
+    assert canonical_json(report) == canonical_json(expected)
+    assert list(report_rows(report)) == list(report_rows(expected))
+
+
+@pytest.mark.parametrize("value", [np.complex64(1.0), np.bool_(True), math.nan,
+                                   np.array([1.0, math.nan]), {1: "x"}, {"x": object()}],
+                         ids=["complex64", "bool_", "nan", "nan-array", "int-key", "object"])
+def test_both_printers_refuse_what_json_cannot_hold(value):
+    with pytest.raises(DomainError):
+        canonical_json({"value": value})
+    with pytest.raises(DomainError):
+        list(report_rows({"value": value}))
