@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dixmier as dx
-from . import dos as dosmod
-from . import kernels, serialize, traces
-from .basis import psi
+from . import serialize
 from .config import make_config
 from .errors import CalculusError, DomainError
-from .kernels import GridSpec
 from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
                         weighted_product)
+
+# The handlers import the other library modules that they call, so that a
+# process loads only what its subcommand runs.
 
 FORMAT_VERSION = "1"
 X_GRID = (1e-1, 1e-2, 1e-3)  # residue-route samples, the same in every budget profile
@@ -124,13 +123,15 @@ def _load(args):
 
 
 def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
+    from .dixmier import collect_spectrum
+
     shells = budget.shells if shells is None else shells
     product = weighted_product(op, form, lam, lam2, s=1.0)
     n_max = max(op.max_index + 1, 1)
     if kind is None:
         diag_real = op.is_diagonal and all(abs(v.imag) == 0.0 for v in op.entries.values())
         kind = "eigen" if diag_real else "singular"
-    spectrum = dx.collect_spectrum(product, m_max=shells - 1, n_max=n_max, kind=kind)
+    spectrum = collect_spectrum(product, m_max=shells - 1, n_max=n_max, kind=kind)
     return spectrum, shells, kind
 
 
@@ -138,10 +139,14 @@ def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
 
 
 def cmd_basis_eval(args, cfg, budget):
+    from .basis import psi
+
     return {"value": psi(args.n, args.m, args.x1, args.x2, cfg)}, True
 
 
 def cmd_basis_gram(args, cfg, budget):
+    from . import kernels
+
     errors = kernels.orthonormality_check(args.max_index, cfg, args.extent, args.nodes)
     return {"max_index": args.max_index, "max_error": errors.max(), "errors": errors}, True
 
@@ -170,18 +175,24 @@ def cmd_op_block(args, cfg, budget):
 
 
 def cmd_kernel_eval(args, cfg, budget):
+    from . import kernels
+
     return {"value": kernels.KernelFunction(_load(args), cfg)(args.x1, args.x2)}, True
 
 
 def cmd_kernel_folner(args, cfg, budget):
+    from . import kernels
+
     value = kernels.folner_trace(_load(args), args.radius, cfg)
     return {"radius": args.radius, "value": value}, True
 
 
 def cmd_kernel_commutant(args, cfg, budget):
+    from . import kernels
+
     extent = budget.kernel_extent_ells * cfg.ell if args.extent is None else args.extent
     nodes = budget.kernel_nodes if args.nodes is None else args.nodes
-    spec = GridSpec(extent=extent, nodes=nodes)
+    spec = kernels.GridSpec(extent=extent, nodes=nodes)
     kernels.check_convolution_budget(spec)
     phi = kernels.sample_basis(0, 0, spec, cfg)
     residual = kernels.commutant_residual(_load(args), (args.a1, args.a2), phi, cfg)
@@ -193,21 +204,29 @@ def cmd_kernel_commutant(args, cfg, budget):
 
 
 def cmd_trace_diag(args, cfg, budget):
+    from . import traces
+
     return {"value": traces.tau_diagonal(_load(args))}, True
 
 
 def cmd_trace_residue(args, cfg, budget):
+    from . import traces
+
     table = traces.tau_residue(_load(args), args.lam, args.xgrid)
     return {"lambda": args.lam, "table": table}, table.converged
 
 
 def cmd_trace_shell(args, cfg, budget):
+    from . import traces
+
     n_grid = budget.n_grid if args.ngrid is None else args.ngrid
     table = traces.tau_shell(_load(args), n_grid)
     return {"table": table}, table.converged
 
 
 def cmd_trace_ordered(args, cfg, budget):
+    from . import traces
+
     n_grid = budget.ordered_grid if args.ngrid is None else args.ngrid
     table = traces.tau_ordered_basis(_load(args), n_grid)
     doubled = 2.0 * complex(table.extrapolated)
@@ -226,6 +245,8 @@ def cmd_dixmier_spectrum(args, cfg, budget):
 
 
 def cmd_dixmier_gamma(args, cfg, budget):
+    from . import dixmier as dx
+
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget, kind="singular")
     return {"N": args.count, "gamma": dx.gamma(spectrum, args.count),
@@ -233,6 +254,8 @@ def cmd_dixmier_gamma(args, cfg, budget):
 
 
 def cmd_dixmier_estimate(args, cfg, budget):
+    from . import dixmier as dx
+
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget)
     table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
@@ -240,6 +263,8 @@ def cmd_dixmier_estimate(args, cfg, budget):
 
 
 def cmd_dixmier_tauberian(args, cfg, budget):
+    from . import dixmier as dx
+
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget, kind="singular")
     table = dx.tauberian_residue(spectrum, args.xgrid)
@@ -249,25 +274,33 @@ def cmd_dixmier_tauberian(args, cfg, budget):
 # -- dos handlers -----------------------------------------------------------
 
 
-def _dos_operator(minimum: float) -> dosmod.LandauDiagonalOperator:
+def _dos_operator(minimum: float):
     """The Landau levels that cover a threshold or support end `minimum`."""
+    from .dos import landau_hamiltonian
+
     if not math.isfinite(minimum):
         raise DomainError("the threshold must be finite")
-    return dosmod.landau_hamiltonian(max(64, int(minimum + 2.0)))
+    return landau_hamiltonian(max(64, int(minimum + 2.0)))
 
 
 def cmd_dos_idos(args, cfg, budget):
+    from . import dos as dosmod
+
     op = _dos_operator(args.eps)
     return {"eps": args.eps, "idos": dosmod.idos(op, args.eps, cfg)}, True
 
 
 def cmd_dos_measure(args, cfg, budget):
+    from . import dos as dosmod
+
     op = dosmod.landau_hamiltonian(args.truncation)
     measure = dosmod.dos_measure(op, cfg)
     return {"atoms": measure.atoms}, True
 
 
 def cmd_dos_spectral(args, cfg, budget):
+    from . import dos as dosmod
+
     fn = serialize.load_test_function(args.testfn)
     op = _dos_operator(fn.support[1])
     check = dosmod.spectral_formula_check(op, fn, cfg)
@@ -276,6 +309,8 @@ def cmd_dos_spectral(args, cfg, budget):
 
 
 def cmd_dos_approx(args, cfg, budget):
+    from . import dos as dosmod
+
     op = _dos_operator(args.eps)
     n_grid = budget.n_grid if args.ngrid is None else args.ngrid
     table = dosmod.idos_shell_approx(op, args.eps, n_grid, cfg)
@@ -283,6 +318,8 @@ def cmd_dos_approx(args, cfg, budget):
 
 
 def cmd_dos_dixmier(args, cfg, budget):
+    from . import dos as dosmod
+
     fn = serialize.load_test_function(args.testfn)
     op = _dos_operator(fn.support[1])
     check = dosmod.dixmier_dos_check(op, fn, cfg, form=args.form, lam=args.lam,
@@ -298,14 +335,16 @@ def _dixmier_trace(op, lam, budget):
     """D(H1) + i D(H2) for the Hermitian H1 = (S + S*)/2 and H2 = (S - S*)/(2i).
 
     Each part is estimated from its eigenvalues (singular values would give
-    the trace norm of S).  D(0) = 0, so a part without entries is skipped,
-    unless both are empty.  Returns the value, the residual hypot(r1, r2)
-    and the tables.
+    the trace norm of S).  D(0) = 0, so a part without entries is skipped;
+    the zero operator gets no table and residual 0.  Returns the value, the
+    residual hypot(r1, r2) and the tables.
     """
+    from . import dixmier as dx
+
     star = adjoint(op)
     value, tables = 0j, []
     for unit, part in ((1.0, 0.5 * (op + star)), (1j, -0.5j * (op - star))):
-        if part.entries or (unit == 1j and not tables):
+        if part.entries:
             spectrum, _, _ = _weighted_spectrum(part, "left", lam, None, None, budget, "eigen")
             tables.append(dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum)))
             value += unit * complex(tables[-1].extrapolated)
@@ -313,6 +352,8 @@ def _dixmier_trace(op, lam, budget):
 
 
 def cmd_compare(args, cfg, budget):
+    from . import traces
+
     op = _load(args)
     tau = traces.tau_diagonal(op)
     residue = traces.tau_residue(op, args.lam, X_GRID)
@@ -373,12 +414,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=()) -> _Parser:
+    """The parser with the subcommands whose words all appear in argv.
+
+    Subcommand names are never abbreviated, so the one that argv selects
+    is among them.  All subcommands are added when argv names none.
+    """
+    words = set(argv)
+    chosen = [name for name in COMMANDS if words.issuperset(name.split())] or list(COMMANDS)
     parser = _Parser(prog="magtrace", description=__doc__)
     for flag in GLOBAL_FLAGS:
         parser.add_argument(flag, **FLAGS[flag])
     groups = {"": parser.add_subparsers(dest="command")}
-    for name, (handler, flags) in COMMANDS.items():
+    for name in chosen:
+        handler, flags = COMMANDS[name]
         group, _, action = name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(dest="action")
@@ -393,10 +442,23 @@ def build_parser() -> _Parser:
 # -- driver -----------------------------------------------------------------
 
 
+def _parse(argv):
+    """Parse argv with build_parser(argv).
+
+    Help and usage errors list the sibling subcommands, so they come from
+    the full parser, as does any argv that the smaller parser refuses.
+    """
+    if not any(arg.startswith(("-h", "--h")) for arg in argv):
+        try:
+            return build_parser(argv).parse_args(argv)
+        except UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 64

@@ -319,7 +319,7 @@ def calderon_norm(spectrum: Spectrum) -> float:
 
 def _geometric_ladder(low: int, top: int, points: int) -> list[int]:
     """Distinct integer parts of `points` geometric steps from low to top."""
-    return [int(n) for n in np.unique(np.geomspace(low, top, points).astype(int))]
+    return sorted({int(n) for n in np.geomspace(low, top, points)})
 
 
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:

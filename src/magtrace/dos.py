@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MagneticConfig
-from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
 from .errors import DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
@@ -211,6 +210,9 @@ def dixmier_dos_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
     Test functions may take negative values, so the estimate sums signed
     eigenvalues rather than singular values.
     """
+    # here, not at the top: the other dos routes do not load dixmier
+    from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
+
     family = functional_calculus(op, fn)
     weighted = weighted_product(family, form, lam, lam2, s=1.0)
     n_max = max(family.max_index + 1, 1)

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from .dos import CompactTestFunction
 from .errors import DomainError
 from .extrapolate import ConvergenceTable
 from .operators import CoefficientOperator, OPERATOR_CLASSES
@@ -166,7 +165,10 @@ def load_operator(path: str) -> CoefficientOperator:
     return operator_from_dict(_load_json(path))
 
 
-def load_test_function(path: str) -> CompactTestFunction:
+def load_test_function(path: str):
+    """A CompactTestFunction read from a nodes document."""
+    from .dos import CompactTestFunction  # here: only the dos commands pay for dos
+
     data = _load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("nodes"), list):
         raise DomainError("a test function document needs a nodes array")

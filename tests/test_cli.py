@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, payloads, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,6 +15,7 @@ import pytest
 
 import magtrace
 from magtrace import CoefficientOperator, adjoint, make_config, psi
+from magtrace import cli
 from magtrace.cli import run
 from magtrace.serialize import canonical_json, load_operator, save_operator
 
@@ -438,6 +440,22 @@ def test_compare_dixmier_row_estimates_the_trace(sign, rng, tmp_path, capsys):
     assert abs(value - np.trace(matrix)) == pytest.approx(dixmier["gap"], rel=1e-12)
 
 
+@pytest.mark.parametrize("budget", ["full", "quick"])
+def test_compare_on_the_zero_operator(budget, tmp_path, capsys):
+    # D(0) = 0: no Hermitian part has entries, so no Dixmier table is fitted
+    path = tmp_path / "zero.json"
+    path.write_text('{"entries": []}')
+    rc, out, err = invoke(["--budget-profile", budget, "compare", "--op", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["max_gap"] == 0.0
+    zero = {"im": 0.0, "re": 0.0}
+    assert report["engines"]["dixmier"] == {"extrapolated": zero, "residual": 0.0,
+                                            "kind": "eigen", "gap": 0.0}
+    assert all(value in (zero, 0.0) for row in report["engines"].values()
+               for key, value in row.items() if key != "kind")
+
+
 def test_length_flag_changes_idos(capsys):
     rc, out, _ = invoke(["--ell", "2.0", "dos", "idos", "--eps", "2.0"], capsys)
     assert rc == 0
@@ -553,12 +571,91 @@ def test_far_diagonal_source_stays_refused(budget, tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
-def test_module_entry_point(pi0_file):
+def _child_env():
     # the child finds the package that this test imported, installed or not
     package_root = os.path.dirname(os.path.dirname(magtrace.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(pi0_file):
     proc = subprocess.run([sys.executable, "-m", "magtrace.cli", "trace", "diag",
-                           "--op", pi0_file], capture_output=True, text=True, env=env)
+                           "--op", pi0_file], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"]["re"] == 1.0
+
+
+def _modules_loaded(args):
+    """Names of the modules that a fresh `python <args>` process imports."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr[-500:]
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_loaded(["-c", "import magtrace"])
+    assert "magtrace" in loaded
+    assert sorted(name for name in loaded if name.startswith("magtrace.")) == []
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["trace", "shell", "--op", "{pi0}"],
+     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy.ma"}),
+    (["kernel", "eval", "--op", "{pi0}", "--x1", "0.5", "--x2", "0.25"],
+     {"magtrace.dixmier", "magtrace.dos"}),
+    (["dixmier", "estimate", "--op", "{pi0}"], {"numpy.ma"}),
+    (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels"}),
+    (["dos", "dixmier", "--f", "{bump}"], {"numpy.ma", "magtrace.kernels"}),
+    (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
+     {"numpy.ma", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
+], ids=["trace-shell", "kernel-eval", "dixmier-estimate", "dos-approx", "dos-dixmier",
+        "compare"])
+def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
+    loaded = _modules_loaded(["-m", "magtrace.cli", *argv])
+    assert "magtrace.operators" in loaded
+    assert sorted(absent & loaded) == []
+
+
+def _outcome(argv, capsys):
+    try:
+        rc = run(list(argv))
+    except SystemExit as done:  # argparse's help exits
+        rc = done.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _subcommand_names(parser, prefix=()):
+    """The full names of the leaf subcommands that a parser holds, in order."""
+    names = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                names += _subcommand_names(child, prefix + (name,)) or [" ".join(prefix + (name,))]
+    return names
+
+
+def test_parser_holds_the_subcommands_that_argv_names():
+    assert _subcommand_names(cli.build_parser()) == list(cli.COMMANDS)
+    assert _subcommand_names(cli.build_parser(["--ell", "2", "trace"])) == list(cli.COMMANDS)
+    assert _subcommand_names(cli.build_parser(["trace", "shell", "--op", "x"])) == ["trace shell"]
+    # a flag value that is a subcommand word adds that subcommand too
+    assert _subcommand_names(cli.build_parser(["dos", "dixmier", "--f", "estimate"])) == [
+        "dixmier estimate", "dos dixmier"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["trace", "--help"], ["trace", "diag", "--help"], ["--help", "trace", "diag"],
+    ["trace", "--help", "diag"], ["--hel", "compare"], ["trace", "dag", "--op", "x"],
+    ["trace", "compare", "--op", "x"], ["dixmier", "diag", "--op", "trace"],
+    ["trace", "diag"], ["compare", "--op"], ["--out", "compare"],
+])
+def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
+    small = _outcome(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert _outcome(argv, capsys) == small

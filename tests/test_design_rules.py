@@ -11,7 +11,7 @@ workload, and every CLI report is encoded by serialize.
 
 import argparse
 import ast
-import inspect
+import importlib
 import pathlib
 import sys
 
@@ -122,27 +122,16 @@ def test_trace_routes_do_not_call_the_diagonal_sum(monkeypatch):
     assert abs(complex(table.extrapolated) - 2.0) <= 1e-2
 
 
-def _exported_imports(tree):
-    """Public names that a module's `from ... import` statements bind."""
-    return sorted(alias.asname or alias.name for node in tree.body
-                  if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                  for alias in node.names
-                  if not (alias.asname or alias.name).startswith("_"))
-
-
 def test_all_matches_the_package_imports():
-    init = pathlib.Path(magtrace.__file__)
-    imported = [name for name in _exported_imports(ast.parse(init.read_text(encoding="utf-8")))
-                if not inspect.ismodule(getattr(magtrace, name, None))]
-    assert [name for name in magtrace.__all__ if not hasattr(magtrace, name)] == []
-    assert sorted(set(imported) - set(magtrace.__all__)) == []
-    assert len(set(magtrace.__all__)) == len(magtrace.__all__)
-
-
-def test_export_scan_flags_unlisted_names():
-    tree = ast.parse("from __future__ import annotations\nfrom .a import b, _c\n"
-                     "from .d import e as f\nimport numpy\n")
-    assert _exported_imports(tree) == ["b", "f"]
+    # the export table is the package's only import list: each name once, in its module
+    listed = [(module, name) for module, names in magtrace.EXPORTS.items() for name in names]
+    assert [(module, name) for module, name in listed
+            if not hasattr(importlib.import_module("magtrace." + module), name)] == []
+    assert len(magtrace.__all__) == len(set(magtrace.__all__)) == len(listed)
+    assert sorted(magtrace.__all__) == sorted(name for _, name in listed)
+    assert set(magtrace.__all__) <= set(dir(magtrace))
+    with pytest.raises(AttributeError):
+        magtrace.no_such_name
 
 
 def _unreached_exports(exports, trees):
