@@ -41,7 +41,13 @@ def laguerre_poly(n: int, alpha: float, zeta):
         return float(prev[0]) if scalar else prev
     cur = 1.0 + alpha - z
     for k in range(2, n + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - z) * cur - (k - 1.0 + alpha) * prev) / k
+        # the formula's operations, in place in the older array: same bits, fewer arrays
+        step = (2.0 * k - 1.0 + alpha) - z
+        step *= cur
+        prev *= -(k - 1.0 + alpha)
+        prev += step
+        prev /= k
+        prev, cur = cur, prev
     return float(cur[0]) if scalar else cur
 
 

@@ -99,7 +99,9 @@ FLAGS = {
     "--p": dict(type=float, required=True),
     "--N": dict(dest="count", type=int, required=True),
     "--save": dict(default=None, help="also write the resulting operator to this path"),
-    "--R": dict(dest="radius", type=float, default=8.0),
+    "--R": dict(dest="radius", type=float, default=8.0,
+                help="Folner box radius (default 8.0); the reported value does not "
+                     "depend on it, since the kernel diagonal is constant"),
     "--a1": dict(type=float, required=True),
     "--a2": dict(type=float, required=True),
     "--lambda": dict(dest="lam", type=float, default=0.0),

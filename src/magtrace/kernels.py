@@ -29,7 +29,7 @@ import numpy as np
 from .config import MagneticConfig
 from .errors import DomainError, ResourceError, check_memory
 from .operators import CoefficientOperator
-from .basis import SQRT_TWO_PI, psi
+from .basis import SQRT_TWO_PI, laguerre_poly, psi
 
 # Output rows are convolved in slabs whose FFT array stays within this;
 # at 64-128 nodes 2 MiB slabs ran as fast as 16 MiB ones, in less memory.
@@ -129,7 +129,17 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """Callable reduced kernel f_A of a coefficient family."""
+    """Callable reduced kernel f_A of a coefficient family.
+
+    The radial factors of the basis functions, zeta = |x|^2/(2 ell^2),
+    the Gaussian e^{-zeta/2}/(sqrt(2 pi) ell) and b = (x1 + i x2)/(ell
+    sqrt 2), are computed once per call.  With lo = min(j, k) and p =
+    |j - k|, psi_{k,j} is the Gaussian times sqrt(lo!/(lo + p)!), b**p
+    (its conjugate for j > k, with the reflection sign) and
+    L_lo^(p)(zeta).  Each term is built in place, multiplied in the order
+    psi and the term-by-term sum of (-1)^(j-k) a_jk psi_{k,j} use, and
+    added into one sum.
+    """
 
     source: CoefficientOperator
     cfg: MagneticConfig
@@ -138,12 +148,57 @@ class KernelFunction:
         a1 = np.asarray(x1, dtype=float)
         a2 = np.asarray(x2, dtype=float)
         scalar = a1.ndim == 0 and a2.ndim == 0
-        total = np.zeros(np.broadcast(a1, a2).shape, dtype=complex)
-        for (j, k), v in sorted(self.source.entries.items()):
-            sign = -1.0 if (j - k) % 2 else 1.0
-            total = total + sign * v * psi(k, j, a1, a2, self.cfg)
-        total = SQRT_TWO_PI * self.cfg.ell * total
-        return complex(total.reshape(())) if scalar else total
+        if scalar:
+            a1 = a1.reshape(1)
+        total = np.zeros(np.broadcast_shapes(a1.shape, a2.shape), dtype=complex)
+        self._add_into(a1, a2, total)
+        return complex(total[0]) if scalar else total
+
+    def _add_into(self, a1, a2, total, mirror=None):
+        """Add f_A at the points (a1, a2) into `total`, and f_A at (-a1, -a2)
+        on their last len(mirror) rows into `mirror`.
+
+        psi_{k,j}(-x) = (-1)^(j-k) psi_{k,j}(x), so each term goes into
+        mirror with the sign of its parity: f_A(-x) = E(x) - O(x) for the
+        even and odd parts E and O, summed in the same order as f_A(x).
+        """
+        terms = sorted(self.source.entries.items())
+        if not terms:
+            return
+        ell = self.cfg.ell
+        zeta = a1 * a1 + a2 * a2
+        zeta /= 2.0 * ell * ell
+        gauss = np.exp(-0.5 * zeta)
+        gauss /= SQRT_TWO_PI * ell
+        base = a1 + 1j * a2
+        base /= ell * math.sqrt(2.0)
+        for (j, k), v in terms:
+            lo, p = min(j, k), abs(j - k)
+            ratio = math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
+            # the kernel's sign (-1)^(j-k) cancels the reflection's for j > k
+            coef = -v if j < k and p % 2 else v
+            laguerre = laguerre_poly(lo, p, zeta) if lo else None
+            if p:
+                term = base ** p
+                if j > k:
+                    np.conjugate(term, out=term)
+                term *= gauss * ratio
+            else:
+                term = gauss * ratio
+            if laguerre is not None:
+                term *= laguerre
+            del laguerre
+            # the coefficient on the left, as in a_jk * psi: numpy's complex
+            # product need not commute in the last bit
+            term = np.multiply(coef, term)
+            total += term
+            if mirror is not None:
+                signed = np.subtract if p % 2 else np.add
+                signed(mirror, term[len(term) - len(mirror):], out=mirror)
+            del term
+        np.multiply(SQRT_TWO_PI * ell, total, out=total)
+        if mirror is not None:
+            np.multiply(SQRT_TWO_PI * ell, mirror, out=mirror)
 
 
 def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
@@ -156,17 +211,20 @@ def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
 
 
 def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
+    """Share of sum |values| within cells1 rows and cells2 columns of the boundary."""
     total = float(np.abs(values).sum())
     if total == 0.0:
         return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
-    if cells1 > 0:
-        mask[:cells1, :] = True
-        mask[-cells1:, :] = True
-    if cells2 > 0:
-        mask[:, :cells2] = True
-        mask[:, -cells2:] = True
-    return float(np.abs(values[mask]).sum()) / total
+    rows, cols = values.shape
+    top = min(cells1, rows)
+    bottom = max(top, rows - cells1)
+    left = min(cells2, cols)
+    right = max(left, cols - cells2)
+    middle = values[top:bottom]
+    # the row bands hold the corners, so the column bands take the middle rows only
+    edge = sum(float(np.abs(band).sum()) for band in
+               (values[:top], values[bottom:], middle[:, :left], middle[:, right:]))
+    return edge / total
 
 
 def _fft_length(minimum: int) -> int:
@@ -187,26 +245,48 @@ def _slab_rows(nodes: int, length: int) -> int:
     return max(1, min(nodes, SLAB_BYTES // (nodes * length * 16)))
 
 
+# Temporaries of KernelFunction._add_into, in bytes per point: zeta and
+# the Gaussian (8 each), the complex base (16) and one term at a time (32:
+# its power, the scaled Gaussian and the Laguerre factor, which also bound
+# the three arrays of the Laguerre recurrence).
+_POINT_BYTES = 64
+
+
+def _block_bytes(rows: int, nodes: int) -> int:
+    """Temporaries of one block: _POINT_BYTES per point, and twice numpy's
+    ufunc buffer of complex numbers, where a real factor is cast, which
+    also covers the small row and column arrays."""
+    return _POINT_BYTES * rows * (2 * nodes - 1) + 32 * np.getbufsize()
+
+
+def _block_rows(nodes: int) -> int:
+    """Kernel-table rows d1 >= 0 per block, so that a block's temporaries
+    stay within SLAB_BYTES."""
+    room = SLAB_BYTES - _block_bytes(0, nodes)
+    return max(1, min(nodes, room // (_POINT_BYTES * (2 * nodes - 1))))
+
+
 def check_convolution_budget(spec: GridSpec) -> None:
     """Raise ResourceError when apply_kernel on `spec` would pass the memory limit.
 
     The larger of two counts is checked, before anything is allocated:
 
-    - tabulating the (2n-1)^2 kernel table: its running sum and the
-      temporaries of one basis function (psi) at their peak, 104 bytes
-      per entry (16 for the sum; 8 each for the radius and the Gaussian,
-      16 each for the complex power and a partial product, and 40 for
-      the five real arrays of the Laguerre recurrence), beside the
-      translated grid function that commutant_residual holds;
-    - convolving: the table, the FFTs of its rows, the one slab buffer
-      that the in-place FFTs reuse, and two more slab-sized arrays, a
-      bound on the grid-sized arrays (weighted input, chirps, output)
-      that live beside it.
+    - tabulating the kernel: the (2n-1) x L array that holds the table
+      and then its FFTs, and the larger of one row block's temporaries
+      (_block_bytes) and the moduli that the table's boundary
+      share sums (8 bytes per table entry), beside the translated grid
+      function that commutant_residual holds;
+    - convolving: the FFTs of the table rows, the one slab buffer that
+      the in-place FFTs reuse, and a bound on what lives beside them: 16
+      bytes per table entry and two more slab-sized arrays cover the
+      grid-sized arrays (weighted input, chirps, output, and the
+      translated input and left side of commutant_residual).
     """
     n = spec.nodes
     entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
-    tabulation = 104 * entries + 16 * n * n
+    block = _block_bytes(_block_rows(n), n)
+    tabulation = 16 * (2 * n - 1) * length + max(block, 8 * entries) + 16 * n * n
     convolution = 16 * (entries + (2 * n - 1) * length + 3 * _slab_rows(n, length) * n * length)
     check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
 
@@ -224,13 +304,37 @@ class _KernelTable:
     edge: float
 
 
+def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> np.ndarray:
+    """The (2n-1) x L kernel table, rows reversed and zero-padded.
+
+    Row d + n - 1 holds f_S(d h, (n - 1 - m) h) at column m = 0..2n-2.
+    Only the rows d >= 0 are evaluated: row -d, read backwards, is
+    f_S(-x) on row d, which KernelFunction adds up from the same terms
+    with the signs of their parities.  Both are summed straight into the
+    table, _block_rows rows d at a time; row 0 is written once, from the
+    direct sum.
+    """
+    n = spec.nodes
+    size = 2 * n - 1
+    diffs = np.arange(-(n - 1), n) * spec.spacing
+    kernel = KernelFunction(s, cfg)
+    rows = np.zeros((size, _fft_length(size)), dtype=complex)
+    step = _block_rows(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        first = max(start, 1)
+        kernel._add_into(diffs[n - 1 + start: n - 1 + stop, None], diffs[None, :],
+                         rows[n - 1 + start: n - 1 + stop, size - 1::-1],
+                         rows[n - stop: n - first][::-1, :size])
+    return rows
+
+
 def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _KernelTable:
     check_convolution_budget(spec)
-    n = spec.nodes
-    diffs = np.arange(-(n - 1), n) * spec.spacing
-    table = KernelFunction(s, cfg)(diffs[:, None], diffs[None, :])
-    spectra = np.fft.fft(table[:, ::-1], n=_fft_length(2 * n - 1), axis=1)
-    return _KernelTable(spectra, _edge_band_fraction(table, 1, 1))
+    spectra = _kernel_rows(s, spec, cfg)
+    edge = _edge_band_fraction(spectra[:, :2 * spec.nodes - 1], 1, 1)
+    np.fft.fft(spectra, axis=1, out=spectra)
+    return _KernelTable(spectra, edge)
 
 
 def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
@@ -274,8 +378,11 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
                  cfg: MagneticConfig) -> GridFunction:
     """Twisted convolution of the kernel of S with the grid function phi.
 
-    The kernel is tabulated once on the lattice of grid differences.  The
-    phase x ^ y splits into the chirps e^{i x1 y2 / 2 ell^2} and
+    The kernel is tabulated once on the lattice of grid differences, on
+    its rows d1 >= 0 only: the parity of each term gives the rows d1 < 0
+    (see _kernel_rows).  Rows go in blocks whose temporaries stay within
+    SLAB_BYTES, straight into the array that the row FFTs then overwrite.
+    The phase x ^ y splits into the chirps e^{i x1 y2 / 2 ell^2} and
     e^{-i x2 y1 / 2 ell^2}: for fixed (x1, y1) the y2-sum is a 1-D
     correlation with one kernel row, and all of them run as batched FFTs
     of a 5-smooth length L >= 2n - 1 (so nothing aliases into the kept

@@ -24,6 +24,7 @@ from magtrace import (
     kernel_at_zero,
     magnetic_translate,
     make_config,
+    psi,
     sample_basis,
     tau_diagonal,
 )
@@ -59,6 +60,34 @@ def test_kernel_of_transition_vanishes_at_origin(cfg):
 def test_kernel_of_zero_operator(cfg):
     fn = KernelFunction(CoefficientOperator({}), cfg)
     assert fn(1.0, 2.0) == 0.0
+
+
+def _kernel_by_psi(entries, x1, x2, cfg):
+    # the defining series, one basis function at a time
+    total = 0.0
+    for (j, k), v in entries.items():
+        total = total + (-1.0) ** (j - k) * v * psi(k, j, x1, x2, cfg)
+    return math.sqrt(2.0 * math.pi) * cfg.ell * total
+
+
+@pytest.mark.parametrize("ell", [1.0, 2.0])
+def test_kernel_function_matches_basis_sum(rng, ell):
+    # the shared radial factors give the term-by-term value, for arrays
+    # and for the scalars that `kernel eval` passes
+    cfg = make_config(ell)
+    for trial in range(6):
+        s = random_operator(rng, max_index=7, count=10)
+        fn = KernelFunction(s, cfg)
+        x1 = rng.uniform(-4.0, 4.0, size=(5, 1)) * ell
+        x2 = rng.uniform(-4.0, 4.0, size=(1, 7)) * ell
+        got = fn(x1, x2)
+        expected = _kernel_by_psi(s.entries, x1, x2, cfg)
+        assert got.shape == (5, 7)
+        assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+        for u, v in [(0.0, 0.0), (float(x1[0, 0]), float(x2[0, 0])), (-1.5 * ell, 0.25)]:
+            value = fn(u, v)
+            assert isinstance(value, complex)
+            assert abs(value - _kernel_by_psi(s.entries, u, v, cfg)) <= 1e-14 * max(1.0, abs(value))
 
 
 def test_kernel_at_zero_is_diagonal_sum(rng, cfg):
@@ -178,6 +207,75 @@ def test_apply_kernel_slabs_match_one_slab(nodes, monkeypatch):
     assert np.array_equal(out, one_slab)
 
 
+def _direct_rows(s, spec, cfg):
+    # the full-lattice table, evaluated in one call, in the layout of
+    # _kernel_rows: rows reversed, zero-padded to the FFT length
+    from magtrace import kernels
+
+    n = spec.nodes
+    diffs = np.arange(-(n - 1), n) * spec.spacing
+    table = KernelFunction(s, cfg)(diffs[:, None], diffs[None, :])
+    rows = np.zeros((2 * n - 1, kernels._fft_length(2 * n - 1)), dtype=complex)
+    rows[:, :2 * n - 1] = table[:, ::-1]
+    return rows
+
+
+SOURCES = {"even": {(0, 0): 0.7, (1, 1): -0.4 + 0.2j}, "odd": {(0, 1): 1.0 - 0.5j}}
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 16, 17])
+@pytest.mark.parametrize("name", ["even", "odd", "four", "seven"])
+def test_mirrored_table_matches_direct_evaluation(nodes, name, cfg):
+    # rows d1 < 0 come from the rows d1 >= 0 by the parity of each term;
+    # a one-parity source checks each sign alone
+    from magtrace import kernels
+
+    entries = dict(SOURCES, four=FOUR_ENTRY, seven=INDEX_SEVEN)[name]
+    s = CoefficientOperator(entries)
+    spec = GridSpec(extent=2.5, nodes=nodes)
+    rows = kernels._kernel_rows(s, spec, cfg)
+    expected = _direct_rows(s, spec, cfg)
+    assert rows.shape == expected.shape
+    assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("nodes", [16, 17])
+def test_kernel_row_blocks_match_one_block(nodes, monkeypatch, cfg):
+    # blocks of 3 rows d1 >= 0, the last one partial, each with its
+    # mirrored rows: a misplaced block or mirror would show
+    from magtrace import kernels
+
+    s = CoefficientOperator(FOUR_ENTRY)
+    spec = GridSpec(extent=2.5, nodes=nodes)
+    assert kernels._block_rows(nodes) == nodes
+    one_block = kernels._kernel_rows(s, spec, cfg)
+    monkeypatch.setattr(kernels, "SLAB_BYTES", kernels._block_bytes(3, nodes))
+    assert kernels._block_rows(nodes) == 3 and nodes % 3 != 0
+    rows = kernels._kernel_rows(s, spec, cfg)
+    expected = _direct_rows(s, spec, cfg)
+    assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
+    assert np.array_equal(rows, one_block)
+
+
+def test_edge_band_fraction_counts_corners_once(rng):
+    # against the boolean mask of the band, including bands that cover
+    # the whole array and empty bands
+    from magtrace.kernels import _edge_band_fraction
+
+    for shape in [(7, 9), (2, 5), (16, 16), (1, 4)]:
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for cells1, cells2 in [(0, 0), (1, 1), (2, 0), (0, 3), (3, 2), (4, 5), (9, 9)]:
+            mask = np.zeros(shape, dtype=bool)
+            if cells1 > 0:
+                mask[:cells1, :] = mask[-cells1:, :] = True
+            if cells2 > 0:
+                mask[:, :cells2] = mask[:, -cells2:] = True
+            expected = np.abs(values[mask]).sum() / np.abs(values).sum()
+            assert _edge_band_fraction(values, cells1, cells2) == pytest.approx(expected,
+                                                                                  rel=1e-14)
+    assert _edge_band_fraction(np.zeros((4, 4)), 1, 1) == 0.0
+
+
 def test_commutant_residual_matches_explicit_applications(cfg):
     rng = np.random.default_rng(7)
     spec = GridSpec(extent=6.0, nodes=24)
@@ -209,10 +307,13 @@ def test_grid_spec_needs_finite_spacing():
 
 def test_apply_kernel_refuses_oversized_grids(cfg):
     # the budget is checked on the grid alone, before the kernel table is
-    # tabulated; the zero-stride input allocates nothing either
+    # tabulated; the zero-stride input allocates nothing either.  The
+    # blocked tabulation holds the table and one block, so the convolution
+    # count sets the largest admitted grid, past 1000 nodes
     from magtrace.kernels import check_convolution_budget
 
-    check_convolution_budget(GridSpec(extent=9.0, nodes=128))
+    for nodes in (128, 1000):
+        check_convolution_budget(GridSpec(extent=9.0, nodes=nodes))
     for nodes in (2000, 100000):
         spec = GridSpec(extent=9.0, nodes=nodes)
         with pytest.raises(ResourceError):
@@ -232,9 +333,9 @@ INDEX_SEVEN = {(5, 3): 1.0, (0, 7): 0.5j}
                          ids=["112-ground", "112-four", "112-seven", "200-four", "200-seven",
                               "400-seven"])
 def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatch, cfg):
-    # tabulating the kernel peaks above the table and its spectra (96
-    # bytes per table entry for indices near 7), so the estimate has to
-    # count the temporaries of the basis functions as well
+    # tabulating the kernel holds the padded table, which its FFTs then
+    # overwrite, and one row block's temporaries; the estimate counts both,
+    # and the convolution's slab buffer and grid-sized arrays
     from magtrace import kernels
 
     estimates = []
@@ -255,6 +356,28 @@ def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatc
             tracemalloc.stop()
         assert len(set(estimates)) == 1
         assert peak <= estimates[0]
+
+
+@pytest.mark.parametrize("entries", [{(0, 0): 1.0}, FOUR_ENTRY, INDEX_SEVEN],
+                         ids=["ground", "four", "seven"])
+def test_kernel_row_block_stays_within_its_estimate(entries, cfg):
+    # a full block's temporaries, which _block_rows keeps within SLAB_BYTES
+    from magtrace import kernels
+
+    nodes = 300
+    rows = kernels._block_rows(nodes)
+    assert rows < nodes
+    diffs = np.arange(-(nodes - 1), nodes) * 0.05
+    total = np.zeros((rows, 2 * nodes - 1), dtype=complex)
+    mirror = np.zeros((rows - 1, 2 * nodes - 1), dtype=complex)
+    kernel = KernelFunction(CoefficientOperator(entries), cfg)
+    tracemalloc.start()
+    try:
+        kernel._add_into(diffs[nodes - 1: nodes - 1 + rows, None], diffs[None, :], total, mirror)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernels._block_bytes(rows, nodes) <= kernels.SLAB_BYTES
 
 
 def test_translate_identity(cfg, work_basis):
