@@ -51,6 +51,48 @@ def laguerre_poly(n: int, alpha: float, zeta):
     return float(cur[0]) if scalar else cur
 
 
+def radial_factors(x1, x2, ell: float):
+    """The factors that every basis function shares at the points (x1, x2).
+
+    Returns zeta = |x|^2/(2 ell^2), the normalized Gaussian
+    e^{-zeta/2}/(sqrt(2 pi) ell) and b = (x1 + i x2)/(ell sqrt(2)), each
+    computed once, in place, for whatever psi_term is evaluated there.
+    """
+    zeta = x1 * x1 + x2 * x2
+    zeta /= 2.0 * ell * ell
+    gauss = np.exp(-0.5 * zeta)
+    gauss /= SQRT_TWO_PI * ell
+    base = x1 + 1j * x2
+    base /= ell * math.sqrt(2.0)
+    return zeta, gauss, base
+
+
+def psi_term(n: int, m: int, zeta, gauss, base):
+    """psi_{n,m} from the radial_factors of its points, as a new array.
+
+    For m <= n the value is gauss * sqrt(m!/n!) * b**(n-m) * L_m^(n-m)(zeta),
+    multiplied in that order; for m > n it is the reflection
+    (-1)**(n-m) * conj(psi_{m,n}).  The factors must be arrays.
+    """
+    lo, p = min(n, m), abs(n - m)
+    ratio = math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
+    # the recurrence's arrays are gone before the power is built
+    laguerre = laguerre_poly(lo, p, zeta) if lo else None
+    if p:
+        # (gauss * ratio) * b**p with one real factor: the product commutes
+        term = base ** p
+        if m > n:
+            np.conjugate(term, out=term)
+            if p % 2:
+                np.negative(term, out=term)
+        term *= gauss * ratio
+    else:
+        term = gauss * ratio
+    if laguerre is not None:
+        term *= laguerre
+    return term
+
+
 def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
     """Basis function with indices (n, m) at the point(s) (x1, x2).
 
@@ -70,20 +112,14 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
     which avoids the negative power of (x1 + i x2) at the origin.  The
     factorial ratio is taken in log space so indices up to a few hundred
     stay finite.  Inputs broadcast; scalars in give a complex scalar out.
+    The formula itself is psi_term, on the factors of radial_factors.
     """
     if n < 0 or m < 0:
         raise DomainError("basis indices must be non-negative")
-    if m > n:
-        branch = psi(m, n, x1, x2, cfg)
-        sign = -1.0 if (n - m) % 2 else 1.0
-        return sign * np.conjugate(branch)
-    ell = cfg.ell
     a1 = np.asarray(x1, dtype=float)
     a2 = np.asarray(x2, dtype=float)
     scalar = a1.ndim == 0 and a2.ndim == 0
-    zeta = (a1 * a1 + a2 * a2) / (2.0 * ell * ell)
-    gauss = np.exp(-0.5 * zeta) / (SQRT_TWO_PI * ell)
-    ratio = math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)))
-    base = (a1 + 1j * a2) / (ell * math.sqrt(2.0))
-    val = gauss * ratio * base ** (n - m) * laguerre_poly(m, n - m, zeta)
-    return complex(val) if scalar else np.asarray(val, dtype=complex)
+    if scalar:
+        a1 = a1.reshape(1)
+    val = psi_term(n, m, *radial_factors(a1, a2, cfg.ell))
+    return complex(val[0]) if scalar else np.asarray(val, dtype=complex)

@@ -29,7 +29,7 @@ import numpy as np
 from .config import MagneticConfig
 from .errors import DomainError, ResourceError, check_memory
 from .operators import CoefficientOperator
-from .basis import SQRT_TWO_PI, laguerre_poly, psi
+from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 
 # Output rows are convolved in slabs whose FFT array stays within this;
 # at 64-128 nodes 2 MiB slabs ran as fast as 16 MiB ones, in less memory.
@@ -131,14 +131,10 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
 class KernelFunction:
     """Callable reduced kernel f_A of a coefficient family.
 
-    The radial factors of the basis functions, zeta = |x|^2/(2 ell^2),
-    the Gaussian e^{-zeta/2}/(sqrt(2 pi) ell) and b = (x1 + i x2)/(ell
-    sqrt 2), are computed once per call.  With lo = min(j, k) and p =
-    |j - k|, psi_{k,j} is the Gaussian times sqrt(lo!/(lo + p)!), b**p
-    (its conjugate for j > k, with the reflection sign) and
-    L_lo^(p)(zeta).  Each term is built in place, multiplied in the order
-    psi and the term-by-term sum of (-1)^(j-k) a_jk psi_{k,j} use, and
-    added into one sum.
+    The radial factors of the basis functions (basis.radial_factors) are
+    computed once per call; each term (-1)^(j-k) a_jk psi_{k,j} is then
+    built by basis.psi_term, the coefficient on the left, and added into
+    one sum.
     """
 
     source: CoefficientOperator
@@ -165,40 +161,20 @@ class KernelFunction:
         terms = sorted(self.source.entries.items())
         if not terms:
             return
-        ell = self.cfg.ell
-        zeta = a1 * a1 + a2 * a2
-        zeta /= 2.0 * ell * ell
-        gauss = np.exp(-0.5 * zeta)
-        gauss /= SQRT_TWO_PI * ell
-        base = a1 + 1j * a2
-        base /= ell * math.sqrt(2.0)
+        factors = radial_factors(a1, a2, self.cfg.ell)
         for (j, k), v in terms:
-            lo, p = min(j, k), abs(j - k)
-            ratio = math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
-            # the kernel's sign (-1)^(j-k) cancels the reflection's for j > k
-            coef = -v if j < k and p % 2 else v
-            laguerre = laguerre_poly(lo, p, zeta) if lo else None
-            if p:
-                term = base ** p
-                if j > k:
-                    np.conjugate(term, out=term)
-                term *= gauss * ratio
-            else:
-                term = gauss * ratio
-            if laguerre is not None:
-                term *= laguerre
-            del laguerre
             # the coefficient on the left, as in a_jk * psi: numpy's complex
             # product need not commute in the last bit
-            term = np.multiply(coef, term)
+            term = np.multiply(-v if (j - k) % 2 else v, psi_term(k, j, *factors))
             total += term
             if mirror is not None:
-                signed = np.subtract if p % 2 else np.add
+                signed = np.subtract if (j - k) % 2 else np.add
                 signed(mirror, term[len(term) - len(mirror):], out=mirror)
             del term
-        np.multiply(SQRT_TWO_PI * ell, total, out=total)
+        scale = SQRT_TWO_PI * self.cfg.ell
+        np.multiply(scale, total, out=total)
         if mirror is not None:
-            np.multiply(SQRT_TWO_PI * ell, mirror, out=mirror)
+            np.multiply(scale, mirror, out=mirror)
 
 
 def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
@@ -211,20 +187,17 @@ def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
 
 
 def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
-    """Share of sum |values| within cells1 rows and cells2 columns of the boundary."""
     total = float(np.abs(values).sum())
     if total == 0.0:
         return 0.0
-    rows, cols = values.shape
-    top = min(cells1, rows)
-    bottom = max(top, rows - cells1)
-    left = min(cells2, cols)
-    right = max(left, cols - cells2)
-    middle = values[top:bottom]
-    # the row bands hold the corners, so the column bands take the middle rows only
-    edge = sum(float(np.abs(band).sum()) for band in
-               (values[:top], values[bottom:], middle[:, :left], middle[:, right:]))
-    return edge / total
+    mask = np.zeros(values.shape, dtype=bool)
+    if cells1 > 0:
+        mask[:cells1, :] = True
+        mask[-cells1:, :] = True
+    if cells2 > 0:
+        mask[:, :cells2] = True
+        mask[:, -cells2:] = True
+    return float(np.abs(values[mask]).sum()) / total
 
 
 def _fft_length(minimum: int) -> int:
@@ -252,30 +225,17 @@ def _slab_rows(nodes: int, length: int) -> int:
 _POINT_BYTES = 64
 
 
-def _block_bytes(rows: int, nodes: int) -> int:
-    """Temporaries of one block: _POINT_BYTES per point, and twice numpy's
-    ufunc buffer of complex numbers, where a real factor is cast, which
-    also covers the small row and column arrays."""
-    return _POINT_BYTES * rows * (2 * nodes - 1) + 32 * np.getbufsize()
-
-
-def _block_rows(nodes: int) -> int:
-    """Kernel-table rows d1 >= 0 per block, so that a block's temporaries
-    stay within SLAB_BYTES."""
-    room = SLAB_BYTES - _block_bytes(0, nodes)
-    return max(1, min(nodes, room // (_POINT_BYTES * (2 * nodes - 1))))
-
-
 def check_convolution_budget(spec: GridSpec) -> None:
     """Raise ResourceError when apply_kernel on `spec` would pass the memory limit.
 
     The larger of two counts is checked, before anything is allocated:
 
     - tabulating the kernel: the (2n-1) x L array that holds the table
-      and then its FFTs, and the larger of one row block's temporaries
-      (_block_bytes) and the moduli that the table's boundary
-      share sums (8 bytes per table entry), beside the translated grid
-      function that commutant_residual holds;
+      and then its FFTs, the temporaries of its n x (2n-1) rows d1 >= 0
+      (_POINT_BYTES per point, and twice numpy's ufunc buffer of complex
+      numbers, where a real factor is cast), which also cover the moduli
+      that the table's boundary share sums afterwards, and the translated
+      grid function that commutant_residual holds;
     - convolving: the FFTs of the table rows, the one slab buffer that
       the in-place FFTs reuse, and a bound on what lives beside them: 16
       bytes per table entry and two more slab-sized arrays cover the
@@ -285,8 +245,8 @@ def check_convolution_budget(spec: GridSpec) -> None:
     n = spec.nodes
     entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
-    block = _block_bytes(_block_rows(n), n)
-    tabulation = 16 * (2 * n - 1) * length + max(block, 8 * entries) + 16 * n * n
+    tabulation = (16 * (2 * n - 1) * length + _POINT_BYTES * n * (2 * n - 1)
+                  + 32 * np.getbufsize() + 16 * n * n)
     convolution = 16 * (entries + (2 * n - 1) * length + 3 * _slab_rows(n, length) * n * length)
     check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
 
@@ -311,21 +271,14 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     Only the rows d >= 0 are evaluated: row -d, read backwards, is
     f_S(-x) on row d, which KernelFunction adds up from the same terms
     with the signs of their parities.  Both are summed straight into the
-    table, _block_rows rows d at a time; row 0 is written once, from the
-    direct sum.
+    table; row 0 is written once, from the direct sum.
     """
     n = spec.nodes
     size = 2 * n - 1
     diffs = np.arange(-(n - 1), n) * spec.spacing
-    kernel = KernelFunction(s, cfg)
     rows = np.zeros((size, _fft_length(size)), dtype=complex)
-    step = _block_rows(n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        first = max(start, 1)
-        kernel._add_into(diffs[n - 1 + start: n - 1 + stop, None], diffs[None, :],
-                         rows[n - 1 + start: n - 1 + stop, size - 1::-1],
-                         rows[n - stop: n - first][::-1, :size])
+    KernelFunction(s, cfg)._add_into(diffs[n - 1:, None], diffs[None, :],
+                                     rows[n - 1:, size - 1::-1], rows[:n - 1][::-1, :size])
     return rows
 
 
@@ -380,10 +333,10 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
 
     The kernel is tabulated once on the lattice of grid differences, on
     its rows d1 >= 0 only: the parity of each term gives the rows d1 < 0
-    (see _kernel_rows).  Rows go in blocks whose temporaries stay within
-    SLAB_BYTES, straight into the array that the row FFTs then overwrite.
-    The phase x ^ y splits into the chirps e^{i x1 y2 / 2 ell^2} and
-    e^{-i x2 y1 / 2 ell^2}: for fixed (x1, y1) the y2-sum is a 1-D
+    (see _kernel_rows), summed straight into the array that the row FFTs
+    then overwrite.  The phase x ^ y splits into the chirps
+    e^{i x1 y2 / 2 ell^2} and e^{-i x2 y1 / 2 ell^2}: for fixed (x1, y1)
+    the y2-sum is a 1-D
     correlation with one kernel row, and all of them run as batched FFTs
     of a 5-smooth length L >= 2n - 1 (so nothing aliases into the kept
     lags); the y1-sum is then one contraction.  Cost grows like

@@ -239,43 +239,6 @@ def test_mirrored_table_matches_direct_evaluation(nodes, name, cfg):
     assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("nodes", [16, 17])
-def test_kernel_row_blocks_match_one_block(nodes, monkeypatch, cfg):
-    # blocks of 3 rows d1 >= 0, the last one partial, each with its
-    # mirrored rows: a misplaced block or mirror would show
-    from magtrace import kernels
-
-    s = CoefficientOperator(FOUR_ENTRY)
-    spec = GridSpec(extent=2.5, nodes=nodes)
-    assert kernels._block_rows(nodes) == nodes
-    one_block = kernels._kernel_rows(s, spec, cfg)
-    monkeypatch.setattr(kernels, "SLAB_BYTES", kernels._block_bytes(3, nodes))
-    assert kernels._block_rows(nodes) == 3 and nodes % 3 != 0
-    rows = kernels._kernel_rows(s, spec, cfg)
-    expected = _direct_rows(s, spec, cfg)
-    assert np.abs(rows - expected).max() <= 1e-15 * np.abs(expected).max()
-    assert np.array_equal(rows, one_block)
-
-
-def test_edge_band_fraction_counts_corners_once(rng):
-    # against the boolean mask of the band, including bands that cover
-    # the whole array and empty bands
-    from magtrace.kernels import _edge_band_fraction
-
-    for shape in [(7, 9), (2, 5), (16, 16), (1, 4)]:
-        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for cells1, cells2 in [(0, 0), (1, 1), (2, 0), (0, 3), (3, 2), (4, 5), (9, 9)]:
-            mask = np.zeros(shape, dtype=bool)
-            if cells1 > 0:
-                mask[:cells1, :] = mask[-cells1:, :] = True
-            if cells2 > 0:
-                mask[:, :cells2] = mask[:, -cells2:] = True
-            expected = np.abs(values[mask]).sum() / np.abs(values).sum()
-            assert _edge_band_fraction(values, cells1, cells2) == pytest.approx(expected,
-                                                                                  rel=1e-14)
-    assert _edge_band_fraction(np.zeros((4, 4)), 1, 1) == 0.0
-
-
 def test_commutant_residual_matches_explicit_applications(cfg):
     rng = np.random.default_rng(7)
     spec = GridSpec(extent=6.0, nodes=24)
@@ -308,8 +271,9 @@ def test_grid_spec_needs_finite_spacing():
 def test_apply_kernel_refuses_oversized_grids(cfg):
     # the budget is checked on the grid alone, before the kernel table is
     # tabulated; the zero-stride input allocates nothing either.  The
-    # blocked tabulation holds the table and one block, so the convolution
-    # count sets the largest admitted grid, past 1000 nodes
+    # tabulation holds the table and the temporaries of half the lattice,
+    # so the convolution count sets the largest admitted grid, past 1000
+    # nodes
     from magtrace.kernels import check_convolution_budget
 
     for nodes in (128, 1000):
@@ -334,8 +298,8 @@ INDEX_SEVEN = {(5, 3): 1.0, (0, 7): 0.5j}
                               "400-seven"])
 def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatch, cfg):
     # tabulating the kernel holds the padded table, which its FFTs then
-    # overwrite, and one row block's temporaries; the estimate counts both,
-    # and the convolution's slab buffer and grid-sized arrays
+    # overwrite, and the temporaries of its rows d1 >= 0; the estimate
+    # counts both, and the convolution's slab buffer and grid-sized arrays
     from magtrace import kernels
 
     estimates = []
@@ -356,28 +320,6 @@ def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatc
             tracemalloc.stop()
         assert len(set(estimates)) == 1
         assert peak <= estimates[0]
-
-
-@pytest.mark.parametrize("entries", [{(0, 0): 1.0}, FOUR_ENTRY, INDEX_SEVEN],
-                         ids=["ground", "four", "seven"])
-def test_kernel_row_block_stays_within_its_estimate(entries, cfg):
-    # a full block's temporaries, which _block_rows keeps within SLAB_BYTES
-    from magtrace import kernels
-
-    nodes = 300
-    rows = kernels._block_rows(nodes)
-    assert rows < nodes
-    diffs = np.arange(-(nodes - 1), nodes) * 0.05
-    total = np.zeros((rows, 2 * nodes - 1), dtype=complex)
-    mirror = np.zeros((rows - 1, 2 * nodes - 1), dtype=complex)
-    kernel = KernelFunction(CoefficientOperator(entries), cfg)
-    tracemalloc.start()
-    try:
-        kernel._add_into(diffs[nodes - 1: nodes - 1 + rows, None], diffs[None, :], total, mirror)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= kernels._block_bytes(rows, nodes) <= kernels.SLAB_BYTES
 
 
 def test_translate_identity(cfg, work_basis):
