@@ -18,8 +18,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import serialize
 from .config import make_config
 from .errors import CalculusError, DomainError
@@ -173,7 +171,7 @@ def cmd_op_norm(args, cfg, budget):
 
 def cmd_op_block(args, cfg, budget):
     block = matrix_block(_load(args), args.count)
-    return {"entries": block, "trace": np.trace(block)}, True
+    return {"entries": block, "trace": block.trace()}, True
 
 
 def cmd_kernel_eval(args, cfg, budget):

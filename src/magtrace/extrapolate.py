@@ -15,10 +15,9 @@ grid rule, the fit, the value types and the model name are decided here.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -72,18 +71,30 @@ def richardson_zero(xs, ys) -> tuple[complex, float]:
 
 
 def log_inverse_fit(params, values) -> tuple[complex, complex, float]:
-    """Least-squares fit of value = L + c / log(param); returns (L, c, rms)."""
-    p = np.asarray([float(x) for x in params], dtype=float)
-    v = np.asarray([complex(y) for y in values], dtype=complex)
-    if p.size < 2:
-        raise DomainError("log-inverse fit needs at least two rows")
-    if np.any(p <= 1.0):
+    """Least-squares fit of value = L + c / log(param); returns (L, c, rms).
+
+    The fit is the centered closed form in u = 1/log(param), in plain
+    Python: c = sum (u - mean u)(v - mean v) / sum (u - mean u)^2 and
+    L = mean v - c * mean u.  The rms is taken over the centered
+    residuals c * (u - mean u) - (v - mean v).  It needs one value per
+    parameter and two or more distinct parameters, all above 1.
+    """
+    p = [float(x) for x in params]
+    v = [complex(y) for y in values]
+    if len(p) != len(v):
+        raise DomainError("log-inverse fit needs one value per parameter")
+    if len(set(p)) < 2:
+        raise DomainError("log-inverse fit needs at least two distinct parameters")
+    if not all(x > 1.0 for x in p):
         raise DomainError("log-inverse fit needs parameters above 1")
-    design = np.column_stack([np.ones_like(p), 1.0 / np.log(p)])
-    coef, *_ = np.linalg.lstsq(design.astype(complex), v, rcond=None)
-    fit = design @ coef
-    rms = float(np.sqrt(np.mean(np.abs(fit - v) ** 2)))
-    return complex(coef[0]), complex(coef[1]), rms
+    u = [1.0 / math.log(x) for x in p]
+    u_mean, v_mean = math.fsum(u) / len(u), sum(v) / len(v)
+    du = [x - u_mean for x in u]
+    dv = [y - v_mean for y in v]
+    slope = sum(d * e for d, e in zip(du, dv)) / math.fsum(d * d for d in du)
+    # in centered form the residuals cancel no terms as large as L or c * u
+    rms = math.sqrt(math.fsum(abs(slope * d - e) ** 2 for d, e in zip(du, dv)) / len(v))
+    return v_mean - slope * u_mean, slope, rms
 
 
 def _column(values) -> tuple:
@@ -103,14 +114,14 @@ def _table(params, raw, accelerated, limit, residual, model) -> ConvergenceTable
 def richardson_table(x_grid, fn) -> ConvergenceTable:
     """x * fn(x) over x_grid, extrapolated to x = 0 under model "richardson_x".
 
-    The grid needs at least three samples, all positive and distinct
-    (duplicates are rejected, not merged); rows run in descending x.
+    The grid needs at least three samples, all positive, finite and
+    distinct (duplicates are rejected, not merged); rows run in descending x.
     """
     xs = [float(x) for x in x_grid]
     if len(xs) < 3:
         raise DomainError("the residue route needs at least three x samples")
-    if not all(x > 0.0 for x in xs):
-        raise DomainError("residue samples must be positive")
+    if not all(0.0 < x < math.inf for x in xs):
+        raise DomainError("residue samples must be positive and finite: %r" % (xs,))
     if len(set(xs)) != len(xs):
         raise DomainError("residue samples must be distinct")
     xs.sort(reverse=True)

@@ -10,6 +10,11 @@ as the identity on the degeneracy index.  The family obeys
 so composition and adjoints reduce to index bookkeeping.  The algebra has
 no identity element: the would-be identity sum over all projections is not
 a finite coefficient family.
+
+The coefficient calculus is pure Python.  The array helpers
+(diagonal_array, DiagonalWeight.value, WeightedProduct.block_weights,
+matrix_block and coefficient_bound_check) import numpy when they run, so
+a scalar command never loads it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from .errors import DomainError, check_memory
 
@@ -78,7 +81,10 @@ class CoefficientOperator:
     def is_diagonal(self) -> bool:
         return all(j == k for j, k in self.entries)
 
-    def diagonal_array(self, count: int) -> np.ndarray:
+    def diagonal_array(self, count: int):
+        """Diagonal coefficients s_nn for n < count, as a complex numpy array."""
+        import numpy as np
+
         out = np.zeros(count, dtype=complex)
         for (j, k), v in self.entries.items():
             if j == k and j < count:
@@ -109,7 +115,7 @@ class CoefficientOperator:
 
 def adjoint(a: CoefficientOperator) -> CoefficientOperator:
     """Coefficient family of the adjoint: entry (j, k) becomes conj at (k, j)."""
-    return CoefficientOperator({(k, j): np.conjugate(v) for (j, k), v in a.entries.items()},
+    return CoefficientOperator({(k, j): v.conjugate() for (j, k), v in a.entries.items()},
                                a.declared_class)
 
 
@@ -136,15 +142,18 @@ def compose(a: CoefficientOperator, b: CoefficientOperator) -> CoefficientOperat
 
 
 def lp_norm(a: CoefficientOperator, p: float) -> float:
-    """Coefficient lp norm (sum |a_jk|^p)^(1/p); requires p >= 1."""
-    if not p >= 1.0:
-        raise DomainError("lp norms of coefficient families require p >= 1")
+    """Coefficient lp norm (sum |a_jk|^p)^(1/p); requires a finite p >= 1.
+
+    The magnitudes are scaled by the largest one, so no power overflows,
+    and summed by math.fsum.
+    """
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError("lp norms of coefficient families require p >= 1 and finite")
     if not a.entries:
         return 0.0
-    mags = np.abs(np.fromiter(a.entries.values(), dtype=complex, count=len(a.entries)))
-    if math.isinf(p):
-        return float(mags.max())
-    return float((mags ** p).sum() ** (1.0 / p))
+    mags = [abs(v) for v in a.entries.values()]
+    top = max(mags)
+    return top * math.fsum((m / top) ** p for m in mags) ** (1.0 / p)
 
 
 def check_shift(lam: float) -> None:
@@ -174,6 +183,8 @@ class DiagonalWeight:
 
     def value(self, n, m):
         """Weight at (n, m); broadcasts over numpy arrays."""
+        import numpy as np
+
         return (np.asarray(n, dtype=float) + np.asarray(m, dtype=float)
                 + 1.0 + self.lam) ** (-self.s)
 
@@ -205,6 +216,8 @@ class WeightedProduct:
         that the form leaves unweighted is a read-only broadcast of 1.0,
         which allocates nothing and multiplies exactly.
         """
+        import numpy as np
+
         n = np.arange(count)
         m = np.asarray(m, dtype=float)[..., None]
         w = DiagonalWeight(self.s, self.lam).value(n, m)
@@ -231,13 +244,15 @@ def weighted_product(source: CoefficientOperator, form: str, lam: float,
                            lam2=float(lam2), s=float(s))
 
 
-def matrix_block(op: CoefficientOperator, count: int) -> np.ndarray:
+def matrix_block(op: CoefficientOperator, count: int):
     """Truncated matrix of `op` on any block of fixed degeneracy index.
 
     Rows and columns run over the Landau indices n, n' in [0, count), and
     entry (n, n') is a_{n',n}.  The operator acts as the identity on the
     degeneracy index, so every block has this same matrix.
     """
+    import numpy as np
+
     if not isinstance(op, CoefficientOperator):
         raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
     if count < 1:
@@ -284,6 +299,8 @@ def coefficient_bound_check(t_entries: Mapping[tuple[int, int], complex],
     above, so margin >= 0 certifies the stored entries against the block
     norm estimate.  `count` must cover the support of the entries.
     """
+    import numpy as np
+
     if count < 1:
         raise DomainError("truncation size must be at least 1")
     op = CoefficientOperator(dict(t_entries), "unclassified")

@@ -12,8 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-
-import numpy as np
+import sys
 
 from .errors import DomainError
 from .extrapolate import ConvergenceTable
@@ -31,12 +30,14 @@ def _plain(obj):
 
     Complex numbers become {"im", "re"}, tables go through table_to_dict, tuples
     and arrays become lists and numpy numbers int or float; all else is refused.
+    numpy is taken from sys.modules, not imported: no numpy value exists
+    unless numpy is loaded, so a report without one never loads it.
     """
     if obj is None or isinstance(obj, (bool, str)):
         return obj
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(obj)
     if isinstance(obj, complex):
         return {"im": float(obj.imag), "re": float(obj.real)}
@@ -46,10 +47,16 @@ def _plain(obj):
         return {key: _plain(obj[key]) for key in sorted(obj)}
     if isinstance(obj, (list, tuple)):
         return [_plain(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
     if isinstance(obj, ConvergenceTable):
         return _plain(table_to_dict(obj))
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return _plain(obj.tolist())
     raise DomainError("cannot serialize %r" % type(obj))
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import replace
-
-import numpy as np
+from itertools import accumulate, islice, repeat
 
 from .errors import DomainError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
@@ -97,18 +97,23 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
     return complex(total) / j
 
 
-def shell_sums(s: CoefficientOperator, count: int) -> tuple[np.ndarray, np.ndarray]:
+def shell_sums(s: CoefficientOperator, count: int) -> tuple[list[complex], list[complex]]:
     """Diagonal prefix sums and cumulative shell averages up to count.
 
-    Returns (p, W) with p[N] = sum_{n<N} s_nn and W[N] = sum_{j<=N} w_j(S)
-    for N = 0 .. count, since the j-th shell average is w_j(S) = p[j] / j.
-    The memory budget covers five complex arrays of count + 1 entries,
-    the peak of building both.
+    Returns lists (p, W) with p[N] = sum_{n<N} s_nn and
+    W[N] = sum_{j<=N} w_j(S) for N = 0 .. count, since the j-th shell
+    average is w_j(S) = p[j] / j.  Both are running sums in index order,
+    built by itertools.accumulate in plain Python.  p[j] / j is computed
+    as p[j] * (1 / j), as numpy divides a complex array by a real one, so
+    the lists equal numpy's cumsum arrays bit for bit.  The memory budget
+    covers the two lists of count + 1 complex numbers, about 40 bytes an
+    entry each.
     """
     check_memory(80 * (count + 1), "the diagonal prefix up to %d" % count)
-    prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(s.diagonal_array(count))])
-    js = np.arange(1, count + 1, dtype=float)
-    return prefix, np.concatenate([[0.0 + 0.0j], np.cumsum(prefix[1:] / js)])
+    diagonal = {j: v for (j, k), v in s.entries.items() if j == k and j < count}
+    prefix = [0j, *accumulate(map(diagonal.get, range(count), repeat(0j, count)))]
+    inverses = map(operator.truediv, repeat(1.0, count), range(1, count + 1))
+    return prefix, [0j, *accumulate(map(operator.mul, islice(prefix, 1, None), inverses))]
 
 
 def checked_n_grid(n_grid) -> list[int]:

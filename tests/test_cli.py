@@ -185,9 +185,15 @@ def test_exit_2_on_non_finite_input(pi0_file, tmp_path, capsys):
             rc, out, err = invoke(["dos", action, "--f", str(path)], capsys)
             assert (rc, out) == (2, ""), (action, nodes)
             assert "nodes must be finite" in err
-    rc, out, err = invoke(["op", "norm", "--in", pi0_file, "--p", "nan"], capsys)
-    assert (rc, out) == (2, "")
-    assert "require p >= 1" in err
+    for p in ("nan", "inf"):
+        rc, out, err = invoke(["op", "norm", "--in", pi0_file, "--p", p], capsys)
+        assert (rc, out) == (2, ""), p
+        assert "require p >= 1 and finite" in err
+    # a non-finite residue sample is refused before any sum is taken, by name
+    for argv in (["trace", "residue"], ["dixmier", "tauberian"]):
+        rc, out, err = invoke(argv + ["--op", pi0_file, "--xgrid", "inf,1,2"], capsys)
+        assert (rc, out) == (2, ""), argv
+        assert "must be positive and finite: [inf, 1.0, 2.0]" in err
 
 
 def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
@@ -601,18 +607,24 @@ def test_package_import_loads_no_submodule():
     assert sorted(name for name in loaded if name.startswith("magtrace.")) == []
 
 
+# The scalar commands run on the standard library alone.
 @pytest.mark.parametrize("argv, absent", [
+    (["trace", "diag", "--op", "{pi0}"], {"numpy"}),
+    (["trace", "residue", "--op", "{pi0}"], {"numpy"}),
     (["trace", "shell", "--op", "{pi0}"],
-     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy.ma"}),
+     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy"}),
+    (["trace", "ordered", "--op", "{pi0}"], {"numpy"}),
     (["kernel", "eval", "--op", "{pi0}", "--x1", "0.5", "--x2", "0.25"],
      {"magtrace.dixmier", "magtrace.dos"}),
     (["dixmier", "estimate", "--op", "{pi0}"], {"numpy.ma"}),
-    (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels"}),
+    (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels", "numpy"}),
+    (["dos", "idos", "--eps", "2.5"], {"numpy"}),
+    (["op", "norm", "--in", "{pi0}", "--p", "2"], {"numpy"}),
     (["dos", "dixmier", "--f", "{bump}"], {"numpy.ma", "magtrace.kernels"}),
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
      {"numpy.ma", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
-], ids=["trace-shell", "kernel-eval", "dixmier-estimate", "dos-approx", "dos-dixmier",
-        "compare"])
+], ids=["trace-diag", "trace-residue", "trace-shell", "trace-ordered", "kernel-eval",
+        "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-dixmier", "compare"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

@@ -1,4 +1,4 @@
-"""Guards for seven design rules of the package.
+"""Guards for eight design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
@@ -6,7 +6,8 @@ convergence table comes from the two builders in extrapolate.py, every
 flag that a CLI subcommand declares is read by its handler, every flag
 entry is declared by the parser or by some subcommand, every public
 name is reached by a command, an acceptance criterion or a magbench
-workload, and every CLI report is encoded by serialize.
+workload, every CLI report is encoded by serialize, and only the array
+modules import numpy when they load.
 """
 
 import argparse
@@ -237,15 +238,23 @@ def test_undeclared_flag_scan_flags_a_dead_entry():
 ENCODERS = {"json", "csv", "io"}
 
 
-def _imported_modules(tree):
-    """Top-level names of the modules imported anywhere in a tree, relative ones aside."""
+def _module_names(nodes):
+    """Top-level names of the modules that the import statements among nodes name.
+
+    Relative imports are left aside.
+    """
     found = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             found.add(node.module.split(".")[0])
     return found
+
+
+def _imported_modules(tree):
+    """Top-level names of the modules imported anywhere in a tree, relative ones aside."""
+    return _module_names(ast.walk(tree))
 
 
 def test_cli_leaves_report_encoding_to_serialize():
@@ -257,3 +266,29 @@ def test_imported_module_scan_flags_nested_and_from_imports():
     tree = ast.parse("import os.path\nfrom json import dumps\nfrom . import serialize\n"
                      "def emit():\n    import csv\n")
     assert _imported_modules(tree) == {"os", "json", "csv"}
+
+
+# The modules that work on arrays.  The others import numpy inside the
+# functions that use it, so that the scalar commands never load it.
+ARRAY_MODULES = {"basis.py", "dixmier.py", "kernels.py"}
+
+
+def _load_time_nodes(node):
+    """node and the nodes under it that run when a module loads: not function bodies."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _load_time_nodes(child)
+
+
+def test_only_the_array_modules_import_numpy_when_they_load():
+    loaders = {path.name for path in SOURCES if "numpy" in _module_names(
+        _load_time_nodes(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert sorted(loaders - ARRAY_MODULES) == []
+
+
+def test_load_time_import_scan_skips_function_bodies():
+    tree = ast.parse("import os.path\nif True:\n    from numpy import fft\n"
+                     "def f():\n    import scipy\nclass C:\n    import json\n"
+                     "    def g(self):\n        import csv\n")
+    assert _module_names(_load_time_nodes(tree)) == {"os", "numpy", "json"}

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,16 @@ import scipy.special
 
 from magtrace import (
     CoefficientOperator,
+    CompactTestFunction,
     DomainError,
     adjoint,
+    collect_spectrum,
     compose,
     completed_shells,
+    deep_ladder,
+    functional_calculus,
     hurwitz_zeta,
+    landau_hamiltonian,
     log_inverse_fit,
     richardson_zero,
     shell_average,
@@ -22,9 +28,11 @@ from magtrace import (
     tau_residue,
     tau_shell,
     theta,
+    weighted_product,
 )
+from magtrace import cli
 from magtrace.extrapolate import log_inverse_table, richardson_table
-from magtrace.traces import checked_n_grid
+from magtrace.traces import checked_n_grid, shell_sums
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -159,6 +167,8 @@ def test_tau_residue_grid_validation():
         tau_residue(s, 0.0, (0.1, 0.1, 0.01))
     with pytest.raises(DomainError, match="positive"):
         tau_residue(s, 0.0, (0.1, float("nan"), 0.001))
+    with pytest.raises(DomainError, match=r"finite: \[inf, 1.0, 2.0\]"):
+        tau_residue(s, 0.0, (float("inf"), 1.0, 2.0))
 
 
 def test_shell_average_values():
@@ -324,6 +334,95 @@ def test_log_inverse_fit_validation():
         log_inverse_fit((10.0,), (1.0,))
     with pytest.raises(DomainError):
         log_inverse_fit((1.0, 10.0), (1.0, 2.0))
+    with pytest.raises(DomainError, match="distinct"):
+        log_inverse_fit((10.0, 10.0), (1.0, 2.0))
+    with pytest.raises(DomainError, match="one value per parameter"):
+        log_inverse_fit((10.0, 100.0), (1.0,))
+
+
+def _lstsq_fit(params, values):
+    """(L, c) of value = L + c / log(param) by numpy's least squares."""
+    u = 1.0 / np.log(np.asarray(params, dtype=float))
+    design = np.column_stack([np.ones_like(u), u]).astype(complex)
+    return np.linalg.lstsq(design, np.asarray(values, dtype=complex), rcond=None)[0]
+
+
+def _exact_fit(params, values):
+    """(L, c) in rational arithmetic from the same rounded u = 1/log(param)."""
+    u = [Fraction(1.0 / math.log(float(p))) for p in params]
+    u_mean = sum(u) / len(u)
+    fits = []
+    for part in ([v.real for v in values], [v.imag for v in values]):
+        v = [Fraction(x) for x in part]
+        v_mean = sum(v) / len(v)
+        slope = (sum((a - u_mean) * (b - v_mean) for a, b in zip(u, v))
+                 / sum((a - u_mean) ** 2 for a in u))
+        fits.append((v_mean - slope * u_mean, slope))
+    return [complex(float(re), float(im)) for re, im in zip(*fits)]
+
+
+def _runtime_grids():
+    """Every parameter column that a log-inverse fit meets in the budgets and criteria.
+
+    The budgets' n_grid and ordered state counts (the ordered route fits in
+    N + 1), and the deep ladders of acceptance criteria 5 (pi0 and pi0 + pi1
+    at m_max 8191) and 7 (a test function of the 12-level Landau operator at
+    m_max 32767).
+    """
+    grids = []
+    for budget in cli.BUDGETS.values():
+        grids += [budget.n_grid, [n + 1 for n in budget.ordered_grid]]
+    pi0 = CoefficientOperator.projection(0)
+    bump = CompactTestFunction(((0.0, 0.0), (0.5, 1.0), (11.45, 0.0)))
+    for source, m_max in ((pi0, 8191), (pi0 + CoefficientOperator.projection(1), 8191),
+                          (functional_calculus(landau_hamiltonian(12), bump), 32767)):
+        spectrum = collect_spectrum(weighted_product(source, "left", 0.0), m_max=m_max,
+                                    n_max=source.max_index + 1, kind="eigen")
+        grids.append(deep_ladder(spectrum))
+    return grids
+
+
+def test_log_inverse_fit_matches_least_squares(rng):
+    # the closed form agrees with numpy's lstsq, and with the exact fit more closely
+    grids = _runtime_grids()
+    assert len(grids) == 7
+    for params in grids:
+        for _ in range(20):
+            values = rng.normal(size=len(params)) + 1j * rng.normal(size=len(params))
+            limit, slope, _ = log_inverse_fit(params, values)
+            for (want_limit, want_slope), tol in ((_lstsq_fit(params, values), 1e-13),
+                                                  (_exact_fit(params, values), 1e-14)):
+                assert abs(limit - want_limit) <= tol * abs(want_limit), params
+                assert abs(slope - want_slope) <= tol * abs(want_slope), params
+
+
+def test_two_row_fit_leaves_a_rounding_residual(rng):
+    # two rows fit the model exactly, so the residual is rounding alone;
+    # (100, 1000) is the quick budget's n_grid
+    for params in ((100, 1000), (1000, 10000), (2, 3), (2, 10 ** 12)):
+        for _ in range(200):
+            values = rng.normal(size=2) + 1j * rng.normal(size=2)
+            _, _, rms = log_inverse_fit(params, values)
+            assert rms <= 1e-15 * max(abs(values)), params
+
+
+def test_shell_sums_match_numpy_cumsum(rng):
+    # the running sums keep numpy's bits: p[N] by cumsum, W[N] by cumsum of p[j] / j
+    entries = {(int(j), int(j)): complex(*rng.normal(size=2))
+               for j in rng.choice(5000, size=300, replace=False)}
+    entries[(3, 7)] = 2.0
+    s = CoefficientOperator(entries)
+    count = 4000
+    prefix, sums = shell_sums(s, count)
+    diagonal = np.zeros(count, dtype=complex)
+    for (j, k), v in s.entries.items():
+        if j == k and j < count:
+            diagonal[j] = v
+    want_prefix = np.concatenate([[0j], np.cumsum(diagonal)])
+    want_sums = np.concatenate([[0j], np.cumsum(want_prefix[1:] / np.arange(1, count + 1))])
+    assert len(prefix) == len(sums) == count + 1
+    assert np.array_equal(np.array(prefix).view(float), want_prefix.view(float))
+    assert np.array_equal(np.array(sums).view(float), want_sums.view(float))
 
 
 def test_shell_routes_are_sized_by_the_grid():
