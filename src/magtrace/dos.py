@@ -11,6 +11,7 @@ the Dixmier estimator.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -130,14 +131,26 @@ class CompactTestFunction:
         return self.nodes[0][0], self.nodes[-1][0]
 
     def __call__(self, eps: float) -> float:
+        """f(eps), by numpy.interp's arithmetic, bit for bit, without numpy."""
+        x = float(eps)
+        if math.isnan(x):
+            return x
         lo, hi = self.support
-        if eps <= lo or eps >= hi:
+        if x <= lo or x >= hi:
             return 0.0
-        import numpy as np  # here: only the test-function routes load numpy
-
-        xs = [e for e, _ in self.nodes]
-        ys = [v for _, v in self.nodes]
-        return float(np.interp(eps, xs, ys))
+        xs = [float(e) for e, _ in self.nodes]
+        ys = [float(v) for _, v in self.nodes]
+        j = bisect.bisect_right(xs, x) - 1
+        if xs[j] == x:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        value = slope * (x - xs[j]) + ys[j]
+        if math.isnan(value):
+            # a difference overflowed: numpy tries the other end, then a flat segment
+            value = slope * (x - xs[j + 1]) + ys[j + 1]
+            if math.isnan(value) and ys[j] == ys[j + 1]:
+                value = ys[j]
+        return value
 
 
 def functional_calculus(op: LandauDiagonalOperator,

@@ -9,9 +9,12 @@ via the twisted convolution
     (A phi)(x) = (1/(2 pi ell^2)) * Int f_A(y - x) e^{i (x ^ y)/(2 ell^2)} phi(y) dy
 
 where x ^ y = x1*y2 - x2*y1.  The phase is not translation invariant, but
-it is bilinear, so it splits into two chirps, one in (x1, y2) and one in
-(x2, y1), as in Bluestein's chirp-z transform: the quadrature becomes
-batched 1-D FFT correlations followed by one contraction.
+it is bilinear, so it splits into chirps, as in Bluestein's chirp-z
+transform: x ^ y = x1 x2 - 2 x2 y1 + y1 y2 - (y1 - x1)(y2 - x2), and the
+last chirp, e^{-i d1 d2 / 2 ell^2} of the difference d = y - x, rides on
+the tabulated kernel.  The quadrature becomes 1-D FFT correlations, with
+one forward FFT per input row and one inverse FFT per pair of rows,
+followed by one contraction.
 Magnetic translations V(a), which generate the commutant, act as
 (V(a) phi)(x) = e^{i (x ^ a)/(2 ell^2)} phi(x - a).
 Every integral on a grid uses one rule, the trapezoid weights of
@@ -234,30 +237,33 @@ def check_convolution_budget(spec: GridSpec) -> None:
       and then its FFTs, the temporaries of its n x (2n-1) rows d1 >= 0
       (_POINT_BYTES per point, and twice numpy's ufunc buffer of complex
       numbers, where a real factor is cast), which also cover the moduli
-      that the table's boundary share sums afterwards, and the translated
-      grid function that commutant_residual holds;
-    - convolving: the FFTs of the table rows, the one slab buffer that
-      the in-place FFTs reuse, and a bound on what lives beside them: 16
-      bytes per table entry and two more slab-sized arrays cover the
-      grid-sized arrays (weighted input, chirps, output, and the
-      translated input and left side of commutant_residual).
+      that the table's boundary share sums afterwards and the n x n
+      quadrant of the table's chirp, and the translated grid function
+      that commutant_residual holds;
+    - convolving: the FFTs of the table rows, the n x L FFT of the
+      chirped input, the one slab buffer that the inverse FFTs reuse, and
+      a bound on what lives beside them: 16 bytes per table entry and one
+      more slab-sized array cover the grid-sized arrays (the input, the
+      chirp that each slab's output overwrites, its conjugate square, and
+      the translated input and left side of commutant_residual).
     """
     n = spec.nodes
     entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
     tabulation = (16 * (2 * n - 1) * length + _POINT_BYTES * n * (2 * n - 1)
                   + 32 * np.getbufsize() + 16 * n * n)
-    convolution = 16 * (entries + (2 * n - 1) * length + 3 * _slab_rows(n, length) * n * length)
+    convolution = 16 * (entries + (2 * n - 1) * length + n * length
+                        + 2 * _slab_rows(n, length) * n * length)
     check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
 
 
 @dataclass(frozen=True, eq=False)
 class _KernelTable:
-    """FFTs of the reversed kernel rows on the lattice of grid differences.
+    """FFTs of the chirped, reversed kernel rows on the lattice of grid differences.
 
     spectra[d + n - 1] is the length-L FFT of the reversed row
-    f_S(d h, (m - n + 1) h), m = 0..2n-2; edge is the share of the table's
-    mass on its boundary.
+    f_S(d h, e h) e^{-i d e h^2 / 2 ell^2}, e = n - 1 - m for m = 0..2n-2;
+    edge is the share of the table's mass on its boundary.
     """
 
     spectra: np.ndarray
@@ -284,8 +290,22 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
 
 def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _KernelTable:
     check_convolution_budget(spec)
+    n = spec.nodes
     spectra = _kernel_rows(s, spec, cfg)
-    edge = _edge_band_fraction(spectra[:, :2 * spec.nodes - 1], 1, 1)
+    edge = _edge_band_fraction(spectra[:, :2 * n - 1], 1, 1)
+    # the chirp e^{-i d e h^2 / 2 ell^2} on the quadrant d, e >= 0 of lattice
+    # steps: it is even under (d, e) -> (-d, -e) and conjugate under e -> -e
+    steps = np.arange(n, dtype=float)
+    quadrant = np.outer(steps, steps) * (-1j * spec.spacing ** 2 / (2.0 * cfg.ell ** 2))
+    np.exp(quadrant, out=quadrant)
+    conjugate = quadrant.conj()
+    # upper[d] is row d >= 0 and lower[d - 1] row -d; columns n-1..0 hold
+    # e = 0..n-1 and columns n..2n-2 hold e = -1..-(n-1)
+    upper, lower = spectra[n - 1:], spectra[n - 2::-1]
+    upper[:, n - 1::-1] *= quadrant
+    upper[:, n:2 * n - 1] *= conjugate[:, 1:]
+    lower[:, n - 1::-1] *= conjugate[1:]
+    lower[:, n:2 * n - 1] *= quadrant[1:, 1:]
     np.fft.fft(spectra, axis=1, out=spectra)
     return _KernelTable(spectra, edge)
 
@@ -295,31 +315,34 @@ def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> Gr
     n = spec.nodes
     g = spec.axis()
     w = spec.trapezoid_weights()
-    weighted = (w[:, None] * w[None, :]) * phi.values
-    phase = np.exp(1j * np.outer(g, g) / (2.0 * cfg.ell ** 2))
-    phase_back = np.conjugate(phase)
+    tail = _edge_band_fraction(phi.values, 1, 1)
     length = table.spectra.shape[1]
+    # phase[i1, i2] = e^{i g_i1 g_i2 / 2 ell^2} chirps the input, and then
+    # the output: each slab's sums are multiplied into its rows in place
+    phase = np.exp(1j * np.outer(g, g) / (2.0 * cfg.ell ** 2))
+    # spectrum[j1] is the FFT of W[j1, j2] e^{i g_j1 g_j2 / 2 ell^2} over j2,
+    # zero-padded to the length L, transformed once and in place
+    spectrum = np.zeros((n, length), dtype=complex)
+    np.multiply(w[:, None] * w[None, :], phi.values, out=spectrum[:, :n])
+    spectrum[:, :n] *= phase
+    np.fft.fft(spectrum, axis=-1, out=spectrum)
+    back = np.conjugate(phase)
+    back *= back
     # rows[s, j1] is the spectrum of kernel row j1 - i1 for s = n - 1 - i1
     rows = np.lib.stride_tricks.sliding_window_view(table.spectra, n, axis=0)
     rows = rows.transpose(0, 2, 1)
-    out = np.empty((n, n), dtype=complex)
     step = _slab_rows(n, length)
     buffer = np.empty((step, n, length), dtype=complex)
     for start in range(0, n, step):
         stop = min(start + step, n)
         slab = buffer[:stop - start]
-        # slab[i1, j1] is the FFT of W[j1, j2] e^{i g_i1 g_j2 / 2 ell^2} over j2,
-        # zero-padded to the length L; both transforms run in place
-        np.multiply(weighted, phase[start:stop, None, :], out=slab[:, :, :n])
-        slab[:, :, n:] = 0.0
-        np.fft.fft(slab, axis=-1, out=slab)
-        slab *= rows[n - stop: n - start][::-1]
+        np.multiply(rows[n - stop: n - start][::-1], spectrum, out=slab)
         np.fft.ifft(slab, axis=-1, out=slab)
         # lag i2 sits at index n - 1 + i2
-        out[start:stop] = np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], phase_back)
-    out /= 2.0 * math.pi * cfg.ell ** 2
-    result = GridFunction(spec, out, phi.warnings)
-    tail = _edge_band_fraction(phi.values, 1, 1)
+        out = phase[start:stop]
+        np.multiply(np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], back), out, out=out)
+    phase /= 2.0 * math.pi * cfg.ell ** 2
+    result = GridFunction(spec, phase, phi.warnings)
     if tail > 1e-9 or table.edge > 1e-9:
         result = result.with_warning(
             "grid may be too small: boundary carries %.1e of the data mass"
@@ -334,16 +357,19 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     The kernel is tabulated once on the lattice of grid differences, on
     its rows d1 >= 0 only: the parity of each term gives the rows d1 < 0
     (see _kernel_rows), summed straight into the array that the row FFTs
-    then overwrite.  The phase x ^ y splits into the chirps
-    e^{i x1 y2 / 2 ell^2} and e^{-i x2 y1 / 2 ell^2}: for fixed (x1, y1)
-    the y2-sum is a 1-D
-    correlation with one kernel row, and all of them run as batched FFTs
-    of a 5-smooth length L >= 2n - 1 (so nothing aliases into the kept
-    lags); the y1-sum is then one contraction.  Cost grows like
+    then overwrite.  The phase x ^ y is rewritten exactly as
+    x1 x2 - 2 x2 y1 + y1 y2 - (y1 - x1)(y2 - x2): the last chirp,
+    e^{-i d1 d2 / 2 ell^2} of the difference d = y - x, rides on the
+    table, and the chirp e^{i y1 y2 / 2 ell^2} on the input.  For fixed
+    (x1, y1) the y2-sum is then a 1-D correlation of one chirped input
+    row with one table row, run as FFTs of a 5-smooth length L >= 2n - 1
+    (so nothing aliases into the kept lags): one forward FFT per input
+    row, and n**2 inverse FFTs, one per pair (x1, y1).  The y1-sum
+    against e^{-2i x2 y1 / 2 ell^2} is one contraction, and
+    e^{i x1 x2 / 2 ell^2} multiplies the result.  Cost grows like
     nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES
-    through one buffer, allocated once per call, that holds each slab's
-    chirped input with its zero padding; the forward FFT, the product
-    with the kernel spectra and the inverse FFT all run in it in place.
+    through one buffer, allocated once per call, where the product of the
+    table and input spectra and its inverse FFT run in place.
     ResourceError is raised before allocating when tabulating the kernel
     or convolving would pass the memory limit (check_convolution_budget
     says what it counts).  Grids around 128 nodes per axis

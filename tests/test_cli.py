@@ -620,11 +620,13 @@ def test_package_import_loads_no_submodule():
     (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels", "numpy"}),
     (["dos", "idos", "--eps", "2.5"], {"numpy"}),
     (["op", "norm", "--in", "{pi0}", "--p", "2"], {"numpy"}),
+    (["dos", "spectral", "--f", "{bump}"], {"numpy", "magtrace.dixmier", "magtrace.kernels"}),
     (["dos", "dixmier", "--f", "{bump}"], {"numpy.ma", "magtrace.kernels"}),
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
      {"numpy.ma", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
 ], ids=["trace-diag", "trace-residue", "trace-shell", "trace-ordered", "kernel-eval",
-        "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-dixmier", "compare"])
+        "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier",
+        "compare"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from magtrace import (
@@ -109,6 +110,30 @@ def test_compact_test_function_interpolates():
     assert fn(-1.0) == 0.0
     assert fn(3.0) == 0.0
     assert fn(4.0) == 0.0
+
+
+def _bits(x):
+    return x, math.copysign(1.0, x)
+
+
+def test_compact_test_function_matches_numpy_interp_bit_for_bit():
+    # the plain-Python interpolation repeats np.interp's arithmetic: on the
+    # nodes, next to them, between them and past the ends, signed zeros
+    # and flat segments included
+    rng = np.random.default_rng(14)
+    for trial in range(40):
+        count = int(rng.integers(2, 12))
+        xs = np.cumsum(rng.uniform(0.01, 2.0, size=count)) - 4.0
+        ys = rng.normal(size=count)
+        ys[rng.random(count) < 0.3] = 0.0
+        ys[rng.random(count) < 0.3] = -0.0
+        ys[0] = ys[-1] = 0.0
+        fn = CompactTestFunction(tuple(zip(xs.tolist(), ys.tolist())))
+        points = np.concatenate([xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                                 0.5 * (xs[1:] + xs[:-1]), rng.uniform(xs[0], xs[-1], 200),
+                                 [xs[0] - 1.0, xs[-1] + 1.0]])
+        for x in points.tolist():
+            assert _bits(fn(x)) == _bits(float(np.interp(x, xs, ys))), (xs, ys, x)
 
 
 def test_compact_test_function_validation():

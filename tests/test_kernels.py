@@ -166,23 +166,27 @@ def _brute_force_apply(s, phi, cfg):
     return out
 
 
-def _brute_force_case(nodes, ell):
+def _brute_force_case(nodes, ell, extent=2.5):
     rng = np.random.default_rng([nodes, int(ell)])
     cfg = make_config(ell)
     s = CoefficientOperator({(0, 0): 0.7, (0, 1): 1.0 - 0.5j, (2, 1): -0.3 + 0.8j,
                              (1, 3): 0.25j})
-    spec = GridSpec(extent=2.5 * ell, nodes=nodes)
+    spec = GridSpec(extent=extent * ell, nodes=nodes)
     phi = GridFunction(spec, rng.normal(size=(nodes, nodes))
                        + 1j * rng.normal(size=(nodes, nodes)))
     return s, phi, cfg
 
 
-@pytest.mark.parametrize("nodes", [2, 3, 16, 17])
+# extent 9 ell is the benchmark's: there the table's chirp
+# e^{-i d1 d2 / 2 ell^2} turns by up to 2 * 9**2 = 162 radians
+@pytest.mark.parametrize("nodes, extent", [(2, 2.5), (3, 2.5), (16, 2.5), (17, 2.5),
+                                           (16, 9.0), (17, 9.0)],
+                         ids=["2", "3", "16", "17", "16-wide", "17-wide"])
 @pytest.mark.parametrize("ell", [1.0, 2.0])
-def test_apply_kernel_matches_brute_force_sum(nodes, ell):
+def test_apply_kernel_matches_brute_force_sum(nodes, extent, ell):
     # catches index and phase slips (a reversed lag slice, say) that the
     # 1e-6 basis checks cannot see
-    s, phi, cfg = _brute_force_case(nodes, ell)
+    s, phi, cfg = _brute_force_case(nodes, ell, extent)
     out = apply_kernel(s, phi, cfg)
     expected = _brute_force_apply(s, phi, cfg)
     assert out.spec == phi.spec
@@ -272,11 +276,10 @@ def test_apply_kernel_refuses_oversized_grids(cfg):
     # the budget is checked on the grid alone, before the kernel table is
     # tabulated; the zero-stride input allocates nothing either.  The
     # tabulation holds the table and the temporaries of half the lattice,
-    # so the convolution count sets the largest admitted grid, past 1000
-    # nodes
+    # so the convolution count sets the largest admitted grid, 1094 nodes
     from magtrace.kernels import check_convolution_budget
 
-    for nodes in (128, 1000):
+    for nodes in (128, 1000, 1094):
         check_convolution_budget(GridSpec(extent=9.0, nodes=nodes))
     for nodes in (2000, 100000):
         spec = GridSpec(extent=9.0, nodes=nodes)
@@ -297,9 +300,10 @@ INDEX_SEVEN = {(5, 3): 1.0, (0, 7): 0.5j}
                          ids=["112-ground", "112-four", "112-seven", "200-four", "200-seven",
                               "400-seven"])
 def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatch, cfg):
-    # tabulating the kernel holds the padded table, which its FFTs then
-    # overwrite, and the temporaries of its rows d1 >= 0; the estimate
-    # counts both, and the convolution's slab buffer and grid-sized arrays
+    # tabulating the kernel holds the padded table, which its chirp and FFTs
+    # then overwrite, and the temporaries of its rows d1 >= 0; the estimate
+    # counts both, and the convolution's input spectrum, slab buffer and
+    # grid-sized arrays
     from magtrace import kernels
 
     estimates = []
