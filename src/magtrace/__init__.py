@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 EXPORTS = {
     "basis": ("laguerre_poly", "psi"),
     "config": ("MagneticConfig", "make_config"),
-    "dixmier": ("SpectralTail", "Spectrum", "calderon_norm", "checkpoint_ladder",
+    "dixmier": ("Spectrum", "calderon_norm", "checkpoint_ladder",
                 "collect_spectrum", "deep_ladder", "dixmier_estimate", "gamma",
                 "shell_checkpoints", "shell_spectrum", "sigma_p", "tauberian_residue",
                 "tauberian_zeta"),

@@ -6,15 +6,15 @@ with sigma_N the N-th partial sum.  Operators are truncated block by block
 in the degeneracy index, singular values (or eigenvalues) of the blocks are
 merged into one sorted sequence, and gamma_N is extrapolated over a ladder
 of checkpoints under the log_inverse model.  The whole-shell spectrum of
-the shifted oscillator is held as runs, one value per shell with its
-multiplicity, and its partial sums and zeta values are read off the runs.
-A zeta-function route x * Tr(T^(1+x)) -> x = 0 provides the independent
-Tauberian cross-check.
+the shifted oscillator is read in closed form, from Hurwitz sums, so
+nothing sized by its shells is stored.  A zeta-function route
+x * Tr(T^(1+x)) -> x = 0 provides the independent Tauberian cross-check.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,27 +22,7 @@ import numpy as np
 from .errors import DomainError, RangeError, check_memory
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
-from .traces import checked_n_grid, hurwitz_zeta
-
-
-@dataclass(frozen=True)
-class SpectralTail:
-    """Analytic model for the spectrum beyond a truncation.
-
-    It describes values (e + shift)^(-s) carried with multiplicity e by
-    every shell e >= start.  power_sum(p) is the exact tail of sum mu^p,
-    evaluated through the Hurwitz zeta.
-    """
-
-    s: float
-    shift: float
-    start: int
-
-    def power_sum(self, p: float) -> float:
-        if self.s * p <= 2.0:
-            raise DomainError("shell tail power sum diverges for s*p <= 2")
-        q = self.start + self.shift
-        return hurwitz_zeta(self.s * p - 1.0, q) - self.shift * hurwitz_zeta(self.s * p, q)
+from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
 
 
 SPECTRUM_KINDS = ("singular", "eigen")
@@ -60,34 +40,19 @@ class Spectrum:
     values that are not finite real numbers (booleans and strings
     included), before sorting.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
-    the untruncated operator (None when the whole list is); `tail` is an
-    optional analytic model for everything beyond the truncation.
-
-    With `counts` the spectrum is held as runs: the i-th stored value
-    occurs counts[i] times, and both arrays are sorted by one permutation.
-    Counts are integers of at least 1, one per value.  len() and
-    `reliable` count elements, not runs.
+    the untruncated operator (None when the whole list is).
     """
 
     values: np.ndarray
     provenance: str
     kind: str = "singular"
     reliable: int | None = None
-    tail: SpectralTail | None = None
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in SPECTRUM_KINDS:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
         values = _finite_values(self.values, self.kind)
-        if self.counts is not None:
-            if self.kind == "singular":
-                order = np.argsort(values)[::-1]
-            else:
-                order = np.argsort(~_eigen_keys(values), kind="stable")
-            object.__setattr__(self, "counts", _run_counts(self.counts, values)[order])
-            values = values[order]
-        elif self.kind == "singular":
+        if self.kind == "singular":
             # a reversed view: a contiguous copy raised peak memory
             values = np.sort(values)[::-1]
         else:
@@ -99,9 +64,7 @@ class Spectrum:
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        if self.counts is None:
-            return int(self.values.size)
-        return int(self.counts.sum())
+        return int(self.values.size)
 
 
 def _finite_values(values, kind: str) -> np.ndarray:
@@ -147,21 +110,6 @@ def _decode_keys(key: np.ndarray) -> np.ndarray:
     key >>= 1
     key |= sign
     return key.view(float)
-
-
-def _run_counts(counts, values: np.ndarray) -> np.ndarray:
-    """Run lengths as int64, refusing what is not one integer >= 1 per value."""
-    counts = np.asarray(counts)
-    if counts.ndim != 1 or counts.shape != values.shape:
-        raise DomainError("run counts must be a 1-D array with one count per value")
-    if counts.dtype.kind not in "iuf" or not np.all(np.isfinite(counts)):
-        raise DomainError("run counts must be finite integers")
-    if np.any(counts != np.floor(counts)) or np.any(counts < 1):
-        raise DomainError("run counts must be integers of at least 1")
-    # the element count and the cumsum of the counts are int64
-    if counts.sum(dtype=float) > 2.0 ** 62:
-        raise DomainError("run counts must total at most 2**62 elements")
-    return counts.astype(np.int64)
 
 
 def _weighted_blocks(block, row, col, m):
@@ -246,25 +194,56 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
     return Spectrum(values, label, kind, reliable=reliable)
 
 
-def shell_spectrum(weight: DiagonalWeight, shells: int) -> Spectrum:
-    """Whole-shell spectrum of a q_power weight with its analytic tail.
+@dataclass(frozen=True)
+class ShellSpectrum:
+    """Whole-shell spectrum of q_power(s, lam): shell e >= 1 holds (e + lam)^(-s) e times.
 
-    Shell e carries the value (e + lam)^(-s) with multiplicity e; keeping
-    complete shells makes every checkpoint N = e(e+1)/2 comparable and the
-    remainder exactly summable, which feeds the Tauberian route.  The
-    spectrum is held as runs, one value per shell with counts 1 .. shells,
-    so its storage grows with the shells, not with the e(e+1)/2 elements.
+    len() and `reliable` are shells(shells+1)/2, and nothing sized by the
+    shells is stored.  By e (e + lam)^(-t) = (e + lam)^(1-t) - lam (e + lam)^(-t)
+    partial sums are finite Hurwitz sums, within 2e-15 relative of math.fsum
+    for s in [0.5, 3] and |lam| <= 10 (1e-11 at lam = 100, where the two
+    cancel), and power sums are Hurwitz zeta values.
     """
-    if shells < 1:
-        raise DomainError("at least one shell is required")
-    # the values, counts and sort permutation, and the run cumsums read off them
-    check_memory(48 * shells, "the shell spectrum")
-    counts = np.arange(1, shells + 1)
-    values = (counts + weight.lam) ** (-weight.s)
-    tail = SpectralTail(s=weight.s, shift=weight.lam, start=shells + 1)
-    label = "q_power(s=%g, lam=%g) over %d complete shells" % (weight.s, weight.lam, shells)
-    return Spectrum(values, label, reliable=shells * (shells + 1) // 2, tail=tail,
-                    counts=counts)
+
+    s: float
+    lam: float
+    shells: int
+    kind = "singular"
+
+    @property
+    def reliable(self) -> int:
+        return self.shells * (self.shells + 1) // 2
+
+    def __len__(self) -> int:
+        return self.reliable
+
+    def partial_sum(self, count: int) -> float:
+        """sigma_N of the first N = count values: complete shells, then part of the next."""
+        e = completed_shells(count)
+        q = 1.0 + self.lam
+        total = hurwitz_sum(self.s - 1.0, q, e) - self.lam * hurwitz_sum(self.s, q, e)
+        return total + (count - e * (e + 1) // 2) * (q + e) ** (-self.s)
+
+    def power_sum(self, p: float) -> float:
+        """sum mu^p over every shell, beyond the truncation too; it needs s*p > 2."""
+        q = 1.0 + self.lam
+        return hurwitz_zeta(self.s * p - 1.0, q) - self.lam * hurwitz_zeta(self.s * p, q)
+
+
+def _check_positive_int(value, what: str) -> None:
+    """Refuse anything but an integer of at least 1; booleans are not integers here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise DomainError("%s must be an integer of at least 1, not %r" % (what, value))
+
+
+def shell_spectrum(weight: DiagonalWeight, shells: int) -> ShellSpectrum:
+    """Whole-shell spectrum of a q_power weight over `shells` >= 1 complete shells.
+
+    Complete shells make every checkpoint N = e(e+1)/2 comparable, and the
+    Tauberian route sums the shells beyond them exactly, in closed form.
+    """
+    _check_positive_int(shells, "the shell count")
+    return ShellSpectrum(weight.s, weight.lam, int(shells))
 
 
 def _check_count(spectrum, count: int, minimum: int = 1) -> None:
@@ -276,20 +255,14 @@ def _check_count(spectrum, count: int, minimum: int = 1) -> None:
 
 
 def _partial_sums(spectrum, ns) -> np.ndarray:
-    """Real partial sums sigma_N at each N in ns, read off one cumsum.
+    """Real partial sums sigma_N at each N in ns.
 
-    The cumsum runs over the whole spectrum: a sliced or zero-padded one
-    raised peak memory.  A run spectrum takes cumsums over its runs, of
-    the counts and of values * counts, finds the run that holds each N
-    and subtracts the part of that run beyond N.
+    In closed form for a ShellSpectrum, else off one cumsum over all the
+    values (a sliced or zero-padded one raised peak memory).
     """
-    ns = np.asarray(ns, dtype=int)
-    if spectrum.counts is None:
-        return np.cumsum(spectrum.values)[ns - 1]
-    ends = np.cumsum(spectrum.counts)
-    run = np.searchsorted(ends, ns)
-    sums = np.cumsum(spectrum.values * spectrum.counts)[run]
-    return sums - (ends[run] - ns) * spectrum.values[run]
+    if isinstance(spectrum, ShellSpectrum):
+        return np.array([spectrum.partial_sum(int(n)) for n in ns])
+    return np.cumsum(spectrum.values)[np.asarray(ns, dtype=int) - 1]
 
 
 def sigma_p(spectrum: Spectrum, count: int) -> float:
@@ -306,12 +279,13 @@ def gamma(spectrum: Spectrum, count: int) -> float:
 
 def calderon_norm(spectrum: Spectrum) -> float:
     """sup over N >= 2 of sigma_N / log N on the retained singular values."""
+    if isinstance(spectrum, ShellSpectrum):
+        raise DomainError("the Calderon norm needs a materialized spectrum, not shells")
     if spectrum.kind != "singular":
         raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
-    # the counts N, the partial sums and their quotients: at most 40 bytes
-    # per element, and a run spectrum holds many more elements than values
+    # the counts N, the partial sums and their quotients: 40 bytes per element
     check_memory(40 * len(spectrum), "the Calderon quotients")
     ns = np.arange(2, len(spectrum) + 1)
     return float(np.max(_partial_sums(spectrum, ns) / np.log(ns)))
@@ -342,7 +316,10 @@ def deep_ladder(spectrum) -> list[int]:
 
 
 def shell_checkpoints(shells: int, points: int = 6, min_shell: int = 8) -> list[int]:
-    """Checkpoints N = e(e+1)/2 at a geometric ladder of complete shells."""
+    """Checkpoints N = e(e+1)/2 at a geometric ladder of complete shells (integers >= 1)."""
+    _check_positive_int(shells, "the shell count")
+    _check_positive_int(points, "the number of checkpoints")
+    _check_positive_int(min_shell, "the lowest checkpoint shell")
     if shells < min_shell:
         raise DomainError("need at least %d shells for checkpoints" % min_shell)
     return [e * (e + 1) // 2 for e in _geometric_ladder(min_shell, shells, points)]
@@ -355,8 +332,9 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
     log_inverse model.  The checkpoints obey traces.checked_n_grid
     (distinct integers, each at least 2), and there must be at least
     three of them.  Eigenvalue sequences are summed with their signs.
-    Slow or absent convergence shows up in the residual; no exception is
-    raised for it.
+    No exception is raised for slow or absent convergence.  The residual
+    is the fit's rms, which can understate the error: a dense 16x16 source
+    at 512 shells reads 2.99 for 3.30 and still `converged`.
     """
     ns = checked_n_grid(checkpoints)
     if len(ns) < 3:
@@ -367,20 +345,15 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
 
 
 def tauberian_zeta(spectrum, x: float) -> float:
-    """zeta_T(x) = sum mu^(1+x), using the analytic tail when one is known."""
+    """zeta_T(x) = sum |mu|^(1+x): the retained values, or every shell of a ShellSpectrum."""
     if x <= 0.0:
         raise DomainError("the Tauberian zeta needs x > 0")
+    if isinstance(spectrum, ShellSpectrum):
+        return spectrum.power_sum(1.0 + x)
     values = spectrum.values
     if spectrum.kind == "eigen":
         values = np.abs(values)
-    positive = values > 0.0
-    terms = values[positive] ** (1.0 + x)
-    if spectrum.counts is not None:
-        terms *= spectrum.counts[positive]
-    total = float(terms.sum())
-    if spectrum.tail is not None:
-        total += spectrum.tail.power_sum(1.0 + x)
-    return total
+    return float((values[values > 0.0] ** (1.0 + x)).sum())
 
 
 def tauberian_residue(spectrum, x_grid) -> ConvergenceTable:

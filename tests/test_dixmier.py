@@ -1,5 +1,6 @@
 """Dixmier trace estimation from partial sums of singular values."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -30,7 +31,8 @@ from magtrace import (
     tauberian_zeta,
     weighted_product,
 )
-from magtrace.dixmier import SpectralTail
+from magtrace.dixmier import ShellSpectrum
+from magtrace.extrapolate import log_inverse_table
 
 X_GRID = (1e-1, 1e-2, 1e-3)
 
@@ -87,13 +89,6 @@ def test_eigen_order_matches_the_lexsort_rule(seed):
     nonzero = values[values != 0.0]
     plain = nonzero[np.lexsort((-nonzero, -np.abs(nonzero)))]
     assert np.array_equal(Spectrum(nonzero, "nonzero", "eigen").values, plain)
-    # an eigen run spectrum keeps each count with its value
-    counts = rng.permutation(values.size) + 1
-    runs = Spectrum(values, "runs", "eigen", counts=counts)
-    order = _lexsort_order(values)
-    assert np.array_equal(runs.counts, counts[order])
-    assert np.array_equal(np.signbit(runs.values), np.signbit(values[order]))
-    assert np.array_equal(runs.values, values[order])
 
 
 @pytest.mark.filterwarnings("error")
@@ -122,13 +117,6 @@ def test_singular_spectrum_refuses_complex_values():
             Spectrum(values, "complex")
     with pytest.raises(DomainError, match="real eigenvalues"):
         Spectrum(np.array([1.0 + 1.0j, 2.0]), "complex", "eigen")
-
-
-def test_spectral_tail_power_sums():
-    shell = SpectralTail(s=2.0, shift=0.0, start=5)
-    assert shell.power_sum(2.0) == pytest.approx(hurwitz_zeta(3.0, 5.0), rel=1e-14)
-    with pytest.raises(DomainError):
-        SpectralTail(s=2.0, shift=0.0, start=5).power_sum(1.0)
 
 
 def test_collect_spectrum_offdiagonal_closed_form():
@@ -325,82 +313,82 @@ def test_split_weights_take_their_roots_in_place(kind):
 def test_shell_spectrum_multiplicities():
     weight = DiagonalWeight.q_power(1.0, 0.0)
     spec = shell_spectrum(weight, 4)
-    assert len(spec) == 10
-    # shell 3 is one run: the value 1/3 with count 3
-    assert spec.values[2] == pytest.approx(1.0 / 3.0, rel=1e-13)
-    assert spec.counts[2] == 3
-    assert list(spec.counts) == [1, 2, 3, 4]
-    assert (spec.tail.s, spec.tail.shift, spec.tail.start) == (1.0, 0.0, 5)
-    assert spec.reliable == 10
-    with pytest.raises(DomainError):
-        shell_spectrum(weight, 0)
+    # the shell type holds its three parameters, nothing sized by the shells
+    assert isinstance(spec, ShellSpectrum)
+    assert [f.name for f in dataclasses.fields(spec)] == ["s", "lam", "shells"]
+    assert (spec.s, spec.lam, spec.shells, spec.kind) == (1.0, 0.0, 4, "singular")
+    assert len(spec) == spec.reliable == 10
+    assert shell_spectrum(weight, np.int64(4)) == spec
+    # shell 3 holds the value 1/3 three times, at N = 4, 5, 6
+    steps = [sigma_p(spec, n) - sigma_p(spec, n - 1) for n in range(2, 11)]
+    assert steps == pytest.approx([1 / 2] * 2 + [1 / 3] * 3 + [1 / 4] * 4, rel=1e-13, abs=0.0)
+    # the Calderon supremum needs the values, which a shell spectrum does not store
+    with pytest.raises(DomainError, match="materialized"):
+        calderon_norm(spec)
 
 
-def test_run_spectrum_validation():
-    values = np.array([0.25, 1.0, 0.5])
-    runs = Spectrum(values, "runs", counts=[3, 1, 2])
-    assert list(runs.values) == [1.0, 0.5, 0.25]
-    assert list(runs.counts) == [1, 2, 3]
-    assert runs.counts.dtype == np.int64
-    assert len(runs) == 6
-    # integral floats are accepted and held as integers
-    assert list(Spectrum(values, "float counts", counts=[3.0, 1.0, 2.0]).counts) == [1, 2, 3]
-    for counts in ([[3, 1, 2]], [3, 1], [3, 1, 2, 1], [3, 2.5, 2], [3, 0, 2], [3, -1, 2],
-                   [3, np.inf, 2], [3, np.nan, 2], [True, True, True], ["3", "1", "2"],
-                   [2 ** 62, 2 ** 62, 1]):
-        with pytest.raises(DomainError, match="run counts"):
-            Spectrum(values, "bad counts", counts=counts)
-    with pytest.raises(DomainError, match="non-negative"):
-        Spectrum(np.array([1.0, -0.5]), "negative run", counts=[1, 2])
-    # an eigen run spectrum is ordered by the permutation of a flat one
-    eigen = Spectrum(np.array([-0.5, 3.0, 0.25, -1.0, 1.0]), "mixed runs", "eigen",
-                     counts=[1, 2, 3, 4, 5])
-    assert list(eigen.values) == [3.0, 1.0, -1.0, -0.5, 0.25]
-    assert list(eigen.counts) == [2, 5, 4, 1, 3]
-    flat = Spectrum(np.repeat(eigen.values, eigen.counts), "mixed", "eigen")
-    for n in range(1, len(flat) + 1):
-        assert sigma_p(eigen, n) == pytest.approx(sigma_p(flat, n), rel=1e-15, abs=1e-15)
-    assert tauberian_zeta(eigen, 0.5) == pytest.approx(tauberian_zeta(flat, 0.5), rel=1e-15)
+@pytest.mark.parametrize("call,args", [
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), 2.5), id="shells-2.5"),
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), 2.0), id="shells-2.0"),
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), True), id="shells-true"),
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), 0), id="shells-0"),
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), -3), id="shells-negative"),
+    pytest.param(shell_spectrum, (DiagonalWeight.q_power(2.0), "4"), id="shells-string"),
+    pytest.param(shell_checkpoints, (10, 6, 0), id="min-shell-0"),
+    pytest.param(shell_checkpoints, (10, 6, -2), id="min-shell-negative"),
+    pytest.param(shell_checkpoints, (10, 0, 2), id="points-0"),
+    pytest.param(shell_checkpoints, (10, 6.0, 2), id="points-float"),
+    pytest.param(shell_checkpoints, (10.5, 6, 2), id="checkpoint-shells-10.5"),
+    pytest.param(shell_checkpoints, (True, 6, 1), id="checkpoint-shells-true"),
+])
+def test_shell_inputs_are_validated(call, args):
+    # refused, not rounded down, read as one shell or passed on to numpy
+    with pytest.raises(DomainError, match="integer of at least 1"):
+        call(*args)
+
+
+def _expanded_shells(s, lam, shells):
+    """The values of the first `shells` shells, each repeated e times."""
+    return [(e + lam) ** -s for e in range(1, shells + 1) for _ in range(e)]
 
 
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 2.0])
 @pytest.mark.parametrize("shells", [1, 4, 64])
 def test_shell_runs_match_the_expanded_spectrum(shells, lam):
-    runs = shell_spectrum(DiagonalWeight.q_power(2.0, lam), shells)
-    flat = Spectrum(np.repeat(runs.values, runs.counts), "expanded", tail=runs.tail)
-    assert len(runs) == len(flat) == runs.reliable == shells * (shells + 1) // 2
-    # every N, inside runs and at their ends
-    for n in range(1, len(flat) + 1):
-        assert sigma_p(runs, n) == pytest.approx(sigma_p(flat, n), rel=1e-13)
-        if n >= 2:
-            assert gamma(runs, n) == pytest.approx(gamma(flat, n), rel=1e-13)
-    with pytest.raises(RangeError):
-        sigma_p(runs, len(flat) + 1)
-    if shells >= 4:
-        on_shells = shell_checkpoints(shells, min_shell=2)
-        off_shells = [n + 1 for n in on_shells[:-1]] + [on_shells[-1] - 1]
-        for ladder in (on_shells, off_shells):
-            got, want = dixmier_estimate(runs, ladder), dixmier_estimate(flat, ladder)
-            assert np.allclose(got.raw, want.raw, rtol=1e-13, atol=0.0)
-            assert got.extrapolated == pytest.approx(want.extrapolated, rel=1e-13)
-    for x in (0.5, 0.1, 0.01):
-        assert tauberian_zeta(runs, x) == pytest.approx(tauberian_zeta(flat, x), rel=1e-13)
-
-
-def test_shell_route_checks_the_memory_budget():
-    # refused at once, before anything sized by the shells is allocated
-    with pytest.raises(ResourceError, match="shell spectrum"):
-        shell_spectrum(DiagonalWeight.q_power(2.0), 10 ** 8)
-    # a run spectrum of 10^5 shells stores 10^5 values but holds 5 * 10^9
-    spec = shell_spectrum(DiagonalWeight.q_power(2.0), 10 ** 5)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceError, match="Calderon"):
-            calderon_norm(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 ** 20
+    # each shell is a run of e equal values; the closed form is checked
+    # against math.fsum over the expanded values, plus the zeta tail
+    for s in (0.5, 1.0, 2.0, 3.0):
+        spec = shell_spectrum(DiagonalWeight.q_power(s, lam), shells)
+        values = _expanded_shells(s, lam, shells)
+        assert len(spec) == spec.reliable == len(values) == shells * (shells + 1) // 2
+        # every N, inside shells and at their ends
+        sums = [math.fsum(values[:n]) for n in range(1, len(values) + 1)]
+        for n, oracle in enumerate(sums, start=1):
+            assert sigma_p(spec, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+            if n >= 2:
+                assert gamma(spec, n) == pytest.approx(oracle / math.log(n), rel=1e-14, abs=0.0)
+        with pytest.raises(RangeError):
+            sigma_p(spec, len(values) + 1)
+        if shells >= 4:
+            on_shells = shell_checkpoints(shells, min_shell=2)
+            off_shells = [n + 1 for n in on_shells[:-1]] + [on_shells[-1] - 1]
+            for ladder in (on_shells, off_shells):
+                table = dixmier_estimate(spec, ladder)
+                raw = [sums[n - 1] / math.log(n) for n in ladder]
+                assert list(table.raw) == pytest.approx(raw, rel=1e-14, abs=0.0)
+                assert table.extrapolated == pytest.approx(
+                    log_inverse_table(ladder, raw).extrapolated, rel=1e-14, abs=0.0)
+        q = shells + 1.0 + lam
+        for x in (0.01, 0.1, 0.5, 1.5, 4.0):
+            p = s * (1.0 + x)
+            if p <= 2.0:
+                # the sum over every shell diverges
+                with pytest.raises(DomainError):
+                    tauberian_zeta(spec, x)
+                continue
+            oracle = (math.fsum(v ** (1.0 + x) for v in values)
+                      + hurwitz_zeta(p - 1.0, q) - lam * hurwitz_zeta(p, q))
+            assert tauberian_zeta(spec, x) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 def test_shell_route_stays_small():

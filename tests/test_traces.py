@@ -32,7 +32,7 @@ from magtrace import (
 )
 from magtrace import cli
 from magtrace.extrapolate import log_inverse_table, richardson_table
-from magtrace.traces import checked_n_grid, shell_sums
+from magtrace.traces import checked_n_grid, hurwitz_sum, shell_sums
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -80,6 +80,34 @@ def test_hurwitz_domain():
         hurwitz_zeta(2.0, 0.0)
     with pytest.raises(DomainError):
         hurwitz_zeta(2.0, -3.0)
+
+
+@pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 1.0, 2.5, 23.5])
+def test_hurwitz_sum_closed_forms(q):
+    # at t = 1 the finite sum is a difference of digammas, at t = 0 the term
+    # count and at t = -1 an arithmetic series; the counts cross the direct
+    # sums' end at q + count = 24 (below it, a difference of two
+    # Euler-Maclaurin sums loses 1e-12 at q = 0.01).  The slack is the
+    # rounding of the two digammas, which cancel for small counts
+    for count in (0, 1, 2, 23, 24, 25, 100, 2000, 10 ** 6):
+        assert hurwitz_sum(0.0, q, count) == count
+        assert hurwitz_sum(-1.0, q, count) == pytest.approx(
+            count * q + count * (count - 1) / 2, rel=1e-14, abs=0.0)
+        low, high = scipy.special.digamma([q, q + count])
+        assert hurwitz_sum(1.0, q, count) == pytest.approx(
+            float(high - low), rel=1e-14, abs=1e-15 * float(abs(low) + abs(high)))
+    # one term, and a pure Euler-Maclaurin difference (no direct terms)
+    assert hurwitz_sum(1.0, q, 1) == pytest.approx(1.0 / q, rel=1e-14, abs=0.0)
+    assert hurwitz_sum(2.0, q + 30.0, 70) == pytest.approx(
+        math.fsum((q + 30.0 + k) ** -2.0 for k in range(70)), rel=1e-14, abs=0.0)
+
+
+def test_hurwitz_sum_domain():
+    for q in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="positive offset"):
+            hurwitz_sum(1.0, q, 3)
+    with pytest.raises(DomainError, match="count >= 0"):
+        hurwitz_sum(1.0, 1.0, -1)
 
 
 def test_tau_diagonal_examples():
