@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import replace
-from itertools import accumulate, islice, repeat
 
-from .errors import DomainError, check_memory
+from .errors import DomainError
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import CoefficientOperator, check_shift
 
@@ -29,13 +27,15 @@ _BERNOULLI_EVEN = (
 _EXPANSION_POINT = 24.0  # the Euler-Maclaurin sums start at q + K >= this point
 
 
-def _euler_maclaurin(t: float, q: float) -> float:
-    """Z(t, q) of hurwitz_zeta for any real t; Z(1, q) = -digamma(q), Z(0, q) = 1/2 - q."""
+def _euler_maclaurin(t: float, q: float) -> tuple[float, float]:
+    """Z(t, q) of hurwitz_zeta for any real t less its integral term, and base = q + K.
+
+    The K direct terms take base to at least 24; the half correction and up
+    to twelve Bernoulli corrections follow.  Callers add the integral term.
+    """
     shift = int(max(0, math.ceil(_EXPANSION_POINT - q)))
     base = q + shift
-    head = math.fsum((q + k) ** (-t) for k in range(shift))
-    integral = -math.log(base) if t == 1.0 else base ** (1.0 - t) / (t - 1.0)
-    total = head + integral + 0.5 * base ** (-t)
+    total = math.fsum((q + k) ** (-t) for k in range(shift)) + 0.5 * base ** (-t)
     poch = t
     scale = base ** (-t - 1.0)
     inv_base_sq = 1.0 / (base * base)
@@ -46,33 +46,30 @@ def _euler_maclaurin(t: float, q: float) -> float:
             break
         poch *= (t + 2.0 * i - 1.0) * (t + 2.0 * i)
         scale *= inv_base_sq
-    return total
+    return total, base
 
 
 def hurwitz_zeta(t: float, q: float) -> float:
     """Hurwitz zeta sum_{m>=0} (m + q)^(-t) for t > 1, q > 0.
 
-    Euler-Maclaurin evaluation: the first K terms are summed directly with
-    K chosen so the expansion point q + K is at least 24, then the integral
-    term (q+K)^(1-t)/(t-1), the half correction and twelve Bernoulli
-    corrections are added.  Absolute accuracy is far below 1e-12 for
-    t in (1, 4] and moderate q.
+    Euler-Maclaurin evaluation, far below 1e-12 absolute for t in (1, 4] and moderate q.
     """
     if not (t > 1.0):
         raise DomainError("Hurwitz zeta converges only for t > 1")
     if not (q > 0.0):
         raise DomainError("Hurwitz zeta requires a positive offset q")
-    return _euler_maclaurin(t, q)
+    rest, base = _euler_maclaurin(t, q)
+    return rest + base ** (1.0 - t) / (t - 1.0)
 
 
 def hurwitz_sum(t: float, q: float, count: int) -> float:
     """Finite sum sum_{m<count} (m + q)^(-t) for real t, q > 0 and count >= 0.
 
-    Terms that all lie below 24 are summed directly, others as a difference
-    of two of hurwitz_zeta's Euler-Maclaurin sums (-log for the integral
-    term at t = 1), at a cost independent of count.  Relative error against
-    math.fsum (t in [-1, 4]): below 4e-15 for q <= 24, 4e-15 (1 + q / count)
-    beyond, growing like 3e-15 / |t - 1| near t = 1.
+    Terms that all lie below 24 are summed directly, others, at a cost independent
+    of count, as a difference of two Euler-Maclaurin sums at a < b = q + count.
+    Their integral terms a^u/u and b^u/u (u = 1 - t) cancel near t = 1, so for
+    |u| < 1/2 their difference is a^u expm1(u log(b/a))/u, log(b/a) at t = 1.
+    Relative error against math.fsum (t in [-1, 4]): below 5e-15 (1 + q / count).
     """
     if not (q > 0.0):
         raise DomainError("the finite Hurwitz sum requires a positive offset q")
@@ -80,7 +77,13 @@ def hurwitz_sum(t: float, q: float, count: int) -> float:
         raise DomainError("the finite Hurwitz sum needs count >= 0")
     if q + count <= _EXPANSION_POINT:
         return math.fsum((q + k) ** (-t) for k in range(count))
-    return _euler_maclaurin(t, q) - _euler_maclaurin(t, q + count)
+    (rest, low), high, u = _euler_maclaurin(t, q), q + count, 1.0 - t
+    if abs(u) >= 0.5:  # no cancellation, and exact at t = 0 and t = -1
+        integral = (high ** u - low ** u) / u
+    else:
+        log_ratio = math.log1p((high - low) / low)
+        integral = log_ratio if u == 0.0 else low ** u * math.expm1(u * log_ratio) / u
+    return rest - _euler_maclaurin(t, high)[0] + integral
 
 
 def tau_diagonal(s: CoefficientOperator) -> complex:
@@ -122,23 +125,22 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
     return complex(total) / j
 
 
-def shell_sums(s: CoefficientOperator, count: int) -> tuple[list[complex], list[complex]]:
-    """Diagonal prefix sums and cumulative shell averages up to count.
+def shell_sums(s: CoefficientOperator, ns) -> tuple[list[complex], list[complex]]:
+    """Lists of p_N = sum_{n<N} s_nn and W_N = sum_{j<=N} p_j / j for N in the sorted ns.
 
-    Returns lists (p, W) with p[N] = sum_{n<N} s_nn and
-    W[N] = sum_{j<=N} w_j(S) for N = 0 .. count, since the j-th shell
-    average is w_j(S) = p[j] / j.  Both are running sums in index order,
-    built by itertools.accumulate in plain Python.  p[j] / j is computed
-    as p[j] * (1 / j), as numpy divides a complex array by a real one, so
-    the lists equal numpy's cumsum arrays bit for bit.  The memory budget
-    covers the two lists of count + 1 complex numbers, about 40 bytes an
-    entry each.
+    W_N = H_N p_N - sum_{n<N} s_nn H_n with H_n = hurwitz_sum(1, 1, n): one pass over
+    the diagonal in index order from 0j gives both, whatever the size of N.
     """
-    check_memory(80 * (count + 1), "the diagonal prefix up to %d" % count)
-    diagonal = {j: v for (j, k), v in s.entries.items() if j == k and j < count}
-    prefix = [0j, *accumulate(map(diagonal.get, range(count), repeat(0j, count)))]
-    inverses = map(operator.truediv, repeat(1.0, count), range(1, count + 1))
-    return prefix, [0j, *accumulate(map(operator.mul, islice(prefix, 1, None), inverses))]
+    diagonal = sorted(((j, v) for (j, k), v in s.entries.items() if j == k), reverse=True)
+    prefix, weighted, prefixes, sums = 0j, 0j, [], []
+    for n in ns:
+        while diagonal and diagonal[-1][0] < n:
+            j, v = diagonal.pop()
+            prefix += v
+            weighted += v * hurwitz_sum(1.0, 1.0, j)
+        prefixes.append(prefix)
+        sums.append(hurwitz_sum(1.0, 1.0, n) * prefix - weighted)
+    return prefixes, sums
 
 
 def checked_n_grid(n_grid) -> list[int]:
@@ -169,9 +171,8 @@ def tau_shell(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     under the log_inverse model.
     """
     ns = checked_n_grid(n_grid)
-    prefix, sums = shell_sums(s, ns[-1])
-    return log_inverse_table(ns, [complex(sums[n]) / math.log(n) for n in ns],
-                             [prefix[n] for n in ns])
+    prefixes, sums = shell_sums(s, ns)
+    return log_inverse_table(ns, [w / math.log(n) for w, n in zip(sums, ns)], prefixes)
 
 
 def completed_shells(state_limit: int) -> int:
@@ -195,9 +196,8 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     shells = sorted({completed_shells(n + 1) for n in ns})
     if shells[0] < 2:
         raise DomainError("ordered-basis truncations must cover at least two shells")
-    _, sums = shell_sums(s, shells[-1])
+    _, sums = shell_sums(s, shells)
     states = [e * (e + 1) // 2 for e in shells]
-    table = log_inverse_table(states, [complex(sums[e]) / math.log(n)
-                                       for e, n in zip(shells, states)])
+    table = log_inverse_table(states, [w / math.log(n) for w, n in zip(sums, states)])
     return replace(table, params=tuple(n - 1.0 for n in table.params))
 

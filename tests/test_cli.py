@@ -213,11 +213,12 @@ def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
 
 
 def test_exit_2_names_an_ngrid_integer_exactly(pi0_file, capsys):
-    # an all-digit entry above 2**53 reaches the memory budget unrounded
-    rc, out, err = invoke(["trace", "shell", "--op", pi0_file,
-                           "--Ngrid", "100,12345678901234567891"], capsys)
+    # an all-digit entry above 2**53 is parsed, and refused when repeated, unrounded
+    argv = ["trace", "shell", "--op", pi0_file, "--Ngrid", "100,12345678901234567891"]
+    assert cli.build_parser(argv).parse_args(argv).ngrid == (100, 12345678901234567891)
+    rc, out, err = invoke(argv[:-1] + ["100,12345678901234567891,12345678901234567891"], capsys)
     assert (rc, out) == (2, "")
-    assert "prefix up to 12345678901234567891 needs" in err
+    assert "(100, 12345678901234567891, 12345678901234567891)" in err
 
 
 def test_exit_3_on_unconverged_table(pi0_file, capsys):
@@ -537,8 +538,6 @@ def test_kernel_commutant_budget_is_checked_first(pi0_file, capsys):
 
 
 OVERSIZED = {
-    "trace-shell": ["trace", "shell", "--op", "{pi0}", "--Ngrid", "100,1e12"],
-    "dos-approx": ["dos", "approx", "--eps", "2", "--Ngrid", "100,1e12"],
     "dos-idos": ["dos", "idos", "--eps", "1e9"],
     "dos-idos-far": ["dos", "idos", "--eps", "1e30"],
     "dos-measure": ["dos", "measure", "--J", "1000000000"],
@@ -615,6 +614,8 @@ def test_package_import_loads_no_submodule():
     (["trace", "residue", "--op", "{pi0}"], {"numpy"}),
     (["trace", "shell", "--op", "{pi0}"],
      {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy"}),
+    (["trace", "shell", "--op", "{pi0}", "--Ngrid", "1e6,1e9,1e12"],
+     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy"}),
     (["trace", "ordered", "--op", "{pi0}"], {"numpy"}),
     (["kernel", "eval", "--op", "{pi0}", "--x1", "0.5", "--x2", "0.25"],
      {"magtrace.dixmier", "magtrace.dos"}),
@@ -626,9 +627,9 @@ def test_package_import_loads_no_submodule():
     (["dos", "dixmier", "--f", "{bump}"], {"numpy.ma", "magtrace.kernels"}),
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
      {"numpy.ma", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
-], ids=["trace-diag", "trace-residue", "trace-shell", "trace-ordered", "kernel-eval",
-        "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier",
-        "compare"])
+], ids=["trace-diag", "trace-residue", "trace-shell", "trace-shell-far-grid", "trace-ordered",
+        "kernel-eval", "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-spectral",
+        "dos-dixmier", "compare"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

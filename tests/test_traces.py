@@ -100,6 +100,11 @@ def test_hurwitz_sum_closed_forms(q):
     assert hurwitz_sum(1.0, q, 1) == pytest.approx(1.0 / q, rel=1e-14, abs=0.0)
     assert hurwitz_sum(2.0, q + 30.0, 70) == pytest.approx(
         math.fsum((q + 30.0 + k) ** -2.0 for k in range(70)), rel=1e-14, abs=0.0)
+    # near t = 1 the two integral terms, each of size 1/|t - 1|, must not cancel
+    for t in (0.99, 0.9999, 1.0001, 1.01):
+        for count in (1, 2, 23, 24, 25, 100, 2000, 10 ** 5):
+            assert hurwitz_sum(t, q, count) == pytest.approx(
+                math.fsum((q + k) ** -t for k in range(count)), rel=1e-14, abs=0.0)
 
 
 def test_hurwitz_sum_domain():
@@ -434,37 +439,50 @@ def test_two_row_fit_leaves_a_rounding_residual(rng):
             assert rms <= 1e-15 * max(abs(values)), params
 
 
-def test_shell_sums_match_numpy_cumsum(rng):
-    # the running sums keep numpy's bits: p[N] by cumsum, W[N] by cumsum of p[j] / j
-    entries = {(int(j), int(j)): complex(*rng.normal(size=2))
-               for j in rng.choice(5000, size=300, replace=False)}
-    entries[(3, 7)] = 2.0
-    s = CoefficientOperator(entries)
-    count = 4000
-    prefix, sums = shell_sums(s, count)
-    diagonal = np.zeros(count, dtype=complex)
-    for (j, k), v in s.entries.items():
-        if j == k and j < count:
-            diagonal[j] = v
-    want_prefix = np.concatenate([[0j], np.cumsum(diagonal)])
-    want_sums = np.concatenate([[0j], np.cumsum(want_prefix[1:] / np.arange(1, count + 1))])
-    assert len(prefix) == len(sums) == count + 1
-    assert np.array_equal(np.array(prefix).view(float), want_prefix.view(float))
-    assert np.array_equal(np.array(sums).view(float), want_sums.view(float))
+def test_shell_sums_match_running_sums(rng):
+    # the closed form W_N = H_N p_N - sum_{n<N} s_nn H_n against the plain
+    # running sums p_N = sum_{n<N} s_nn and W_N = sum_{j<=N} p_j / j, at every N
+    tops = range(401)
+    for _ in range(5):
+        entries = {(int(j), int(j)): complex(*rng.normal(size=2))
+                   for j in rng.choice(450, size=60, replace=False)}
+        entries[(3, 7)] = 2.0
+        prefixes, sums = shell_sums(CoefficientOperator(entries), tops)
+        assert len(prefixes) == len(sums) == len(tops)
+        prefix = total = 0j
+        for n in tops:
+            if n:
+                total += prefix / n
+            assert abs(prefixes[n] - prefix) <= 1e-13 * max(1.0, abs(prefix)), n
+            assert abs(sums[n] - total) <= 1e-13 * max(1.0, abs(total)), n
+            prefix += entries.get((n, n), 0j)
 
 
-def test_shell_routes_are_sized_by_the_grid():
-    # One far diagonal entry must not size the prefix sums: the shell
-    # routes allocate for the largest truncation point only.
+def test_shell_routes_are_sized_by_the_grid(capsys, tmp_path):
+    # One far diagonal entry must not size the sums: the shell routes cost
+    # the same at any truncation point, and read the far operator's trace
+    # once the grid lies beyond its support.
     s = CoefficientOperator({(0, 0): 1.0, (2_000_000, 2_000_000): 1.0})
+    far = CoefficientOperator({(0, 0): 1.0, (5000, 5000): 1.0})
     tracemalloc.start()
     try:
         table = tau_shell(s, (100, 1000, 10000))
+        beyond = tau_shell(s, (10 ** 6, 10 ** 9, 10 ** 12))
+        far_table = tau_shell(far, (10 ** 6, 10 ** 9, 10 ** 12))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.accelerated == (1.0, 1.0, 1.0)
-    assert peak < 8 * 2 ** 20
+    assert beyond.accelerated == (1.0, 2.0, 2.0)
+    assert far_table.accelerated == (2.0, 2.0, 2.0)
+    assert abs(far_table.extrapolated - 2.0) <= 1e-6 and far_table.converged
+    assert peak < 2 ** 20
+    path = tmp_path / "far.json"
+    path.write_text('{"entries": [{"j": 0, "k": 0, "re": 1.0}, {"j": 5000, "k": 5000, "re": 1.0}]}')
+    for argv in (["trace", "shell", "--op", str(path), "--Ngrid", "1e6,1e9,1e12"],
+                 ["dos", "approx", "--eps", "2", "--Ngrid", "100,1e12"]):
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_richardson_table_sorts_and_keeps_real_limits_real():
