@@ -25,10 +25,9 @@ EXPORTS = {
                 "collect_spectrum", "deep_ladder", "dixmier_estimate", "gamma",
                 "shell_checkpoints", "shell_spectrum", "sigma_p", "tauberian_residue",
                 "tauberian_zeta"),
-    "dos": ("CompactTestFunction", "DOSMeasure", "LandauDiagonalOperator",
-            "dixmier_dos_check", "dos_measure", "functional_calculus", "idos",
-            "idos_shell_approx", "landau_hamiltonian", "spectral_formula_check",
-            "spectral_projection"),
+    "dos": ("CompactTestFunction", "DOSMeasure", "dixmier_dos_check", "dos_measure",
+            "functional_calculus", "idos", "idos_shell_approx", "landau_hamiltonian",
+            "spectral_formula_check", "spectral_projection"),
     "errors": ("CalculusError", "DomainError", "RangeError", "ResourceError"),
     "extrapolate": ("ConvergenceTable", "log_inverse_fit", "richardson_zero"),
     "kernels": ("GridFunction", "GridSpec", "apply_kernel", "commutant_residual",

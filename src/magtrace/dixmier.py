@@ -14,12 +14,11 @@ x * Tr(T^(1+x)) -> x = 0 provides the independent Tauberian cross-check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, check_memory
+from .errors import DomainError, RangeError, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
@@ -230,19 +229,13 @@ class ShellSpectrum:
         return hurwitz_zeta(self.s * p - 1.0, q) - self.lam * hurwitz_zeta(self.s * p, q)
 
 
-def _check_positive_int(value, what: str) -> None:
-    """Refuse anything but an integer of at least 1; booleans are not integers here."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise DomainError("%s must be an integer of at least 1, not %r" % (what, value))
-
-
 def shell_spectrum(weight: DiagonalWeight, shells: int) -> ShellSpectrum:
     """Whole-shell spectrum of a q_power weight over `shells` >= 1 complete shells.
 
     Complete shells make every checkpoint N = e(e+1)/2 comparable, and the
     Tauberian route sums the shells beyond them exactly, in closed form.
     """
-    _check_positive_int(shells, "the shell count")
+    check_positive_int(shells, "the shell count")
     return ShellSpectrum(weight.s, weight.lam, int(shells))
 
 
@@ -317,9 +310,9 @@ def deep_ladder(spectrum) -> list[int]:
 
 def shell_checkpoints(shells: int, points: int = 6, min_shell: int = 8) -> list[int]:
     """Checkpoints N = e(e+1)/2 at a geometric ladder of complete shells (integers >= 1)."""
-    _check_positive_int(shells, "the shell count")
-    _check_positive_int(points, "the number of checkpoints")
-    _check_positive_int(min_shell, "the lowest checkpoint shell")
+    check_positive_int(shells, "the shell count")
+    check_positive_int(points, "the number of checkpoints")
+    check_positive_int(min_shell, "the lowest checkpoint shell")
     if shells < min_shell:
         raise DomainError("need at least %d shells for checkpoints" % min_shell)
     return [e * (e + 1) // 2 for e in _geometric_ladder(min_shell, shells, points)]
@@ -351,9 +344,7 @@ def tauberian_zeta(spectrum, x: float) -> float:
     if isinstance(spectrum, ShellSpectrum):
         return spectrum.power_sum(1.0 + x)
     values = spectrum.values
-    if spectrum.kind == "eigen":
-        values = np.abs(values)
-    return float((values[values > 0.0] ** (1.0 + x)).sum())
+    return float((np.abs(values[values != 0.0]) ** (1.0 + x)).sum())
 
 
 def tauberian_residue(spectrum, x_grid) -> ConvergenceTable:

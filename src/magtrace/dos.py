@@ -1,12 +1,12 @@
-"""Integrated density of states and DOS measures for Landau-type operators.
+"""Integrated density of states and DOS measures of the Landau Hamiltonian.
 
-Operators here are diagonal in the Landau index with levels h_j that do
-not depend on the degeneracy index, so spectral projections are finite
-sums of level projections and the IDOS is the level count weighted by
-idos_scale = 1/(2 pi ell^2).  The DOS is the purely atomic measure whose
-distribution function is the IDOS; its pairing with compactly supported
-test functions is cross-checked against the canonical trace and against
-the Dixmier estimator.
+The Landau Hamiltonian is diagonal in the Landau index with levels
+j + 1/2 that do not depend on the degeneracy index, so spectral
+projections are finite sums of level projections and the IDOS is the
+level count weighted by idos_scale = 1/(2 pi ell^2).  The DOS is the
+purely atomic measure whose distribution function is the IDOS; its
+pairing with compactly supported test functions is cross-checked against
+the canonical trace and against the Dixmier estimator.
 """
 
 from __future__ import annotations
@@ -16,55 +16,46 @@ import math
 from dataclasses import dataclass
 
 from .config import MagneticConfig
-from .errors import DomainError, RangeError, check_memory
+from .errors import DomainError, RangeError, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
 from .traces import tau_diagonal, tau_shell
 
-# Peak bytes per level of the routes below: the level itself and one
-# coefficient entry of a projection or f(H), as Python objects (about 350
-# measured; 512 leaves room).
+# Peak bytes per level of the routes below: one DOS atom or one coefficient
+# entry of a projection or f(H), as Python objects (at most about 320
+# measured, for f(H); 512 leaves room).
 LEVEL_BYTES = 512
 
 
 @dataclass(frozen=True)
-class LandauDiagonalOperator:
-    """Levels h_j for j below the truncation, plus a bound on the rest.
+class LandauOperator:
+    """Landau Hamiltonian truncated to its levels j + 1/2 for j < truncation.
 
-    tail_inf is a lower bound for every level beyond the truncation, so
-    spectral projections below tail_inf are exactly representable from
-    the stored levels.
+    tail_inf, the lowest level beyond the truncation, bounds every level
+    not held, so spectral projections below it are exactly representable.
+    Build one with landau_hamiltonian.
     """
 
-    levels: tuple[float, ...]
-    tail_inf: float = math.inf
-
-    def __post_init__(self):
-        if len(self.levels) < 1:
-            raise DomainError("a diagonal operator needs at least one level")
-        if any(not math.isfinite(h) for h in self.levels):
-            raise DomainError("levels must be finite")
+    truncation: int
 
     @property
-    def truncation(self) -> int:
-        return len(self.levels)
+    def tail_inf(self) -> float:
+        return self.truncation + 0.5
 
 
-def landau_hamiltonian(truncation: int) -> LandauDiagonalOperator:
+def landau_hamiltonian(truncation: int) -> LandauOperator:
     """Landau Hamiltonian with levels j + 1/2 for j < truncation.
 
-    The memory budget is checked for LEVEL_BYTES per level before any
-    level is built.
+    The truncation must be an integer of at least 1, and the memory budget
+    is checked for LEVEL_BYTES per level before any route builds one.
     """
-    if truncation < 1:
-        raise DomainError("the Landau Hamiltonian needs at least one level")
+    check_positive_int(truncation, "the Landau truncation")
     check_memory(LEVEL_BYTES * truncation, "a Landau operator with %d levels" % truncation)
-    levels = tuple(j + 0.5 for j in range(truncation))
-    return LandauDiagonalOperator(levels=levels, tail_inf=truncation + 0.5)
+    return LandauOperator(int(truncation))
 
 
-def spectral_projection(op: LandauDiagonalOperator, eps: float) -> CoefficientOperator:
-    """Projection onto levels h_j <= eps as a diagonal coefficient family.
+def spectral_projection(op: LandauOperator, eps: float) -> CoefficientOperator:
+    """Projection onto levels j + 1/2 <= eps as a diagonal coefficient family.
 
     The threshold convention is half-open from above: a level equal to eps
     is included.  eps must be finite and stay below tail_inf (levels beyond
@@ -75,11 +66,11 @@ def spectral_projection(op: LandauDiagonalOperator, eps: float) -> CoefficientOp
     if eps >= op.tail_inf:
         raise RangeError("threshold %g reaches levels beyond the truncation "
                          "(tail bound %g)" % (eps, op.tail_inf))
-    entries = {(j, j): 1.0 for j, h in enumerate(op.levels) if h <= eps}
+    entries = {(j, j): 1.0 for j in range(op.truncation) if j + 0.5 <= eps}
     return CoefficientOperator(entries, "L1")
 
 
-def idos(op: LandauDiagonalOperator, eps: float, cfg: MagneticConfig) -> float:
+def idos(op: LandauOperator, eps: float, cfg: MagneticConfig) -> float:
     """Integrated density of states: idos_scale times the level count."""
     projection = spectral_projection(op, eps)
     return cfg.idos_scale * tau_diagonal(projection).real
@@ -95,13 +86,9 @@ class DOSMeasure:
         return math.fsum(w * fn(e) for e, w in self.atoms)
 
 
-def dos_measure(op: LandauDiagonalOperator, cfg: MagneticConfig) -> DOSMeasure:
-    """Atomic DOS with one atom per distinct level, weight scaled by idos_scale."""
-    multiplicity: dict[float, int] = {}
-    for h in op.levels:
-        multiplicity[h] = multiplicity.get(h, 0) + 1
-    atoms = tuple((e, cfg.idos_scale * count) for e, count in sorted(multiplicity.items()))
-    return DOSMeasure(atoms=atoms)
+def dos_measure(op: LandauOperator, cfg: MagneticConfig) -> DOSMeasure:
+    """Atomic DOS with one atom per level, of weight idos_scale."""
+    return DOSMeasure(atoms=tuple((j + 0.5, cfg.idos_scale) for j in range(op.truncation)))
 
 
 @dataclass(frozen=True)
@@ -146,16 +133,13 @@ class CompactTestFunction:
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
         value = slope * (x - xs[j]) + ys[j]
         if math.isnan(value):
-            # a difference overflowed: numpy tries the other end, then a flat segment
+            # a difference overflowed: numpy tries the other end, NaN only for a NaN slope
             value = slope * (x - xs[j + 1]) + ys[j + 1]
-            if math.isnan(value) and ys[j] == ys[j + 1]:
-                value = ys[j]
         return value
 
 
-def functional_calculus(op: LandauDiagonalOperator,
-                        fn: CompactTestFunction) -> CoefficientOperator:
-    """Diagonal family f(H) with entries f(h_j); requires representability.
+def functional_calculus(op: LandauOperator, fn: CompactTestFunction) -> CoefficientOperator:
+    """Diagonal family f(H) with entries f(j + 1/2); requires representability.
 
     The support must stay below the tail bound, so that no level outside
     the truncation can carry a nonzero value of f.
@@ -164,7 +148,7 @@ def functional_calculus(op: LandauDiagonalOperator,
     if hi >= op.tail_inf:
         raise RangeError("test function support %g reaches levels beyond the "
                          "truncation (tail bound %g)" % (hi, op.tail_inf))
-    entries = {(j, j): v for j, h in enumerate(op.levels) if (v := fn(h)) != 0.0}
+    entries = {(j, j): v for j in range(op.truncation) if (v := fn(j + 0.5)) != 0.0}
     return CoefficientOperator(entries, "L1")
 
 
@@ -178,7 +162,7 @@ class SpectralCheck:
         return abs(self.trace_value - self.measure_value)
 
 
-def spectral_formula_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
+def spectral_formula_check(op: LandauOperator, fn: CompactTestFunction,
                            cfg: MagneticConfig) -> SpectralCheck:
     """tau(f(H)) against (omega_ell / 2) * integral of f against the DOS."""
     lhs = tau_diagonal(functional_calculus(op, fn)).real
@@ -186,7 +170,7 @@ def spectral_formula_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
     return SpectralCheck(trace_value=lhs, measure_value=rhs)
 
 
-def idos_shell_approx(op: LandauDiagonalOperator, eps: float, n_grid,
+def idos_shell_approx(op: LandauOperator, eps: float, n_grid,
                       cfg: MagneticConfig) -> ConvergenceTable:
     """Energy-shell route to the IDOS: idos_scale times tau_shell of P.
 
@@ -212,13 +196,13 @@ class DixmierDOSCheck:
         return abs(self.dixmier_value - self.measure_value)
 
 
-def dixmier_dos_check(op: LandauDiagonalOperator, fn: CompactTestFunction,
+def dixmier_dos_check(op: LandauOperator, fn: CompactTestFunction,
                       cfg: MagneticConfig, form: str = "left", lam: float = 0.0,
                       lam2: float | None = None, m_max: int = 2000) -> DixmierDOSCheck:
     """Dixmier estimate of the weighted f(H) against the DOS pairing.
 
     Both the Dixmier trace of Q_lam^{-1} f(H) and the scaled DOS pairing
-    (omega_ell / 2) * integral f dDOS reduce to sum_j f(h_j); the check
+    (omega_ell / 2) * integral f dDOS reduce to sum_j f(j + 1/2); the check
     reports the extrapolated estimate, the measure value and their gap.
     Test functions may take negative values, so the estimate sums signed
     eigenvalues rather than singular values.

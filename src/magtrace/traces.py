@@ -194,8 +194,6 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     """
     ns = checked_n_grid(n_grid)
     shells = sorted({completed_shells(n + 1) for n in ns})
-    if shells[0] < 2:
-        raise DomainError("ordered-basis truncations must cover at least two shells")
     _, sums = shell_sums(s, shells)
     states = [e * (e + 1) // 2 for e in shells]
     table = log_inverse_table(states, [w / math.log(n) for w, n in zip(sums, states)])

@@ -17,7 +17,7 @@ import magtrace
 from magtrace import CoefficientOperator, adjoint, make_config, psi
 from magtrace import cli
 from magtrace.cli import run
-from magtrace.serialize import canonical_json, load_operator, save_operator
+from magtrace.serialize import canonical_json, load_operator, operator_to_dict, save_operator
 
 
 def invoke(argv, capsys):
@@ -294,6 +294,20 @@ def test_op_adjoint_save(tmp_path, capsys):
     stored = load_operator(str(saved))
     assert stored.entries == adjoint(load_operator(str(source))).entries
     assert stored.entries == {(2, 0): 1.0 + 0.5j}
+
+
+def test_op_compose_save(tmp_path, capsys):
+    left, right, saved = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "ab.json"
+    left.write_text(json.dumps({
+        "entries": [{"j": 1, "k": 2, "re": 2.0, "im": 0.0}], "class": "L1"}))
+    right.write_text(json.dumps({
+        "entries": [{"j": 0, "k": 1, "re": 1.0, "im": 0.5}], "class": "L1"}))
+    rc, out, _ = invoke(["op", "compose", "--in", str(left), "--in2", str(right),
+                         "--save", str(saved)], capsys)
+    assert rc == 0
+    stored = load_operator(str(saved))
+    assert operator_to_dict(stored) == json.loads(out)["operator"]
+    assert stored.entries == {(0, 2): 2.0 + 1.0j}
 
 
 def test_op_compose_norm_block(pi0_file, capsys):

@@ -530,6 +530,14 @@ def test_tauberian_zeta_is_riemann_zeta():
         tauberian_zeta(spec, 0.0)
 
 
+def test_tauberian_zeta_sums_the_moduli_of_eigenvalues():
+    values = [0.9, -0.7, 0.4, -0.25, 0.0, -0.0, 0.1]
+    spec = Spectrum(np.array(values), "signed", kind="eigen")
+    for x in (0.5, 0.1, 0.01):
+        assert tauberian_zeta(spec, x) == pytest.approx(
+            math.fsum(abs(v) ** (1.0 + x) for v in values), rel=1e-15, abs=0.0)
+
+
 def test_tauberian_residue_matches_dixmier():
     weight = DiagonalWeight.q_power(2.0, 0.0)
     spec = shell_spectrum(weight, 256)

@@ -1,6 +1,7 @@
 """IDOS and DOS of Landau-type diagonal operators."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from magtrace import (
     CompactTestFunction,
     DomainError,
-    LandauDiagonalOperator,
     RangeError,
     dixmier_dos_check,
     dos_measure,
@@ -26,20 +26,20 @@ from magtrace import (
 BUMP = CompactTestFunction(nodes=((0.0, 0.0), (1.0, 1.0), (2.2, 0.0)))
 
 
-def test_landau_hamiltonian_levels():
+def test_landau_hamiltonian_levels(cfg):
     op = landau_hamiltonian(5)
-    assert op.levels == (0.5, 1.5, 2.5, 3.5, 4.5)
     assert op.truncation == 5
     assert op.tail_inf == 5.5
-    with pytest.raises(DomainError):
-        landau_hamiltonian(0)
+    assert [e for e, _ in dos_measure(op, cfg).atoms] == [0.5, 1.5, 2.5, 3.5, 4.5]
 
 
-def test_diagonal_operator_validation():
-    with pytest.raises(DomainError):
-        LandauDiagonalOperator(levels=())
-    with pytest.raises(DomainError):
-        LandauDiagonalOperator(levels=(1.0, math.inf))
+def test_landau_hamiltonian_validation():
+    # the truncation is an integer of at least 1: no float, string or boolean
+    for bad in (0, -2, 2.5, 3.0, "3", True, None):
+        with pytest.raises(DomainError):
+            landau_hamiltonian(bad)
+    op = landau_hamiltonian(np.int64(3))
+    assert type(op.truncation) is int and op == landau_hamiltonian(3)
 
 
 def test_spectral_projection_counts_levels():
@@ -81,13 +81,6 @@ def test_dos_measure_atoms(cfg):
         assert w == pytest.approx(cfg.idos_scale, rel=1e-15)
 
 
-def test_dos_measure_flat_band(cfg):
-    flat = LandauDiagonalOperator(levels=(7.0, 7.0, 7.0, 9.0))
-    measure = dos_measure(flat, cfg)
-    assert measure.atoms[0] == (7.0, pytest.approx(3.0 * cfg.idos_scale))
-    assert measure.atoms[1:] == ((9.0, pytest.approx(cfg.idos_scale)),)
-
-
 def mass(measure, a, b):
     """Measure of the half-open interval (a, b], summed over the atoms."""
     return math.fsum(w for e, w in measure.atoms if a < e <= b)
@@ -113,13 +106,13 @@ def test_compact_test_function_interpolates():
 
 
 def _bits(x):
-    return x, math.copysign(1.0, x)
+    return struct.pack("<d", x)
 
 
 def test_compact_test_function_matches_numpy_interp_bit_for_bit():
     # the plain-Python interpolation repeats np.interp's arithmetic: on the
     # nodes, next to them, between them and past the ends, signed zeros
-    # and flat segments included
+    # and flat segments included, compared as the bytes of each double
     rng = np.random.default_rng(14)
     for trial in range(40):
         count = int(rng.integers(2, 12))
@@ -134,6 +127,13 @@ def test_compact_test_function_matches_numpy_interp_bit_for_bit():
                                  [xs[0] - 1.0, xs[-1] + 1.0]])
         for x in points.tolist():
             assert _bits(fn(x)) == _bits(float(np.interp(x, xs, ys))), (xs, ys, x)
+    # a NaN point, and a segment whose energy difference overflows, so that
+    # the first end gives 0 * inf and the value comes from the other end
+    xs, ys = [-1.7e308, 1e308, 1.01e308], [0.0, 5.0, 0.0]
+    fn = CompactTestFunction(tuple(zip(xs, ys)))
+    for x in (0.9e308, math.nan):
+        assert _bits(fn(x)) == _bits(float(np.interp(x, xs, ys))), x
+    assert fn(0.9e308) == 5.0
 
 
 def test_compact_test_function_validation():
