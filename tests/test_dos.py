@@ -1,4 +1,4 @@
-"""IDOS and DOS of Landau-type diagonal operators."""
+"""IDOS and DOS of the Landau Hamiltonian."""
 
 import math
 import struct
