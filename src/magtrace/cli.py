@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import serialize
 from .config import make_config
-from .errors import CalculusError, DomainError
+from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, ResourceError
 from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
                         weighted_product)
 
@@ -240,7 +240,7 @@ def cmd_dixmier_spectrum(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget)
     return {"kind": kind, "shells": shells, "count": len(spectrum),
-            "reliable": spectrum.reliable, "head": spectrum.values[:16].astype(complex),
+            "reliable": spectrum.reliable, "head": [complex(v) for v in spectrum.values[:16]],
             "provenance": spectrum.provenance}, True
 
 
@@ -275,11 +275,19 @@ def cmd_dixmier_tauberian(args, cfg, budget):
 
 
 def _dos_operator(minimum: float):
-    """The Landau levels that cover a threshold or support end `minimum`."""
-    from .dos import landau_hamiltonian
+    """The Landau levels that cover a threshold or support end `minimum`.
+
+    The level count is checked against the memory limit before it is
+    sized, so a huge threshold is refused without spelling it out.
+    """
+    from .dos import LEVEL_BYTES, landau_hamiltonian
 
     if not math.isfinite(minimum):
         raise DomainError("the threshold must be finite")
+    limit = MEMORY_LIMIT_BYTES // LEVEL_BYTES
+    if minimum + 2.0 >= limit + 1:
+        raise ResourceError("threshold %g needs more Landau levels than %d, over the limit "
+                            "of %d bytes" % (minimum, limit, MEMORY_LIMIT_BYTES))
     return landau_hamiltonian(max(64, int(minimum + 2.0)))
 
 

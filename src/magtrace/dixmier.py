@@ -3,20 +3,27 @@
 For a compact non-negative operator with singular values mu_0 >= mu_1 >= ...
 the Dixmier trace of interest here is the limit of gamma_N = sigma_N / log N
 with sigma_N the N-th partial sum.  Operators are truncated block by block
-in the degeneracy index, singular values (or eigenvalues) of the blocks are
-merged into one sorted sequence, and gamma_N is extrapolated over a ladder
-of checkpoints under the log_inverse model.  The whole-shell spectrum of
-the shifted oscillator is read in closed form, from Hurwitz sums, so
-nothing sized by its shells is stored.  A zeta-function route
-x * Tr(T^(1+x)) -> x = 0 provides the independent Tauberian cross-check.
+in the degeneracy index.  The blocks of a source with off-diagonal entries
+are factored, and their singular values (or eigenvalues) merged into one
+sorted sequence; a diagonal source is read level by level, and the
+whole-shell spectrum of the shifted oscillator shell by shell, in closed
+form from Hurwitz sums, so nothing sized by their blocks or shells is
+stored.  gamma_N is extrapolated over a ladder of checkpoints under the
+log_inverse model.  A zeta-function route x * Tr(T^(1+x)) -> x = 0
+provides the independent Tauberian cross-check.
+
+numpy is imported where blocks are materialized (Spectrum, the block stack
+and calderon_norm), so the closed-form routes never load it.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property, partial
 
 from .errors import DomainError, RangeError, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
@@ -42,12 +49,14 @@ class Spectrum:
     the untruncated operator (None when the whole list is).
     """
 
-    values: np.ndarray
+    values: "numpy.ndarray"
     provenance: str
     kind: str = "singular"
     reliable: int | None = None
 
     def __post_init__(self):
+        import numpy as np
+
         if self.kind not in SPECTRUM_KINDS:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
         values = _finite_values(self.values, self.kind)
@@ -66,13 +75,15 @@ class Spectrum:
         return int(self.values.size)
 
 
-def _finite_values(values, kind: str) -> np.ndarray:
+def _finite_values(values, kind: str):
     """Spectrum values as a 1-D float array, refusing what is not finite and real.
 
     Booleans, strings and other non-numeric input are refused rather than
     cast; so are complex values, except that kind "eigen" holds complex
     input whose imaginary parts all vanish as real.
     """
+    import numpy as np
+
     values = np.asarray(values)
     if values.ndim != 1:
         raise DomainError("spectrum values must be a 1-D array")
@@ -88,7 +99,7 @@ def _finite_values(values, kind: str) -> np.ndarray:
     return values
 
 
-def _eigen_keys(values: np.ndarray) -> np.ndarray:
+def _eigen_keys(values):
     """uint64 keys whose ascending order is the reverse of the eigen order.
 
     The bit pattern of a finite |v| orders like |v| as an unsigned integer,
@@ -96,19 +107,35 @@ def _eigen_keys(values: np.ndarray) -> np.ndarray:
     bit for the sign: set when the sign bit of v is clear.  Equal keys
     are equal values, sign bit included.
     """
+    import numpy as np
+
     key = np.abs(values).view(np.uint64)
     key <<= 1
     key |= ~np.signbit(values)
     return key
 
 
-def _decode_keys(key: np.ndarray) -> np.ndarray:
+def _decode_keys(key):
     """The float64 values of _eigen_keys, decoded in place."""
     key ^= 1
     sign = key << 63
     key >>= 1
     key |= sign
     return key.view(float)
+
+
+def _order(value: float) -> tuple[float, bool]:
+    """Sort key of the eigen order: modulus descending, then a clear sign bit first.
+
+    On non-negative values it is the non-increasing order of singular values.
+    """
+    return -abs(value), math.copysign(1.0, value) < 0.0
+
+
+def _provenance(op, m_max: int, n_max: int) -> str:
+    """The label of a weighted product's spectrum; op has its form, shifts and s."""
+    return "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
+        op.form, op.lam, op.lam2, op.s, n_max, m_max)
 
 
 def _weighted_blocks(block, row, col, m):
@@ -119,41 +146,21 @@ def _weighted_blocks(block, row, col, m):
     return block
 
 
-def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
+def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
 
-    A source block without off-diagonal entries is weighted on its
-    diagonal alone, as real numbers: d.real for kind "eigen" and |d| for
-    kind "singular"; otherwise the blocks m = 0 .. m_max are built as one
-    stack and factored by one batched SVD or eigvalsh.  For a Hermitian
-    source S, A S B is similar to the Hermitian (AB)^(1/2) S (AB)^(1/2),
-    so kind "eigen" refuses any other source and factors that stack.
-    The frontier block m_max + 1 is the form's own A S B.  The memory
-    budget is checked before the block weights are built.
+    The blocks m = 0 .. m_max are built as one stack and factored by one
+    batched SVD or eigvalsh.  For a Hermitian source S, A S B is similar to
+    the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen" factors that
+    stack.  The frontier block m_max + 1 is the form's own A S B.  The
+    memory budget is checked before the block weights are built.
     """
-    source = op.source
-    truncated = {key: v for key, v in source.entries.items() if max(key) < n_max}
-    if kind == "eigen" and any(truncated.get((k, j), 0.0) != v.conjugate()
-                               for (j, k), v in truncated.items()):
-        raise DomainError("kind \"eigen\" needs a Hermitian source: a_kj = conj(a_jk) "
-                          "for all j, k < %d" % n_max)
-    diagonal = all(j == k for j, k in truncated)
-    # 16 bytes per (m, n): the two real weight arrays, or one complex array
-    unit = 16 * (m_max + 2) * n_max
-    if diagonal:
-        # the weights, two weighted diagonals and the dense frontier block
-        check_memory(3 * unit + 16 * n_max * n_max, "the diagonal block spectrum")
-    else:
-        # the weights and the stack of n_max x n_max blocks
-        check_memory(unit * (1 + n_max), "the weighted block stack")
+    # 16 bytes per (m, n) for the weights and per entry of the block stack
+    check_memory(16 * (m_max + 2) * n_max * (1 + n_max), "the weighted block stack")
+    import numpy as np
+
     row, col = op.block_weights(np.arange(m_max + 2), n_max)
-    if diagonal:
-        # real weights: the Hermitian check makes d.real exact for kind "eigen"
-        d = source.diagonal_array(n_max)
-        data = row * (d.real if kind == "eigen" else np.abs(d))
-        data *= col
-        return data[:-1].ravel(), np.diag(data[-1])
-    block = matrix_block(source, n_max)
+    block = matrix_block(op.source, n_max)
     frontier = _weighted_blocks(block, row, col, -1)
     if kind == "singular":
         stack = _weighted_blocks(block, row, col, slice(-1))
@@ -164,20 +171,20 @@ def _weighted_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     return np.linalg.eigvalsh(stack).ravel(), frontier
 
 
-def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
-                     kind: str = "singular") -> Spectrum:
+def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "singular"):
     """Merged, sorted spectrum of the blocks m = 0 .. m_max at size n_max.
 
-    The blocks of the weighted product go through one batched SVD (kind
-    "singular") or one batched eigvalsh (kind "eigen"), and purely
-    diagonal blocks are read off without factorization.  Kind "eigen"
-    needs a source whose truncation is exactly Hermitian, a_kj = conj(a_jk)
-    for max(j, k) < n_max, and returns real eigenvalues; any other source
-    is refused with DomainError before anything is allocated.  The reliable
-    prefix length is the number of retained values strictly above the
-    norm of the first omitted block, beyond which sorting against the
-    truncation boundary would mix retained and missing contributions.
-    shell_spectrum is the route for a bare DiagonalWeight.
+    A truncation with off-diagonal entries goes through one batched SVD
+    (kind "singular") or one batched eigvalsh (kind "eigen") into a
+    Spectrum; a diagonal one gives a LevelSpectrum, read level by level
+    with no array.  Kind "eigen" needs a source whose truncation is exactly
+    Hermitian, a_kj = conj(a_jk) for max(j, k) < n_max, and returns real
+    eigenvalues; any other source is refused with DomainError before
+    anything is allocated.  The reliable prefix length is the number of
+    retained values strictly above the norm of the first omitted block,
+    beyond which sorting against the truncation boundary would mix retained
+    and missing contributions.  shell_spectrum is the route for a bare
+    DiagonalWeight.
     """
     if not isinstance(op, WeightedProduct):
         raise DomainError("collect_spectrum expects a WeightedProduct")
@@ -185,12 +192,232 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int,
         raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
     if m_max < 0 or n_max < 1:
         raise DomainError("spectrum truncation needs m_max >= 0 and n_max >= 1")
-    values, frontier = _weighted_values(op, m_max, n_max, kind)
+    truncated = {key: v for key, v in op.source.entries.items() if max(key) < n_max}
+    if kind == "eigen" and any(truncated.get((k, j), 0.0) != v.conjugate()
+                               for (j, k), v in truncated.items()):
+        raise DomainError("kind \"eigen\" needs a Hermitian source: a_kj = conj(a_jk) "
+                          "for all j, k < %d" % n_max)
+    if all(j == k for j, k in truncated):
+        return _level_spectrum(op, truncated, m_max, n_max, kind)
+    import numpy as np
+
+    values, frontier = _block_values(op, m_max, n_max, kind)
     threshold = float(np.linalg.norm(frontier, ord=2))
-    label = "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
-        op.form, op.lam, op.lam2, op.s, n_max, m_max)
     reliable = int((np.abs(values) > threshold).sum())
-    return Spectrum(values, label, kind, reliable=reliable)
+    return Spectrum(values, _provenance(op, m_max, n_max), kind, reliable=reliable)
+
+
+def _level_spectrum(op: WeightedProduct, diagonal, m_max: int, n_max: int,
+                    kind: str) -> "LevelSpectrum":
+    """The LevelSpectrum of a diagonal truncation, refused when it resolves too little.
+
+    a_n is d.real for kind "eigen", exact once the Hermitian check has run,
+    and |d| for "singular".  Levels without a value above the frontier are
+    missed by every checkpoint; when they carry more l1 mass than the
+    `converged` tolerance 0.05 (1 + sum |a_n|), the estimate could be off by
+    more than that and still read as converged, so RangeError refuses it.
+    """
+    levels = sorted((j, v.real if kind == "eigen" else abs(v)) for (j, _), v in diagonal.items())
+    spectrum = LevelSpectrum(tuple((n, a) for n, a in levels if a != 0.0), op.form,
+                             op.lam, op.lam2, op.s, m_max, n_max, kind)
+    mass = [abs(a) for _, a in spectrum.levels]
+    missed = math.fsum(size for size, count in zip(mass, spectrum.frontier_counts)
+                       if count == 0)
+    tolerance = 0.05 * (1.0 + math.fsum(mass))
+    if missed > tolerance:
+        raise RangeError("levels that hold no value above the truncation frontier (m = %d) "
+                         "carry l1 mass %.3g of %.3g, over the converged tolerance %.3g"
+                         % (m_max + 1, missed, math.fsum(mass), tolerance))
+    return spectrum
+
+
+def _first_index(stop, guess: int, end: int) -> int:
+    """Least m in [0, end) where stop(m) holds, or end; stop holds from some m on.
+
+    Two calls confirm a right guess; a wrong one is bisected over the range.
+    """
+    if (guess == end or stop(guess)) and (guess == 0 or not stop(guess - 1)):
+        return guess
+    return bisect.bisect_left(range(end), True, key=stop)
+
+
+@dataclass(frozen=True)
+class LevelSpectrum:
+    """Spectrum of a weighted product whose truncated source is diagonal, level by level.
+
+    Level n holds v(n, m) = a_n w_n(m) for m = 0 .. m_max, with w_n(m) the
+    form's weight ((y + lam)(y + lam2))^(-s/2) at y = n + m + 1 (lam2 = lam
+    for the left and right forms), and the levels without an entry hold
+    zeros.  Only the nonzero levels (n, a_n) are stored, nothing sized by
+    m_max or n_max.  Each value is rounded as the diagonal of the blocks
+    that WeightedProduct.block_weights weighs, bit for bit at s = 1, where
+    numpy's power is a reciprocal (at other s numpy's power and Python's
+    can differ in the last bit), so |v| falls with m in every level.  A
+    level's count above a threshold t inverts (y + lam)(y + lam2) <
+    (|a_n|/t)^(2/s) and is fixed exactly by the values at the boundary.
+    Values that are not finite are refused.
+    """
+
+    levels: tuple[tuple[int, float], ...]
+    form: str
+    lam: float
+    lam2: float
+    s: float
+    m_max: int
+    n_max: int
+    kind: str = "singular"
+
+    def __post_init__(self):
+        if not all(math.isfinite(self._value(n, a, 0)) for n, a in self.levels):
+            raise DomainError("spectrum values must be finite")
+
+    def __len__(self) -> int:
+        return (self.m_max + 1) * self.n_max
+
+    @property
+    def provenance(self) -> str:
+        return _provenance(self, self.m_max, self.n_max)
+
+    @property
+    def _shifts(self) -> tuple[float, float]:
+        return (self.lam, self.lam2) if self.form == "split" else (self.lam, self.lam)
+
+    def _weight(self, index: int, lam: float) -> float:
+        """(index + 1 + lam)^(-s), in the order of DiagonalWeight.value's operations."""
+        x = (index + 1.0) + lam
+        if self.s == 1.0:
+            return 1.0 / x
+        try:
+            return x ** -self.s
+        except OverflowError:
+            return math.inf
+
+    def _value(self, n: int, a: float, m: int) -> float:
+        """v(n, m) of the level (n, a), multiplied in the order of the block weights."""
+        w = self._weight(n + m, self.lam)
+        if self.form != "split":
+            return w * a
+        return (math.sqrt(w) * a) * math.sqrt(self._weight(n + m, self.lam2))
+
+    def _count_above(self, n: int, a: float, t: float) -> int:
+        """Number of m <= m_max with |v(n, m)| > t >= 0."""
+        end = self.m_max + 1
+        guess = end
+        if t > 0.0:
+            # (y + c)^2 - d^2 < r^2 with r = (|a|/t)^(1/s)
+            lam_a, lam_b = self._shifts
+            log_r = (math.log(abs(a)) - math.log(t)) / self.s
+            if log_r < 700.0:
+                guess = (math.hypot(math.exp(log_r), 0.5 * (lam_a - lam_b))
+                         - 0.5 * (lam_a + lam_b) - (n + 1))
+        guess = 0 if not guess > 0.0 else end if guess >= end else math.ceil(guess)
+        return _first_index(lambda m: abs(self._value(n, a, m)) <= t, guess, end)
+
+    def _counts_above(self, t: float) -> list[int]:
+        return [self._count_above(n, a, t) for n, a in self.levels]
+
+    @cached_property
+    def frontier_counts(self) -> tuple[int, ...]:
+        """Each level's values above the 2-norm of the first omitted block, max |v(n, m_max + 1)|."""
+        top = self.m_max + 1
+        threshold = max((abs(self._value(n, a, top)) for n, a in self.levels), default=0.0)
+        return tuple(self._counts_above(threshold))
+
+    @property
+    def reliable(self) -> int:
+        return sum(self.frontier_counts)
+
+    @property
+    def values(self) -> list[float]:
+        """Every value in the spectrum's order, as a list of floats; zero levels give +0.0."""
+        end = self.m_max + 1
+        # a list entry per value, and a float object per value of a nonzero level
+        check_memory(8 * len(self) + 32 * end * len(self.levels), "the values of a level spectrum")
+        runs = [map(partial(self._value, n, a), range(end)) for n, a in self.levels]
+        zeros = itertools.repeat(0.0, (self.n_max - len(self.levels)) * end)
+        return list(heapq.merge(*runs, zeros, key=_order))
+
+    def _leading_counts(self, count: int) -> list[int]:
+        """Each level's share of the first `count` values in the spectrum's order.
+
+        Regula falsi in u = 1/t (Illinois) finds a threshold t whose counts
+        fall short of count by at most twice the number of levels; the values
+        left are taken in order from a heap of the levels' next values, tied
+        moduli positive first.
+        """
+        levels, end = self.levels, self.m_max + 1
+        if count >= len(levels) * end:
+            return [end] * len(levels)
+        slack, target = 2 * len(levels), count - len(levels)
+        counts, taken = [0] * len(levels), 0
+        # every value lies above t = floor / 2, unless some underflow to zero
+        floor = min(abs(self._value(n, a, self.m_max)) for n, a in levels)
+        low, high = 0.0, 2.0 / floor if floor > 1e-300 else 2e300
+        trial = self._counts_above(1.0 / high)
+        above = sum(trial)
+        f_low, f_high, side = -target, above - target, 0
+        if above <= count:
+            counts, taken = trial, above
+        while above > count and taken < count - slack:
+            u = high - f_high * (high - low) / (f_high - f_low)
+            if not low < u < high:
+                break
+            trial = self._counts_above(1.0 / u)
+            if sum(trial) <= count:
+                low, counts, taken = u, trial, sum(trial)
+                f_low = taken - target
+                if side < 0:  # the same end moved twice: halve the other's value
+                    f_high *= 0.5
+                side = -1
+            else:
+                high, f_high = u, sum(trial) - target
+                if side > 0:
+                    f_low *= 0.5
+                side = 1
+        heap = [(_order(self._value(n, a, k)), i)
+                for i, ((n, a), k) in enumerate(zip(levels, counts)) if k < end]
+        heapq.heapify(heap)
+        for _ in range(count - taken):
+            _, i = heapq.heappop(heap)
+            counts[i] += 1
+            if counts[i] < end:
+                n, a = levels[i]
+                heapq.heappush(heap, (_order(self._value(n, a, counts[i])), i))
+        return counts
+
+    def _weight_sum(self, n: int, count: int, p: float) -> float:
+        """sum over m < count of ((y + lam_a)(y + lam_b))^(-p/2) at y = n + m + 1.
+
+        With c and d the mean and half-difference of the shifts, the term is
+        ((y + c)^2 - d^2)^(-p/2) = sum_k ((p/2)_k / k!) d^(2k) (y + c)^(-p-2k),
+        a series of Hurwitz sums that converges since both shifts exceed -1.
+        The terms with y + c below max(24, 4|d|) are summed directly, so the
+        series gains a factor 16 or more per step; d = 0 leaves one Hurwitz sum.
+        """
+        lam_a, lam_b = self._shifts
+        c, d = 0.5 * (lam_a + lam_b), 0.5 * (lam_a - lam_b)
+        q = n + 1.0 + c
+        head = min(count, max(0, math.ceil(max(24.0, 4.0 * abs(d)) - q))) if d else 0
+        terms = [((n + m + 1.0 + lam_a) * (n + m + 1.0 + lam_b)) ** (-0.5 * p)
+                 for m in range(head)]
+        scale, k = 1.0, 0
+        while count > head and scale != 0.0:
+            terms.append(scale * hurwitz_sum(p + 2.0 * k, q + head, count - head))
+            if k and abs(terms[-1]) <= 1e-17 * abs(terms[head]):
+                break
+            scale *= (0.5 * p + k) / (k + 1.0) * d * d
+            k += 1
+        return math.fsum(terms)
+
+    def partial_sum(self, count: int) -> float:
+        """sigma_N of the first N = count values: a_n times a Hurwitz sum per level."""
+        return math.fsum(a * self._weight_sum(n, k, self.s)
+                         for (n, a), k in zip(self.levels, self._leading_counts(count)) if k)
+
+    def power_sum(self, p: float) -> float:
+        """sum |v|^p over the retained values, level by level."""
+        return math.fsum(abs(a) ** p * self._weight_sum(n, self.m_max + 1, self.s * p)
+                         for n, a in self.levels)
 
 
 @dataclass(frozen=True)
@@ -247,31 +474,37 @@ def _check_count(spectrum, count: int, minimum: int = 1) -> None:
                          % (count, len(spectrum)))
 
 
-def _partial_sums(spectrum, ns) -> np.ndarray:
+def _partial_sums(spectrum, ns):
     """Real partial sums sigma_N at each N in ns.
 
-    In closed form for a ShellSpectrum, else off one cumsum over all the
-    values (a sliced or zero-padded one raised peak memory).
+    In closed form for a level or shell spectrum, else off one cumsum over
+    all the values (a sliced or zero-padded one raised peak memory).
     """
-    if isinstance(spectrum, ShellSpectrum):
-        return np.array([spectrum.partial_sum(int(n)) for n in ns])
-    return np.cumsum(spectrum.values)[np.asarray(ns, dtype=int) - 1]
+    if isinstance(spectrum, Spectrum):
+        import numpy as np
+
+        return np.cumsum(spectrum.values)[np.asarray(ns, dtype=int) - 1]
+    return [spectrum.partial_sum(int(n)) for n in ns]
 
 
-def sigma_p(spectrum: Spectrum, count: int) -> float:
+def sigma_p(spectrum, count: int) -> float:
     """Partial sum sigma_N of the first N = `count` >= 1 values, as a real number."""
     _check_count(spectrum, count)
     return float(_partial_sums(spectrum, [count])[0])
 
 
-def gamma(spectrum: Spectrum, count: int) -> float:
+def gamma(spectrum, count: int) -> float:
     """Dixmier quotient sigma_N / log N at N = count >= 2."""
     _check_count(spectrum, count, minimum=2)
     return sigma_p(spectrum, count) / math.log(count)
 
 
-def calderon_norm(spectrum: Spectrum) -> float:
-    """sup over N >= 2 of sigma_N / log N on the retained singular values."""
+def calderon_norm(spectrum) -> float:
+    """sup over N >= 2 of sigma_N / log N on the retained singular values.
+
+    Every N is read off one cumsum over the values, which a level spectrum
+    lists for it.
+    """
     if isinstance(spectrum, ShellSpectrum):
         raise DomainError("the Calderon norm needs a materialized spectrum, not shells")
     if spectrum.kind != "singular":
@@ -280,13 +513,27 @@ def calderon_norm(spectrum: Spectrum) -> float:
         raise DomainError("the Calderon quotient needs at least two values")
     # the counts N, the partial sums and their quotients: 40 bytes per element
     check_memory(40 * len(spectrum), "the Calderon quotients")
+    import numpy as np
+
     ns = np.arange(2, len(spectrum) + 1)
-    return float(np.max(_partial_sums(spectrum, ns) / np.log(ns)))
+    return float(np.max(np.cumsum(spectrum.values)[ns - 1] / np.log(ns)))
 
 
 def _geometric_ladder(low: int, top: int, points: int) -> list[int]:
-    """Distinct integer parts of `points` geometric steps from low to top."""
-    return sorted({int(n) for n in np.geomspace(low, top, points)})
+    """Distinct integer parts of `points` geometric steps from low to top.
+
+    The steps are numpy.geomspace's, in its arithmetic: 10 ** (k * step +
+    log10(low)) with step = (log10(top) - log10(low)) / (points - 1), the
+    ends set to low and top.  numpy's SIMD log10 and power may round
+    differently from the C library's, which can move an integer part only
+    where a step lands within rounding of an integer.
+    """
+    if points < 2:
+        return [low] if points == 1 else []
+    start = math.log10(low)
+    step = (math.log10(top) - start) / (points - 1)
+    inner = (int(10.0 ** (k * step + start)) for k in range(1, points - 1))
+    return sorted({low, top, *inner})
 
 
 def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:
@@ -341,10 +588,12 @@ def tauberian_zeta(spectrum, x: float) -> float:
     """zeta_T(x) = sum |mu|^(1+x): the retained values, or every shell of a ShellSpectrum."""
     if x <= 0.0:
         raise DomainError("the Tauberian zeta needs x > 0")
-    if isinstance(spectrum, ShellSpectrum):
-        return spectrum.power_sum(1.0 + x)
-    values = spectrum.values
-    return float((np.abs(values[values != 0.0]) ** (1.0 + x)).sum())
+    if isinstance(spectrum, Spectrum):
+        import numpy as np
+
+        values = spectrum.values
+        return float((np.abs(values[values != 0.0]) ** (1.0 + x)).sum())
+    return spectrum.power_sum(1.0 + x)
 
 
 def tauberian_residue(spectrum, x_grid) -> ConvergenceTable:

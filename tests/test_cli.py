@@ -556,7 +556,7 @@ OVERSIZED = {
     "dos-idos-far": ["dos", "idos", "--eps", "1e30"],
     "dos-measure": ["dos", "measure", "--J", "1000000000"],
     "basis-gram": ["basis", "gram", "--max-index", "1", "--nodes", "40000"],
-    "dixmier-diagonal": ["dixmier", "estimate", "--op", "{pi0}", "--shells", "100000000"],
+    "dixmier-diagonal": ["dixmier", "spectrum", "--op", "{pi0}", "--shells", "100000000"],
     "dixmier-stack": ["dixmier", "estimate", "--op", "{dense16}", "--shells", "100000000"],
     "op-block": ["op", "block", "--in", "{pi0}", "--N", "100000"],
 }
@@ -576,20 +576,39 @@ def test_memory_budget_is_checked_first(name, pi0_file, tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
+def test_diagonal_estimate_at_any_depth(pi0_file, capsys):
+    # a diagonal source is read level by level: 10^8 shells take no memory
+    # sized by them, and the estimate comes out right
+    rc, out, err, peak = invoke_traced(["dixmier", "estimate", "--op", pi0_file,
+                                        "--shells", "100000000"], capsys)
+    assert (rc, err) == (0, "")
+    assert abs(json.loads(out)["table"]["extrapolated"]["re"] - 1.0) <= 1e-2
+    assert peak < 8 * 2 ** 20
+
+
 @pytest.mark.parametrize("budget", ("quick", "full"))
 def test_far_diagonal_source_stays_refused(budget, tmp_path, capsys):
     # the (5000, 5000) chain lies wholly below the frontier, so none of its
     # values is reliable: admitted, the estimate reads about 0.997, flagged
-    # converged, for a trace of 2.  A real frontier block needs half the
-    # bytes, and the budget must still count the complex one.
+    # converged, for a trace of 2.  The missed level carries more l1 mass
+    # than the converged tolerance, so the spectrum is refused.
     far = tmp_path / "far.json"
     far.write_text(json.dumps({"entries": [{"j": 0, "k": 0, "re": 1.0},
                                            {"j": 5000, "k": 5000, "re": 1.0}]}))
     rc, out, err, peak = invoke_traced(["--budget-profile", budget, "dixmier", "estimate",
                                         "--op", str(far)], capsys)
     assert (rc, out) == (2, "")
-    assert "over the limit" in err
+    assert "no value above the truncation frontier" in err
     assert peak < 8 * 2 ** 20
+
+
+def test_huge_dos_threshold_is_refused_briefly(capsys):
+    # the level count is not spelled out: the message names the threshold
+    # and the limit
+    rc, out, err = invoke(["dos", "idos", "--eps", "1e300"], capsys)
+    assert (rc, out) == (2, "")
+    assert "1e+300" in err and "524288" in err
+    assert len(err.encode()) < 200
 
 
 def _child_env():
@@ -622,7 +641,8 @@ def test_package_import_loads_no_submodule():
     assert sorted(name for name in loaded if name.startswith("magtrace.")) == []
 
 
-# The scalar commands run on the standard library alone.
+# The scalar commands, and the Dixmier routes on diagonal sources, run on the
+# standard library alone.
 @pytest.mark.parametrize("argv, absent", [
     (["trace", "diag", "--op", "{pi0}"], {"numpy"}),
     (["trace", "residue", "--op", "{pi0}"], {"numpy"}),
@@ -633,17 +653,19 @@ def test_package_import_loads_no_submodule():
     (["trace", "ordered", "--op", "{pi0}"], {"numpy"}),
     (["kernel", "eval", "--op", "{pi0}", "--x1", "0.5", "--x2", "0.25"],
      {"magtrace.dixmier", "magtrace.dos"}),
-    (["dixmier", "estimate", "--op", "{pi0}"], {"numpy.ma"}),
+    (["dixmier", "estimate", "--op", "{pi0}"], {"numpy"}),
+    (["dixmier", "tauberian", "--op", "{pi0}"], {"numpy"}),
     (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels", "numpy"}),
     (["dos", "idos", "--eps", "2.5"], {"numpy"}),
     (["op", "norm", "--in", "{pi0}", "--p", "2"], {"numpy"}),
     (["dos", "spectral", "--f", "{bump}"], {"numpy", "magtrace.dixmier", "magtrace.kernels"}),
-    (["dos", "dixmier", "--f", "{bump}"], {"numpy.ma", "magtrace.kernels"}),
+    (["dos", "dixmier", "--f", "{bump}"], {"numpy", "magtrace.kernels"}),
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
-     {"numpy.ma", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
+     {"numpy", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
+    (["compare", "--op", "{pi0}"], {"numpy", "magtrace.dos", "magtrace.kernels"}),
 ], ids=["trace-diag", "trace-residue", "trace-shell", "trace-shell-far-grid", "trace-ordered",
-        "kernel-eval", "dixmier-estimate", "dos-approx", "dos-idos", "op-norm", "dos-spectral",
-        "dos-dixmier", "compare"])
+        "kernel-eval", "dixmier-estimate", "dixmier-tauberian", "dos-approx", "dos-idos",
+        "op-norm", "dos-spectral", "dos-dixmier", "compare", "compare-full"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

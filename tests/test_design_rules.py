@@ -270,7 +270,7 @@ def test_imported_module_scan_flags_nested_and_from_imports():
 
 # The modules that work on arrays.  The others import numpy inside the
 # functions that use it, so that the scalar commands never load it.
-ARRAY_MODULES = {"basis.py", "dixmier.py", "kernels.py"}
+ARRAY_MODULES = {"basis.py", "kernels.py"}
 
 
 def _load_time_nodes(node):

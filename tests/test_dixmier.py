@@ -31,7 +31,7 @@ from magtrace import (
     tauberian_zeta,
     weighted_product,
 )
-from magtrace.dixmier import ShellSpectrum
+from magtrace.dixmier import LevelSpectrum, ShellSpectrum, _geometric_ladder
 from magtrace.extrapolate import log_inverse_table
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -186,7 +186,7 @@ def test_eigen_spectra_refuse_non_hermitian_sources():
     beyond = CoefficientOperator({(0, 0): 1.0, (0, 5): 1.0})
     spec = collect_spectrum(weighted_product(beyond, "left", 0.0), m_max=2, n_max=2,
                             kind="eigen")
-    assert spec.values.dtype == float
+    assert np.asarray(spec.values).dtype == float
 
 
 @pytest.mark.parametrize("form", ("left", "right", "split"))
@@ -207,7 +207,7 @@ def test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form):
     expected = np.linalg.eigvals(blocks[:-1]).ravel()
     scale = np.abs(expected).max()
     assert np.abs(expected.imag).max() <= 1e-12 * scale
-    assert spectrum.values.dtype == float
+    assert np.asarray(spectrum.values).dtype == float
     assert np.abs(np.sort(spectrum.values) - np.sort(expected.real)).max() <= 1e-12 * scale
     # the reliable prefix stops at the 2-norm of the form's own frontier
     # block; at this small m_max the symmetrised block would admit more
@@ -270,44 +270,147 @@ def test_weighted_stack_stays_within_its_memory_estimate(form, kind):
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
 @pytest.mark.parametrize("form", ("left", "right", "split"))
 def test_diagonal_spectrum_stays_within_its_memory_estimate(form, kind):
-    # the landau-dos shape: 11 signed levels, one of them 0, at m_max 32767;
-    # the weighted diagonal is real for both kinds, and the estimate
-    # 3 * unit + 16 * n_max**2 still counts it as complex
-    levels = np.linspace(-1.0, 1.0, 11)
-    levels[4] = 0.0
-    source = CoefficientOperator({(j, j): float(v) for j, v in enumerate(levels)})
-    product = weighted_product(source, form, 0.0, 1.0)
-    m_max, n_max = 32767, 11
-    estimate = 3 * 16 * (m_max + 2) * n_max + 16 * n_max ** 2
-    tracemalloc.start()
-    try:
-        spectrum = collect_spectrum(product, m_max, n_max, kind)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(spectrum) == (m_max + 1) * n_max
-    assert peak <= estimate
+    # a diagonal source is read level by level: the spectrum, its deep
+    # ladder, the estimate and the Tauberian zeta hold nothing sized by
+    # m_max or n_max, so one small bound holds at any depth and index (the
+    # landau-dos shape of 11 signed levels, one of them 0, and a pair of
+    # tied levels at index 10^6)
+    signed = {(j, j): float(v) for j, v in enumerate(np.linspace(-1.0, 1.0, 11)) if j != 4}
+    far = {(10 ** 6, 10 ** 6): 1.0, (10 ** 6 + 1, 10 ** 6 + 1): -1.0}
+    shapes = [(signed, 11, m_max) for m_max in (32767, 2 ** 30 - 1)]
+    shapes += [(far, 10 ** 6 + 2, m_max) for m_max in (2047, 10 ** 8)]
+    for entries, n_max, m_max in shapes:
+        product = weighted_product(CoefficientOperator(entries), form, -0.5, 2.0)
+        collect_spectrum(product, 255, n_max, kind)  # first-call imports
+        tracemalloc.start()
+        try:
+            spectrum = collect_spectrum(product, m_max, n_max, kind)
+            dixmier_estimate(spectrum, deep_ladder(spectrum))
+            tauberian_zeta(spectrum, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spectrum) == (m_max + 1) * n_max
+        assert peak <= 16 * 2 ** 10
 
 
+def _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, kind, levels=None):
+    """The weighted diagonal of blocks m = 0 .. m_max + 1 as the block stack rounded it.
+
+    Row n holds level levels[n] (every level below n_max by default).
+    """
+    n = np.arange(n_max, dtype=float) if levels is None else np.array(levels, dtype=float)
+    d = np.array([entries.get((int(j), int(j)), 0.0) for j in n], dtype=complex)
+    m = np.arange(m_max + 2, dtype=float)[:, None]
+    w, w2 = (n + m + 1.0 + lam) ** -1.0, (n + m + 1.0 + lam2) ** -1.0
+    ones = np.ones_like(w)
+    row, col = {"left": (w, ones), "right": (ones, w), "split": (np.sqrt(w), np.sqrt(w2))}[form]
+    data = row * (d.real if kind == "eigen" else np.abs(d))
+    data *= col
+    return data
+
+
+def _sorted_like_the_spectrum(values, kind):
+    return np.sort(values)[::-1] if kind == "singular" else values[_lexsort_order(values)]
+
+
+LEVEL_SOURCES = {
+    "signed": {(0, 0): 0.7, (2, 2): -0.4, (3, 3): 0.9, (5, 5): -0.3},
+    "tied": {(0, 0): 1.0, (1, 1): 1.0},
+    "opposite": {(0, 0): 1.0, (1, 1): -1.0, (2, 2): 0.5},
+}
+
+
+@pytest.mark.parametrize("shifts", [(-0.5, -0.5), (0.0, 0.0), (0.37, 2.0), (2.0, -0.5)])
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
-def test_split_weights_take_their_roots_in_place(kind):
-    # the split form holds its two real weight arrays (one unit) and one
-    # real weighted diagonal (half a unit), not a second copy of the
-    # weights for their square roots (2.05 units)
-    levels = np.linspace(-1.0, 1.0, 11)
-    levels[4] = 0.0
-    source = CoefficientOperator({(j, j): float(v) for j, v in enumerate(levels)})
-    product = weighted_product(source, "split", -0.5, 2.0)
-    m_max, n_max = 32767, 11
-    unit = 16 * (m_max + 2) * n_max
-    collect_spectrum(product, 8, n_max, kind)  # first-call imports
-    tracemalloc.start()
-    try:
-        collect_spectrum(product, m_max, n_max, kind)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * unit
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+@pytest.mark.parametrize("source", sorted(LEVEL_SOURCES))
+def test_level_spectrum_matches_the_materialized_diagonal(source, form, kind, shifts):
+    # the values, their order and the reliable prefix keep their bits; the
+    # closed-form sigma_N and Tauberian zeta match sums over the values
+    entries, (lam, lam2) = LEVEL_SOURCES[source], shifts
+    for m_max, extra in ((63, 0), (200, 2)):
+        n_max = max(j for j, _ in entries) + 1 + extra
+        spectrum = collect_spectrum(weighted_product(CoefficientOperator(entries), form,
+                                                     lam, lam2), m_max, n_max, kind)
+        assert isinstance(spectrum, LevelSpectrum)
+        data = _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, kind)
+        expected = _sorted_like_the_spectrum(data[:-1].ravel(), kind)
+        values = np.asarray(spectrum.values)
+        assert values.dtype == float and len(spectrum) == expected.size
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        # the 2-norm of the diagonal frontier block is its largest modulus
+        # (LAPACK's 2 x 2 formula could return it an ulp low, which counted
+        # a value tied with it, as in the tied source, as reliable)
+        threshold = np.abs(data[-1]).max()
+        assert spectrum.reliable == np.count_nonzero(np.abs(expected) > threshold)
+        exact = np.cumsum(expected.astype(np.longdouble))
+        scale = np.cumsum(np.abs(expected).astype(np.longdouble))
+        sums = [sigma_p(spectrum, n) for n in range(1, len(spectrum) + 1)]
+        assert np.all(np.abs(np.array(sums, dtype=np.longdouble) - exact) <= 1e-14 * scale)
+        for x in X_GRID:
+            oracle = float(np.sum(np.abs(expected[expected != 0.0]) ** (1.0 + x)))
+            assert tauberian_zeta(spectrum, x) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_level_spectrum_at_index_a_million(form):
+    # two tied levels of opposite sign at n = 10^6 and 10^6 + 1, materialized
+    # alone: about 2e9 zeros follow them, which sigma_N adds nothing for
+    entries = {(10 ** 6, 10 ** 6): 1.0, (10 ** 6 + 1, 10 ** 6 + 1): -1.0}
+    m_max, n_max, lam, lam2 = 2047, 10 ** 6 + 2, 0.37, 2.0
+    spectrum = collect_spectrum(weighted_product(CoefficientOperator(entries), form,
+                                                 lam, lam2), m_max, n_max, "eigen")
+    data = _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, "eigen",
+                              levels=(10 ** 6, 10 ** 6 + 1))
+    expected = _sorted_like_the_spectrum(data[:-1].ravel(), "eigen")
+    assert len(spectrum) == (m_max + 1) * n_max
+    assert spectrum.reliable == np.count_nonzero(np.abs(expected) > np.abs(data[-1]).max())
+    exact = np.cumsum(expected.astype(np.longdouble))
+    scale = np.cumsum(np.abs(expected).astype(np.longdouble))
+    for n in list(range(1, 40)) + list(range(1000, expected.size + 1, 97)):
+        assert abs(sigma_p(spectrum, n) - exact[n - 1]) <= 1e-14 * scale[n - 1]
+    assert abs(sigma_p(spectrum, len(spectrum)) - exact[-1]) <= 1e-14 * scale[-1]
+    oracle = float(np.sum(np.abs(expected) ** 1.01))
+    assert tauberian_zeta(spectrum, 0.01) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+def test_level_spectrum_refusals():
+    # values that overflow are refused, as a materialized spectrum refuses them
+    huge = weighted_product(CoefficientOperator({(0, 0): 1e308}), "left", -0.999999)
+    for kind in ("singular", "eigen"):
+        with pytest.raises(DomainError, match="finite"):
+            collect_spectrum(huge, 10, 1, kind)
+    # levels that hold no reliable value carry too much of the l1 mass
+    far = weighted_product(CoefficientOperator({(0, 0): 1.0, (5000, 5000): 1.0}), "left", 0.0)
+    with pytest.raises(RangeError, match="no value above the truncation frontier"):
+        collect_spectrum(far, 511, 5001)
+    # ... but a level whose weight lies within the converged tolerance is kept
+    faint = {(j, j): 1.0 for j in range(4)}
+    faint[(3000, 3000)] = 1e-3
+    spectrum = collect_spectrum(weighted_product(CoefficientOperator(faint), "left", 0.0),
+                                511, 3001, "eigen")
+    assert spectrum.frontier_counts[-1] == 0 and spectrum.reliable > 0
+
+
+def _geomspace_ladder(low, top, points):
+    return sorted({int(n) for n in np.geomspace(low, top, points)})
+
+
+def test_geometric_ladder_follows_geomspace():
+    # the integer parts of numpy.geomspace on the pairs that the ladders use:
+    # deep ladders (top // 8, top), fixed lowest checkpoints, shell ladders,
+    # and power-of-two ratios that put steps on integers, such as (8, 256).
+    # Elsewhere numpy's SIMD log10 can round apart from the C library's:
+    # numpy puts (5, 160) at 39 and 79, the plain-Python ladder at 40 and 80
+    assert _geometric_ladder(5, 160, 6) == [5, 10, 20, 40, 80, 160]
+    pairs = [(max(2, top // 8), top, 6) for top in range(4, 6000)]
+    pairs += [(low, top, 6) for low in (2, 8, 32, 64, 512) for top in range(low, 2500)]
+    pairs += [(low, low * 2 ** k, points) for low in (1, 2, 4, 8, 16, 32, 64, 128, 512)
+              for k in range(12) for points in (2, 3, 4, 6, 8)]
+    assert _geometric_ladder(8, 256, 6) == [8, 16, 31, 63, 127, 256]
+    assert [(low, top, points) for low, top, points in pairs
+            if _geometric_ladder(low, top, points) != _geomspace_ladder(low, top, points)] == []
 
 
 def test_shell_spectrum_multiplicities():

@@ -107,6 +107,16 @@ def test_hurwitz_sum_closed_forms(q):
                 math.fsum((q + k) ** -t for k in range(count)), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("t", (0.1, 0.5, 1.5, 2.0, 3.0, 7.0))
+def test_hurwitz_sum_keeps_its_digits_on_short_ranges_far_out(t):
+    # for b = q + count < 2a the two integral terms cancel whatever t > 0 is,
+    # so their difference is taken whole there (it lost 1e-10 at q = 1e6)
+    for q in (24.5, 100.0, 1e4, 1e6):
+        for count in (1, 2, 5, 30, 1000):
+            assert hurwitz_sum(t, q, count) == pytest.approx(
+                math.fsum((q + k) ** -t for k in range(count)), rel=1e-15, abs=0.0)
+
+
 def test_hurwitz_sum_domain():
     for q in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="positive offset"):
