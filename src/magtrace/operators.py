@@ -12,9 +12,9 @@ no identity element: the would-be identity sum over all projections is not
 a finite coefficient family.
 
 The coefficient calculus is pure Python.  The array helpers
-(diagonal_array, DiagonalWeight.value, WeightedProduct.block_weights,
-matrix_block and coefficient_bound_check) import numpy when they run, so
-a scalar command never loads it.
+(DiagonalWeight.value, WeightedProduct.block_weights, matrix_block and
+coefficient_bound_check) import numpy when they run, so a scalar command
+never loads it.
 """
 
 from __future__ import annotations
@@ -80,16 +80,6 @@ class CoefficientOperator:
     @property
     def is_diagonal(self) -> bool:
         return all(j == k for j, k in self.entries)
-
-    def diagonal_array(self, count: int):
-        """Diagonal coefficients s_nn for n < count, as a complex numpy array."""
-        import numpy as np
-
-        out = np.zeros(count, dtype=complex)
-        for (j, k), v in self.entries.items():
-            if j == k and j < count:
-                out[j] = v
-        return out
 
     def __add__(self, other: "CoefficientOperator") -> "CoefficientOperator":
         merged = dict(self.entries)
