@@ -363,14 +363,15 @@ class LevelSpectrum:
             if not low < u < high:
                 break
             trial = self._counts_above(1.0 / u)
-            if sum(trial) <= count:
-                low, counts, taken = u, trial, sum(trial)
-                f_low = taken - target
+            found = sum(trial)
+            if found <= count:
+                low, counts, taken = u, trial, found
+                f_low = found - target
                 if side < 0:  # the same end moved twice: halve the other's value
                     f_high *= 0.5
                 side = -1
             else:
-                high, f_high = u, sum(trial) - target
+                high, f_high = u, found - target
                 if side > 0:
                     f_low *= 0.5
                 side = 1
