@@ -21,10 +21,9 @@ __version__ = "0.1.0"
 EXPORTS = {
     "basis": ("laguerre_poly", "psi"),
     "config": ("MagneticConfig", "make_config"),
-    "dixmier": ("Spectrum", "calderon_norm", "checkpoint_ladder",
-                "collect_spectrum", "deep_ladder", "dixmier_estimate", "gamma",
-                "shell_checkpoints", "shell_spectrum", "sigma_p", "tauberian_residue",
-                "tauberian_zeta"),
+    "dixmier": ("Spectrum", "calderon_norm", "checkpoint_ladder", "collect_spectrum",
+                "dixmier_estimate", "gamma", "shell_checkpoints", "shell_spectrum",
+                "sigma_p", "tauberian_residue", "tauberian_zeta"),
     "dos": ("CompactTestFunction", "DOSMeasure", "dixmier_dos_check", "dos_measure",
             "functional_calculus", "idos", "idos_shell_approx", "landau_hamiltonian",
             "spectral_formula_check", "spectral_projection"),

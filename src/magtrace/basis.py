@@ -70,24 +70,24 @@ def radial_factors(x1, x2, ell: float):
 def psi_term(n: int, m: int, zeta, gauss, base):
     """psi_{n,m} from the radial_factors of its points, as a new array.
 
-    For m <= n the value is gauss * sqrt(m!/n!) * b**(n-m) * L_m^(n-m)(zeta),
-    multiplied in that order; for m > n it is the reflection
-    (-1)**(n-m) * conj(psi_{m,n}).  The factors must be arrays.
+    For m <= n the value is (b * (m!/n!)^(1/(2(n-m))))**(n-m) * gauss *
+    L_m^(n-m)(zeta), multiplied in that order: b**(n-m) and sqrt(m!/n!)
+    would overflow and underflow apart at large n.  For m > n it is the
+    reflection (-1)**(n-m) * conj(psi_{m,n}).  The factors must be arrays.
     """
     lo, p = min(n, m), abs(n - m)
-    ratio = math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
     # the recurrence's arrays are gone before the power is built
     laguerre = laguerre_poly(lo, p, zeta) if lo else None
     if p:
-        # (gauss * ratio) * b**p with one real factor: the product commutes
-        term = base ** p
+        term = base * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)) / p)
+        term **= p
         if m > n:
             np.conjugate(term, out=term)
             if p % 2:
                 np.negative(term, out=term)
-        term *= gauss * ratio
+        term *= gauss
     else:
-        term = gauss * ratio
+        term = gauss.copy()
     if laguerre is not None:
         term *= laguerre
     return term
@@ -110,8 +110,8 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
         psi_{n,m}(x) = (-1)**(n-m) * conj(psi_{m,n}(x)),
 
     which avoids the negative power of (x1 + i x2) at the origin.  The
-    factorial ratio is taken in log space so indices up to a few hundred
-    stay finite.  Inputs broadcast; scalars in give a complex scalar out.
+    factorial ratio is taken in log space and folded into the base before
+    the power.  Inputs broadcast; scalars in give a complex scalar out.
     The formula itself is psi_term, on the factors of radial_factors.
     """
     if n < 0 or m < 0:

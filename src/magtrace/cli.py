@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import serialize
 from .config import make_config
 from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, ResourceError
-from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
-                        weighted_product)
+from .operators import (WEIGHT_FORMS, adjoint, check_shift, compose, lp_norm,
+                        matrix_block, weighted_product)
 
 # The handlers import the other library modules that they call, so that a
 # process loads only what its subcommand runs.
@@ -122,9 +122,19 @@ def _load(args):
     return serialize.load_operator(args.infile)
 
 
+def _check_shifts(form, lam, lam2):
+    """Check --lambda and --lambda2, then refuse a --lambda2 that the form does not read."""
+    check_shift(lam)
+    if lam2 is not None:
+        check_shift(lam2)
+        if form != "split":
+            raise DomainError("--lambda2 is read by --form split only, not --form %s" % form)
+
+
 def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
     from .dixmier import collect_spectrum
 
+    _check_shifts(form, lam, lam2)
     shells = budget.shells if shells is None else shells
     product = weighted_product(op, form, lam, lam2, s=1.0)
     n_max = max(op.max_index + 1, 1)
@@ -258,7 +268,7 @@ def cmd_dixmier_estimate(args, cfg, budget):
 
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget)
-    table = dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum))
+    table = dx.dixmier_estimate(spectrum, dx.checkpoint_ladder(spectrum))
     return {"kind": kind, "shells": shells, "table": table}, table.converged
 
 
@@ -330,6 +340,7 @@ def cmd_dos_dixmier(args, cfg, budget):
 
     fn = serialize.load_test_function(args.testfn)
     op = _dos_operator(fn.support[1])
+    _check_shifts(args.form, args.lam, args.lam2)
     check = dosmod.dixmier_dos_check(op, fn, cfg, form=args.form, lam=args.lam,
                                      lam2=args.lam2, m_max=budget.shells * 4 - 1)
     return {"dixmier_value": check.dixmier_value, "measure_value": check.measure_value,
@@ -354,7 +365,7 @@ def _dixmier_trace(op, lam, budget):
     for unit, part in ((1.0, 0.5 * (op + star)), (1j, -0.5j * (op - star))):
         if part.entries:
             spectrum, _, _ = _weighted_spectrum(part, "left", lam, None, None, budget, "eigen")
-            tables.append(dx.dixmier_estimate(spectrum, dx.deep_ladder(spectrum)))
+            tables.append(dx.dixmier_estimate(spectrum, dx.checkpoint_ladder(spectrum)))
             value += unit * complex(tables[-1].extrapolated)
     return value, math.hypot(*(table.residual for table in tables)), tables
 

@@ -46,7 +46,7 @@ class Spectrum:
     values that are not finite real numbers (booleans and strings
     included), before sorting.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
-    the untruncated operator (None when the whole list is).
+    the untruncated operator; left out, it is the whole length.
     """
 
     values: "numpy.ndarray"
@@ -70,9 +70,23 @@ class Spectrum:
         if self.kind == "singular" and values.size and values[-1] < 0.0:
             raise DomainError("singular values must be non-negative")
         object.__setattr__(self, "values", values)
+        if self.reliable is None:
+            object.__setattr__(self, "reliable", len(self))
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    def partial_sum(self, count: int) -> float:
+        """sigma_N of the first N = count values, in numpy's in-order cumsum."""
+        import numpy as np
+
+        return float(np.cumsum(self.values[:count])[-1])
+
+    def power_sum(self, p: float) -> float:
+        """sum |v|^p over the nonzero values."""
+        import numpy as np
+
+        return float((np.abs(self.values[self.values != 0.0]) ** p).sum())
 
 
 def _finite_values(values, kind: str):
@@ -250,12 +264,12 @@ class LevelSpectrum:
     for the left and right forms), and the levels without an entry hold
     zeros.  Only the nonzero levels (n, a_n) are stored, nothing sized by
     m_max or n_max.  Each value is rounded as the diagonal of the blocks
-    that WeightedProduct.block_weights weighs, bit for bit at s = 1, where
-    numpy's power is a reciprocal (at other s numpy's power and Python's
-    can differ in the last bit), so |v| falls with m in every level.  A
-    level's count above a threshold t inverts (y + lam)(y + lam2) <
-    (|a_n|/t)^(2/s) and is fixed exactly by the values at the boundary.
-    Values that are not finite are refused.
+    that WeightedProduct.block_weights weighs, from DiagonalWeight.value,
+    bit for bit at s = 1, where it is a reciprocal (at other s numpy's
+    power and Python's can differ in the last bit), so |v| falls with m in
+    every level.  A level's count above a threshold t inverts (y + lam)(y +
+    lam2) < (|a_n|/t)^(2/s) and is fixed exactly by the values at the
+    boundary.  Values that are not finite are refused.
     """
 
     levels: tuple[tuple[int, float], ...]
@@ -278,26 +292,16 @@ class LevelSpectrum:
     def provenance(self) -> str:
         return _provenance(self, self.m_max, self.n_max)
 
-    @property
-    def _shifts(self) -> tuple[float, float]:
-        return (self.lam, self.lam2) if self.form == "split" else (self.lam, self.lam)
-
-    def _weight(self, index: int, lam: float) -> float:
-        """(index + 1 + lam)^(-s), in the order of DiagonalWeight.value's operations."""
-        x = (index + 1.0) + lam
-        if self.s == 1.0:
-            return 1.0 / x
-        try:
-            return x ** -self.s
-        except OverflowError:
-            return math.inf
+    @cached_property
+    def _weights(self) -> tuple[DiagonalWeight, DiagonalWeight]:
+        return DiagonalWeight(self.s, self.lam), DiagonalWeight(self.s, self.lam2)
 
     def _value(self, n: int, a: float, m: int) -> float:
         """v(n, m) of the level (n, a), multiplied in the order of the block weights."""
-        w = self._weight(n + m, self.lam)
+        w = self._weights[0].value(n, m)
         if self.form != "split":
             return w * a
-        return (math.sqrt(w) * a) * math.sqrt(self._weight(n + m, self.lam2))
+        return (math.sqrt(w) * a) * math.sqrt(self._weights[1].value(n, m))
 
     def _count_above(self, n: int, a: float, t: float) -> int:
         """Number of m <= m_max with |v(n, m)| > t >= 0."""
@@ -305,11 +309,10 @@ class LevelSpectrum:
         guess = end
         if t > 0.0:
             # (y + c)^2 - d^2 < r^2 with r = (|a|/t)^(1/s)
-            lam_a, lam_b = self._shifts
             log_r = (math.log(abs(a)) - math.log(t)) / self.s
             if log_r < 700.0:
-                guess = (math.hypot(math.exp(log_r), 0.5 * (lam_a - lam_b))
-                         - 0.5 * (lam_a + lam_b) - (n + 1))
+                guess = (math.hypot(math.exp(log_r), 0.5 * (self.lam - self.lam2))
+                         - 0.5 * (self.lam + self.lam2) - (n + 1))
         guess = 0 if not guess > 0.0 else end if guess >= end else math.ceil(guess)
         return _first_index(lambda m: abs(self._value(n, a, m)) <= t, guess, end)
 
@@ -387,7 +390,7 @@ class LevelSpectrum:
         return counts
 
     def _weight_sum(self, n: int, count: int, p: float) -> float:
-        """sum over m < count of ((y + lam_a)(y + lam_b))^(-p/2) at y = n + m + 1.
+        """sum over m < count of ((y + lam)(y + lam2))^(-p/2) at y = n + m + 1.
 
         With c and d the mean and half-difference of the shifts, the term is
         ((y + c)^2 - d^2)^(-p/2) = sum_k ((p/2)_k / k!) d^(2k) (y + c)^(-p-2k),
@@ -395,11 +398,11 @@ class LevelSpectrum:
         The terms with y + c below max(24, 4|d|) are summed directly, so the
         series gains a factor 16 or more per step; d = 0 leaves one Hurwitz sum.
         """
-        lam_a, lam_b = self._shifts
-        c, d = 0.5 * (lam_a + lam_b), 0.5 * (lam_a - lam_b)
+        lam, lam2 = self.lam, self.lam2
+        c, d = 0.5 * (lam + lam2), 0.5 * (lam - lam2)
         q = n + 1.0 + c
         head = min(count, max(0, math.ceil(max(24.0, 4.0 * abs(d)) - q))) if d else 0
-        terms = [((n + m + 1.0 + lam_a) * (n + m + 1.0 + lam_b)) ** (-0.5 * p)
+        terms = [((n + m + 1.0 + lam) * (n + m + 1.0 + lam2)) ** (-0.5 * p)
                  for m in range(head)]
         scale, k = 1.0, 0
         while count > head and scale != 0.0:
@@ -475,23 +478,10 @@ def _check_count(spectrum, count: int, minimum: int = 1) -> None:
                          % (count, len(spectrum)))
 
 
-def _partial_sums(spectrum, ns):
-    """Real partial sums sigma_N at each N in ns.
-
-    In closed form for a level or shell spectrum, else off one cumsum over
-    all the values (a sliced or zero-padded one raised peak memory).
-    """
-    if isinstance(spectrum, Spectrum):
-        import numpy as np
-
-        return np.cumsum(spectrum.values)[np.asarray(ns, dtype=int) - 1]
-    return [spectrum.partial_sum(int(n)) for n in ns]
-
-
 def sigma_p(spectrum, count: int) -> float:
     """Partial sum sigma_N of the first N = `count` >= 1 values, as a real number."""
     _check_count(spectrum, count)
-    return float(_partial_sums(spectrum, [count])[0])
+    return spectrum.partial_sum(int(count))
 
 
 def gamma(spectrum, count: int) -> float:
@@ -537,23 +527,18 @@ def _geometric_ladder(low: int, top: int, points: int) -> list[int]:
     return sorted({low, top, *inner})
 
 
-def checkpoint_ladder(spectrum, points: int = 6, minimum: int = 32) -> list[int]:
-    """Geometric ladder of checkpoint counts within the reliable prefix."""
-    top = spectrum.reliable if spectrum.reliable is not None else len(spectrum)
-    top = min(top, len(spectrum))
+def checkpoint_ladder(spectrum, points: int = 6, minimum: float = math.inf) -> list[int]:
+    """Geometric ladder of checkpoint counts from max(2, min(minimum, top // 8)) to top.
+
+    top is the length of the reliable prefix.  Partial sums at low counts
+    carry a 1/log^2 curvature that the linear-in-1/log model cannot absorb,
+    which biases the extrapolated trace, so by default the ladder starts at
+    the top eighth.
+    """
+    top = min(spectrum.reliable, len(spectrum))
     if top < 4:
         raise DomainError("spectrum too short for a checkpoint ladder")
     return _geometric_ladder(max(2, min(minimum, top // 8)), top, points)
-
-
-def deep_ladder(spectrum) -> list[int]:
-    """Six checkpoints from the top eighth of the reliable prefix upward.
-
-    Partial sums at low counts carry a 1/log^2 curvature that the linear-
-    in-1/log model cannot absorb, which biases the extrapolated trace, so
-    the ladder starts at max(2, top // 8) for a reliable prefix of top.
-    """
-    return checkpoint_ladder(spectrum, points=6, minimum=len(spectrum))
 
 
 def shell_checkpoints(shells: int, points: int = 6, min_shell: int = 8) -> list[int]:
@@ -581,19 +566,13 @@ def dixmier_estimate(spectrum, checkpoints) -> ConvergenceTable:
     if len(ns) < 3:
         raise DomainError("the Dixmier estimator needs at least three checkpoints")
     _check_count(spectrum, ns[-1])
-    sums = _partial_sums(spectrum, ns)
-    return log_inverse_table(ns, [float(s) / math.log(n) for s, n in zip(sums, ns)])
+    return log_inverse_table(ns, [spectrum.partial_sum(n) / math.log(n) for n in ns])
 
 
 def tauberian_zeta(spectrum, x: float) -> float:
     """zeta_T(x) = sum |mu|^(1+x): the retained values, or every shell of a ShellSpectrum."""
     if x <= 0.0:
         raise DomainError("the Tauberian zeta needs x > 0")
-    if isinstance(spectrum, Spectrum):
-        import numpy as np
-
-        values = spectrum.values
-        return float((np.abs(values[values != 0.0]) ** (1.0 + x)).sum())
     return spectrum.power_sum(1.0 + x)
 
 

@@ -208,13 +208,13 @@ def dixmier_dos_check(op: LandauOperator, fn: CompactTestFunction,
     eigenvalues rather than singular values.
     """
     # here, not at the top: the other dos routes do not load dixmier
-    from .dixmier import collect_spectrum, deep_ladder, dixmier_estimate
+    from .dixmier import checkpoint_ladder, collect_spectrum, dixmier_estimate
 
     family = functional_calculus(op, fn)
     weighted = weighted_product(family, form, lam, lam2, s=1.0)
     n_max = max(family.max_index + 1, 1)
     spectrum = collect_spectrum(weighted, m_max=m_max, n_max=n_max, kind="eigen")
-    table = dixmier_estimate(spectrum, deep_ladder(spectrum))
+    table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
     measure_value = 0.5 * cfg.omega_ell * dos_measure(op, cfg).integrate(fn)
     return DixmierDOSCheck(dixmier_value=float(complex(table.extrapolated).real),
                            measure_value=measure_value, table=table)

@@ -223,8 +223,8 @@ def _slab_rows(nodes: int, length: int) -> int:
 
 # Temporaries of KernelFunction._add_into, in bytes per point: zeta and
 # the Gaussian (8 each), the complex base (16) and one term at a time (32:
-# its power, the scaled Gaussian and the Laguerre factor, which also bound
-# the three arrays of the Laguerre recurrence).
+# its power and the Laguerre factor, which also bound the three arrays of
+# the Laguerre recurrence).
 _POINT_BYTES = 64
 
 

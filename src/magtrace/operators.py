@@ -11,8 +11,8 @@ so composition and adjoints reduce to index bookkeeping.  The algebra has
 no identity element: the would-be identity sum over all projections is not
 a finite coefficient family.
 
-The coefficient calculus is pure Python.  The array helpers
-(DiagonalWeight.value, WeightedProduct.block_weights, matrix_block and
+The coefficient calculus and DiagonalWeight.value are pure Python.  The
+array helpers (WeightedProduct.block_weights, matrix_block and
 coefficient_bound_check) import numpy when they run, so a scalar command
 never loads it.
 """
@@ -172,11 +172,14 @@ class DiagonalWeight:
         return cls(s=float(s), lam=float(lam))
 
     def value(self, n, m):
-        """Weight at (n, m); broadcasts over numpy arrays."""
-        import numpy as np
-
-        return (np.asarray(n, dtype=float) + np.asarray(m, dtype=float)
-                + 1.0 + self.lam) ** (-self.s)
+        """Weight at (n, m): a float at Python numbers (inf on overflow), an array at arrays."""
+        x = n + m + 1.0 + self.lam
+        if self.s == 1.0:  # numpy's x ** -1.0 is this reciprocal too, bit for bit
+            return 1.0 / x
+        try:
+            return x ** -self.s
+        except OverflowError:
+            return math.inf
 
 
 WEIGHT_FORMS = ("left", "right", "split")
@@ -188,7 +191,8 @@ class WeightedProduct:
 
     form "left" is Q_lam^{-s} S, "right" is S Q_lam^{-s} and "split" is
     Q_lam^{-s/2} S Q_lam2^{-s/2}, with Q_lam^{-s} the DiagonalWeight of
-    exponent s and shift lam.  All blocks stay diagonal in the degeneracy
+    exponent s and shift lam.  lam2 is set to lam outside the split form,
+    the only one that reads it.  All blocks stay diagonal in the degeneracy
     index m.
     """
 
@@ -197,6 +201,10 @@ class WeightedProduct:
     lam: float
     lam2: float
     s: float
+
+    def __post_init__(self):
+        if self.form != "split":
+            object.__setattr__(self, "lam2", self.lam)
 
     def block_weights(self, m, count: int):
         """Row and column weights (r, c) of the blocks m at truncation count.

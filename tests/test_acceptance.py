@@ -21,11 +21,11 @@ from magtrace import (
     absorb_product,
     adjoint,
     apply_kernel,
+    checkpoint_ladder,
     coefficient_bound_check,
     collect_spectrum,
     commutant_residual,
     compose,
-    deep_ladder,
     dixmier_dos_check,
     dixmier_estimate,
     folner_trace,
@@ -67,7 +67,7 @@ def _weighted_eigen_estimate(op, form, lam, lam2, m_max):
     weighted = weighted_product(op, form, lam, lam2, s=1.0)
     spectrum = collect_spectrum(weighted, m_max=m_max,
                                 n_max=op.max_index + 1, kind="eigen")
-    table = dixmier_estimate(spectrum, deep_ladder(spectrum))
+    table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
     return complex(table.extrapolated).real
 
 
@@ -156,7 +156,7 @@ def test_criterion_03_hurwitz_zeta_residue():
 def test_criterion_04_inverse_square_weight_dixmier_half():
     start = time.perf_counter()
     # The ladder starts at shell 512 for the same curvature reason as
-    # deep_ladder: the raw gamma sequence bends like 1/log^2 below that.
+    # checkpoint_ladder: the raw gamma sequence bends like 1/log^2 below that.
     checkpoints = shell_checkpoints(2000, points=6, min_shell=512)
     worst_half = 0.0
     worst_agree = 0.0

@@ -55,7 +55,7 @@ def test_trace_residue_quick_budget(pi0_file, capsys):
     assert abs(table["extrapolated"]["re"] - 1.0) <= 1e-6
 
 
-def test_exit_2_on_invalid_shift(pi0_file, capsys):
+def test_exit_2_on_invalid_shift(pi0_file, bump_file, tmp_path, capsys):
     rc, out, err = invoke(["trace", "residue", "--op", pi0_file,
                            "--lambda", "-1.0"], capsys)
     assert rc == 2
@@ -70,16 +70,37 @@ def test_exit_2_on_invalid_shift(pi0_file, capsys):
         rc, out, err = invoke(argv + ["--lambda", "inf"], capsys)
         assert (rc, out) == (2, "")
         assert "invertible only for lambda > -1" in err
+    # only the split form reads --lambda2: the other forms refuse it
+    for argv in (["dixmier", "estimate", "--op", pi0_file, "--form", "left"],
+                 ["dixmier", "spectrum", "--op", pi0_file, "--form", "right"],
+                 ["dixmier", "gamma", "--op", pi0_file, "--N", "10"],
+                 ["dixmier", "tauberian", "--op", pi0_file, "--form", "right"],
+                 ["dos", "dixmier", "--f", bump_file, "--form", "left"]):
+        rc, out, err = invoke(argv + ["--lambda2", "5"], capsys)
+        assert (rc, out) == (2, ""), argv
+        assert "--lambda2 is read by --form split only" in err
+    rc, out, _ = invoke(["dixmier", "spectrum", "--op", pi0_file, "--form", "split",
+                         "--lambda2", "5"], capsys)
+    assert rc == 0 and "lam2=5" in json.loads(out)["provenance"]
     for eps in ("nan", "inf"):
         rc, out, err = invoke(["dos", "idos", "--eps", eps], capsys)
         assert (rc, out) == (2, "")
         assert "threshold must be finite" in err
-    # a non-finite report value is refused at emission, in either format; psi
-    # overflows on the way there (an overflow and an invalid multiply warning)
+    # psi_{2000,0} at |x| = 30 is subnormal, and its power does not overflow
+    rc, out, _ = invoke(["basis", "eval", "--n", "2000", "--m", "0", "--x1", "30",
+                         "--x2", "0"], capsys)
+    assert rc == 0
+    zeta, b = 450.0, 30.0 / math.sqrt(2.0)
+    log_ratio = 0.5 * (math.lgamma(1) - math.lgamma(2001))
+    expected = math.exp(2000 * math.log(b) + log_ratio - zeta / 2) / math.sqrt(2.0 * math.pi)
+    value = json.loads(out)["value"]
+    assert value["im"] == 0.0
+    assert abs(value["re"] - expected) <= 1e-9 * expected
+    # a non-finite report value is refused at emission, in either format
+    path = tmp_path / "huge.json"
+    save_operator(CoefficientOperator({(0, 0): 1e308, (1, 1): 1e308}), str(path))
     for fmt in ("json", "csv"):
-        with pytest.warns(RuntimeWarning):
-            rc, out, err = invoke(["--format", fmt, "basis", "eval", "--n", "2000",
-                                   "--m", "0", "--x1", "30", "--x2", "0"], capsys)
+        rc, out, err = invoke(["--format", fmt, "trace", "diag", "--op", str(path)], capsys)
         assert (rc, out) == (2, ""), fmt
         assert "non-finite" in err
 

@@ -22,8 +22,8 @@ import magtrace
 from magtrace import cli
 from magtrace import (
     CoefficientOperator,
+    checkpoint_ladder,
     collect_spectrum,
-    deep_ladder,
     dixmier_estimate,
     tau_ordered_basis,
     tau_residue,
@@ -119,7 +119,7 @@ def test_trace_routes_do_not_call_the_diagonal_sum(monkeypatch):
     assert abs(2.0 * complex(ordered.extrapolated) - 2.0) <= 5e-2
     spectrum = collect_spectrum(weighted_product(op, "left", 0.0), m_max=8191, n_max=2,
                                 kind="eigen")
-    table = dixmier_estimate(spectrum, deep_ladder(spectrum))
+    table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
     assert abs(complex(table.extrapolated) - 2.0) <= 1e-2
 
 

@@ -19,7 +19,6 @@ from magtrace import (
     checkpoint_ladder,
     collect_spectrum,
     compose,
-    deep_ladder,
     dixmier_estimate,
     gamma,
     hurwitz_zeta,
@@ -33,6 +32,7 @@ from magtrace import (
 )
 from magtrace.dixmier import LevelSpectrum, ShellSpectrum, _geometric_ladder
 from magtrace.extrapolate import log_inverse_table
+from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
 
@@ -285,7 +285,7 @@ def test_diagonal_spectrum_stays_within_its_memory_estimate(form, kind):
         tracemalloc.start()
         try:
             spectrum = collect_spectrum(product, m_max, n_max, kind)
-            dixmier_estimate(spectrum, deep_ladder(spectrum))
+            dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
             tauberian_zeta(spectrum, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -548,6 +548,51 @@ def test_gamma_reads_the_estimate_rows():
         assert list(table.raw) == [gamma(spec, n) for n in ladder]
 
 
+@pytest.mark.parametrize("kind", ("singular", "eigen"))
+def test_spectrum_reads_match_one_full_cumsum(kind, rng):
+    # numpy's cumsum adds in order, so a prefix's last sum is the full one's
+    op = random_operator(rng, max_index=15, count=120)
+    source = 0.5 * (op + adjoint(op))
+    spec = collect_spectrum(weighted_product(source, "split", -0.5, 2.0), 63, 16, kind)
+    assert len(spec) == 1024
+    sums = np.cumsum(spec.values)
+    assert [spec.partial_sum(n) for n in range(1, 501)] == sums[:500].tolist()
+    nonzero = spec.values[spec.values != 0.0]
+    for p in (1.001, 1.1, 2.0):
+        assert spec.power_sum(p) == float((np.abs(nonzero) ** p).sum())
+
+
+class HarmonicReads:
+    """A spectrum by its reads alone: v_k = 1/k for k = 1 .. count."""
+
+    def __init__(self, count):
+        self.count = self.reliable = count
+
+    def __len__(self):
+        return self.count
+
+    def partial_sum(self, count):
+        return math.fsum(1.0 / k for k in range(1, count + 1))
+
+    def power_sum(self, p):
+        return math.fsum(k ** -p for k in range(1, self.count + 1))
+
+
+def test_estimators_read_any_spectrum_through_its_two_sums():
+    stub, spec = HarmonicReads(4000), harmonic_spectrum(4000)
+    close = dict(rel=1e-12, abs=1e-12)
+    assert checkpoint_ladder(stub) == checkpoint_ladder(spec)
+    assert sigma_p(stub, 1234) == pytest.approx(sigma_p(spec, 1234), **close)
+    assert gamma(stub, 4000) == pytest.approx(gamma(spec, 4000), **close)
+    ladder = checkpoint_ladder(spec)
+    for ours, theirs in ((dixmier_estimate(stub, ladder), dixmier_estimate(spec, ladder)),
+                         (tauberian_residue(stub, X_GRID), tauberian_residue(spec, X_GRID))):
+        assert ours.raw == pytest.approx(theirs.raw, **close)
+        assert ours.extrapolated == pytest.approx(theirs.extrapolated, **close)
+    for x in X_GRID:
+        assert tauberian_zeta(stub, x) == pytest.approx(tauberian_zeta(spec, x), **close)
+
+
 def test_calderon_norm_single_atom():
     spec = Spectrum(np.array([5.0, 0.0, 0.0]), "atom")
     assert calderon_norm(spec) == pytest.approx(5.0 / math.log(2.0), rel=1e-14)
@@ -572,19 +617,19 @@ def test_partial_sums_of_an_eigen_spectrum_are_real():
 
 
 def test_checkpoint_ladder_shape():
+    # by default the ladder starts at the top eighth of the reliable prefix,
+    # which a spectrum built without one takes to be its length
     spec = harmonic_spectrum(10000)
+    assert spec.reliable == 10000
     ladder = checkpoint_ladder(spec)
-    assert ladder[0] == 32
+    assert ladder[0] == 10000 // 8
     assert ladder[-1] == 10000
     assert ladder == sorted(ladder)
-    assert len(ladder) <= 6
+    assert len(ladder) == 6
+    assert checkpoint_ladder(spec, points=6, minimum=len(spec)) == ladder
+    assert checkpoint_ladder(spec, minimum=32)[0] == 32
     capped = Spectrum(spec.values, "capped", reliable=50)
-    assert checkpoint_ladder(capped)[-1] == 50
-    # the deep ladder starts at the top eighth of the reliable prefix
-    assert deep_ladder(spec)[0] == 10000 // 8
-    assert deep_ladder(spec)[-1] == 10000
-    assert len(deep_ladder(spec)) == 6
-    assert deep_ladder(capped) == [6, 9, 14, 21, 32, 50]
+    assert checkpoint_ladder(capped) == [6, 9, 14, 21, 32, 50]
     with pytest.raises(DomainError):
         checkpoint_ladder(Spectrum(np.array([1.0, 0.5, 0.25]), "short"))
 

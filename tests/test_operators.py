@@ -9,6 +9,7 @@ from magtrace import (
     CoefficientOperator,
     DiagonalWeight,
     DomainError,
+    WeightedProduct,
     absorb_product,
     adjoint,
     coefficient_bound_check,
@@ -165,6 +166,33 @@ def test_weight_validation():
             weighted_product(CoefficientOperator.projection(0), "split", lam, lam2)
     with pytest.raises(DomainError, match="exponent s must be positive"):
         weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=nan)
+    # a second shift is checked under every form, and kept by the split form only
+    for form in ("left", "right"):
+        with pytest.raises(DomainError, match="invertible only for lambda > -1"):
+            weighted_product(CoefficientOperator.projection(0), form, 0.0, nan)
+        assert weighted_product(CoefficientOperator.projection(0), form, 0.5, 2.0).lam2 == 0.5
+        assert WeightedProduct(CoefficientOperator.projection(0), form, 0.5, 2.0, 1.0).lam2 == 0.5
+    assert weighted_product(CoefficientOperator.projection(0), "split", 0.5, 2.0).lam2 == 2.0
+
+
+@pytest.mark.parametrize("s", [1.0, 0.7, 2.0])
+@pytest.mark.parametrize("lam", [-0.5, 0.0, 0.37, 2.0])
+def test_weight_value_at_python_numbers_matches_the_array(s, lam):
+    # one formula serves the block weights and the level values: a float at
+    # Python ints, the reciprocal at s = 1 in both.  At other s numpy may
+    # take a SIMD power (AVX-512) that rounds differently from the C
+    # library's in the last bit.
+    weight = DiagonalWeight(s, lam)
+    array = weight.value(np.arange(96), np.arange(96.0)[:, None])
+    scalar = [[weight.value(n, m) for n in range(96)] for m in range(96)]
+    assert all(type(v) is float for row in scalar for v in row)
+    ulps = np.abs(np.array(scalar) - array) / np.spacing(array)
+    assert ulps.max() <= (0.0 if s == 1.0 else 1.0)
+
+
+def test_weight_value_overflows_to_inf():
+    assert DiagonalWeight(400.0, -0.999).value(0, 0) == math.inf
+    assert DiagonalWeight(1.0, -0.5).value(0, 0) == 2.0
 
 
 @pytest.mark.parametrize("form", ["left", "right", "split"])

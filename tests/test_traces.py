@@ -13,10 +13,10 @@ from magtrace import (
     CompactTestFunction,
     DomainError,
     adjoint,
+    checkpoint_ladder,
     collect_spectrum,
     compose,
     completed_shells,
-    deep_ladder,
     functional_calculus,
     hurwitz_zeta,
     landau_hamiltonian,
@@ -421,7 +421,7 @@ def _runtime_grids():
                           (functional_calculus(landau_hamiltonian(12), bump), 32767)):
         spectrum = collect_spectrum(weighted_product(source, "left", 0.0), m_max=m_max,
                                     n_max=source.max_index + 1, kind="eigen")
-        grids.append(deep_ladder(spectrum))
+        grids.append(checkpoint_ladder(spectrum))
     return grids
 
 
