@@ -10,13 +10,32 @@ kernels.orthonormality_check verifies the orthonormality on a grid.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import numbers
 
 from .config import MagneticConfig
 from .errors import DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+
+def _exp(x):
+    """e**x: a float at a float, and at an array the array x, overwritten."""
+    if isinstance(x, float):
+        return math.exp(x)
+    import numpy as np
+
+    return np.exp(x, out=x)
+
+
+def _reflect(term, odd: bool):
+    """(-1)**odd * conj(term): a number at a number, and at an array the array term, overwritten."""
+    if isinstance(term, complex):
+        term = term.conjugate()
+        return -term if odd else term
+    import numpy as np
+
+    np.conjugate(term, out=term)
+    return np.negative(term, out=term) if odd else term
 
 
 def laguerre_poly(n: int, alpha: float, zeta):
@@ -29,16 +48,22 @@ def laguerre_poly(n: int, alpha: float, zeta):
     upward from L_0 = 1 and L_1 = 1 + alpha - zeta.  The recurrence is
     numerically benign for the index ranges used here, unlike the
     alternating defining sum whose terms grow factorially.  `zeta` may be
-    a scalar or any numpy-broadcastable array.
+    a real number, which gives a float without numpy, or any
+    numpy-broadcastable array.
     """
     if n < 0 or n != int(n):
         raise DomainError("polynomial degree must be a non-negative integer")
-    z = np.asarray(zeta, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    prev = np.ones_like(z)
+    if isinstance(zeta, numbers.Real):
+        z, prev = float(zeta), 1.0
+    else:
+        import numpy as np
+
+        z = np.asarray(zeta, dtype=float)
+        if z.ndim == 0:
+            return laguerre_poly(n, alpha, float(z))
+        prev = np.ones_like(z)
     if n == 0:
-        return float(prev[0]) if scalar else prev
+        return prev
     cur = 1.0 + alpha - z
     for k in range(2, n + 1):
         # the formula's operations, in place in the older array: same bits, fewer arrays
@@ -48,46 +73,53 @@ def laguerre_poly(n: int, alpha: float, zeta):
         prev += step
         prev /= k
         prev, cur = cur, prev
-    return float(cur[0]) if scalar else cur
+    return cur
 
 
 def radial_factors(x1, x2, ell: float):
     """The factors that every basis function shares at the points (x1, x2).
 
     Returns zeta = |x|^2/(2 ell^2), the normalized Gaussian
-    e^{-zeta/2}/(sqrt(2 pi) ell) and b = (x1 + i x2)/(ell sqrt(2)), each
-    computed once, in place, for whatever psi_term is evaluated there.
+    e^{-zeta/2}/(sqrt(2 pi) ell), b = (x1 + i x2)/(ell sqrt(2)) and the
+    normalization's log, -log(sqrt(2 pi) ell), each computed once, in
+    place, for whatever psi_term is evaluated there.  At two floats they
+    are Python numbers, made without numpy.
     """
     zeta = x1 * x1 + x2 * x2
     zeta /= 2.0 * ell * ell
-    gauss = np.exp(-0.5 * zeta)
+    gauss = _exp(-0.5 * zeta)
     gauss /= SQRT_TWO_PI * ell
     base = x1 + 1j * x2
     base /= ell * math.sqrt(2.0)
-    return zeta, gauss, base
+    return zeta, gauss, base, -math.log(SQRT_TWO_PI * ell)
 
 
-def psi_term(n: int, m: int, zeta, gauss, base):
-    """psi_{n,m} from the radial_factors of its points, as a new array.
+def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
+    """psi_{n,m} from the radial_factors of its points, as a new array or number.
 
-    For m <= n the value is (b * (m!/n!)^(1/(2(n-m))))**(n-m) * gauss *
-    L_m^(n-m)(zeta), multiplied in that order: b**(n-m) and sqrt(m!/n!)
-    would overflow and underflow apart at large n.  For m > n it is the
-    reflection (-1)**(n-m) * conj(psi_{m,n}).  The factors must be arrays.
+    For m <= n, with p = n - m, the value is
+
+        (b * e^{(log(m!/n!)/2 + log_norm - zeta/2) / p})**p * L_m^(p)(zeta):
+
+    b**p, sqrt(m!/n!) and the Gaussian would overflow and underflow apart
+    at large n or |x|, so their logs are folded into the base before the
+    power, which then stays within the normalization.  psi_{n,n} is gauss
+    * L_n^(0)(zeta).  For m > n the value is the reflection (-1)**(n-m) *
+    conj(psi_{m,n}).  The factors are all arrays or all Python numbers.
     """
     lo, p = min(n, m), abs(n - m)
     # the recurrence's arrays are gone before the power is built
     laguerre = laguerre_poly(lo, p, zeta) if lo else None
     if p:
-        term = base * math.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)) / p)
+        exponent = zeta * (-0.5 / p)
+        exponent += (0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)) + log_norm) / p
+        term = base * _exp(exponent)
+        del exponent
         term **= p
         if m > n:
-            np.conjugate(term, out=term)
-            if p % 2:
-                np.negative(term, out=term)
-        term *= gauss
+            term = _reflect(term, p % 2)
     else:
-        term = gauss.copy()
+        term = +gauss  # a new array at an array
     if laguerre is not None:
         term *= laguerre
     return term
@@ -110,16 +142,19 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
         psi_{n,m}(x) = (-1)**(n-m) * conj(psi_{m,n}(x)),
 
     which avoids the negative power of (x1 + i x2) at the origin.  The
-    factorial ratio is taken in log space and folded into the base before
-    the power.  Inputs broadcast; scalars in give a complex scalar out.
-    The formula itself is psi_term, on the factors of radial_factors.
+    factorial ratio and the Gaussian are taken in log space and folded
+    into the base before the power.  Inputs broadcast; two real numbers
+    give a complex number, computed without numpy.  The formula itself is
+    psi_term, on the factors of radial_factors.
     """
     if n < 0 or m < 0:
         raise DomainError("basis indices must be non-negative")
+    if isinstance(x1, numbers.Real) and isinstance(x2, numbers.Real):
+        return complex(psi_term(n, m, *radial_factors(float(x1), float(x2), cfg.ell)))
+    import numpy as np
+
     a1 = np.asarray(x1, dtype=float)
     a2 = np.asarray(x2, dtype=float)
-    scalar = a1.ndim == 0 and a2.ndim == 0
-    if scalar:
-        a1 = a1.reshape(1)
-    val = psi_term(n, m, *radial_factors(a1, a2, cfg.ell))
-    return complex(val[0]) if scalar else np.asarray(val, dtype=complex)
+    if a1.ndim == 0 and a2.ndim == 0:
+        return psi(n, m, float(a1), float(a2), cfg)
+    return np.asarray(psi_term(n, m, *radial_factors(a1, a2, cfg.ell)), dtype=complex)

@@ -13,14 +13,14 @@ path, such as table.raw.0.re, and its JSON text (strings raw, null empty).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from . import serialize
 from .config import make_config
-from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, ResourceError
+from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, Record, ResourceError
 from .operators import (WEIGHT_FORMS, adjoint, check_shift, compose, lp_norm,
                         matrix_block, weighted_product)
 
@@ -40,8 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     shells: int
     n_grid: tuple[int, ...]
     ordered_shells: tuple[int, ...]
@@ -250,7 +249,8 @@ def cmd_dixmier_spectrum(args, cfg, budget):
     spectrum, shells, kind = _weighted_spectrum(_load(args), args.form, args.lam, args.lam2,
                                                 args.shells, budget)
     return {"kind": kind, "shells": shells, "count": len(spectrum),
-            "reliable": spectrum.reliable, "head": [complex(v) for v in spectrum.values[:16]],
+            "reliable": spectrum.reliable,
+            "head": [complex(v) for v in itertools.islice(spectrum, 16)],
             "provenance": spectrum.provenance}, True
 
 

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class MagneticConfig:
+class MagneticConfig(Record):
     """Length scale `ell` together with the two constants derived from it.
 
     omega_ell is the area pi*(2*ell)**2 of the disk of radius 2*ell and

@@ -22,10 +22,9 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .errors import DomainError, RangeError, check_memory, check_positive_int
+from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
@@ -34,8 +33,7 @@ from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
 SPECTRUM_KINDS = ("singular", "eigen")
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record, eq=False):
     """Sorted spectrum of a compact operator with provenance metadata.
 
     kind "singular" holds non-negative singular values in non-increasing
@@ -75,6 +73,9 @@ class Spectrum:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+    def __iter__(self):
+        return iter(self.values)
 
     def partial_sum(self, count: int) -> float:
         """sigma_N of the first N = count values, in numpy's in-order cumsum."""
@@ -255,8 +256,7 @@ def _first_index(stop, guess: int, end: int) -> int:
     return bisect.bisect_left(range(end), True, key=stop)
 
 
-@dataclass(frozen=True)
-class LevelSpectrum:
+class LevelSpectrum(Record):
     """Spectrum of a weighted product whose truncated source is diagonal, level by level.
 
     Level n holds v(n, m) = a_n w_n(m) for m = 0 .. m_max, with w_n(m) the
@@ -330,15 +330,20 @@ class LevelSpectrum:
     def reliable(self) -> int:
         return sum(self.frontier_counts)
 
-    @property
-    def values(self) -> list[float]:
-        """Every value in the spectrum's order, as a list of floats; zero levels give +0.0."""
+    def __iter__(self):
+        """Every value in the spectrum's order, one at a time; zero levels give +0.0."""
         end = self.m_max + 1
-        # a list entry per value, and a float object per value of a nonzero level
-        check_memory(8 * len(self) + 32 * end * len(self.levels), "the values of a level spectrum")
         runs = [map(partial(self._value, n, a), range(end)) for n, a in self.levels]
         zeros = itertools.repeat(0.0, (self.n_max - len(self.levels)) * end)
-        return list(heapq.merge(*runs, zeros, key=_order))
+        return heapq.merge(*runs, zeros, key=_order)
+
+    @property
+    def values(self) -> list[float]:
+        """Every value in the spectrum's order, as a list of floats."""
+        # a list entry per value, and a float object per value of a nonzero level
+        check_memory(8 * len(self) + 32 * (self.m_max + 1) * len(self.levels),
+                     "the values of a level spectrum")
+        return list(self)
 
     def _leading_counts(self, count: int) -> list[int]:
         """Each level's share of the first `count` values in the spectrum's order.
@@ -424,8 +429,7 @@ class LevelSpectrum:
                          for n, a in self.levels)
 
 
-@dataclass(frozen=True)
-class ShellSpectrum:
+class ShellSpectrum(Record):
     """Whole-shell spectrum of q_power(s, lam): shell e >= 1 holds (e + lam)^(-s) e times.
 
     len() and `reliable` are shells(shells+1)/2, and nothing sized by the

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from .config import MagneticConfig
-from .errors import DomainError, RangeError, check_memory, check_positive_int
+from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
 from .traces import tau_diagonal, tau_shell
@@ -27,8 +26,7 @@ from .traces import tau_diagonal, tau_shell
 LEVEL_BYTES = 512
 
 
-@dataclass(frozen=True)
-class LandauOperator:
+class LandauOperator(Record):
     """Landau Hamiltonian truncated to its levels j + 1/2 for j < truncation.
 
     tail_inf, the lowest level beyond the truncation, bounds every level
@@ -76,8 +74,7 @@ def idos(op: LandauOperator, eps: float, cfg: MagneticConfig) -> float:
     return cfg.idos_scale * tau_diagonal(projection).real
 
 
-@dataclass(frozen=True)
-class DOSMeasure:
+class DOSMeasure(Record):
     """Purely atomic DOS: sorted atoms (energy, weight)."""
 
     atoms: tuple[tuple[float, float], ...]
@@ -91,8 +88,7 @@ def dos_measure(op: LandauOperator, cfg: MagneticConfig) -> DOSMeasure:
     return DOSMeasure(atoms=tuple((j + 0.5, cfg.idos_scale) for j in range(op.truncation)))
 
 
-@dataclass(frozen=True)
-class CompactTestFunction:
+class CompactTestFunction(Record):
     """Continuous piecewise-linear function vanishing outside its nodes.
 
     Nodes are finite (energy, value) pairs with strictly increasing
@@ -152,8 +148,7 @@ def functional_calculus(op: LandauOperator, fn: CompactTestFunction) -> Coeffici
     return CoefficientOperator(entries, "L1")
 
 
-@dataclass(frozen=True)
-class SpectralCheck:
+class SpectralCheck(Record):
     trace_value: float
     measure_value: float
 
@@ -185,8 +180,7 @@ def idos_shell_approx(op: LandauOperator, eps: float, n_grid,
                              [cfg.idos_scale * v.real for v in shell.accelerated])
 
 
-@dataclass(frozen=True)
-class DixmierDOSCheck:
+class DixmierDOSCheck(Record):
     dixmier_value: float
     measure_value: float
     table: ConvergenceTable

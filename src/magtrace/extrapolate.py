@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 MODELS = ("richardson_x", "log_inverse", "none")
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(Record):
     params: tuple[float, ...]
     raw: tuple[complex, ...]
     accelerated: tuple[complex, ...] | None

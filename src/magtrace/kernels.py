@@ -20,17 +20,18 @@ Magnetic translations V(a), which generate the commutant, act as
 Every integral on a grid uses one rule, the trapezoid weights of
 GridSpec: grid inner products, the convolution, and the Gram matrix
 of the sampled basis functions that checks their orthonormality.
+numpy is imported by the functions that work on grids, so the kernel
+at a point (KernelFunction at two numbers, kernel_at_zero, folner_trace)
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import numbers
 
 from .config import MagneticConfig
-from .errors import DomainError, ResourceError, check_memory
+from .errors import DomainError, Record, ResourceError, check_memory
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 
@@ -39,8 +40,7 @@ from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 SLAB_BYTES = 2 * 2 ** 20
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Uniform grid on [-extent, extent]^2 with `nodes` points per axis."""
 
     extent: float
@@ -57,17 +57,20 @@ class GridSpec:
         return 2.0 * self.extent / (self.nodes - 1)
 
     def axis(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(-self.extent, self.extent, self.nodes)
 
     def trapezoid_weights(self) -> np.ndarray:
+        import numpy as np
+
         w = np.full(self.nodes, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
         return w
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(Record, eq=False):
     """Complex samples on a GridSpec; values[i, j] = f(x1_i, x2_j)."""
 
     spec: GridSpec
@@ -79,6 +82,8 @@ class GridFunction:
 
 
 def grid_from_function(fn, spec: GridSpec) -> GridFunction:
+    import numpy as np
+
     g = spec.axis()
     return GridFunction(spec, np.asarray(fn(g[:, None], g[None, :]), dtype=complex))
 
@@ -90,6 +95,8 @@ def sample_basis(n: int, m: int, spec: GridSpec, cfg: MagneticConfig) -> GridFun
 def grid_inner(f: GridFunction, g: GridFunction) -> complex:
     if f.spec != g.spec:
         raise DomainError("grid functions live on different grids")
+    import numpy as np
+
     w = f.spec.trapezoid_weights()
     return complex(((w[:, None] * w[None, :]) * np.conjugate(f.values) * g.values).sum())
 
@@ -112,6 +119,8 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
     """
     if max_index < 0:
         raise DomainError("max_index must be non-negative")
+    import numpy as np
+
     spec = GridSpec(extent=12.0 * cfg.ell if extent is None else extent,
                     nodes=160 if nodes is None else nodes)
     if spec.nodes < 16 * (max_index + 1):
@@ -130,28 +139,44 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
     return np.abs(gram - np.eye(len(indices)))
 
 
-@dataclass(frozen=True)
-class KernelFunction:
+class KernelFunction(Record):
     """Callable reduced kernel f_A of a coefficient family.
 
     The radial factors of the basis functions (basis.radial_factors) are
     computed once per call; each term (-1)^(j-k) a_jk psi_{k,j} is then
     built by basis.psi_term, the coefficient on the left, and added into
-    one sum.
+    one sum.  At two real numbers the sum is a complex number, made
+    without numpy from the same terms in the same order.
     """
 
     source: CoefficientOperator
     cfg: MagneticConfig
 
     def __call__(self, x1, x2):
+        if isinstance(x1, numbers.Real) and isinstance(x2, numbers.Real):
+            total = 0j
+            for _, term in self._terms(radial_factors(float(x1), float(x2), self.cfg.ell)):
+                total += term
+            return SQRT_TWO_PI * self.cfg.ell * total
+        import numpy as np
+
         a1 = np.asarray(x1, dtype=float)
         a2 = np.asarray(x2, dtype=float)
-        scalar = a1.ndim == 0 and a2.ndim == 0
-        if scalar:
-            a1 = a1.reshape(1)
+        if a1.ndim == 0 and a2.ndim == 0:
+            return self(float(a1), float(a2))
         total = np.zeros(np.broadcast_shapes(a1.shape, a2.shape), dtype=complex)
         self._add_into(a1, a2, total)
-        return complex(total[0]) if scalar else total
+        return total
+
+    def _terms(self, factors):
+        """(odd, (-1)^(j-k) a_jk psi_{k,j}) at the radial factors, in sorted (j, k) order.
+
+        The coefficient is on the left, as in a_jk * psi: numpy's complex
+        product need not commute in the last bit.
+        """
+        for (j, k), v in sorted(self.source.entries.items()):
+            odd = (j - k) % 2
+            yield odd, (-v if odd else v) * psi_term(k, j, *factors)
 
     def _add_into(self, a1, a2, total, mirror=None):
         """Add f_A at the points (a1, a2) into `total`, and f_A at (-a1, -a2)
@@ -161,17 +186,14 @@ class KernelFunction:
         mirror with the sign of its parity: f_A(-x) = E(x) - O(x) for the
         even and odd parts E and O, summed in the same order as f_A(x).
         """
-        terms = sorted(self.source.entries.items())
-        if not terms:
+        import numpy as np
+
+        if not self.source.entries:
             return
-        factors = radial_factors(a1, a2, self.cfg.ell)
-        for (j, k), v in terms:
-            # the coefficient on the left, as in a_jk * psi: numpy's complex
-            # product need not commute in the last bit
-            term = np.multiply(-v if (j - k) % 2 else v, psi_term(k, j, *factors))
+        for odd, term in self._terms(radial_factors(a1, a2, self.cfg.ell)):
             total += term
             if mirror is not None:
-                signed = np.subtract if (j - k) % 2 else np.add
+                signed = np.subtract if odd else np.add
                 signed(mirror, term[len(term) - len(mirror):], out=mirror)
             del term
         scale = SQRT_TWO_PI * self.cfg.ell
@@ -190,6 +212,8 @@ def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
 
 
 def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
+    import numpy as np
+
     total = float(np.abs(values).sum())
     if total == 0.0:
         return 0.0
@@ -247,6 +271,8 @@ def check_convolution_budget(spec: GridSpec) -> None:
       chirp that each slab's output overwrites, its conjugate square, and
       the translated input and left side of commutant_residual).
     """
+    import numpy as np
+
     n = spec.nodes
     entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
@@ -257,8 +283,7 @@ def check_convolution_budget(spec: GridSpec) -> None:
     check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
 
 
-@dataclass(frozen=True, eq=False)
-class _KernelTable:
+class _KernelTable(Record, eq=False):
     """FFTs of the chirped, reversed kernel rows on the lattice of grid differences.
 
     spectra[d + n - 1] is the length-L FFT of the reversed row
@@ -279,6 +304,8 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     with the signs of their parities.  Both are summed straight into the
     table; row 0 is written once, from the direct sum.
     """
+    import numpy as np
+
     n = spec.nodes
     size = 2 * n - 1
     diffs = np.arange(-(n - 1), n) * spec.spacing
@@ -289,6 +316,8 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
 
 
 def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _KernelTable:
+    import numpy as np
+
     check_convolution_budget(spec)
     n = spec.nodes
     spectra = _kernel_rows(s, spec, cfg)
@@ -311,6 +340,8 @@ def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _K
 
 
 def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
+    import numpy as np
+
     spec = phi.spec
     n = spec.nodes
     g = spec.axis()
@@ -390,6 +421,8 @@ def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunctio
     a1, a2 = (float(a[0]), float(a[1]))
     if not (math.isfinite(a1) and math.isfinite(a2)):
         raise DomainError("magnetic translations need a finite displacement")
+    import numpy as np
+
     spec = phi.spec
     n = spec.nodes
     h = spec.spacing

@@ -20,10 +20,9 @@ never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DomainError, check_memory
+from .errors import DomainError, Record, check_memory
 
 OPERATOR_CLASSES = ("L1", "L2", "Itau", "unclassified")
 
@@ -153,8 +152,7 @@ def check_shift(lam: float) -> None:
                           "oscillator Q + lambda*1 is invertible only for lambda > -1")
 
 
-@dataclass(frozen=True)
-class DiagonalWeight:
+class DiagonalWeight(Record):
     """The inverse power (n + m + 1 + lam) ** (-s) of the shifted oscillator.
 
     It is diagonal in the doubly indexed basis; q_power checks s > 0 and
@@ -185,8 +183,7 @@ class DiagonalWeight:
 WEIGHT_FORMS = ("left", "right", "split")
 
 
-@dataclass(frozen=True)
-class WeightedProduct:
+class WeightedProduct(Record):
     """Inverse-oscillator weight combined with a coefficient operator.
 
     form "left" is Q_lam^{-s} S, "right" is S Q_lam^{-s} and "split" is
@@ -279,8 +276,7 @@ def absorb_product(a1: CoefficientOperator, t_entries: Mapping[tuple[int, int], 
     return CoefficientOperator(product.entries, "L1")
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     max_entry: float
     block_norm: float
 

@@ -11,9 +11,9 @@ of this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import replace
 
 from .errors import DomainError
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
@@ -29,11 +29,14 @@ _BERNOULLI_TERMS = tuple(b / math.factorial(2 * i) for i, b in enumerate(_BERNOU
 _EXPANSION_POINT = 24.0  # the Euler-Maclaurin sums start at q + K >= this point
 
 
+@functools.lru_cache(maxsize=1024)
 def _euler_maclaurin(t: float, q: float) -> tuple[float, float]:
     """Z(t, q) of hurwitz_zeta for any real t less its integral term, and base = q + K.
 
     The K direct terms take base to at least 24; the half correction and up
     to twelve Bernoulli corrections follow.  Callers add the integral term.
+    Results are kept for the latest 1024 arguments: the finite sums of
+    shell_sums and of the level spectra repeat their lower ends.
     """
     shift = int(max(0, math.ceil(_EXPANSION_POINT - q)))
     base = q + shift
@@ -200,5 +203,5 @@ def tau_ordered_basis(s: CoefficientOperator, n_grid) -> ConvergenceTable:
     _, sums = shell_sums(s, shells)
     states = [e * (e + 1) // 2 for e in shells]
     table = log_inverse_table(states, [w / math.log(n) for w, n in zip(sums, states)])
-    return replace(table, params=tuple(n - 1.0 for n in table.params))
+    return table.replace(params=tuple(n - 1.0 for n in table.params))
 

@@ -365,6 +365,29 @@ def test_basis_eval(capsys):
     assert complex(value["re"], value["im"]) == pytest.approx(expected, rel=1e-14)
 
 
+def test_scalar_evaluation_folds_the_gaussian_before_the_power(tmp_path, capsys):
+    # b**2000 alone overflows and the Gaussian e^-900 underflows: folded
+    # into the base, the value is finite and no OverflowError escapes
+    rc, out, err = invoke(["basis", "eval", "--n", "2000", "--m", "0",
+                           "--x1", "60", "--x2", "0"], capsys)
+    assert (rc, err) == (0, "")
+    expected = math.exp(2000.0 * math.log(60.0 / math.sqrt(2.0)) - 0.5 * math.lgamma(2001.0)
+                        - 900.0) / math.sqrt(2.0 * math.pi)
+    value = json.loads(out)["value"]
+    assert value["im"] == 0.0
+    assert value["re"] == pytest.approx(expected, rel=1e-9)
+    assert value["re"] == pytest.approx(1.7703e-4, rel=1e-4)
+
+    # off-diagonal terms up to the power 3 at |x| = 1e200, where zeta overflows
+    path = tmp_path / "far.json"
+    save_operator(CoefficientOperator({(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5j,
+                                       (0, 3): -2.0}), str(path))
+    rc, out, err = invoke(["kernel", "eval", "--op", str(path),
+                           "--x1", "1e200", "--x2", "0"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == {"im": 0.0, "re": 0.0}
+
+
 def test_basis_gram(capsys):
     rc, out, _ = invoke(["basis", "gram", "--max-index", "2"], capsys)
     assert rc == 0
@@ -577,7 +600,8 @@ OVERSIZED = {
     "dos-idos-far": ["dos", "idos", "--eps", "1e30"],
     "dos-measure": ["dos", "measure", "--J", "1000000000"],
     "basis-gram": ["basis", "gram", "--max-index", "1", "--nodes", "40000"],
-    "dixmier-diagonal": ["dixmier", "spectrum", "--op", "{pi0}", "--shells", "100000000"],
+    "dixmier-calderon": ["dixmier", "gamma", "--op", "{pi0}", "--N", "100",
+                         "--shells", "100000000"],
     "dixmier-stack": ["dixmier", "estimate", "--op", "{dense16}", "--shells", "100000000"],
     "op-block": ["op", "block", "--in", "{pi0}", "--N", "100000"],
 }
@@ -623,6 +647,19 @@ def test_far_diagonal_source_stays_refused(budget, tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
+def test_dixmier_spectrum_lists_a_far_level_head_only(tmp_path, capsys):
+    # the level holds 512 values among 51.2 M: the head is read off the
+    # merged levels, with no list of every value
+    path = tmp_path / "level.json"
+    save_operator(CoefficientOperator({(100000, 100000): 1.0}), str(path))
+    rc, out, err, peak = invoke_traced(["dixmier", "spectrum", "--op", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["count"], report["reliable"]) == (100001 * 512, 512)
+    assert [v["re"] for v in report["head"]] == [1.0 / (100001.0 + m) for m in range(16)]
+    assert peak < 8 * 2 ** 20
+
+
 def test_huge_dos_threshold_is_refused_briefly(capsys):
     # the level count is not spelled out: the message names the threshold
     # and the limit
@@ -663,30 +700,39 @@ def test_package_import_loads_no_submodule():
 
 
 # The scalar commands, and the Dixmier routes on diagonal sources, run on the
-# standard library alone.
+# standard library alone, and on its light part: no dataclasses, no inspect.
+STDLIB_ONLY = {"numpy", "dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv, absent", [
-    (["trace", "diag", "--op", "{pi0}"], {"numpy"}),
-    (["trace", "residue", "--op", "{pi0}"], {"numpy"}),
+    (["trace", "diag", "--op", "{pi0}"], STDLIB_ONLY),
+    (["trace", "residue", "--op", "{pi0}"], STDLIB_ONLY),
     (["trace", "shell", "--op", "{pi0}"],
-     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy"}),
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
     (["trace", "shell", "--op", "{pi0}", "--Ngrid", "1e6,1e9,1e12"],
-     {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis", "numpy"}),
-    (["trace", "ordered", "--op", "{pi0}"], {"numpy"}),
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
+    (["trace", "ordered", "--op", "{pi0}"], STDLIB_ONLY),
     (["kernel", "eval", "--op", "{pi0}", "--x1", "0.5", "--x2", "0.25"],
-     {"magtrace.dixmier", "magtrace.dos"}),
-    (["dixmier", "estimate", "--op", "{pi0}"], {"numpy"}),
-    (["dixmier", "tauberian", "--op", "{pi0}"], {"numpy"}),
-    (["dos", "approx", "--eps", "2.5"], {"magtrace.dixmier", "magtrace.kernels", "numpy"}),
-    (["dos", "idos", "--eps", "2.5"], {"numpy"}),
-    (["op", "norm", "--in", "{pi0}", "--p", "2"], {"numpy"}),
-    (["dos", "spectral", "--f", "{bump}"], {"numpy", "magtrace.dixmier", "magtrace.kernels"}),
-    (["dos", "dixmier", "--f", "{bump}"], {"numpy", "magtrace.kernels"}),
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos"}),
+    (["kernel", "folner", "--op", "{pi0}", "--R", "6.0"],
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos"}),
+    (["basis", "eval", "--n", "3", "--m", "1", "--x1", "0.5", "--x2", "-0.25"],
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels"}),
+    (["dixmier", "estimate", "--op", "{pi0}"], STDLIB_ONLY),
+    (["dixmier", "tauberian", "--op", "{pi0}"], STDLIB_ONLY),
+    (["dos", "approx", "--eps", "2.5"], STDLIB_ONLY | {"magtrace.dixmier", "magtrace.kernels"}),
+    (["dos", "idos", "--eps", "2.5"], STDLIB_ONLY),
+    (["op", "norm", "--in", "{pi0}", "--p", "2"], STDLIB_ONLY),
+    (["dos", "spectral", "--f", "{bump}"],
+     STDLIB_ONLY | {"magtrace.dixmier", "magtrace.kernels"}),
+    (["dos", "dixmier", "--f", "{bump}"], STDLIB_ONLY | {"magtrace.kernels"}),
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
-     {"numpy", "magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
-    (["compare", "--op", "{pi0}"], {"numpy", "magtrace.dos", "magtrace.kernels"}),
+     STDLIB_ONLY | {"magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
+    (["compare", "--op", "{pi0}"], STDLIB_ONLY | {"magtrace.dos", "magtrace.kernels"}),
 ], ids=["trace-diag", "trace-residue", "trace-shell", "trace-shell-far-grid", "trace-ordered",
-        "kernel-eval", "dixmier-estimate", "dixmier-tauberian", "dos-approx", "dos-idos",
-        "op-norm", "dos-spectral", "dos-dixmier", "compare", "compare-full"])
+        "kernel-eval", "kernel-folner", "basis-eval", "dixmier-estimate", "dixmier-tauberian",
+        "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier", "compare",
+        "compare-full"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

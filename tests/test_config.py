@@ -1,8 +1,10 @@
 import math
+from functools import cached_property
 
 import pytest
 
 from magtrace import DomainError, make_config
+from magtrace.errors import Record
 
 
 def test_default_config_values():
@@ -43,3 +45,49 @@ def test_out_of_range_length_names_the_constants():
 def test_non_numeric_length_rejected():
     with pytest.raises(DomainError):
         make_config(True)
+
+
+class _Pair(Record):
+    left: float
+    right: float = 2.0
+
+    @cached_property
+    def total(self):
+        return self.left + self.right
+
+
+class _Handle(Record, eq=False):
+    name: str
+
+
+def test_records_are_frozen_and_compare_by_field():
+    pair = _Pair(1.0)
+    assert (pair.left, pair.right, pair.total) == (1.0, 2.0, 3.0)
+    assert pair == _Pair(left=1.0, right=2.0) and hash(pair) == hash(_Pair(1.0, 2.0))
+    assert pair != _Pair(1.0, 3.0)
+    assert repr(pair) == "_Pair(left=1.0, right=2.0)"
+    with pytest.raises(AttributeError):
+        pair.left = 5.0
+    with pytest.raises(AttributeError):
+        del pair.right
+    moved = pair.replace(right=4.0)
+    assert moved == _Pair(1.0, 4.0) and moved is not pair and moved.total == 5.0
+    assert pair.replace() == pair and pair.replace() is not pair
+    for args, kwargs in [((), {}), ((1.0, 2.0, 3.0), {}), ((1.0,), {"left": 1.0}),
+                         ((1.0,), {"other": 0.0})]:
+        with pytest.raises(TypeError):
+            _Pair(*args, **kwargs)
+
+
+def test_records_declared_without_eq_compare_by_identity():
+    first, second = _Handle("a"), _Handle("a")
+    assert first == first and first != second
+    assert len({first, second}) == 2
+
+
+def test_config_is_a_record():
+    cfg = make_config(2.0)
+    assert cfg._fields == ("ell", "omega_ell", "idos_scale")
+    assert cfg == make_config(2.0)
+    with pytest.raises(AttributeError):
+        cfg.ell = 1.0

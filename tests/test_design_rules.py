@@ -1,4 +1,4 @@
-"""Guards for eight design rules of the package.
+"""Guards for nine design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
@@ -6,8 +6,8 @@ convergence table comes from the two builders in extrapolate.py, every
 flag that a CLI subcommand declares is read by its handler, every flag
 entry is declared by the parser or by some subcommand, every public
 name is reached by a command, an acceptance criterion or a magbench
-workload, every CLI report is encoded by serialize, and only the array
-modules import numpy when they load.
+workload, every CLI report is encoded by serialize, no module imports
+numpy when it loads, and no module imports dataclasses.
 """
 
 import argparse
@@ -268,11 +268,6 @@ def test_imported_module_scan_flags_nested_and_from_imports():
     assert _imported_modules(tree) == {"os", "json", "csv"}
 
 
-# The modules that work on arrays.  The others import numpy inside the
-# functions that use it, so that the scalar commands never load it.
-ARRAY_MODULES = {"basis.py", "kernels.py"}
-
-
 def _load_time_nodes(node):
     """node and the nodes under it that run when a module loads: not function bodies."""
     yield node
@@ -281,10 +276,20 @@ def _load_time_nodes(node):
             yield from _load_time_nodes(child)
 
 
-def test_only_the_array_modules_import_numpy_when_they_load():
+def test_no_module_imports_numpy_when_it_loads():
+    # numpy is imported inside the functions that use it, so that the
+    # scalar commands never load it
     loaders = {path.name for path in SOURCES if "numpy" in _module_names(
         _load_time_nodes(ast.parse(path.read_text(encoding="utf-8"))))}
-    assert sorted(loaders - ARRAY_MODULES) == []
+    assert sorted(loaders) == []
+
+
+def test_no_module_imports_dataclasses():
+    # records derive from errors.Record: importing dataclasses would load
+    # inspect, ast, dis and tokenize in every command
+    importers = {path.name for path in SOURCES
+                 if "dataclasses" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted(importers) == []
 
 
 def test_load_time_import_scan_skips_function_bodies():

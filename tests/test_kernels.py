@@ -88,6 +88,9 @@ def test_kernel_function_matches_basis_sum(rng, ell):
             value = fn(u, v)
             assert isinstance(value, complex)
             assert abs(value - _kernel_by_psi(s.entries, u, v, cfg)) <= 1e-14 * max(1.0, abs(value))
+            # the scalar sum, made without numpy, against the array sum at the same point
+            array = complex(fn(np.array([u]), np.array([v]))[0])
+            assert abs(value - array) <= 1e-14 * abs(array)
 
 
 def test_kernel_at_zero_is_diagonal_sum(rng, cfg):

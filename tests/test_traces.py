@@ -11,6 +11,7 @@ import scipy.special
 from magtrace import (
     CoefficientOperator,
     CompactTestFunction,
+    DiagonalWeight,
     DomainError,
     adjoint,
     checkpoint_ladder,
@@ -23,6 +24,7 @@ from magtrace import (
     log_inverse_fit,
     richardson_zero,
     shell_average,
+    shell_spectrum,
     tau_diagonal,
     tau_ordered_basis,
     tau_residue,
@@ -32,7 +34,7 @@ from magtrace import (
 )
 from magtrace import cli
 from magtrace.extrapolate import log_inverse_table, richardson_table
-from magtrace.traces import checked_n_grid, hurwitz_sum, shell_sums
+from magtrace.traces import _euler_maclaurin, checked_n_grid, hurwitz_sum, shell_sums
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -466,6 +468,33 @@ def test_shell_sums_match_running_sums(rng):
             assert abs(prefixes[n] - prefix) <= 1e-13 * max(1.0, abs(prefix)), n
             assert abs(sums[n] - total) <= 1e-13 * max(1.0, abs(total)), n
             prefix += entries.get((n, n), 0j)
+
+
+def test_memoized_euler_maclaurin_keeps_the_bits():
+    # shell_sums, the whole-shell and the split-form level partial sums read
+    # repeated Euler-Maclaurin lower ends from a cache: the values are those
+    # of the uncached sums, bit for bit, with the cache cold or warm
+    op = CoefficientOperator({(j, j): complex(1.0 / (j + 1), (-1) ** j / (j + 2.0))
+                              for j in range(0, 3000, 7)})
+    shells = shell_spectrum(DiagonalWeight.q_power(2.0, 0.5), 4000)
+    levels = collect_spectrum(
+        weighted_product(CoefficientOperator({(0, 0): 1.0, (3, 3): -0.5, (7, 7): 2.0}),
+                         "split", 0.5, 3.0), m_max=4095, n_max=8, kind="eigen")
+    _euler_maclaurin.cache_clear()
+    for _ in range(2):
+        prefixes, sums = shell_sums(op, [10, 100, 2999, 10 ** 6])
+        assert [(p.real.hex(), p.imag.hex()) for p in prefixes[1:3]] == [
+            ("0x1.6f796fbb3bc1cp+0", "0x1.b9a672733fd6ap-2"),
+            ("0x1.eaf4fbba177c1p+0", "0x1.b4e128e3fff78p-2")]
+        assert [(w.real.hex(), w.imag.hex()) for w in sums] == [
+            ("0x1.7c49249249249p+1", "0x1.6d58f200e72aep+0"),
+            ("0x1.7628d8f656d32p+2", "0x1.313b3235047acp+1"),
+            ("0x1.712601f199ae8p+3", "0x1.eaa06494e9f75p+1"),
+            ("0x1.6ad4f1cad4278p+4", "0x1.93efb212013e9p+2")]
+        assert [shells.partial_sum(n).hex() for n in (100, 5000, 8002000)] == [
+            "0x1.1b608cb795e84p+1", "0x1.071e73926991dp+2", "0x1.f29819d8a1218p+2"]
+        assert [levels.partial_sum(n).hex() for n in (100, 5000, 32000)] == [
+            "0x1.8b0bdf0d47486p+2", "0x1.f18d0d3009da0p+3", "0x1.071c445e1ac44p+4"]
 
 
 def test_shell_routes_are_sized_by_the_grid(capsys, tmp_path):
