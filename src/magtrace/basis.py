@@ -5,6 +5,8 @@ Products of a Gaussian, a power of (x1 + i*x2) and a generalized Laguerre
 polynomial make them orthonormal; the index n labels the energy shell
 direction that magnetic operators act on, while m is a degeneracy index.
 kernels.orthonormality_check verifies the orthonormality on a grid.
+Each function takes Python numbers, computed without numpy, as well as
+arrays, for which it imports numpy where it uses it.
 """
 
 from __future__ import annotations
