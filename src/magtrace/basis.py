@@ -18,6 +18,7 @@ from .config import MagneticConfig
 from .errors import DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+UNDERFLOW_LOG = 746.0  # a positive double below e**-745.14 = 2**-1075 rounds to 0
 
 
 def _exp(x):
@@ -96,6 +97,41 @@ def radial_factors(x1, x2, ell: float):
     return zeta, gauss, base, -math.log(SQRT_TWO_PI * ell)
 
 
+def _vanishing_zeta(hi: int, lo: int, log_norm: float) -> float:
+    """A zeta beyond which |psi_{hi,lo}| rounds to 0, for hi >= lo.
+
+    For zeta >= 1, |L_lo^(hi-lo)(zeta)| <= 2**hi * zeta**lo, so with
+    k = (hi + lo)/2
+
+        log|psi| <= log_norm - zeta/2 + k log(zeta) + hi log(2),
+
+    and the tangent bound k log(zeta) <= zeta/4 + k (log(4k) - 1) takes
+    the right side below -UNDERFLOW_LOG beyond the zeta returned.
+    """
+    k = 0.5 * (hi + lo)
+    slack = k * (math.log(4.0 * k) - 1.0) if k else 0.0
+    return max(1.0, 4.0 * (UNDERFLOW_LOG + log_norm + slack + hi * math.log(2.0)))
+
+
+def _clear_overflow(term, zeta, limit: float):
+    """term, with an exact 0 for each non-finite value at a zeta beyond limit.
+
+    There the Gaussian dominates and the value rounds to 0, yet the
+    Laguerre factor may overflow to inf where the rest has underflowed
+    to 0, and their product is nan.  Finite values are left as they are.
+    At an array the check is one reduction, unless some zeta is beyond
+    the limit.
+    """
+    if isinstance(zeta, float):
+        finite = math.isfinite(term.real) and math.isfinite(term.imag)
+        return 0j if zeta > limit and not finite else term
+    import numpy as np
+
+    if np.fmax.reduce(zeta, axis=None) > limit:
+        term[(zeta > limit) & ~np.isfinite(term)] = 0
+    return term
+
+
 def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
     """psi_{n,m} from the radial_factors of its points, as a new array or number.
 
@@ -107,7 +143,9 @@ def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
     at large n or |x|, so their logs are folded into the base before the
     power, which then stays within the normalization.  psi_{n,n} is gauss
     * L_n^(0)(zeta).  For m > n the value is the reflection (-1)**(n-m) *
-    conj(psi_{m,n}).  The factors are all arrays or all Python numbers.
+    conj(psi_{m,n}).  Where the Gaussian dominates, a value that this
+    arithmetic cannot reach (inf * 0) is an exact 0.  The factors are all
+    arrays or all Python numbers.
     """
     lo, p = min(n, m), abs(n - m)
     # the recurrence's arrays are gone before the power is built
@@ -124,7 +162,7 @@ def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
         term = +gauss  # a new array at an array
     if laguerre is not None:
         term *= laguerre
-    return term
+    return _clear_overflow(term, zeta, _vanishing_zeta(lo + p, lo, log_norm))
 
 
 def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):

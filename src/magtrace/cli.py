@@ -12,11 +12,12 @@ path, such as table.raw.0.re, and its JSON text (strings raw, null empty).
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
+import re
 import sys
 import time
+import types
 
 from . import serialize
 from .config import make_config
@@ -33,11 +34,6 @@ X_GRID = (1e-1, 1e-2, 1e-3)  # residue-route samples, the same in every budget p
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 class Budget(Record):
@@ -78,6 +74,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 # Every flag once, with its add_argument keywords; GLOBAL_FLAGS precede the subcommand.
+# _read_command_line reads these keys too, and only these: type, default,
+# required, choices, dest and help.
 FLAGS = {
     "--ell": dict(type=float, default=1.0, help="magnetic length (default 1.0)"),
     "--format": dict(choices=("json", "csv"), default="json"),
@@ -433,20 +431,19 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=()) -> _Parser:
-    """The parser with the subcommands whose words all appear in argv.
+def build_parser():
+    """The argparse parser of every subcommand: help text and usage errors come from it."""
+    import argparse
 
-    Subcommand names are never abbreviated, so the one that argv selects
-    is among them.  All subcommands are added when argv names none.
-    """
-    words = set(argv)
-    chosen = [name for name in COMMANDS if words.issuperset(name.split())] or list(COMMANDS)
-    parser = _Parser(prog="magtrace", description=__doc__)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="magtrace", description=__doc__)
     for flag in GLOBAL_FLAGS:
         parser.add_argument(flag, **FLAGS[flag])
     groups = {"": parser.add_subparsers(dest="command")}
-    for name in chosen:
-        handler, flags = COMMANDS[name]
+    for name, (handler, flags) in COMMANDS.items():
         group, _, action = name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group).add_subparsers(dest="action")
@@ -460,19 +457,79 @@ def build_parser(argv=()) -> _Parser:
 
 # -- driver -----------------------------------------------------------------
 
+COMMAND_WORDS = {tuple(name.split()): name for name in COMMANDS}
+# the values that argparse takes for an option although they start with "-"
+NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$')
+
+
+def _flag_values(argv, start, names, given):
+    """Read `flag value` pairs off argv[start:] into given while the flag is in names.
+
+    Returns the index of the first word that is not such a flag, or None
+    where a pair is not one that argparse reads alike: a repeated flag, a
+    missing value, or a value that argparse would take for an option.
+    """
+    while start < len(argv) and argv[start] in names:
+        flag, value = argv[start], argv[start + 1:start + 2]
+        if flag in given or not value or (
+                value[0].startswith("-") and not NEGATIVE_NUMBER.match(value[0])):
+            return None
+        given[flag] = value[0]
+        start += 2
+    return start
+
+
+def _read_command_line(argv):
+    """The namespace that the full parser makes of a well-formed argv, or None.
+
+    Well formed is `[global flag value]... command words [flag value]...`
+    with the exact flag names of that command, each flag at most once,
+    every required flag present, and each value converted by its type
+    and within its choices.  Anything else is declined, so that argparse
+    reports it.
+    """
+    given = {}
+    start = _flag_values(argv, 0, GLOBAL_FLAGS, given)
+    if start is None:
+        return None
+    name = COMMAND_WORDS.get(tuple(argv[start:start + 1])) or COMMAND_WORDS.get(
+        tuple(argv[start:start + 2]))
+    if name is None:
+        return None
+    handler, flags = COMMANDS[name]
+    if _flag_values(argv, start + name.count(" ") + 1, flags, given) != len(argv):
+        return None
+    values = {"func": handler, "command": name}
+    group, _, action = name.rpartition(" ")
+    if group:
+        values["action"] = action
+    for flag in GLOBAL_FLAGS + flags:
+        spec = FLAGS[flag]
+        dest = spec.get("dest", flag.lstrip("-").replace("-", "_"))
+        if flag not in given:
+            if spec.get("required"):
+                return None
+            values[dest] = spec.get("default")
+            continue
+        try:
+            value = spec.get("type", str)(given[flag])
+        except (UsageError, TypeError, ValueError):  # the full parser reports these
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return types.SimpleNamespace(**values)
+
 
 def _parse(argv):
-    """Parse argv with build_parser(argv).
+    """Read argv from the command table, or else with the full parser.
 
-    Help and usage errors list the sibling subcommands, so they come from
-    the full parser, as does any argv that the smaller parser refuses.
+    A well-formed command line never imports argparse.  Help, and every
+    argv that the table reader declines, go to the full parser, which
+    prints the help or raises the usage error.
     """
-    if not any(arg.startswith(("-h", "--h")) for arg in argv):
-        try:
-            return build_parser(argv).parse_args(argv)
-        except UsageError:
-            pass
-    return build_parser().parse_args(argv)
+    args = _read_command_line(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def run(argv) -> int:

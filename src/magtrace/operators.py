@@ -20,7 +20,7 @@ never loads it.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import DomainError, Record, check_memory
 

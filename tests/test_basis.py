@@ -147,6 +147,19 @@ def test_psi_decay_at_twelve_lengths(cfg):
     assert worst < 1e-12
 
 
+def test_psi_is_zero_where_the_gaussian_dominates(cfg):
+    # the Laguerre factor overflows to inf there, and the rest underflows
+    # to 0; the near point keeps its value, at an array as at a number
+    x1 = np.array([1e100, 1e155, np.inf, 0.5])
+    for n, m in [(2, 2), (1, 3), (3, 0), (40, 7)]:
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's record of the inf * 0
+            values = psi(n, m, x1, np.zeros(4), cfg)
+        assert values[:3].tolist() == [0j, 0j, 0j]
+        assert [psi(n, m, x, 0.0, cfg) for x in x1[:3]] == [0j, 0j, 0j]
+        assert values[3] == psi(n, m, np.array([0.5]), np.zeros(1), cfg)[0]
+    assert math.isnan(psi(1, 3, math.nan, 0.0, cfg).real)
+
+
 def test_orthonormality_default_grid(cfg):
     errors = orthonormality_check(4, cfg)
     assert errors.shape == (25, 25)

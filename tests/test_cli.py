@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -236,7 +237,7 @@ def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
 def test_exit_2_names_an_ngrid_integer_exactly(pi0_file, capsys):
     # an all-digit entry above 2**53 is parsed, and refused when repeated, unrounded
     argv = ["trace", "shell", "--op", pi0_file, "--Ngrid", "100,12345678901234567891"]
-    assert cli.build_parser(argv).parse_args(argv).ngrid == (100, 12345678901234567891)
+    assert cli._parse(argv).ngrid == (100, 12345678901234567891)
     rc, out, err = invoke(argv[:-1] + ["100,12345678901234567891,12345678901234567891"], capsys)
     assert (rc, out) == (2, "")
     assert "(100, 12345678901234567891, 12345678901234567891)" in err
@@ -384,6 +385,18 @@ def test_scalar_evaluation_folds_the_gaussian_before_the_power(tmp_path, capsys)
                                        (0, 3): -2.0}), str(path))
     rc, out, err = invoke(["kernel", "eval", "--op", str(path),
                            "--x1", "1e200", "--x2", "0"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["value"] == {"im": 0.0, "re": 0.0}
+
+
+@pytest.mark.parametrize("x1", ["1e100", "1e155"])
+def test_far_field_kernel_value_is_zero(x1, tmp_path, capsys):
+    # the Laguerre factors overflow to inf where the Gaussian underflows to 0
+    path = tmp_path / "kop.json"
+    save_operator(CoefficientOperator({(0, 1): 0.3 + 0.1j, (1, 0): 0.2, (2, 2): 1.0,
+                                       (1, 3): -0.5 + 0.4j}), str(path))
+    rc, out, err = invoke(["kernel", "eval", "--op", str(path), "--x1", x1, "--x2", "0"],
+                          capsys)
     assert (rc, err) == (0, "")
     assert json.loads(out)["value"] == {"im": 0.0, "re": 0.0}
 
@@ -700,8 +713,9 @@ def test_package_import_loads_no_submodule():
 
 
 # The scalar commands, and the Dixmier routes on diagonal sources, run on the
-# standard library alone, and on its light part: no dataclasses, no inspect.
-STDLIB_ONLY = {"numpy", "dataclasses", "inspect"}
+# standard library alone, and on its light part: no dataclasses, no inspect,
+# and a well-formed command line is read without argparse, gettext or locale.
+STDLIB_ONLY = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv, absent", [
@@ -740,6 +754,25 @@ def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     assert sorted(absent & loaded) == []
 
 
+def _choices(help_text):
+    """The sets of words that a help text lists in braces, as in {trace,dos}."""
+    return [set(words.split(",")) for words in re.findall(r"\{([^}]*)\}", help_text)]
+
+
+def test_help_lists_every_subcommand(capsys):
+    # help comes from the full parser, which a fresh process imports for it
+    proc = subprocess.run([sys.executable, "-m", "magtrace.cli", "--help"],
+                          capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert {name.split()[0] for name in cli.COMMANDS} in _choices(proc.stdout)
+    assert _subcommand_names(cli.build_parser()) == list(cli.COMMANDS)
+    for name in cli.COMMANDS:
+        group, _, action = name.rpartition(" ")
+        if group:
+            rc, out, _ = _outcome([group, "--help"], capsys)
+            assert rc == 0 and action in set().union(*_choices(out)), name
+
+
 def _outcome(argv, capsys):
     try:
         rc = run(list(argv))
@@ -759,23 +792,84 @@ def _subcommand_names(parser, prefix=()):
     return names
 
 
-def test_parser_holds_the_subcommands_that_argv_names():
-    assert _subcommand_names(cli.build_parser()) == list(cli.COMMANDS)
-    assert _subcommand_names(cli.build_parser(["--ell", "2", "trace"])) == list(cli.COMMANDS)
-    assert _subcommand_names(cli.build_parser(["trace", "shell", "--op", "x"])) == ["trace shell"]
-    # a flag value that is a subcommand word adds that subcommand too
-    assert _subcommand_names(cli.build_parser(["dos", "dixmier", "--f", "estimate"])) == [
-        "dixmier estimate", "dos dixmier"]
+# A value for each flag, some negative, one not finite and an integer above 2**53.
+FLAG_VALUES = {
+    "--ell": "2.5", "--format": "csv", "--out": "report.csv", "--budget-profile": "quick",
+    "--n": "-3", "--m": "1", "--x1": "-0.5", "--x2": "-.5", "--max-index": "2",
+    "--extent": "6.0", "--nodes": "32", "--in": "{pi0}", "--in2": "{pi0}", "--op": "{pi0}",
+    "--p": "inf", "--N": "4", "--save": "out.json", "--R": "6.0", "--a1": "nan", "--a2": "-1",
+    "--lambda": "-0.5", "--lambda2": "0.25", "--xgrid": "0.1,-.5", "--eps": "-2.5",
+    "--Ngrid": "100,12345678901234567891", "--form": "split", "--shells": "64", "--J": "8",
+    "--f": "{bump}",
+}
+
+
+def _command_lines():
+    """Every subcommand with its required flags only, and with each of its flags."""
+    for name, (_, flags) in cli.COMMANDS.items():
+        required = [flag for flag in flags if cli.FLAGS[flag].get("required")]
+        for chosen in (required, list(flags)):
+            yield name.split() + [word for flag in chosen for word in (flag, FLAG_VALUES[flag])]
+    every_global = [word for flag in cli.GLOBAL_FLAGS for word in (flag, FLAG_VALUES[flag])]
+    yield every_global + ["compare", "--op", "{pi0}"]
+    yield ["--ell", "-1", "--format", "json", "trace", "diag", "--op", "{pi0}"]
+
+
+# Command lines that the table reader declines; the full parser runs the
+# cheap ones that it accepts.
+DECLINED = [
+    [], ["--ell", "2"], ["trace"], ["trace", "dag", "--op", "x"], ["dixmier", "diag"],
+    ["-h"], ["trace", "-h"], ["trace", "diag", "-h"], ["trace", "diag", "--op", "{pi0}", "-h"],
+    ["--help", "trace", "diag"], ["--hel", "compare"], ["trace", "diag", "--op", "-h"],
+    ["trace", "diag", "--op", "{pi0}", "--op", "{pi0}"],
+    ["--ell", "2", "--ell", "3", "trace", "diag", "--op", "{pi0}"],
+    ["trace", "diag", "--o", "{pi0}"], ["--bud", "quick", "trace", "diag", "--op", "{pi0}"],
+    ["dixmier", "spectrum", "--op", "{pi0}", "--lam", "0.5"],
+    ["trace", "diag", "--op={pi0}"], ["--ell=2", "trace", "diag", "--op", "{pi0}"],
+    ["trace", "diag", "--", "--op", "{pi0}"], ["--", "trace", "diag", "--op", "{pi0}"],
+    ["compare", "--op"], ["--out", "compare"], ["trace", "diag", "--op", "{pi0}", "extra"],
+    ["trace", "diag", "--op", "{pi0}", "--ell", "2"], ["trace", "diag", "compare"],
+    ["op", "norm", "--in", "{pi0}", "--p", "-1e-05"], ["op", "norm", "--in", "{pi0}", "--p", "x"],
+    ["op", "norm", "--in", "{pi0}", "--p", "- 1"], ["op", "norm", "--in", "{pi0}", "--p", "-"],
+    ["--format", "xml", "trace", "diag", "--op", "{pi0}"],
+    ["dixmier", "spectrum", "--op", "{pi0}", "--form", "both"],
+    ["basis", "eval", "--n", "1.5", "--m", "0", "--x1", "0", "--x2", "0"],
+    ["trace", "shell", "--op", "{pi0}", "--Ngrid", "1e500"],
+    ["trace", "residue", "--op", "{pi0}", "--xgrid", "0.1;0.01"],
+    ["trace", "diag", "--op", "{pi0}", "--Ngrid", "100"], ["trace diag", "--op", "{pi0}"],
+]
+
+
+@pytest.mark.parametrize("argv", list(_command_lines()) + DECLINED)
+def test_table_reader_matches_the_full_parser(argv, pi0_file, bump_file, monkeypatch, capsys):
+    # an accepted command line gives the full parser's namespace; a declined
+    # one runs as it does under the full parser alone
+    declined = argv in DECLINED
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
+    args = cli._read_command_line(argv)
+    assert (args is None) == declined
+    if args is not None:
+        # repr tells nan, -0.0 and the int/float of each value apart
+        assert ({key: repr(value) for key, value in vars(args).items()}
+                == {key: repr(value) for key, value in vars(cli._parse(argv)).items()}
+                == {key: repr(value)
+                    for key, value in vars(cli.build_parser().parse_args(argv)).items()})
+        return
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
+    outcome = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert _outcome(argv, capsys) == outcome
 
 
 @pytest.mark.parametrize("argv", [
     ["--help"], ["trace", "--help"], ["trace", "diag", "--help"], ["--help", "trace", "diag"],
     ["trace", "--help", "diag"], ["--hel", "compare"], ["trace", "dag", "--op", "x"],
     ["trace", "compare", "--op", "x"], ["dixmier", "diag", "--op", "trace"],
-    ["trace", "diag"], ["compare", "--op"], ["--out", "compare"],
+    ["trace", "diag"], ["compare", "--op"], ["--out", "compare"], ["--ell", "2"],
 ])
 def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
-    small = _outcome(argv, capsys)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
-    assert _outcome(argv, capsys) == small
+    assert cli._read_command_line(argv) is None
+    rc, out, err = _outcome(argv, capsys)
+    assert (rc, out[:16], err[:12]) in ((0, "usage: magtrace ", ""), (64, "", "usage error:"))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert _outcome(argv, capsys) == (rc, out, err)

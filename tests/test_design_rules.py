@@ -1,13 +1,14 @@
-"""Guards for nine design rules of the package.
+"""Guards for eleven design rules of the package.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
 convergence table comes from the two builders in extrapolate.py, every
 flag that a CLI subcommand declares is read by its handler, every flag
-entry is declared by the parser or by some subcommand, every public
+entry is declared by the parser or by some subcommand, every flag entry
+uses only the keys that the command-table reader reads, every public
 name is reached by a command, an acceptance criterion or a magbench
 workload, every CLI report is encoded by serialize, no module imports
-numpy when it loads, and no module imports dataclasses.
+numpy when it loads, and no module imports dataclasses or typing.
 """
 
 import argparse
@@ -228,6 +229,17 @@ def test_every_cli_flag_entry_is_declared():
     assert _undeclared_flags(cli.FLAGS, cli.GLOBAL_FLAGS, cli.COMMANDS) == []
 
 
+# The keys of a flag entry that cli._read_command_line reads as argparse
+# would; a feature of argparse alone, such as nargs or action, would let
+# the two parsers part.
+TABLE_READER_KEYS = {"type", "default", "required", "choices", "dest", "help"}
+
+
+def test_every_cli_flag_entry_uses_the_table_reader_keys():
+    assert {flag: sorted(set(spec) - TABLE_READER_KEYS) for flag, spec in cli.FLAGS.items()
+            if set(spec) - TABLE_READER_KEYS} == {}
+
+
 def test_undeclared_flag_scan_flags_a_dead_entry():
     flags = {"--ell": {}, "--op": {}, "--J": {}, "--eps": {}}
     commands = {"trace diag": (None, ("--op",)), "dos idos": (None, ("--eps",))}
@@ -284,12 +296,22 @@ def test_no_module_imports_numpy_when_it_loads():
     assert sorted(loaders) == []
 
 
+def _importers(module):
+    """Names of the package sources that import module anywhere."""
+    return sorted(path.name for path in SOURCES
+                  if module in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def test_no_module_imports_dataclasses():
     # records derive from errors.Record: importing dataclasses would load
     # inspect, ast, dis and tokenize in every command
-    importers = {path.name for path in SOURCES
-                 if "dataclasses" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))}
-    assert sorted(importers) == []
+    assert _importers("dataclasses") == []
+
+
+def test_no_module_imports_typing():
+    # annotations are never evaluated, so collections.abc serves them; a
+    # source scan, since the interpreter's site may have loaded typing
+    assert _importers("typing") == []
 
 
 def test_load_time_import_scan_skips_function_bodies():
