@@ -458,8 +458,9 @@ def build_parser():
 # -- driver -----------------------------------------------------------------
 
 COMMAND_WORDS = {tuple(name.split()): name for name in COMMANDS}
-# the values that argparse takes for an option although they start with "-"
-NEGATIVE_NUMBER = re.compile(r'^-\d+$|^-\d*\.\d+$')
+# argparse's pattern of the values that it takes for an option although they
+# start with "-"; compiled only when such a value comes (re caches it)
+NEGATIVE_NUMBER = r'^-\d+$|^-\d*\.\d+$'
 
 
 def _flag_values(argv, start, names, given):
@@ -472,7 +473,7 @@ def _flag_values(argv, start, names, given):
     while start < len(argv) and argv[start] in names:
         flag, value = argv[start], argv[start + 1:start + 2]
         if flag in given or not value or (
-                value[0].startswith("-") and not NEGATIVE_NUMBER.match(value[0])):
+                value[0].startswith("-") and not re.match(NEGATIVE_NUMBER, value[0])):
             return None
         given[flag] = value[0]
         start += 2
