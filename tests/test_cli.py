@@ -792,7 +792,7 @@ def _subcommand_names(parser, prefix=()):
     return names
 
 
-# A value for each flag, some negative, one not finite and an integer above 2**53.
+# A value for each flag: some negative, some not finite, and an integer above 2**53.
 FLAG_VALUES = {
     "--ell": "2.5", "--format": "csv", "--out": "report.csv", "--budget-profile": "quick",
     "--n": "-3", "--m": "1", "--x1": "-0.5", "--x2": "-.5", "--max-index": "2",
