@@ -113,22 +113,79 @@ def _vanishing_zeta(hi: int, lo: int, log_norm: float) -> float:
     return max(1.0, 4.0 * (UNDERFLOW_LOG + log_norm + slack + hi * math.log(2.0)))
 
 
-def _clear_overflow(term, zeta, limit: float):
-    """term, with an exact 0 for each non-finite value at a zeta beyond limit.
+def _overflow_zeta(hi: int, lo: int) -> float:
+    """A zeta up to which L_lo^(hi-lo)(zeta) and its recurrence stay finite, for hi >= lo.
 
-    There the Gaussian dominates and the value rounds to 0, yet the
-    Laguerre factor may overflow to inf where the rest has underflowed
-    to 0, and their product is nan.  Finite values are left as they are.
-    At an array the check is one reduction, unless some zeta is beyond
-    the limit.
+    For alpha >= 0 and zeta >= 0, |L_k^(alpha)(zeta)| <= binom(k + alpha, k)
+    e^(zeta/2), which grows with k, and a step of the recurrence multiplies
+    by at most 3 hi + zeta before it divides by k; below the zeta returned,
+    at most 1418, the log of their product stays under 709.
     """
+    log_binom = math.lgamma(hi + 1) - math.lgamma(lo + 1) - math.lgamma(hi - lo + 1)
+    return 2.0 * (709.0 - log_binom - math.log(3.0 * hi + 1420.0))
+
+
+def _scaled_laguerre(n: int, alpha: float, zeta: float) -> tuple[float, int]:
+    """L_n^(alpha)(zeta) as (f, e) with value f * 2**e, by the recurrence in scaled steps.
+
+    After each step both terms are scaled by the same power of two, which
+    is exact, so the recurrence neither overflows nor underflows.
+    """
+    prev, cur, exponent = 1.0, 1.0 + alpha - zeta, 0
+    if n == 0:
+        return prev, exponent
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2.0 * k - 1.0 + alpha - zeta) * cur - (k - 1.0 + alpha) * prev) / k
+        shift = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, exponent = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exponent + shift
+    return cur, exponent
+
+
+def _psi_in_logs(n: int, m: int, zeta: float, base: complex, log_norm: float) -> complex:
+    """psi_{n,m} at one point, its modulus summed in logs, for 0 < zeta < inf.
+
+    The Gaussian, the power |b|**p = zeta**(p/2), sqrt(m!/n!) and the
+    scaled Laguerre factor meet as one exponential, so no factor overflows
+    or underflows apart from the others.
+    """
+    lo, p = min(n, m), abs(n - m)
+    laguerre, exponent = _scaled_laguerre(lo, p, zeta)
+    log_size = (exponent * math.log(2.0) + log_norm - 0.5 * zeta
+                + 0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
+    if not p:
+        return laguerre * math.exp(log_size)
+    phase = (base / abs(base)) ** p
+    if m > n:
+        phase = _reflect(phase, p % 2)
+    return phase * (laguerre * math.exp(log_size + 0.5 * p * math.log(zeta)))
+
+
+def _mend_overflow(term, n: int, m: int, zeta, base, log_norm: float):
+    """term, each of its non-finite values recomputed, or an exact 0 where psi vanishes.
+
+    The Laguerre factor may overflow to inf where the rest has underflowed
+    to 0, and their product is nan.  Beyond _vanishing_zeta the Gaussian
+    dominates and the value rounds to 0; up to it, _psi_in_logs recomputes
+    it.  Finite values, and values at a zeta that is nan, are left as they
+    are.  At an array the check is one reduction, unless some zeta is
+    beyond where the Laguerre recurrence can overflow.
+    """
+    hi, lo = max(n, m), min(n, m)
+    limit = _vanishing_zeta(hi, lo, log_norm)
     if isinstance(zeta, float):
-        finite = math.isfinite(term.real) and math.isfinite(term.imag)
-        return 0j if zeta > limit and not finite else term
+        if math.isfinite(term.real) and math.isfinite(term.imag):
+            return term
+        if zeta <= limit:
+            return _psi_in_logs(n, m, zeta, base, log_norm)
+        return 0j if zeta > limit else term
     import numpy as np
 
-    if np.fmax.reduce(zeta, axis=None) > limit:
-        term[(zeta > limit) & ~np.isfinite(term)] = 0
+    if np.fmax.reduce(zeta, axis=None) > min(limit, _overflow_zeta(hi, lo)):
+        bad = ~np.isfinite(term)
+        term[bad & (zeta > limit)] = 0
+        for i in np.flatnonzero(bad & (zeta <= limit)):
+            term.flat[i] = _psi_in_logs(n, m, float(zeta.flat[i]), complex(base.flat[i]),
+                                        log_norm)
     return term
 
 
@@ -143,8 +200,9 @@ def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
     at large n or |x|, so their logs are folded into the base before the
     power, which then stays within the normalization.  psi_{n,n} is gauss
     * L_n^(0)(zeta).  For m > n the value is the reflection (-1)**(n-m) *
-    conj(psi_{m,n}).  Where the Gaussian dominates, a value that this
-    arithmetic cannot reach (inf * 0) is an exact 0.  The factors are all
+    conj(psi_{m,n}).  Where the Laguerre factor still overflows, a value
+    that this arithmetic cannot reach (inf * 0) is recomputed in logs, or
+    is an exact 0 where the Gaussian dominates.  The factors are all
     arrays or all Python numbers.
     """
     lo, p = min(n, m), abs(n - m)
@@ -162,7 +220,7 @@ def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
         term = +gauss  # a new array at an array
     if laguerre is not None:
         term *= laguerre
-    return _clear_overflow(term, zeta, _vanishing_zeta(lo + p, lo, log_norm))
+    return _mend_overflow(term, n, m, zeta, base, log_norm)
 
 
 def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):

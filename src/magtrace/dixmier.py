@@ -4,15 +4,15 @@ For a compact non-negative operator with singular values mu_0 >= mu_1 >= ...
 the Dixmier trace of interest here is the limit of gamma_N = sigma_N / log N
 with sigma_N the N-th partial sum.  Operators are truncated block by block
 in the degeneracy index.  The blocks of a source with off-diagonal entries
-are factored, and their singular values (or eigenvalues) merged into one
-sorted sequence; a diagonal source is read level by level, and the
-whole-shell spectrum of the shifted oscillator shell by shell, in closed
-form from Hurwitz sums, so nothing sized by their blocks or shells is
-stored.  gamma_N is extrapolated over a ladder of checkpoints under the
+are factored in slabs of bounded size, and their singular values (or
+eigenvalues) merged into one sorted sequence; a diagonal source is read
+level by level, and the whole-shell spectrum of the shifted oscillator
+shell by shell, in closed form from Hurwitz sums, so nothing sized by
+their blocks or shells is stored.  gamma_N is extrapolated over a ladder of checkpoints under the
 log_inverse model.  A zeta-function route x * Tr(T^(1+x)) -> x = 0
 provides the independent Tauberian cross-check.
 
-numpy is imported where blocks are materialized (Spectrum, the block stack
+numpy is imported where blocks are materialized (Spectrum, the block slabs
 and calderon_norm), so the closed-form routes never load it.
 """
 
@@ -153,46 +153,68 @@ def _provenance(op, m_max: int, n_max: int) -> str:
         op.form, op.lam, op.lam2, op.s, n_max, m_max)
 
 
-def _weighted_blocks(block, row, col, m):
-    """Blocks A S B of the source block at weight index or slice m."""
+# Bytes of one slab of weighted blocks and their weights.  Measured on a
+# 2-core host, the two dense 6x6 spectra of magbench's `spectra` workload
+# (m_max 8191, with their estimates) raise peak RSS by 1.2 MB in 256 KiB
+# slabs, against 6.4 MB as one stack, 2.7 MB in 2 MiB slabs and 1.2 MB in
+# 64 KiB ones; the factorization takes the same time within the noise.
+BLOCK_SLAB_BYTES = 256 * 2 ** 10
+
+
+def _weighted_blocks(block, row, col):
+    """Blocks A S B of the source block, one per leading index of the weights."""
     # in place, into the array just made: the source block stays as it is
-    block = row[m, :, None] * block
-    block *= col[m, None, :]
+    block = row[..., :, None] * block
+    block *= col[..., None, :]
     return block
 
 
 def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
 
-    The blocks m = 0 .. m_max are built as one stack and factored by one
-    batched SVD or eigvalsh.  For a Hermitian source S, A S B is similar to
-    the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen" factors that
-    stack.  The frontier block m_max + 1 is the form's own A S B.  The
-    memory budget is checked before the block weights are built.
+    The blocks m = 0 .. m_max are built and factored slab by slab, each
+    slab by one batched SVD or eigvalsh, into one values array, so what is
+    held grows with the values and one slab, not with every block.  LAPACK
+    factors each block on its own, so the slabs change no bit.  For a
+    Hermitian source S, A S B is similar to the Hermitian (AB)^(1/2) S
+    (AB)^(1/2), so kind "eigen" factors those blocks.  The frontier block
+    m_max + 1 is the form's own A S B.  The memory budget is checked before
+    anything is allocated.
     """
-    # 16 bytes per (m, n) for the weights and per entry of the block stack
-    check_memory(16 * (m_max + 2) * n_max * (1 + n_max), "the weighted block stack")
+    # a slab holds its blocks and their weights, 16 bytes per (m, n) and per
+    # block entry; beside one slab are the source block, the copy of a block
+    # that numpy hands to LAPACK, and 24 bytes per value: the values and at
+    # most two value-sized arrays while the spectrum is built and read (the
+    # modulus behind `reliable`, the sorted copy, the eigen sort keys and
+    # their sign bits, power_sum's nonzero values and their powers)
+    per_block = 16 * n_max * (n_max + 1)
+    step = max(1, BLOCK_SLAB_BYTES // per_block)
+    check_memory(24 * (m_max + 1) * n_max + step * per_block + 32 * n_max * n_max,
+                 "the block values and one slab of weighted blocks")
     import numpy as np
 
-    row, col = op.block_weights(np.arange(m_max + 2), n_max)
     block = matrix_block(op.source, n_max)
-    frontier = _weighted_blocks(block, row, col, -1)
-    if kind == "singular":
-        stack = _weighted_blocks(block, row, col, slice(-1))
-        return np.linalg.svd(stack, compute_uv=False).ravel(), frontier
-    root = np.sqrt(row[:-1] * col[:-1])
-    stack = root[:, :, None] * block
-    stack *= root[:, None, :]
-    return np.linalg.eigvalsh(stack).ravel(), frontier
+    values = np.empty((m_max + 1, n_max))
+    for start in range(0, m_max + 1, step):
+        stop = min(start + step, m_max + 1)
+        row, col = op.block_weights(np.arange(start, stop), n_max)
+        if kind == "singular":
+            values[start:stop] = np.linalg.svd(_weighted_blocks(block, row, col),
+                                               compute_uv=False)
+        else:
+            root = np.sqrt(row * col)
+            values[start:stop] = np.linalg.eigvalsh(_weighted_blocks(block, root, root))
+    frontier = _weighted_blocks(block, *op.block_weights(m_max + 1, n_max))
+    return values.ravel(), frontier
 
 
 def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "singular"):
     """Merged, sorted spectrum of the blocks m = 0 .. m_max at size n_max.
 
-    A truncation with off-diagonal entries goes through one batched SVD
-    (kind "singular") or one batched eigvalsh (kind "eigen") into a
-    Spectrum; a diagonal one gives a LevelSpectrum, read level by level
-    with no array.  Kind "eigen" needs a source whose truncation is exactly
+    A truncation with off-diagonal entries goes through batched SVDs
+    (kind "singular") or batched eigvalsh (kind "eigen"), slab by slab,
+    into a Spectrum; a diagonal one gives a LevelSpectrum, read level by
+    level with no array.  Kind "eigen" needs a source whose truncation is exactly
     Hermitian, a_kj = conj(a_jk) for max(j, k) < n_max, and returns real
     eigenvalues; any other source is refused with DomainError before
     anything is allocated.  The reliable prefix length is the number of

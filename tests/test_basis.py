@@ -160,6 +160,31 @@ def test_psi_is_zero_where_the_gaussian_dominates(cfg):
     assert math.isnan(psi(1, 3, math.nan, 0.0, cfg).real)
 
 
+@pytest.mark.parametrize("n, m, x1, x2", [(300, 300, 63.245553, 0.0), (300, 290, 50.0, 40.0),
+                                         (290, 300, 50.0, 40.0), (500, 400, 70.0, -10.0),
+                                         (1000, 1000, 60.0, 20.0)])
+def test_psi_where_the_laguerre_factor_overflows(n, m, x1, x2, cfg):
+    # L_m^(n-m)(zeta) overflows to inf while the rest underflows to 0, far
+    # inside the zeta where psi rounds to 0: the value is summed in logs,
+    # at a number as at an array, and matches mpmath's 50-digit value
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        zeta = (mpmath.mpf(x1) ** 2 + mpmath.mpf(x2) ** 2) / 2
+        lo, p = min(n, m), abs(n - m)
+        b = mpmath.mpc(x1, x2) / mpmath.sqrt(2)
+        exact = (mpmath.exp(-zeta / 2) / mpmath.sqrt(2 * mpmath.pi) * b ** p
+                 * mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(lo + p))
+                 * mpmath.laguerre(lo, p, zeta))
+        expected = complex((-1) ** p * mpmath.conj(exact) if m > n else exact)
+    value = psi(n, m, x1, x2, cfg)
+    assert abs(value - expected) <= 1e-11 * abs(expected)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's record of the inf * 0
+        values = psi(n, m, np.array([x1, 0.5]), np.array([x2, 0.0]), cfg)
+    assert values[0] == value
+    # the finite value beside it keeps its bits
+    assert values[1] == psi(n, m, np.array([0.5]), np.zeros(1), cfg)[0]
+
+
 def test_orthonormality_default_grid(cfg):
     errors = orthonormality_check(4, cfg)
     assert errors.shape == (25, 25)

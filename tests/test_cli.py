@@ -379,6 +379,15 @@ def test_scalar_evaluation_folds_the_gaussian_before_the_power(tmp_path, capsys)
     assert value["re"] == pytest.approx(expected, rel=1e-9)
     assert value["re"] == pytest.approx(1.7703e-4, rel=1e-4)
 
+    # at zeta = 2000 the Gaussian e^-1000 underflows and L_300(2000)
+    # overflows: the value is summed in logs (3.6468e-83 by mpmath)
+    rc, out, err = invoke(["basis", "eval", "--n", "300", "--m", "300",
+                           "--x1", "63.245553", "--x2", "0"], capsys)
+    assert (rc, err) == (0, "")
+    value = json.loads(out)["value"]
+    assert value["im"] == 0.0
+    assert value["re"] == pytest.approx(3.6467829239957e-83, rel=1e-11)
+
     # off-diagonal terms up to the power 3 at |x| = 1e200, where zeta overflows
     path = tmp_path / "far.json"
     save_operator(CoefficientOperator({(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5j,

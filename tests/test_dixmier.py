@@ -29,6 +29,7 @@ from magtrace import (
     tauberian_zeta,
     weighted_product,
 )
+from magtrace import dixmier, errors
 from magtrace.dixmier import LevelSpectrum, ShellSpectrum, _geometric_ladder
 from magtrace.extrapolate import log_inverse_table
 from conftest import random_operator
@@ -148,7 +149,8 @@ def test_collect_spectrum_validation():
     for op in (CoefficientOperator.projection(0), DiagonalWeight.q_power(1.0, 0.0)):
         with pytest.raises(DomainError, match="expects a WeightedProduct"):
             collect_spectrum(op, m_max=3, n_max=4)
-    # the dense block stack is refused before it is allocated
+    # a 3001x3001 block and the copy that LAPACK factors pass the limit:
+    # refused before either is allocated
     wide = weighted_product(CoefficientOperator({(0, 1): 1.0, (3000, 3000): 1.0}), "left", 0.0)
     with pytest.raises(ResourceError):
         collect_spectrum(wide, m_max=10, n_max=3001)
@@ -215,6 +217,11 @@ def test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form):
     root = np.sqrt(a[-1] * b[-1])
     symmetrised = np.linalg.norm(root[:, None] * h.T * root[None, :], ord=2)
     assert spectrum.reliable < np.count_nonzero(np.abs(spectrum.values) > symmetrised)
+    # and the values are, bit for bit, those of the symmetrised blocks
+    roots = np.sqrt(a[:-1] * b[:-1])
+    hermitian = roots[:, :, None] * h.T * roots[:, None, :]
+    expected = Spectrum(np.linalg.eigvalsh(hermitian).ravel(), "explicit", "eigen")
+    assert np.array_equal(spectrum.values, expected.values)
 
     # hopping eigenvalues come in exact +- pairs, each sorted positive first
     hop = CoefficientOperator({(0, 1): 0.6 - 0.8j, (1, 0): 0.6 + 0.8j})
@@ -245,25 +252,69 @@ def test_singular_spectrum_is_the_svd_of_the_explicit_blocks(form):
     assert 0 < spectrum.reliable < len(spectrum)
 
 
+# one block per slab, and three 6x6 blocks with their weights per slab,
+# which divides neither the 8 blocks nor the 64 of the tests above
+@pytest.mark.parametrize("slab_bytes", (1, 3 * 16 * 6 * 7), ids=("one-block", "three-blocks"))
+@pytest.mark.parametrize("form", ("left", "right", "split"))
+def test_block_spectra_are_the_same_across_slab_boundaries(form, slab_bytes, monkeypatch):
+    monkeypatch.setattr(dixmier, "BLOCK_SLAB_BYTES", slab_bytes)
+    test_eigen_spectrum_matches_general_eig_of_the_weighted_blocks(form)
+    test_singular_spectrum_is_the_svd_of_the_explicit_blocks(form)
+
+
+def _dense_source(size, seed):
+    """A dense Hermitian source of the given size."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    h = h + h.conj().T
+    return CoefficientOperator({(j, k): h[j, k] for j in range(size) for k in range(size)})
+
+
+def _traced_estimates(monkeypatch):
+    """The sizes dixmier passes to check_memory, recorded as it checks them."""
+    estimates = []
+    check = dixmier.check_memory
+    monkeypatch.setattr(dixmier, "check_memory",
+                        lambda size, what: (estimates.append(size), check(size, what)))
+    return estimates
+
+
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
 @pytest.mark.parametrize("form", ("left", "right", "split"))
-def test_weighted_stack_stays_within_its_memory_estimate(form, kind):
-    # a dense source is factored as one block stack: every form and kind
-    # holds it once, within the check_memory estimate unit * (1 + n_max)
-    rng = np.random.default_rng(16)
-    h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    h = h + h.conj().T
-    source = CoefficientOperator({(j, k): h[j, k] for j in range(16) for k in range(16)})
-    product = weighted_product(source, form, 0.0, 1.0)
-    m_max, n_max = 4095, 16
-    estimate = 16 * (m_max + 2) * n_max * (1 + n_max)
+def test_weighted_stack_stays_within_its_memory_estimate(form, kind, monkeypatch):
+    # a dense source is factored slab by slab: every form and kind holds
+    # the values and one slab, within the check_memory estimate, while the
+    # spectrum is built, estimated and summed for the Tauberian zeta
+    product = weighted_product(_dense_source(16, 16), form, 0.0, 1.0)
+    warm = collect_spectrum(product, 7, 16, kind)  # first-call imports
+    tauberian_zeta(warm, 0.01)
+    estimates = _traced_estimates(monkeypatch)
     tracemalloc.start()
     try:
-        collect_spectrum(product, m_max, n_max, kind)
+        spectrum = collect_spectrum(product, 4095, 16, kind)
+        dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
+        tauberian_zeta(spectrum, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * estimate
+    assert len(estimates) == 1
+    # the values alone are 512 KiB; the whole stack was 17.8 MB
+    assert 8 * len(spectrum) < peak <= 1.1 * estimates[0] < 4 * 2 ** 20
+
+
+def test_slabs_admit_what_one_stack_would_not(monkeypatch):
+    # at a 16 MiB limit one stack of a dense 16x16 source at m_max 4095
+    # (17.8 MB) was refused; slab by slab it needs 1.8 MB and computes the
+    # same values, and a depth whose values and their sorted copies pass
+    # the limit stays refused
+    product = weighted_product(_dense_source(16, 16), "split", 0.0, 1.0)
+    expected = collect_spectrum(product, 4095, 16)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", 16 * 2 ** 20)
+    spectrum = collect_spectrum(product, 4095, 16)
+    assert np.array_equal(spectrum.values, expected.values)
+    assert spectrum.reliable == expected.reliable
+    with pytest.raises(ResourceError, match="block values"):
+        collect_spectrum(product, 2 ** 16, 16)
 
 
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
@@ -280,7 +331,11 @@ def test_diagonal_spectrum_stays_within_its_memory_estimate(form, kind):
     shapes += [(far, 10 ** 6 + 2, m_max) for m_max in (2047, 10 ** 8)]
     for entries, n_max, m_max in shapes:
         product = weighted_product(CoefficientOperator(entries), form, -0.5, 2.0)
-        collect_spectrum(product, 255, n_max, kind)  # first-call imports
+        # the same reads before tracing: first-call imports, and the
+        # Euler-Maclaurin cache of the Hurwitz sums filled at this shape
+        spectrum = collect_spectrum(product, m_max, n_max, kind)
+        dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
+        tauberian_zeta(spectrum, 0.01)
         tracemalloc.start()
         try:
             spectrum = collect_spectrum(product, m_max, n_max, kind)
