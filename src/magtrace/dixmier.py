@@ -153,12 +153,12 @@ def _provenance(op, m_max: int, n_max: int) -> str:
         op.form, op.lam, op.lam2, op.s, n_max, m_max)
 
 
-# Bytes of one slab of weighted blocks and their weights.  Measured on a
-# 2-core host, the two dense 6x6 spectra of magbench's `spectra` workload
-# (m_max 8191, with their estimates) raise peak RSS by 1.2 MB in 256 KiB
-# slabs, against 6.4 MB as one stack, 2.7 MB in 2 MiB slabs and 1.2 MB in
-# 64 KiB ones; the factorization takes the same time within the noise.
-BLOCK_SLAB_BYTES = 256 * 2 ** 10
+# Bytes of one slab of weighted blocks.  Measured on a 2-core host with the
+# two dense 6x6 spectra of magbench's `spectra` workload (m_max 8191, with
+# their estimates): they raise peak RSS by 1.2 MB in 256 KiB slabs, 1.8 MB
+# in 1 MiB slabs, 2.9 MB in 2 MiB slabs and 6.4 MB as one stack, and take
+# 2.5 %, 0.9 % and 0.7 % longer than one stack.
+BLOCK_SLAB_BYTES = 2 ** 20
 
 
 def _weighted_blocks(block, row, col, out=None):
@@ -177,40 +177,44 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     The blocks m = 0 .. m_max are built and factored slab by slab, each
     slab by one batched SVD or eigvalsh, into one values array, so what is
     held grows with the values and one slab, not with every block.  LAPACK
-    factors each block on its own, so the slabs change no bit.  For a
-    Hermitian source S, A S B is similar to the Hermitian (AB)^(1/2) S
-    (AB)^(1/2), so kind "eigen" factors those blocks.  The frontier block
-    m_max + 1 is the form's own A S B.  The memory budget is checked before
-    anything is allocated.
+    factors each block on its own, so the slabs change no bit.  The
+    weights are one table per side over the diagonal index n + m, which
+    each slab reads through a window.  For a Hermitian source S, A S B is
+    similar to the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen"
+    factors those blocks.  The frontier block m_max + 1 is the form's own
+    A S B.  The memory budget is checked before anything is allocated.
     """
-    # a slab holds its blocks and their weights, 16 bytes per (m, n) and per
-    # block entry; beside one slab are the source block, the copy of a block
-    # that numpy hands to LAPACK, and 24 bytes per value: the values and at
-    # most two value-sized arrays while the spectrum is built and read (the
-    # modulus behind `reliable`, the sorted copy, the eigen sort keys and
-    # their sign bits, power_sum's nonzero values and their powers)
-    per_block = 16 * n_max * (n_max + 1)
-    step = min(m_max + 1, max(1, BLOCK_SLAB_BYTES // per_block))
-    check_memory(24 * (m_max + 1) * n_max + step * per_block + 32 * n_max * n_max,
-                 "the block values and one slab of weighted blocks")
+    # one slab's blocks, 16 bytes per entry, the source block and the copy
+    # of a block that numpy hands to LAPACK; 32 bytes per diagonal index for
+    # the weight tables, the eigen square roots and their product; and 24
+    # bytes per value: the values and at most two value-sized arrays while
+    # the spectrum is built and read (the modulus behind `reliable`, the
+    # sorted copy, the eigen sort keys and their sign bits, power_sum's
+    # nonzero values and their powers)
+    step = min(m_max + 1, max(1, BLOCK_SLAB_BYTES // (16 * n_max * n_max)))
+    check_memory(24 * (m_max + 1) * n_max + 16 * (step + 2) * n_max * n_max
+                 + 32 * (m_max + n_max + 1), "the block values and one slab of weighted blocks")
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
     block = matrix_block(op.source, n_max)
+    row, col = op.block_weights(np.arange(m_max + n_max + 1))
+    frontier = _weighted_blocks(block, row[m_max + 1:], col[m_max + 1:])
+    if kind == "eigen":
+        row = col = np.sqrt(row * col)
+        factor = np.linalg.eigvalsh
+    else:
+        factor = partial(np.linalg.svd, compute_uv=False)
+    # row m of a window is the weights of block m
+    row, col = sliding_window_view(row, n_max), sliding_window_view(col, n_max)
     values = np.empty((m_max + 1, n_max))
     # one buffer for every slab: filling a fresh array of 390 6x6 blocks
     # took 0.63 us per block, against 0.23 us into the reused buffer
     slab = np.empty((step, n_max, n_max), dtype=complex)
     for start in range(0, m_max + 1, step):
         stop = min(start + step, m_max + 1)
-        row, col = op.block_weights(np.arange(start, stop), n_max)
-        if kind == "eigen":
-            row = col = np.sqrt(row * col)
-        stack = _weighted_blocks(block, row, col, slab[:stop - start])
-        if kind == "singular":
-            values[start:stop] = np.linalg.svd(stack, compute_uv=False)
-        else:
-            values[start:stop] = np.linalg.eigvalsh(stack)
-    frontier = _weighted_blocks(block, *op.block_weights(m_max + 1, n_max))
+        stack = _weighted_blocks(block, row[start:stop], col[start:stop], slab[:stop - start])
+        values[start:stop] = factor(stack)
     return values.ravel(), frontier
 
 

@@ -203,25 +203,24 @@ class WeightedProduct(Record):
         if self.form != "split":
             object.__setattr__(self, "lam2", self.lam)
 
-    def block_weights(self, m, count: int):
-        """Row and column weights (r, c) of the blocks m at truncation count.
+    def block_weights(self, k):
+        """Row and column weights (r, c) at the diagonal indices k = n + m.
 
-        r and c have shape m.shape + (count,), and block m of the product
-        is r[:, None] * matrix_block(source, count) * c[None, :].  A side
+        Level n of block m is weighted at y = n + m + 1 alone, so with r
+        and c taken at k = 0 .. m + count - 1, block m of the product is
+        r[m + n] * matrix_block(source, count)[n, n'] * c[m + n'].  A side
         that the form leaves unweighted is a read-only broadcast of 1.0,
         which allocates nothing and multiplies exactly.
         """
         import numpy as np
 
-        n = np.arange(count)
-        m = np.asarray(m, dtype=float)[..., None]
-        w = DiagonalWeight(self.s, self.lam).value(n, m)
+        w = DiagonalWeight(self.s, self.lam).value(np.asarray(k), 0.0)
         ones = np.broadcast_to(1.0, w.shape)
         if self.form == "left":
             return w, ones
         if self.form == "right":
             return ones, w
-        w2 = DiagonalWeight(self.s, self.lam2).value(n, m)
+        w2 = DiagonalWeight(self.s, self.lam2).value(np.asarray(k), 0.0)
         return np.sqrt(w, out=w), np.sqrt(w2, out=w2)
 
 

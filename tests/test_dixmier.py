@@ -252,9 +252,9 @@ def test_singular_spectrum_is_the_svd_of_the_explicit_blocks(form):
     assert 0 < spectrum.reliable < len(spectrum)
 
 
-# one block per slab, and three 6x6 blocks with their weights per slab,
-# which divides neither the 8 blocks nor the 64 of the tests above
-@pytest.mark.parametrize("slab_bytes", (1, 3 * 16 * 6 * 7), ids=("one-block", "three-blocks"))
+# one block per slab, and three 6x6 blocks per slab, which divides
+# neither the 8 blocks nor the 64 of the tests above
+@pytest.mark.parametrize("slab_bytes", (1, 3 * 16 * 6 * 6), ids=("one-block", "three-blocks"))
 @pytest.mark.parametrize("form", ("left", "right", "split"))
 def test_block_spectra_are_the_same_across_slab_boundaries(form, slab_bytes, monkeypatch):
     monkeypatch.setattr(dixmier, "BLOCK_SLAB_BYTES", slab_bytes)
@@ -298,13 +298,13 @@ def test_weighted_stack_stays_within_its_memory_estimate(form, kind, monkeypatch
     finally:
         tracemalloc.stop()
     assert len(estimates) == 1
-    # the values alone are 512 KiB; the whole stack was 17.8 MB
+    # the values alone are 512 KiB, one stack of the blocks 17.8 MB
     assert 8 * len(spectrum) < peak <= 1.1 * estimates[0] < 4 * 2 ** 20
 
 
 def test_slabs_admit_what_one_stack_would_not(monkeypatch):
-    # at a 16 MiB limit one stack of a dense 16x16 source at m_max 4095
-    # (17.8 MB) was refused; slab by slab it needs 1.8 MB and computes the
+    # one stack of a dense 16x16 source at m_max 4095 would need 17.8 MB,
+    # over a 16 MiB limit; slab by slab it needs 2.8 MB and computes the
     # same values, and a depth whose values and their sorted copies pass
     # the limit stays refused
     product = weighted_product(_dense_source(16, 16), "split", 0.0, 1.0)
