@@ -214,13 +214,13 @@ class WeightedProduct(Record):
         """
         import numpy as np
 
-        w = DiagonalWeight(self.s, self.lam).value(np.asarray(k), 0.0)
+        w = DiagonalWeight(self.s, self.lam).value(k, 0.0)
         ones = np.broadcast_to(1.0, w.shape)
         if self.form == "left":
             return w, ones
         if self.form == "right":
             return ones, w
-        w2 = DiagonalWeight(self.s, self.lam2).value(np.asarray(k), 0.0)
+        w2 = DiagonalWeight(self.s, self.lam2).value(k, 0.0)
         return np.sqrt(w, out=w), np.sqrt(w2, out=w2)
 
 
