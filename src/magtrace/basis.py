@@ -5,20 +5,22 @@ Products of a Gaussian, a power of (x1 + i*x2) and a generalized Laguerre
 polynomial make them orthonormal; the index n labels the energy shell
 direction that magnetic operators act on, while m is a degeneracy index.
 kernels.orthonormality_check verifies the orthonormality on a grid.
-Each function takes Python numbers, computed without numpy, as well as
-arrays, for which it imports numpy where it uses it.
+Every point is evaluated one way, in which no factor overflows or
+underflows apart from the others (psi_term).  Each function takes Python
+numbers, computed without numpy, as well as arrays, for which it imports
+numpy where it uses it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 from .config import MagneticConfig
 from .errors import DomainError
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-UNDERFLOW_LOG = 746.0  # a positive double below e**-745.14 = 2**-1075 rounds to 0
 
 
 def _exp(x):
@@ -41,6 +43,45 @@ def _reflect(term, odd: bool):
     return np.negative(term, out=term) if odd else term
 
 
+def _scaled_laguerre(n: int, alpha: float, zeta):
+    """L_n^(alpha)(zeta) as (f, e), with value f * 2**e, at a float or a float array.
+
+    Before each step both terms are divided by 2**s, s the larger of their
+    frexp exponents, per point.  That is exact, so f * 2**e has the bits
+    of the unscaled recurrence wherever it stays finite, and no step
+    overflows.  e is an int, or an int32 array once a step has run.
+    """
+    if n == 0:
+        return 1.0, 0
+    prev, cur, exponent = 1.0, (1.0 + alpha) - zeta, 0
+    if not isinstance(zeta, float):
+        import numpy as np
+
+        prev, step = np.ones_like(zeta), np.empty_like(zeta)
+        shift, other = np.empty(zeta.shape, np.intc), np.empty(zeta.shape, np.intc)
+    for k in range(2, n + 1):
+        if isinstance(zeta, float):
+            shift = max(math.frexp(prev)[1], math.frexp(cur)[1])
+            prev, cur, exponent = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exponent + shift
+            step = (2.0 * k - 1.0 + alpha) - zeta
+        else:
+            np.frexp(prev, out=(step, shift))
+            np.frexp(cur, out=(step, other))
+            np.maximum(shift, other, out=shift)
+            exponent += shift  # a new array at the first step
+            np.negative(shift, out=shift)
+            np.ldexp(prev, shift, out=prev)
+            np.ldexp(cur, shift, out=cur)
+            np.subtract(2.0 * k - 1.0 + alpha, zeta, out=step)
+        # k L_k = (2k - 1 + alpha - zeta) L_{k-1} - (k - 1 + alpha) L_{k-2}, in place in the older term
+        step *= cur
+        prev *= -(k - 1.0 + alpha)
+        prev += step
+        prev /= k
+        prev, cur = cur, prev
+    return cur, exponent
+
+
 def laguerre_poly(n: int, alpha: float, zeta):
     """Generalized Laguerre polynomial L_n^(alpha) evaluated at zeta.
 
@@ -48,179 +89,89 @@ def laguerre_poly(n: int, alpha: float, zeta):
 
         k * L_k = (2k - 1 + alpha - zeta) * L_{k-1} - (k - 1 + alpha) * L_{k-2}
 
-    upward from L_0 = 1 and L_1 = 1 + alpha - zeta.  The recurrence is
-    numerically benign for the index ranges used here, unlike the
-    alternating defining sum whose terms grow factorially.  `zeta` may be
-    a real number, which gives a float without numpy, or any
-    numpy-broadcastable array.
+    upward from L_0 = 1 and L_1 = 1 + alpha - zeta, scaled by powers of
+    two (_scaled_laguerre); a value beyond the largest double is inf.  The
+    recurrence is numerically benign for the index ranges used here,
+    unlike the alternating defining sum whose terms grow factorially.
+    `zeta` may be a real number, which gives a float without numpy, or
+    any numpy-broadcastable array.
     """
     if n < 0 or n != int(n):
         raise DomainError("polynomial degree must be a non-negative integer")
     if isinstance(zeta, numbers.Real):
-        z, prev = float(zeta), 1.0
-    else:
-        import numpy as np
+        f, e = _scaled_laguerre(n, alpha, float(zeta))
+        try:
+            return math.ldexp(f, e)
+        except OverflowError:
+            return math.copysign(math.inf, f)
+    import numpy as np
 
-        z = np.asarray(zeta, dtype=float)
-        if z.ndim == 0:
-            return laguerre_poly(n, alpha, float(z))
-        prev = np.ones_like(z)
-    if n == 0:
-        return prev
-    cur = 1.0 + alpha - z
-    for k in range(2, n + 1):
-        # the formula's operations, in place in the older array: same bits, fewer arrays
-        step = (2.0 * k - 1.0 + alpha) - z
-        step *= cur
-        prev *= -(k - 1.0 + alpha)
-        prev += step
-        prev /= k
-        prev, cur = cur, prev
-    return cur
+    z = np.asarray(zeta, dtype=float)
+    if z.ndim == 0:
+        return laguerre_poly(n, alpha, float(z))
+    f, e = _scaled_laguerre(n, alpha, z)
+    return np.ldexp(f, e, out=f) if n else np.ones_like(z)
 
 
 def radial_factors(x1, x2, ell: float):
     """The factors that every basis function shares at the points (x1, x2).
 
-    Returns zeta = |x|^2/(2 ell^2), the normalized Gaussian
-    e^{-zeta/2}/(sqrt(2 pi) ell), b = (x1 + i x2)/(ell sqrt(2)) and the
+    Returns zeta = |x|^2/(2 ell^2), b = (x1 + i x2)/(ell sqrt(2)) and the
     normalization's log, -log(sqrt(2 pi) ell), each computed once, in
     place, for whatever psi_term is evaluated there.  At two floats they
-    are Python numbers, made without numpy.
+    are Python numbers, made without numpy.  Where |x|^2 passes the
+    largest double, psi is 0 at any index: the point gets zeta = the
+    largest double and b = 0, where psi_term's log is about -9e307 and
+    every value it gives is an exact 0.
     """
-    zeta = x1 * x1 + x2 * x2
-    zeta /= 2.0 * ell * ell
-    gauss = _exp(-0.5 * zeta)
-    gauss /= SQRT_TWO_PI * ell
-    base = x1 + 1j * x2
-    base /= ell * math.sqrt(2.0)
-    return zeta, gauss, base, -math.log(SQRT_TWO_PI * ell)
+    log_norm = -math.log(SQRT_TWO_PI * ell)
+    if isinstance(x1, float):
+        zeta = (x1 * x1 + x2 * x2) / (2.0 * ell * ell)
+        if zeta == math.inf:
+            return sys.float_info.max, 0j, log_norm
+        return zeta, (x1 + 1j * x2) / (ell * math.sqrt(2.0)), log_norm
+    import numpy as np
+
+    # every overflow and invalid operation here is at a point where zeta = inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = x1 * x1 + x2 * x2
+        zeta /= 2.0 * ell * ell
+        base = x1 + 1j * x2
+        base /= ell * math.sqrt(2.0)
+    far = zeta == math.inf
+    zeta[far], base[far] = sys.float_info.max, 0
+    return zeta, base, log_norm
 
 
-def _vanishing_zeta(hi: int, lo: int, log_norm: float) -> float:
-    """A zeta beyond which |psi_{hi,lo}| rounds to 0, for hi >= lo.
+def psi_term(n: int, m: int, zeta, base, log_norm: float):
+    """psi_{n,m} from the radial_factors of its points, as a new array or number.
 
-    For zeta >= 1, |L_lo^(hi-lo)(zeta)| <= 2**hi * zeta**lo, so with
-    k = (hi + lo)/2
+    For m <= n, with p = n - m and L_m^(p)(zeta) = f * 2**e, the value is
 
-        log|psi| <= log_norm - zeta/2 + k log(zeta) + hi log(2),
+        (b * e^{g/p})**p * f,   g = e log 2 + log(m!/n!)/2 + log_norm - zeta/2:
 
-    and the tangent bound k log(zeta) <= zeta/4 + k (log(4k) - 1) takes
-    the right side below -UNDERFLOW_LOG beyond the zeta returned.
-    """
-    k = 0.5 * (hi + lo)
-    slack = k * (math.log(4.0 * k) - 1.0) if k else 0.0
-    return max(1.0, 4.0 * (UNDERFLOW_LOG + log_norm + slack + hi * math.log(2.0)))
-
-
-def _overflow_zeta(hi: int, lo: int) -> float:
-    """A zeta up to which L_lo^(hi-lo)(zeta) and its recurrence stay finite, for hi >= lo.
-
-    For alpha >= 0 and zeta >= 0, |L_k^(alpha)(zeta)| <= binom(k + alpha, k)
-    e^(zeta/2), which grows with k, and a step of the recurrence multiplies
-    by at most 3 hi + zeta before it divides by k; below the zeta returned,
-    at most 1418, the log of their product stays under 709.
-    """
-    log_binom = math.lgamma(hi + 1) - math.lgamma(lo + 1) - math.lgamma(hi - lo + 1)
-    return 2.0 * (709.0 - log_binom - math.log(3.0 * hi + 1420.0))
-
-
-def _scaled_laguerre(n: int, alpha: float, zeta: float) -> tuple[float, int]:
-    """L_n^(alpha)(zeta) as (f, e) with value f * 2**e, by the recurrence in scaled steps.
-
-    After each step both terms are scaled by the same power of two, which
-    is exact, so the recurrence neither overflows nor underflows.
-    """
-    prev, cur, exponent = 1.0, 1.0 + alpha - zeta, 0
-    if n == 0:
-        return prev, exponent
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2.0 * k - 1.0 + alpha - zeta) * cur - (k - 1.0 + alpha) * prev) / k
-        shift = math.frexp(max(abs(prev), abs(cur)))[1]
-        prev, cur, exponent = math.ldexp(prev, -shift), math.ldexp(cur, -shift), exponent + shift
-    return cur, exponent
-
-
-def _psi_in_logs(n: int, m: int, zeta: float, base: complex, log_norm: float) -> complex:
-    """psi_{n,m} at one point, its modulus summed in logs, for 0 < zeta < inf.
-
-    The Gaussian, the power |b|**p = zeta**(p/2), sqrt(m!/n!) and the
-    scaled Laguerre factor meet as one exponential, so no factor overflows
-    or underflows apart from the others.
+    the power of two, sqrt(m!/n!), the Gaussian and the normalization
+    would overflow and underflow apart at large n or |x|, so they meet as
+    one log, folded into the base before the power, which then stays
+    within |psi/f|.  psi_{n,n} is e^g * f, and for m > n the value is
+    the reflection (-1)**(n-m) * conj(psi_{m,n}).  At the point that
+    radial_factors puts where |x|^2 overflows the value is an exact 0; a
+    nan stays nan.  The factors are all arrays or all Python numbers.
     """
     lo, p = min(n, m), abs(n - m)
     laguerre, exponent = _scaled_laguerre(lo, p, zeta)
-    log_size = (exponent * math.log(2.0) + log_norm - 0.5 * zeta
-                + 0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)))
-    if not p:
-        return laguerre * math.exp(log_size)
-    phase = (base / abs(base)) ** p
-    if m > n:
-        phase = _reflect(phase, p % 2)
-    return phase * (laguerre * math.exp(log_size + 0.5 * p * math.log(zeta)))
-
-
-def _mend_overflow(term, n: int, m: int, zeta, base, log_norm: float):
-    """term, each of its non-finite values recomputed, or an exact 0 where psi vanishes.
-
-    The Laguerre factor may overflow to inf where the rest has underflowed
-    to 0, and their product is nan.  Beyond _vanishing_zeta the Gaussian
-    dominates and the value rounds to 0; up to it, _psi_in_logs recomputes
-    it.  Finite values, and values at a zeta that is nan, are left as they
-    are.  At an array the check is one reduction, unless some zeta is
-    beyond where the Laguerre recurrence can overflow.
-    """
-    hi, lo = max(n, m), min(n, m)
-    limit = _vanishing_zeta(hi, lo, log_norm)
-    if isinstance(zeta, float):
-        if math.isfinite(term.real) and math.isfinite(term.imag):
-            return term
-        if zeta <= limit:
-            return _psi_in_logs(n, m, zeta, base, log_norm)
-        return 0j if zeta > limit else term
-    import numpy as np
-
-    if np.fmax.reduce(zeta, axis=None) > min(limit, _overflow_zeta(hi, lo)):
-        bad = ~np.isfinite(term)
-        term[bad & (zeta > limit)] = 0
-        for i in np.flatnonzero(bad & (zeta <= limit)):
-            term.flat[i] = _psi_in_logs(n, m, float(zeta.flat[i]), complex(base.flat[i]),
-                                        log_norm)
-    return term
-
-
-def psi_term(n: int, m: int, zeta, gauss, base, log_norm: float):
-    """psi_{n,m} from the radial_factors of its points, as a new array or number.
-
-    For m <= n, with p = n - m, the value is
-
-        (b * e^{(log(m!/n!)/2 + log_norm - zeta/2) / p})**p * L_m^(p)(zeta):
-
-    b**p, sqrt(m!/n!) and the Gaussian would overflow and underflow apart
-    at large n or |x|, so their logs are folded into the base before the
-    power, which then stays within the normalization.  psi_{n,n} is gauss
-    * L_n^(0)(zeta).  For m > n the value is the reflection (-1)**(n-m) *
-    conj(psi_{m,n}).  Where the Laguerre factor still overflows, a value
-    that this arithmetic cannot reach (inf * 0) is recomputed in logs, or
-    is an exact 0 where the Gaussian dominates.  The factors are all
-    arrays or all Python numbers.
-    """
-    lo, p = min(n, m), abs(n - m)
-    # the recurrence's arrays are gone before the power is built
-    laguerre = laguerre_poly(lo, p, zeta) if lo else None
+    q = p or 1
+    log_size = zeta * (-0.5 / q)
+    log_size += (0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)) + log_norm) / q
+    log_size += exponent * (math.log(2.0) / q)
+    term = _exp(log_size)
     if p:
-        exponent = zeta * (-0.5 / p)
-        exponent += (0.5 * (math.lgamma(lo + 1) - math.lgamma(lo + p + 1)) + log_norm) / p
-        term = base * _exp(exponent)
-        del exponent
+        term = base * term
         term **= p
         if m > n:
             term = _reflect(term, p % 2)
-    else:
-        term = +gauss  # a new array at an array
-    if laguerre is not None:
-        term *= laguerre
-    return _mend_overflow(term, n, m, zeta, base, log_norm)
+    term *= laguerre
+    return term
 
 
 def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
@@ -240,10 +191,9 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
         psi_{n,m}(x) = (-1)**(n-m) * conj(psi_{m,n}(x)),
 
     which avoids the negative power of (x1 + i x2) at the origin.  The
-    factorial ratio and the Gaussian are taken in log space and folded
-    into the base before the power.  Inputs broadcast; two real numbers
-    give a complex number, computed without numpy.  The formula itself is
-    psi_term, on the factors of radial_factors.
+    arithmetic, one rule at every point, is psi_term's, on the factors of
+    radial_factors.  Inputs broadcast; two real numbers give a complex
+    number, computed without numpy.
     """
     if n < 0 or m < 0:
         raise DomainError("basis indices must be non-negative")

@@ -142,11 +142,14 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
 class KernelFunction(Record):
     """Callable reduced kernel f_A of a coefficient family.
 
-    The radial factors of the basis functions (basis.radial_factors) are
-    computed once per call; each term (-1)^(j-k) a_jk psi_{k,j} is then
-    built by basis.psi_term, the coefficient on the left, and added into
-    one sum.  At two real numbers the sum is a complex number, made
-    without numpy from the same terms in the same order.
+    The radial factors of the basis functions (basis.radial_factors:
+    zeta, the complex base and the normalization's log) are computed once
+    per call; each term (-1)^(j-k) a_jk psi_{k,j} is then built by
+    basis.psi_term, the coefficient on the left, and added into one sum,
+    so at most one term and one scaled Laguerre recurrence live beside
+    the factors (_POINT_BYTES per point).  At two real numbers the sum
+    is a complex number, made without numpy from the same terms in the
+    same order.
     """
 
     source: CoefficientOperator
@@ -245,12 +248,12 @@ def _slab_rows(nodes: int, length: int) -> int:
     return max(1, min(nodes, SLAB_BYTES // (nodes * length * 16)))
 
 
-# Temporaries of KernelFunction._add_into, in bytes per point: zeta and
-# the Gaussian (8 each), the complex base (16) and one term at a time (32:
-# its power with the Laguerre factor and the folded exponent, or with its
-# product by the coefficient, which also bound the three arrays of the
-# Laguerre recurrence).
-_POINT_BYTES = 64
+# Temporaries of KernelFunction._add_into, in bytes per point: zeta (8),
+# the complex base (16) and one term at a time (36: the scaled Laguerre
+# recurrence's three float arrays and three int32 arrays, its exponent
+# and two shifts, which also bound the term's power with the Laguerre
+# factor and the folded log, or with its product by the coefficient).
+_POINT_BYTES = 60
 
 
 def check_convolution_budget(spec: GridSpec) -> None:

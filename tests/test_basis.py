@@ -3,12 +3,14 @@
 The recurrence-based polynomials are validated against an independent
 evaluation of the alternating defining sum (exact small-degree algebra) and
 against scipy's implementation.  Basis function values are pinned at points
-where the closed form collapses to elementary numbers.
+where the closed form collapses to elementary numbers, and against mpmath
+where the Laguerre factor and the Gaussian overflow and underflow apart.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -148,12 +150,12 @@ def test_psi_decay_at_twelve_lengths(cfg):
 
 
 def test_psi_is_zero_where_the_gaussian_dominates(cfg):
-    # the Laguerre factor overflows to inf there, and the rest underflows
-    # to 0; the near point keeps its value, at an array as at a number
+    # at |x| = 1e100 the log of everything but the Laguerre mantissa is far
+    # below the underflow; beyond |x| = 1.3e154 |x|^2 overflows and psi is
+    # an exact 0; the near point keeps its value, at an array as at a number
     x1 = np.array([1e100, 1e155, np.inf, 0.5])
     for n, m in [(2, 2), (1, 3), (3, 0), (40, 7)]:
-        with np.errstate(over="ignore", invalid="ignore"):  # numpy's record of the inf * 0
-            values = psi(n, m, x1, np.zeros(4), cfg)
+        values = psi(n, m, x1, np.zeros(4), cfg)
         assert values[:3].tolist() == [0j, 0j, 0j]
         assert [psi(n, m, x, 0.0, cfg) for x in x1[:3]] == [0j, 0j, 0j]
         assert values[3] == psi(n, m, np.array([0.5]), np.zeros(1), cfg)[0]
@@ -162,12 +164,14 @@ def test_psi_is_zero_where_the_gaussian_dominates(cfg):
 
 @pytest.mark.parametrize("n, m, x1, x2", [(300, 300, 63.245553, 0.0), (300, 290, 50.0, 40.0),
                                          (290, 300, 50.0, 40.0), (500, 400, 70.0, -10.0),
-                                         (1000, 1000, 60.0, 20.0)])
+                                         (1000, 1000, 60.0, 20.0), (250, 250, 54.772256, 0.0),
+                                         (150, 150, 54.772256, 0.0), (200, 200, 54.772256, 0.0),
+                                         (260, 250, 43.817805, 32.863353), (400, 250, 48.0, 36.0)])
 def test_psi_where_the_laguerre_factor_overflows(n, m, x1, x2, cfg):
-    # L_m^(n-m)(zeta) overflows to inf while the rest underflows to 0, far
-    # inside the zeta where psi rounds to 0: the value is summed in logs,
-    # at a number as at an array, and matches mpmath's 50-digit value
-    mpmath = pytest.importorskip("mpmath")
+    # L_m^(n-m)(zeta) alone overflows, or the Gaussian e^{-zeta/2} alone
+    # underflows, or both, while psi is a normal number: the scaled
+    # recurrence and the one log match mpmath's 50-digit value, at a
+    # number as at an array, with no warning
     with mpmath.workdps(50):
         zeta = (mpmath.mpf(x1) ** 2 + mpmath.mpf(x2) ** 2) / 2
         lo, p = min(n, m), abs(n - m)
@@ -178,9 +182,8 @@ def test_psi_where_the_laguerre_factor_overflows(n, m, x1, x2, cfg):
         expected = complex((-1) ** p * mpmath.conj(exact) if m > n else exact)
     value = psi(n, m, x1, x2, cfg)
     assert abs(value - expected) <= 1e-11 * abs(expected)
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy's record of the inf * 0
-        values = psi(n, m, np.array([x1, 0.5]), np.array([x2, 0.0]), cfg)
-    assert values[0] == value
+    values = psi(n, m, np.array([x1, 0.5]), np.array([x2, 0.0]), cfg)
+    assert abs(values[0] - expected) <= 1e-11 * abs(expected)
     # the finite value beside it keeps its bits
     assert values[1] == psi(n, m, np.array([0.5]), np.zeros(1), cfg)[0]
 

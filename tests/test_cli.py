@@ -380,13 +380,21 @@ def test_scalar_evaluation_folds_the_gaussian_before_the_power(tmp_path, capsys)
     assert value["re"] == pytest.approx(1.7703e-4, rel=1e-4)
 
     # at zeta = 2000 the Gaussian e^-1000 underflows and L_300(2000)
-    # overflows: the value is summed in logs (3.6468e-83 by mpmath)
+    # overflows: their logs meet in one sum (3.6468e-83 by mpmath)
     rc, out, err = invoke(["basis", "eval", "--n", "300", "--m", "300",
                            "--x1", "63.245553", "--x2", "0"], capsys)
     assert (rc, err) == (0, "")
     value = json.loads(out)["value"]
     assert value["im"] == 0.0
-    assert value["re"] == pytest.approx(3.6467829239957e-83, rel=1e-11)
+    assert value["re"] == pytest.approx(3.6467829239957e-83, rel=1e-11, abs=0.0)
+    # at zeta = 1500 the power folded with the Gaussian alone would be
+    # subnormal and lose 8 % (5.7243e-45 by mpmath)
+    rc, out, err = invoke(["basis", "eval", "--n", "260", "--m", "250",
+                           "--x1", "43.817805", "--x2", "32.863353"], capsys)
+    assert (rc, err) == (0, "")
+    value = json.loads(out)["value"]
+    assert complex(value["re"], value["im"]) == pytest.approx(
+        5.658335405834337e-45 + 8.657429057571857e-46j, rel=1e-11, abs=0.0)
 
     # off-diagonal terms up to the power 3 at |x| = 1e200, where zeta overflows
     path = tmp_path / "far.json"
