@@ -18,7 +18,7 @@ import numbers
 import sys
 
 from .config import MagneticConfig
-from .errors import DomainError
+from .errors import DomainError, check_work
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -49,8 +49,10 @@ def _scaled_laguerre(n: int, alpha: float, zeta):
     Before each step both terms are divided by 2**s, s the larger of their
     frexp exponents, per point.  That is exact, so f * 2**e has the bits
     of the unscaled recurrence wherever it stays finite, and no step
-    overflows.  e is an int, or an int32 array once a step has run.
+    overflows.  e is an int, or an int32 array once a step has run.  A
+    degree over the work limit is refused (errors.check_work) first.
     """
+    check_work(n, "the Laguerre recurrence")
     if n == 0:
         return 1.0, 0
     prev, cur, exponent = 1.0, (1.0 + alpha) - zeta, 0

@@ -263,18 +263,23 @@ def _level_spectrum(op: WeightedProduct, diagonal, m_max: int, n_max: int,
     missed by every checkpoint; when they carry more l1 mass than the
     `converged` tolerance 0.05 (1 + sum |a_n|), the estimate could be off by
     more than that and still read as converged, so RangeError refuses it.
+    So it does when the l1 mass passes the largest double.
     """
     levels = sorted((j, v.real if kind == "eigen" else abs(v)) for (j, _), v in diagonal.items())
     spectrum = LevelSpectrum(tuple((n, a) for n, a in levels if a != 0.0), op.form,
                              op.lam, op.lam2, op.s, m_max, n_max, kind)
     mass = [abs(a) for _, a in spectrum.levels]
+    try:
+        total = math.fsum(mass)
+    except OverflowError:
+        raise RangeError("the levels' l1 mass passes the largest double") from None
     missed = math.fsum(size for size, count in zip(mass, spectrum.frontier_counts)
                        if count == 0)
-    tolerance = 0.05 * (1.0 + math.fsum(mass))
+    tolerance = 0.05 * (1.0 + total)
     if missed > tolerance:
         raise RangeError("levels that hold no value above the truncation frontier (m = %d) "
                          "carry l1 mass %.3g of %.3g, over the converged tolerance %.3g"
-                         % (m_max + 1, missed, math.fsum(mass), tolerance))
+                         % (m_max + 1, missed, total, tolerance))
     return spectrum
 
 

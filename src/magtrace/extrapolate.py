@@ -74,8 +74,11 @@ def log_inverse_fit(params, values) -> tuple[complex, complex, float]:
     The fit is the centered closed form in u = 1/log(param), in plain
     Python: c = sum (u - mean u)(v - mean v) / sum (u - mean u)^2 and
     L = mean v - c * mean u.  The rms is taken over the centered
-    residuals c * (u - mean u) - (v - mean v).  It needs one value per
-    parameter and two or more distinct parameters, all above 1.
+    residuals c * (u - mean u) - (v - mean v), divided by the power of two
+    of the largest one before they are squared and multiplied by it after:
+    exact, so no square overflows, and an rms that the plain sum reaches
+    keeps its bits.  It needs one value per parameter and two or more
+    distinct parameters, all above 1.
     """
     p = [float(x) for x in params]
     v = [complex(y) for y in values]
@@ -91,7 +94,10 @@ def log_inverse_fit(params, values) -> tuple[complex, complex, float]:
     dv = [y - v_mean for y in v]
     slope = sum(d * e for d, e in zip(du, dv)) / math.fsum(d * d for d in du)
     # in centered form the residuals cancel no terms as large as L or c * u
-    rms = math.sqrt(math.fsum(abs(slope * d - e) ** 2 for d, e in zip(du, dv)) / len(v))
+    residuals = [abs(slope * d - e) for d, e in zip(du, dv)]
+    scale = math.frexp(max(residuals))[1]
+    rms = math.sqrt(math.fsum(math.ldexp(r, -scale) ** 2 for r in residuals) / len(v))
+    rms = math.ldexp(rms, scale)
     return v_mean - slope * u_mean, slope, rms
 
 

@@ -35,9 +35,10 @@ from .errors import DomainError, Record, ResourceError, check_memory
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 
-# Output rows are convolved in slabs whose FFT array stays within this;
-# at 64-128 nodes 2 MiB slabs ran as fast as 16 MiB ones, in less memory.
-SLAB_BYTES = 2 * 2 ** 20
+# The kernel table is evaluated, and output rows are convolved, in slabs
+# whose arrays stay within this; at 64-128 nodes 512 KiB slabs ran as fast
+# as 2 MiB ones, in less memory.
+SLAB_BYTES = 2 ** 19
 
 
 class GridSpec(Record):
@@ -243,9 +244,14 @@ def _fft_length(minimum: int) -> int:
     return best
 
 
-def _slab_rows(nodes: int, length: int) -> int:
-    """Output rows per slab, so that one slab stays within SLAB_BYTES."""
-    return max(1, min(nodes, SLAB_BYTES // (nodes * length * 16)))
+def _slab_shape(nodes: int, length: int) -> tuple[int, int]:
+    """Output rows and input rows per slab, so that one slab stays within SLAB_BYTES.
+
+    A slab holds whole output rows, nodes input rows each, where one fits;
+    otherwise it holds part of one output row, split along the input rows.
+    """
+    rows = max(1, min(nodes, SLAB_BYTES // (nodes * length * 16)))
+    return rows, max(1, min(nodes, SLAB_BYTES // (length * 16)))
 
 
 # Temporaries of KernelFunction._add_into, in bytes per point: zeta (8),
@@ -259,32 +265,35 @@ _POINT_BYTES = 60
 def check_convolution_budget(spec: GridSpec) -> None:
     """Raise ResourceError when apply_kernel on `spec` would pass the memory limit.
 
-    The larger of two counts is checked, before anything is allocated:
+    One count is checked, before anything is allocated, for n nodes and
+    the FFT length L:
 
-    - tabulating the kernel: the (2n-1) x L array that holds the table
-      and then its FFTs, the temporaries of its n x (2n-1) rows d1 >= 0
-      (_POINT_BYTES per point, and twice numpy's ufunc buffer of complex
-      numbers, where a real factor is cast), which also cover the moduli
-      that the table's boundary share sums afterwards and the n x n
-      quadrant of the table's chirp, and the translated grid function
-      that commutant_residual holds;
-    - convolving: the FFTs of the table rows, the n x L FFT of the
-      chirped input, the one slab buffer that the inverse FFTs reuse, and
-      a bound on what lives beside them: 16 bytes per table entry and one
-      more slab-sized array cover the grid-sized arrays (the input, the
-      chirp that each slab's output overwrites, its conjugate square, and
-      the translated input and left side of commutant_residual).
+    - the (2n-1) x L kernel table, which holds the kernel rows and then
+      their FFTs;
+    - the n x L FFT of the chirped input;
+    - five n x n complex arrays: the input, the chirp that the output
+      overwrites, its conjugate square, and the translated input and left
+      side of commutant_residual;
+    - one slab, SLAB_BYTES, and the sums over the input rows of its
+      output rows, two n-vectors per output row;
+    - numpy's buffers, twice its ufunc buffer of complex numbers.
+
+    Tabulating the kernel holds less at every n >= 2, so it needs no
+    count of its own: beside the table, one slab of point temporaries
+    (within SLAB_BYTES), the buffers, and at most three n x n complex
+    arrays (the translated input, then the moduli of the boundary share
+    or the chirp's n x n quadrant and its conjugate).  So does the last
+    magnetic translation of commutant_residual: beside the table and four
+    n x n arrays, two complex and one real, which the input FFT's count
+    covers.
     """
     import numpy as np
 
     n = spec.nodes
-    entries = (2 * n - 1) ** 2
     length = _fft_length(2 * n - 1)
-    tabulation = (16 * (2 * n - 1) * length + _POINT_BYTES * n * (2 * n - 1)
-                  + 32 * np.getbufsize() + 16 * n * n)
-    convolution = 16 * (entries + (2 * n - 1) * length + n * length
-                        + 2 * _slab_rows(n, length) * n * length)
-    check_memory(max(tabulation, convolution), "the twisted convolution on %d nodes" % n)
+    grid = 16 * ((2 * n - 1) * length + n * length + 5 * n * n)
+    slab = SLAB_BYTES + 32 * n * _slab_shape(n, length)[0]
+    check_memory(grid + slab + 32 * np.getbufsize(), "the twisted convolution on %d nodes" % n)
 
 
 class _KernelTable(Record, eq=False):
@@ -306,7 +315,9 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     Only the rows d >= 0 are evaluated: row -d, read backwards, is
     f_S(-x) on row d, which KernelFunction adds up from the same terms
     with the signs of their parities.  Both are summed straight into the
-    table; row 0 is written once, from the direct sum.
+    table; row 0 is written once, from the direct sum.  The rows d >= 0
+    go in slabs, each with its mirrored rows, so that the temporaries of
+    one slab (_POINT_BYTES per point) stay within SLAB_BYTES.
     """
     import numpy as np
 
@@ -314,8 +325,14 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     size = 2 * n - 1
     diffs = np.arange(-(n - 1), n) * spec.spacing
     rows = np.zeros((size, _fft_length(size)), dtype=complex)
-    KernelFunction(s, cfg)._add_into(diffs[n - 1:, None], diffs[None, :],
-                                     rows[n - 1:, size - 1::-1], rows[:n - 1][::-1, :size])
+    # upper[d] is row d >= 0, read backwards, and lower[d - 1] row -d
+    upper, lower = rows[n - 1:, size - 1::-1], rows[n - 2::-1, :size]
+    kernel = KernelFunction(s, cfg)
+    step = max(1, SLAB_BYTES // (_POINT_BYTES * size))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        kernel._add_into(diffs[n - 1 + start:n - 1 + stop, None], diffs[None, :],
+                         upper[start:stop], lower[max(start, 1) - 1:stop - 1])
     return rows
 
 
@@ -366,16 +383,25 @@ def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> Gr
     # rows[s, j1] is the spectrum of kernel row j1 - i1 for s = n - 1 - i1
     rows = np.lib.stride_tricks.sliding_window_view(table.spectra, n, axis=0)
     rows = rows.transpose(0, 2, 1)
-    step = _slab_rows(n, length)
-    buffer = np.empty((step, n, length), dtype=complex)
+    step, width = _slab_shape(n, length)
+    buffer = np.empty((step, width, length), dtype=complex)
     for start in range(0, n, step):
         stop = min(start + step, n)
-        slab = buffer[:stop - start]
-        np.multiply(rows[n - stop: n - start][::-1], spectrum, out=slab)
-        np.fft.ifft(slab, axis=-1, out=slab)
-        # lag i2 sits at index n - 1 + i2
+        # a row wider than a slab goes in pieces of `width` input rows j1
+        for first in range(0, n, width):
+            last = min(first + width, n)
+            slab = buffer[:stop - start, :last - first]
+            np.multiply(rows[n - stop: n - start][::-1, first:last], spectrum[first:last],
+                        out=slab)
+            np.fft.ifft(slab, axis=-1, out=slab)
+            # lag i2 sits at index n - 1 + i2
+            part = np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], back[:, first:last])
+            if first:
+                sums += part
+            else:
+                sums = part
         out = phase[start:stop]
-        np.multiply(np.einsum("ajk,kj->ak", slab[:, :, n - 1: 2 * n - 1], back), out, out=out)
+        np.multiply(sums, out, out=out)
     phase /= 2.0 * math.pi * cfg.ell ** 2
     result = GridFunction(spec, phase, phi.warnings)
     if tail > 1e-9 or table.edge > 1e-9:
@@ -390,9 +416,9 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     """Twisted convolution of the kernel of S with the grid function phi.
 
     The kernel is tabulated once on the lattice of grid differences, on
-    its rows d1 >= 0 only: the parity of each term gives the rows d1 < 0
-    (see _kernel_rows), summed straight into the array that the row FFTs
-    then overwrite.  The phase x ^ y is rewritten exactly as
+    its rows d1 >= 0 only, in slabs: the parity of each term gives the
+    rows d1 < 0 (see _kernel_rows), summed straight into the array that
+    the row FFTs then overwrite.  The phase x ^ y is rewritten exactly as
     x1 x2 - 2 x2 y1 + y1 y2 - (y1 - x1)(y2 - x2): the last chirp,
     e^{-i d1 d2 / 2 ell^2} of the difference d = y - x, rides on the
     table, and the chirp e^{i y1 y2 / 2 ell^2} on the input.  For fixed
@@ -404,11 +430,14 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     e^{i x1 x2 / 2 ell^2} multiplies the result.  Cost grows like
     nodes**3 log(nodes).  Output rows go in slabs of at most SLAB_BYTES
     through one buffer, allocated once per call, where the product of the
-    table and input spectra and its inverse FFT run in place.
-    ResourceError is raised before allocating when tabulating the kernel
-    or convolving would pass the memory limit (check_convolution_budget
-    says what it counts).  Grids around 128 nodes per axis
-    keep sup errors near 1e-7 for low-index data.
+    table and input spectra and its inverse FFT run in place; a row wider
+    than a slab goes in pieces of input rows y1, whose sums add up.  So
+    beside the table, the input spectrum and a few grid-sized arrays, no
+    buffer passes SLAB_BYTES at any grid size.  ResourceError is raised
+    before allocating when this would pass the memory limit
+    (check_convolution_budget says what it counts; grids of more than
+    1226 nodes per axis).  Grids around 128 nodes per axis keep sup
+    errors near 1e-7 for low-index data.
     """
     return _convolve(_tabulate(s, phi.spec, cfg), phi, cfg)
 
@@ -432,11 +461,22 @@ def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunctio
     h = spec.spacing
     g = spec.axis()
     freq = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    spectrum = np.fft.fft2(phi.values)
-    spectrum *= np.exp(-1j * (freq[:, None] * a1 + freq[None, :] * a2))
-    shifted = np.fft.ifft2(spectrum)
-    phase = np.exp(1j * (g[:, None] * a2 - g[None, :] * a1) / (2.0 * cfg.ell ** 2))
-    result = GridFunction(spec, phase * shifted, phi.warnings)
+    # fft2 and ifft2 one axis at a time, in the same order, and everything
+    # else in place, so that at most two complex and one real grid-sized
+    # array live beside the input
+    spectrum = np.fft.fft(phi.values, axis=1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    ramp = -1j * (freq[:, None] * a1 + freq[None, :] * a2)
+    spectrum *= np.exp(ramp, out=ramp)
+    del ramp
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    np.fft.ifft(spectrum, axis=0, out=spectrum)
+    phase = 1j * (g[:, None] * a2 - g[None, :] * a1)
+    phase /= 2.0 * cfg.ell ** 2
+    np.exp(phase, out=phase)
+    phase *= spectrum
+    del spectrum
+    result = GridFunction(spec, phase, phi.warnings)
     cells1 = min(int(math.ceil(abs(a1) / h)), n // 2)
     cells2 = min(int(math.ceil(abs(a2) / h)), n // 2)
     if _edge_band_fraction(phi.values, cells1, cells2) > 1e-9:

@@ -366,8 +366,8 @@ def test_criterion_10_eigen_sum_cancellation_vs_singular():
                                      2))[::-1]
     singular_closed = np.sort(np.concatenate([1.0 / (m + 1.0),
                                               1.0 / (m + 2.0)]))[::-1]
-    assert np.allclose(np.abs(eigen.values), eigen_closed, rtol=1e-12)
-    assert np.allclose(singular.values, singular_closed, rtol=1e-12)
+    assert np.allclose(np.abs(eigen.values), eigen_closed, rtol=1e-12, atol=0.0)
+    assert np.allclose(singular.values, singular_closed, rtol=1e-12, atol=0.0)
 
     # Even checkpoints hold complete +- pairs, so the signed partial sums
     # cancel exactly while the singular sums keep growing like log N.

@@ -84,7 +84,7 @@ def test_psi_ground_state_profile(cfg):
     for x1, x2 in [(0.5, 0.0), (1.0, -2.0), (3.0, 4.0)]:
         r2 = x1 * x1 + x2 * x2
         expected = math.exp(-r2 / 4.0) / math.sqrt(2.0 * math.pi)
-        assert psi(0, 0, x1, x2, cfg) == pytest.approx(expected, rel=1e-13)
+        assert psi(0, 0, x1, x2, cfg) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_psi_diagonal_at_origin(cfg):
@@ -104,8 +104,8 @@ def test_psi_first_excited_value(cfg):
     x1, x2 = 0.7, -0.3
     ground = psi(0, 0, x1, x2, cfg)
     expected = ground * complex(x1, x2) / math.sqrt(2.0)
-    assert psi(1, 0, x1, x2, cfg) == pytest.approx(expected, rel=1e-13)
-    assert psi(0, 1, x1, x2, cfg) == pytest.approx(-np.conj(expected), rel=1e-13)
+    assert psi(1, 0, x1, x2, cfg) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert psi(0, 1, x1, x2, cfg) == pytest.approx(-np.conj(expected), rel=1e-13, abs=0.0)
 
 
 def test_psi_conjugation_symmetry(rng, cfg):
@@ -222,3 +222,20 @@ def test_quadrature_needs_finite_positive_extent(cfg):
     for nodes in (0, 1):
         with pytest.raises(DomainError):
             orthonormality_check(0, cfg, extent=1.0, nodes=nodes)
+
+
+def test_laguerre_recurrence_over_the_work_limit_is_refused(cfg):
+    # the recurrence runs min(n, m) steps and allocates nothing sized by
+    # them, so the work limit refuses a degree past it before the first step:
+    # at 10**15 steps it would not end
+    from magtrace.errors import WORK_LIMIT_STEPS
+
+    over = WORK_LIMIT_STEPS + 1
+    for call in (lambda: psi(10 ** 15, 10 ** 15, 0.5, 0.25, cfg),
+                 lambda: psi(over, over + 2, np.zeros(3), np.ones(3), cfg),
+                 lambda: laguerre_poly(over, 0.0, 0.5)):
+        with pytest.raises(ResourceError, match="over the limit of %d" % WORK_LIMIT_STEPS):
+            call()
+    # the limit itself is admitted, and a power alone is no recurrence
+    assert math.isfinite(abs(psi(WORK_LIMIT_STEPS, WORK_LIMIT_STEPS, 0.5, 0.25, cfg)))
+    assert psi(10 ** 15, 0, 0.0, 0.0, cfg) == 0j

@@ -127,13 +127,13 @@ def test_collect_spectrum_offdiagonal_closed_form():
     spec = collect_spectrum(wp, m_max=5, n_max=2)
     expected = sorted([1.0 / (m + 1.0) for m in range(6)]
                       + [1.0 / (m + 2.0) for m in range(6)], reverse=True)
-    assert np.allclose(spec.values, expected, rtol=1e-13)
+    assert np.allclose(spec.values, expected, rtol=1e-13, atol=0.0)
     assert spec.reliable == 11
 
     eigen = collect_spectrum(wp, m_max=5, n_max=2, kind="eigen")
     moduli = np.abs(eigen.values)
     expected_mod = np.repeat([((m + 1.0) * (m + 2.0)) ** -0.5 for m in range(6)], 2)
-    assert np.allclose(moduli, expected_mod, rtol=1e-12)
+    assert np.allclose(moduli, expected_mod, rtol=1e-12, atol=0.0)
     pair_sums = eigen.values[0::2] + eigen.values[1::2]
     assert np.abs(pair_sums).max() <= 1e-12
 
@@ -435,6 +435,11 @@ def test_level_spectrum_refusals():
     for kind in ("singular", "eigen"):
         with pytest.raises(DomainError, match="finite"):
             collect_spectrum(huge, 10, 1, kind)
+    # finite levels whose l1 mass passes the largest double, in both kinds
+    pair = weighted_product(CoefficientOperator({(0, 0): 1e308, (1, 1): 1e308}), "left", 0.0)
+    for kind in ("singular", "eigen"):
+        with pytest.raises(RangeError, match="largest double"):
+            collect_spectrum(pair, 511, 2, kind)
     # levels that hold no reliable value carry too much of the l1 mass
     far = weighted_product(CoefficientOperator({(0, 0): 1.0, (5000, 5000): 1.0}), "left", 0.0)
     with pytest.raises(RangeError, match="no value above the truncation frontier"):

@@ -204,14 +204,43 @@ def test_apply_kernel_slabs_match_one_slab(nodes, monkeypatch):
 
     s, phi, cfg = _brute_force_case(nodes, 1.0)
     length = kernels._fft_length(2 * nodes - 1)
-    assert kernels._slab_rows(nodes, length) == nodes
+    assert kernels._slab_shape(nodes, length) == (nodes, nodes)
     one_slab = apply_kernel(s, phi, cfg).values
     monkeypatch.setattr(kernels, "SLAB_BYTES", 3 * nodes * length * 16)
-    assert kernels._slab_rows(nodes, length) == 3 and nodes % 3 != 0
+    assert kernels._slab_shape(nodes, length) == (3, nodes) and nodes % 3 != 0
     out = apply_kernel(s, phi, cfg).values
     expected = _brute_force_apply(s, phi, cfg)
     assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.array_equal(out, one_slab)
+
+
+@pytest.mark.parametrize("nodes", [16, 17])
+def test_apply_kernel_splits_rows_wider_than_a_slab(nodes, monkeypatch):
+    # a slab smaller than one output row holds 5 input rows of it, the
+    # last piece partial; the sums over the pieces must add up to the row
+    from magtrace import kernels
+
+    s, phi, cfg = _brute_force_case(nodes, 1.0)
+    length = kernels._fft_length(2 * nodes - 1)
+    monkeypatch.setattr(kernels, "SLAB_BYTES", 5 * length * 16)
+    assert kernels._slab_shape(nodes, length) == (1, 5) and nodes % 5 != 0
+    out = apply_kernel(s, phi, cfg).values
+    expected = _brute_force_apply(s, phi, cfg)
+    assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_slabs_stay_within_slab_bytes():
+    # at every admitted grid, the convolution's slab buffer and the point
+    # temporaries of one tabulation slab fit in SLAB_BYTES
+    from magtrace import kernels
+
+    for nodes in range(2, 1227):
+        length = kernels._fft_length(2 * nodes - 1)
+        rows, width = kernels._slab_shape(nodes, length)
+        assert rows == 1 or width == nodes
+        assert rows * width * length * 16 <= kernels.SLAB_BYTES
+        step = max(1, kernels.SLAB_BYTES // (kernels._POINT_BYTES * (2 * nodes - 1)))
+        assert step * kernels._POINT_BYTES * (2 * nodes - 1) <= kernels.SLAB_BYTES
 
 
 def _direct_rows(s, spec, cfg):
@@ -232,11 +261,17 @@ SOURCES = {"even": {(0, 0): 0.7, (1, 1): -0.4 + 0.2j}, "odd": {(0, 1): 1.0 - 0.5
 
 @pytest.mark.parametrize("nodes", [2, 3, 16, 17])
 @pytest.mark.parametrize("name", ["even", "odd", "four", "seven"])
-def test_mirrored_table_matches_direct_evaluation(nodes, name, cfg):
+@pytest.mark.parametrize("slab_rows", [None, 1, 5], ids=["one-slab", "row-slabs", "5-row-slabs"])
+def test_mirrored_table_matches_direct_evaluation(nodes, name, slab_rows, cfg, monkeypatch):
     # rows d1 < 0 come from the rows d1 >= 0 by the parity of each term;
-    # a one-parity source checks each sign alone
+    # a one-parity source checks each sign alone.  Slabs of 1 row put row
+    # d1 = 0 alone, without mirrored rows, in the first slab; at 16 and 17
+    # nodes slabs of 5 rows make four slabs, the last one partial
     from magtrace import kernels
 
+    if slab_rows is not None:
+        slab = kernels._POINT_BYTES * (2 * nodes - 1) * slab_rows
+        monkeypatch.setattr(kernels, "SLAB_BYTES", slab)
     entries = dict(SOURCES, four=FOUR_ENTRY, seven=INDEX_SEVEN)[name]
     s = CoefficientOperator(entries)
     spec = GridSpec(extent=2.5, nodes=nodes)
@@ -277,14 +312,14 @@ def test_grid_spec_needs_finite_spacing():
 
 def test_apply_kernel_refuses_oversized_grids(cfg):
     # the budget is checked on the grid alone, before the kernel table is
-    # tabulated; the zero-stride input allocates nothing either.  The
-    # tabulation holds the table and the temporaries of half the lattice,
-    # so the convolution count sets the largest admitted grid, 1094 nodes
+    # tabulated; the zero-stride input allocates nothing either.  Slabs
+    # keep every buffer beside the table, the input spectrum and the grid
+    # arrays within SLAB_BYTES, so the largest admitted grid is 1226 nodes
     from magtrace.kernels import check_convolution_budget
 
-    for nodes in (128, 1000, 1094):
+    for nodes in (128, 1000, 1094, 1226):
         check_convolution_budget(GridSpec(extent=9.0, nodes=nodes))
-    for nodes in (2000, 100000):
+    for nodes in (1227, 2000, 100000):
         spec = GridSpec(extent=9.0, nodes=nodes)
         with pytest.raises(ResourceError):
             check_convolution_budget(spec)

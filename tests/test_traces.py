@@ -374,6 +374,26 @@ def test_log_inverse_fit_recovers_model():
     assert rms <= 1e-13
 
 
+def test_log_inverse_fit_rms_scales_exactly():
+    # the residuals are squared at the power of two of the largest one:
+    # the fit scales bit for bit by 2**k, also where the plain squares of
+    # residuals near 1e301 overflow, and at k = 0 the rms is the plain one
+    params = (10.0, 100.0, 1000.0, 10000.0)
+    values = [0.3 - 0.2j, -0.1, 0.25 + 0.5j, 0.2]
+    limit, slope, rms = log_inverse_fit(params, values)
+    u = [1.0 / math.log(p) for p in params]
+    du = [x - math.fsum(u) / len(u) for x in u]
+    dv = [v - sum(values) / len(values) for v in values]
+    plain = math.sqrt(math.fsum(abs(slope * d - e) ** 2 for d, e in zip(du, dv)) / len(dv))
+    assert rms == plain and rms > 0.0
+    for k in (-600, 600, 1000):
+        scaled = log_inverse_fit(params, [complex(math.ldexp(v.real, k), math.ldexp(v.imag, k))
+                                          for v in map(complex, values)])
+        assert scaled[2] == math.ldexp(rms, k), k
+        for got, ref in zip(scaled[:2], (limit, slope)):
+            assert got == complex(math.ldexp(ref.real, k), math.ldexp(ref.imag, k)), k
+
+
 def test_log_inverse_fit_validation():
     with pytest.raises(DomainError):
         log_inverse_fit((10.0,), (1.0,))
