@@ -12,8 +12,8 @@ their blocks or shells is stored.  gamma_N is extrapolated over a ladder of chec
 log_inverse model.  A zeta-function route x * Tr(T^(1+x)) -> x = 0
 provides the independent Tauberian cross-check.
 
-numpy is imported where blocks are materialized (Spectrum, the block slabs
-and calderon_norm), so the closed-form routes never load it.
+numpy is imported where blocks are materialized (Spectrum and the block
+slabs), so the closed-form routes never load it.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import bisect
 import heapq
 import itertools
 import math
+import sys
 from functools import cached_property, partial
 
-from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
+from .errors import (DomainError, RangeError, Record, check_memory, check_positive_int,
+                     check_work)
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
@@ -84,10 +86,13 @@ class Spectrum(Record, eq=False):
         return float(np.cumsum(self.values[:count])[-1])
 
     def power_sum(self, p: float) -> float:
-        """sum |v|^p over the nonzero values."""
+        """sum |v|^p over the nonzero values, in place on one compressed copy."""
         import numpy as np
 
-        return float((np.abs(self.values[self.values != 0.0]) ** p).sum())
+        powers = self.values[self.values != 0.0]
+        np.abs(powers, out=powers)
+        powers **= p
+        return float(powers.sum())
 
 
 def _finite_values(values, kind: str):
@@ -114,28 +119,45 @@ def _finite_values(values, kind: str):
     return values
 
 
+# Byte columns of a native uint64 or float64 viewed as 8 uint8 each: the
+# low byte of an integer, and the byte that holds a float's sign bit.
+_LOW_BYTE, _SIGN_BYTE = (0, 7) if sys.byteorder == "little" else (7, 0)
+
+
 def _eigen_keys(values):
     """uint64 keys whose ascending order is the reverse of the eigen order.
 
     The bit pattern of a finite |v| orders like |v| as an unsigned integer,
     and its top bit is clear, so shifting it left by one leaves the low
     bit for the sign: set when the sign bit of v is clear.  Equal keys
-    are equal values, sign bit included.
+    are equal values, sign bit included.  The flags are set through a
+    byte view of the keys, so numpy needs no buffer to cast them.
     """
     import numpy as np
 
     key = np.abs(values).view(np.uint64)
     key <<= 1
-    key |= ~np.signbit(values)
+    positive = np.signbit(values)
+    np.logical_not(positive, out=positive)
+    key.view(np.uint8).reshape(-1, 8)[:, _LOW_BYTE] |= positive.view(np.uint8)
     return key
 
 
 def _decode_keys(key):
-    """The float64 values of _eigen_keys, decoded in place."""
-    key ^= 1
-    sign = key << 63
+    """The float64 values of _eigen_keys, decoded in place beside one sign byte per value.
+
+    The sign flags move from the keys' low bits to the values' sign bits
+    through byte views, so numpy needs neither a value-sized temporary nor
+    a buffer to cast them.
+    """
+    import numpy as np
+
+    key ^= 1  # the low bit is now the sign bit
+    octets = key.view(np.uint8).reshape(-1, 8)
+    sign = octets[:, _LOW_BYTE] & 1
+    sign <<= 7
     key >>= 1
-    key |= sign
+    octets[:, _SIGN_BYTE] |= sign
     return key.view(float)
 
 
@@ -155,10 +177,14 @@ def _provenance(op, m_max: int, n_max: int) -> str:
 
 # Bytes of one slab of weighted blocks.  Measured on a 2-core host with the
 # two dense 6x6 spectra of magbench's `spectra` workload (m_max 8191, with
-# their estimates): they raise peak RSS by 1.2 MB in 256 KiB slabs, 1.8 MB
-# in 1 MiB slabs, 2.9 MB in 2 MiB slabs and 6.4 MB as one stack, and take
-# 2.5 %, 0.9 % and 0.7 % longer than one stack.
-BLOCK_SLAB_BYTES = 2 ** 20
+# their estimates), alternating in one process: they took 105.0 ms in 1 MiB
+# slabs, 102.4 ms in 256 KiB, 102.6 ms in 64 KiB and 109.7 ms in 16 KiB,
+# and at 64 KiB the slab is a small part of what they hold.
+BLOCK_SLAB_BYTES = 2 ** 16
+# numpy casts the real weights into the complex blocks through a buffer of
+# 8192 elements (numpy.getbufsize()) of 16 bytes; while a spectrum is
+# sorted, the same allowance covers the sort's scratch and the records
+_NUMPY_BUFFER_BYTES = 16 * 8192
 
 
 def _weighted_blocks(block, row, col, out=None):
@@ -172,7 +198,7 @@ def _weighted_blocks(block, row, col, out=None):
 
 
 def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
-    """Block spectra of m = 0 .. m_max, in block order, and the frontier block.
+    """Block spectra of m = 0 .. m_max, in block order, and how many pass the frontier.
 
     The blocks m = 0 .. m_max are built and factored slab by slab, each
     slab by one batched SVD or eigvalsh, into one values array, so what is
@@ -182,24 +208,32 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     each slab reads through a window.  For a Hermitian source S, A S B is
     similar to the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen"
     factors those blocks.  The frontier block m_max + 1 is the form's own
-    A S B.  The memory budget is checked before anything is allocated.
+    A S B; the values whose modulus passes its 2-norm t are counted as
+    those above t and those below -t, with no array of moduli.  The
+    memory budget is checked before anything is allocated.
     """
-    # one slab's blocks, 16 bytes per entry, the source block and the copy
-    # of a block that numpy hands to LAPACK; 32 bytes per diagonal index for
-    # the weight tables, the eigen square roots and their product; and 24
-    # bytes per value: the values and at most two value-sized arrays while
-    # the spectrum is built and read (the modulus behind `reliable`, the
-    # sorted copy, the eigen sort keys and their sign bits, power_sum's
-    # nonzero values and their powers)
+    count, indices = (m_max + 1) * n_max, m_max + n_max + 1
     step = min(m_max + 1, max(1, BLOCK_SLAB_BYTES // (16 * n_max * n_max)))
-    check_memory(24 * (m_max + 1) * n_max + 16 * (step + 2) * n_max * n_max
-                 + 32 * (m_max + n_max + 1), "the block values and one slab of weighted blocks")
+    # while the slabs are factored: the values and a mask that counts them
+    # (9 bytes per value); the weight tables, 32 bytes per diagonal index
+    # while they are built; one slab's blocks, 16 bytes per entry, the
+    # source and frontier blocks, and the slab's values
+    factoring = (9 * count + 32 * indices + 16 * (step + 2) * n_max * n_max
+                 + 8 * step * n_max)
+    # while the spectrum is sorted and read, 17 bytes per value: the values,
+    # one sorted copy (the sorted values or the eigen sort keys) and one
+    # byte per value (the finite check, the keys' sign flags); then, once
+    # the block values are gone, the sorted values and a cumsum, or
+    # power_sum's nonzero mask and compressed copy
+    check_memory(max(factoring, 17 * count) + _NUMPY_BUFFER_BYTES,
+                 "the block values and one slab of weighted blocks")
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     block = matrix_block(op.source, n_max)
-    row, col = op.block_weights(np.arange(m_max + n_max + 1))
+    row, col = op.block_weights(np.arange(indices))
     frontier = _weighted_blocks(block, row[m_max + 1:], col[m_max + 1:])
+    threshold = float(np.linalg.norm(frontier, ord=2))
     if kind == "eigen":
         row = col = np.sqrt(row * col)
         factor = np.linalg.eigvalsh
@@ -215,7 +249,8 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
         stop = min(start + step, m_max + 1)
         stack = _weighted_blocks(block, row[start:stop], col[start:stop], slab[:stop - start])
         values[start:stop] = factor(stack)
-    return values.ravel(), frontier
+    reliable = np.count_nonzero(values > threshold) + np.count_nonzero(values < -threshold)
+    return values.ravel(), int(reliable)
 
 
 def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "singular"):
@@ -246,11 +281,7 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "s
                           "for all j, k < %d" % n_max)
     if all(j == k for j, k in truncated):
         return _level_spectrum(op, truncated, m_max, n_max, kind)
-    import numpy as np
-
-    values, frontier = _block_values(op, m_max, n_max, kind)
-    threshold = float(np.linalg.norm(frontier, ord=2))
-    reliable = int((np.abs(values) > threshold).sum())
+    values, reliable = _block_values(op, m_max, n_max, kind)
     return Spectrum(values, _provenance(op, m_max, n_max), kind, reliable=reliable)
 
 
@@ -534,8 +565,12 @@ def gamma(spectrum, count: int) -> float:
 def calderon_norm(spectrum) -> float:
     """sup over N >= 2 of sigma_N / log N on the retained singular values.
 
-    Every N is read off one cumsum over the values, which a level spectrum
-    lists for it.
+    One pass over the values in order keeps the running sum, numpy's
+    in-order cumsum bit for bit, and the running supremum, so nothing
+    sized by the spectrum is held.  Past N = 2 a zero value ends the pass:
+    the sum stops growing there, and the quotient only falls.  A level
+    spectrum holds no values to bound the pass, so its nonzero values are
+    checked against the work limit first.
     """
     if isinstance(spectrum, ShellSpectrum):
         raise DomainError("the Calderon norm needs a materialized spectrum, not shells")
@@ -543,12 +578,18 @@ def calderon_norm(spectrum) -> float:
         raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
-    # the counts N, the partial sums and their quotients: 40 bytes per element
-    check_memory(40 * len(spectrum), "the Calderon quotients")
-    import numpy as np
-
-    ns = np.arange(2, len(spectrum) + 1)
-    return float(np.max(np.cumsum(spectrum.values)[ns - 1] / np.log(ns)))
+    if isinstance(spectrum, LevelSpectrum):
+        check_work((spectrum.m_max + 1) * len(spectrum.levels),
+                   "the Calderon quotients of a level spectrum")
+    values = iter(spectrum)
+    total = next(values)
+    best = -math.inf
+    for count, value in enumerate(values, 2):
+        if value == 0.0 and count > 2:
+            break
+        total += value
+        best = max(best, total / math.log(count))
+    return float(best)
 
 
 def _geometric_ladder(low: int, top: int, points: int) -> list[int]:

@@ -31,7 +31,7 @@ import math
 import numbers
 
 from .config import MagneticConfig
-from .errors import DomainError, Record, ResourceError, check_memory
+from .errors import DomainError, RangeError, Record, ResourceError, check_memory
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 
@@ -492,16 +492,29 @@ def commutant_residual(s: CoefficientOperator, a, phi: GridFunction,
     Coefficient families commute with every magnetic translation, so this
     should vanish up to quadrature error; operators outside the commutant
     (multiplication by a coordinate, say) show an order-one residual.
+    The source is first scaled by 2^-e, with 2^e the power of two just
+    above its largest entry part, so a source near the largest double
+    gives a finite kernel; the defect is linear in S, so the residual is
+    scaled back by 2^e, and scaling by a power of two changes no bit
+    unless a value leaves the normal range.  A residual past the largest
+    double is refused with RangeError.
     """
     norm = grid_norm(phi)
     if norm == 0.0:
         raise DomainError("commutant residual needs a nonzero test function")
+    top = max((max(abs(v.real), abs(v.imag)) for v in s.entries.values()), default=0.0)
+    scale = math.frexp(top)[1]
+    s = CoefficientOperator({key: complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale))
+                             for key, v in s.entries.items()}, s.declared_class)
     shifted = magnetic_translate(a, phi, cfg)
     table = _tabulate(s, phi.spec, cfg)
     lhs = _convolve(table, shifted, cfg)
     rhs = magnetic_translate(a, _convolve(table, phi, cfg), cfg)
     defect = GridFunction(phi.spec, lhs.values - rhs.values)
-    return grid_norm(defect) / norm
+    try:
+        return math.ldexp(grid_norm(defect) / norm, scale)
+    except OverflowError:
+        raise RangeError("the commutant residual passes the largest double") from None
 
 
 def folner_trace(s: CoefficientOperator, box_radius: float,

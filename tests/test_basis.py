@@ -127,7 +127,7 @@ def test_psi_scaling_in_ell():
     for n, m in [(0, 0), (1, 2), (3, 1)]:
         a = psi(n, m, 1.3, -0.4, fine)
         b = psi(n, m, 1.3 / 2.5, -0.4 / 2.5, unit) / 2.5
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
 
 def test_psi_decay_at_twelve_lengths(cfg):

@@ -467,8 +467,8 @@ def test_dixmier_commands(pi0_file, capsys):
     assert rc == 0
     report = json.loads(out)
     h100 = math.fsum(1.0 / k for k in range(1, 101))
-    assert report["gamma"] == pytest.approx(h100 / math.log(100.0), rel=1e-12)
-    assert report["calderon"] == pytest.approx(1.5 / math.log(2.0), rel=1e-12)
+    assert report["gamma"] == pytest.approx(h100 / math.log(100.0), rel=1e-12, abs=0.0)
+    assert report["calderon"] == pytest.approx(1.5 / math.log(2.0), rel=1e-12, abs=0.0)
 
     rc, out, _ = invoke(["--budget-profile", "quick", "dixmier", "spectrum",
                          "--op", pi0_file], capsys)
@@ -485,13 +485,13 @@ def test_dixmier_commands(pi0_file, capsys):
 def test_dos_commands(bump_file, capsys):
     rc, out, _ = invoke(["dos", "idos", "--eps", "2.0"], capsys)
     assert rc == 0
-    assert json.loads(out)["idos"] == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert json.loads(out)["idos"] == pytest.approx(1.0 / math.pi, rel=1e-13, abs=0.0)
 
     rc, out, _ = invoke(["dos", "measure", "--J", "3"], capsys)
     assert rc == 0
     atoms = json.loads(out)["atoms"]
     assert [a[0] for a in atoms] == [0.5, 1.5, 2.5]
-    assert atoms[0][1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
+    assert atoms[0][1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14, abs=0.0)
     rc, out, _ = invoke(["dos", "measure"], capsys)
     assert (rc, len(json.loads(out)["atoms"])) == (0, 16)
 
@@ -537,7 +537,7 @@ def test_compare_dixmier_row_estimates_the_trace(sign, rng, tmp_path, capsys):
     assert dixmier["gap"] <= 0.05 * trace_norm
     assert dixmier["kind"] == "eigen"
     value = complex(dixmier["extrapolated"]["re"], dixmier["extrapolated"]["im"])
-    assert abs(value - np.trace(matrix)) == pytest.approx(dixmier["gap"], rel=1e-12)
+    assert abs(value - np.trace(matrix)) == pytest.approx(dixmier["gap"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("budget", ["full", "quick"])
@@ -559,7 +559,7 @@ def test_compare_on_the_zero_operator(budget, tmp_path, capsys):
 def test_length_flag_changes_idos(capsys):
     rc, out, _ = invoke(["--ell", "2.0", "dos", "idos", "--eps", "2.0"], capsys)
     assert rc == 0
-    assert json.loads(out)["idos"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13)
+    assert json.loads(out)["idos"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13, abs=0.0)
 
 
 def test_zero_flags_are_rejected(pi0_file, capsys):
@@ -693,10 +693,13 @@ def test_dixmier_spectrum_lists_a_far_level_head_only(tmp_path, capsys):
     assert peak < 8 * 2 ** 20
 
 
-EXTREME_SOURCES = {
+CONTRACT_SOURCES = {
     "pair-1e308": {(0, 0): 1e308, (1, 1): 1e308},
     "hop-1e300": {(0, 1): 1e300, (1, 0): 1e300},
     "index-1e15": {(10 ** 15, 10 ** 15): 1.0},
+    "zero": {},
+    "pi0": {(0, 0): 1.0},
+    "hop-5e-324": {(0, 1): 5e-324, (1, 0): 5e-324},
 }
 OP_COMMANDS = sorted(name for name, (_, flags) in cli.COMMANDS.items() if "--op" in flags)
 OP_REQUIRED = {"kernel eval": ["--x1", "0.5", "--x2", "0.25"],
@@ -712,18 +715,20 @@ def _overtime(signum, frame):
     raise Overtime("the run passed its time bound")
 
 
-@pytest.mark.parametrize("source", sorted(EXTREME_SOURCES))
+@pytest.mark.parametrize("source", sorted(CONTRACT_SOURCES))
 @pytest.mark.parametrize("name", OP_COMMANDS)
 def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys):
     # sums past the largest double, a finite answer of 2e300 whose squares
-    # overflow, and an index whose Laguerre recurrence would not end: each
-    # command that reads --op exits 0, 2 or 3 (64 is for usage) and raises
-    # nothing, within 10 s; the slowest, kernel commutant, takes 0.2 s on a
-    # 2-core host.  numpy's floating-point warnings (overflow, and invalid
-    # values after it) are recorded, not raised: a command prints them as
-    # warnings, and no report carries them yet
+    # overflow, an index whose Laguerre recurrence would not end, the zero
+    # operator, pi0 and the smallest subnormal: each command that reads
+    # --op exits 0, 2 or 3 (64 is for usage) and raises nothing, within
+    # 10 s; the slowest, kernel commutant, takes 0.2 s on a 2-core host.
+    # numpy's floating-point warnings (overflow, and invalid values after
+    # it) are recorded, not raised: a command prints them as warnings, and
+    # no report carries them yet.  kernel commutant scales the source to
+    # its largest entry, so it raises none
     path = tmp_path / "source.json"
-    save_operator(CoefficientOperator(EXTREME_SOURCES[source]), str(path))
+    save_operator(CoefficientOperator(CONTRACT_SOURCES[source]), str(path))
     argv = name.split() + ["--op", str(path)] + OP_REQUIRED.get(name, [])
     previous = signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, 10.0)
@@ -737,19 +742,21 @@ def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys
     assert rc in (0, 2, 3, 64)
     assert (out == "") == (rc == 2)
     assert all(w.category is RuntimeWarning for w in caught)
+    if name == "kernel commutant":
+        assert caught == []
 
 
 def test_overflowing_sources_are_refused_or_scaled(tmp_path, capsys):
     # a level mass past the largest double is refused; a hop of 2**996,
     # whose fit residuals square past it, gives 2**996 times the unit hop's
-    # estimate, bit for bit
+    # estimate and commutant residual, bit for bit
     pair = tmp_path / "pair.json"
-    save_operator(CoefficientOperator(EXTREME_SOURCES["pair-1e308"]), str(pair))
+    save_operator(CoefficientOperator(CONTRACT_SOURCES["pair-1e308"]), str(pair))
     for action in ("spectrum", "estimate", "tauberian"):
         rc, out, err = invoke(["dixmier", action, "--op", str(pair)], capsys)
         assert (rc, out) == (2, ""), action
         assert "largest double" in err
-    tables = []
+    tables, residuals = [], []
     for k in (0, 996):
         hop = tmp_path / ("hop%d.json" % k)
         save_operator(CoefficientOperator({(0, 1): math.ldexp(1.0, k),
@@ -757,15 +764,21 @@ def test_overflowing_sources_are_refused_or_scaled(tmp_path, capsys):
         rc, out, err = invoke(["dixmier", "estimate", "--op", str(hop)], capsys)
         assert (rc, err) == (0, "")
         tables.append(json.loads(out)["table"])
+        rc, out, err = invoke(["kernel", "commutant", "--op", str(hop), "--a1", "0.5",
+                               "--a2", "-0.3"], capsys)
+        assert (rc, err) == (0, "")
+        residuals.append(json.loads(out)["residual"])
     unit, scaled = tables
     assert scaled["extrapolated"]["re"] == math.ldexp(unit["extrapolated"]["re"], 996)
     assert scaled["residual"] == math.ldexp(unit["residual"], 996)
+    assert residuals[0] > 0.0
+    assert residuals[1] == math.ldexp(residuals[0], 996)
 
 
 def test_work_limit_is_checked_first(tmp_path, capsys):
     # the Laguerre recurrence of index 10**15 is refused before it starts
     path = tmp_path / "far.json"
-    save_operator(CoefficientOperator(EXTREME_SOURCES["index-1e15"]), str(path))
+    save_operator(CoefficientOperator(CONTRACT_SOURCES["index-1e15"]), str(path))
     for argv in (["kernel", "eval", "--op", str(path), "--x1", "0.5", "--x2", "0"],
                  ["basis", "eval", "--n", "1000000000", "--m", "1000000000",
                   "--x1", "0.5", "--x2", "0"]):
@@ -835,6 +848,7 @@ STDLIB_ONLY = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale
      STDLIB_ONLY | {"magtrace.dixmier", "magtrace.dos", "magtrace.kernels"}),
     (["dixmier", "estimate", "--op", "{pi0}"], STDLIB_ONLY),
     (["dixmier", "tauberian", "--op", "{pi0}"], STDLIB_ONLY),
+    (["dixmier", "gamma", "--op", "{pi0}", "--N", "10"], STDLIB_ONLY),
     (["dos", "approx", "--eps", "2.5"], STDLIB_ONLY | {"magtrace.dixmier", "magtrace.kernels"}),
     (["dos", "idos", "--eps", "2.5"], STDLIB_ONLY),
     (["op", "norm", "--in", "{pi0}", "--p", "2"], STDLIB_ONLY),
@@ -846,8 +860,8 @@ STDLIB_ONLY = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale
     (["compare", "--op", "{pi0}"], STDLIB_ONLY | {"magtrace.dos", "magtrace.kernels"}),
 ], ids=["trace-diag", "trace-residue", "trace-shell", "trace-shell-far-grid", "trace-ordered",
         "kernel-eval", "kernel-folner", "basis-eval", "dixmier-estimate", "dixmier-tauberian",
-        "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier", "compare",
-        "compare-full"])
+        "dixmier-gamma", "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier",
+        "compare", "compare-full"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])

@@ -24,8 +24,8 @@ def test_scale_product_invariant():
 def test_area_scales_like_ell_squared():
     a = make_config(1.0)
     b = make_config(2.0)
-    assert b.omega_ell == pytest.approx(4.0 * a.omega_ell, rel=1e-15)
-    assert b.idos_scale == pytest.approx(a.idos_scale / 4.0, rel=1e-15)
+    assert b.omega_ell == pytest.approx(4.0 * a.omega_ell, rel=1e-15, abs=0.0)
+    assert b.idos_scale == pytest.approx(a.idos_scale / 4.0, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), 1e170, 1e-170,

@@ -1,4 +1,4 @@
-"""Guards for eleven design rules of the package.
+"""Guards for twelve design rules of the package and its tests.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
@@ -8,7 +8,8 @@ entry is declared by the parser or by some subcommand, every flag entry
 uses only the keys that the command-table reader reads, every public
 name is reached by a command, an acceptance criterion or a magbench
 workload, every CLI report is encoded by serialize, no module imports
-numpy when it loads, and no module imports dataclasses or typing.
+numpy when it loads, no module imports dataclasses or typing, and every
+tolerance in the tests names its absolute part.
 """
 
 import argparse
@@ -319,3 +320,34 @@ def test_load_time_import_scan_skips_function_bodies():
                      "def f():\n    import scipy\nclass C:\n    import json\n"
                      "    def g(self):\n        import csv\n")
     assert _module_names(_load_time_nodes(tree)) == {"os", "numpy", "json"}
+
+
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+# A tolerance call and the keyword that must name its absolute part: left
+# out, pytest.approx adds 1e-12 and numpy.allclose 1e-8 to every bound.
+ABSOLUTE_PARTS = {"approx": "abs", "allclose": "atol"}
+
+
+def _unpinned_tolerances(tree):
+    """Line and name of each approx or allclose call that does not name its absolute part."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ABSOLUTE_PARTS and ABSOLUTE_PARTS[name] not in {
+                    keyword.arg for keyword in node.keywords}:
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda path: path.name)
+def test_every_tolerance_names_its_absolute_part(path):
+    assert _unpinned_tolerances(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_tolerance_scan_flags_missing_and_unpacked_bounds():
+    tree = ast.parse("pytest.approx(1.0, rel=1e-9)\napprox(2.0, abs=0.0)\n"
+                     "np.allclose(a, b, rtol=0.0)\nnumpy.allclose(a, b, atol=0.0)\n"
+                     "pytest.approx(3.0, **close)\n")
+    assert _unpinned_tolerances(tree) == [(1, "approx"), (3, "allclose"), (5, "approx")]

@@ -62,15 +62,15 @@ def test_spectral_projection_domain():
 
 def test_idos_of_landau_hamiltonian(cfg):
     op = landau_hamiltonian(40)
-    assert idos(op, 2.0, cfg) == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert idos(op, 2.0, cfg) == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0.0)
     assert idos(op, 0.4, cfg) == 0.0
-    assert idos(op, 10.0, cfg) == pytest.approx(10.0 / (2.0 * math.pi), rel=1e-14)
+    assert idos(op, 10.0, cfg) == pytest.approx(10.0 / (2.0 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_idos_scales_with_length():
     wide = make_config(2.0)
     op = landau_hamiltonian(40)
-    assert idos(op, 2.0, wide) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+    assert idos(op, 2.0, wide) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14, abs=0.0)
 
 
 def test_dos_measure_atoms(cfg):
@@ -78,7 +78,7 @@ def test_dos_measure_atoms(cfg):
     measure = dos_measure(op, cfg)
     assert [e for e, _ in measure.atoms] == [0.5, 1.5, 2.5]
     for _, w in measure.atoms:
-        assert w == pytest.approx(cfg.idos_scale, rel=1e-15)
+        assert w == pytest.approx(cfg.idos_scale, rel=1e-15, abs=0.0)
 
 
 def mass(measure, a, b):
@@ -97,9 +97,9 @@ def test_dos_mass_matches_idos_difference(cfg):
 def test_compact_test_function_interpolates():
     fn = CompactTestFunction(nodes=((0.0, 0.0), (1.0, 2.0), (3.0, 0.0)))
     assert fn.support == (0.0, 3.0)
-    assert fn(0.5) == pytest.approx(1.0)
-    assert fn(1.0) == pytest.approx(2.0)
-    assert fn(2.0) == pytest.approx(1.0)
+    assert fn(0.5) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert fn(1.0) == pytest.approx(2.0, rel=1e-12, abs=0.0)
+    assert fn(2.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert fn(-1.0) == 0.0
     assert fn(3.0) == 0.0
     assert fn(4.0) == 0.0
@@ -158,8 +158,8 @@ def test_functional_calculus_entries():
     op = landau_hamiltonian(10)
     family = functional_calculus(op, BUMP)
     assert set(family.entries) == {(0, 0), (1, 1)}
-    assert family.entries[(0, 0)] == pytest.approx(BUMP(0.5))
-    assert family.entries[(1, 1)] == pytest.approx(BUMP(1.5))
+    assert family.entries[(0, 0)] == pytest.approx(BUMP(0.5), rel=1e-12, abs=0.0)
+    assert family.entries[(1, 1)] == pytest.approx(BUMP(1.5), rel=1e-12, abs=0.0)
     assert family.declared_class == "L1"
 
 
@@ -175,7 +175,7 @@ def test_spectral_formula(cfg):
     op = landau_hamiltonian(10)
     check = spectral_formula_check(op, BUMP, cfg)
     assert check.gap <= 1e-12
-    assert check.trace_value == pytest.approx(BUMP(0.5) + BUMP(1.5), rel=1e-14)
+    assert check.trace_value == pytest.approx(BUMP(0.5) + BUMP(1.5), rel=1e-14, abs=0.0)
 
 
 def test_spectral_formula_other_length():
@@ -208,7 +208,7 @@ def test_idos_shell_approx_is_scaled_tau_shell():
         assert table.params == shell.params
         assert table.accelerated == tuple(cfg.idos_scale * v.real for v in shell.accelerated)
         for value, shell_value in zip(table.raw, shell.raw):
-            assert value == pytest.approx(cfg.idos_scale * shell_value.real, rel=1e-15)
+            assert value == pytest.approx(cfg.idos_scale * shell_value.real, rel=1e-15, abs=0.0)
 
 
 def test_idos_shell_approx_propagates_domain_errors(cfg):
@@ -222,7 +222,7 @@ def test_idos_shell_approx_propagates_domain_errors(cfg):
 def test_dixmier_dos_bump(cfg):
     op = landau_hamiltonian(8)
     check = dixmier_dos_check(op, BUMP, cfg)
-    assert check.measure_value == pytest.approx(BUMP(0.5) + BUMP(1.5), rel=1e-14)
+    assert check.measure_value == pytest.approx(BUMP(0.5) + BUMP(1.5), rel=1e-14, abs=0.0)
     assert check.gap <= 2e-2
     assert check.table.model == "log_inverse"
 

@@ -49,7 +49,7 @@ def test_kernel_of_ground_projection(cfg):
     assert fn(0.0, 0.0) == pytest.approx(1.0, abs=1e-14)
     for x1, x2 in [(0.5, 0.2), (2.0, -1.0), (0.0, 3.0)]:
         expected = math.exp(-(x1 * x1 + x2 * x2) / 4.0)
-        assert fn(x1, x2) == pytest.approx(expected, rel=1e-12)
+        assert fn(x1, x2) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_kernel_of_transition_vanishes_at_origin(cfg):
@@ -292,7 +292,7 @@ def test_commutant_residual_matches_explicit_applications(cfg):
     defect = GridFunction(spec, lhs.values - rhs.values)
     expected = grid_norm(defect) / grid_norm(phi)
     assert expected > 1e-3
-    assert commutant_residual(s, a, phi, cfg) == pytest.approx(expected, rel=1e-12)
+    assert commutant_residual(s, a, phi, cfg) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_grid_spec_needs_finite_positive_extent():

@@ -80,7 +80,7 @@ def test_operator_file_round_trip(tmp_path):
 def test_load_test_function(bump_file):
     fn = load_test_function(bump_file)
     assert fn.support == (0.0, 2.0)
-    assert fn(0.5) == pytest.approx(1.0)
+    assert fn(0.5) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_malformed_operator_documents_are_rejected():

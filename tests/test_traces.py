@@ -55,7 +55,7 @@ def test_hurwitz_against_tail_oracle():
     for t in (1.5, 2.0, 3.3, 4.0):
         for q in (0.5, 1.0, 2.75, 40.0):
             assert hurwitz_zeta(t, q) == pytest.approx(
-                zeta_tail_oracle(t, q), rel=1e-10)
+                zeta_tail_oracle(t, q), rel=1e-10, abs=0.0)
 
 
 def test_hurwitz_against_scipy(rng):
@@ -63,14 +63,14 @@ def test_hurwitz_against_scipy(rng):
         t = float(rng.uniform(1.05, 6.0))
         q = float(rng.uniform(0.1, 50.0))
         assert hurwitz_zeta(t, q) == pytest.approx(
-            float(scipy.special.zeta(t, q)), rel=1e-12)
+            float(scipy.special.zeta(t, q)), rel=1e-12, abs=0.0)
 
 
 def test_hurwitz_closed_forms():
-    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13)
-    assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi ** 4 / 90.0, rel=1e-13)
-    assert hurwitz_zeta(2.0, 0.5) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-13)
-    assert hurwitz_zeta(3.0, 1.0) == pytest.approx(1.2020569031595943, rel=1e-13)
+    assert hurwitz_zeta(2.0, 1.0) == pytest.approx(math.pi ** 2 / 6.0, rel=1e-13, abs=0.0)
+    assert hurwitz_zeta(4.0, 1.0) == pytest.approx(math.pi ** 4 / 90.0, rel=1e-13, abs=0.0)
+    assert hurwitz_zeta(2.0, 0.5) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-13, abs=0.0)
+    assert hurwitz_zeta(3.0, 1.0) == pytest.approx(1.2020569031595943, rel=1e-13, abs=0.0)
 
 
 def test_hurwitz_domain():
@@ -140,7 +140,7 @@ def test_theta_matches_scipy_series():
     for x in (0.5, 0.05, 0.001):
         expected = 2.0 * scipy.special.zeta(1.0 + x, 1.0) \
             - scipy.special.zeta(1.0 + x, 4.0)
-        assert theta(s, x) == pytest.approx(expected, rel=1e-12)
+        assert theta(s, x) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_theta_domain():
@@ -221,7 +221,7 @@ def test_shell_average_values():
     assert shell_average(s, 1) == 2.0
     assert shell_average(s, 2) == 1.0
     assert shell_average(s, 3) == 2.0
-    assert shell_average(s, 5) == pytest.approx(6.0 / 5.0, rel=1e-15)
+    assert shell_average(s, 5) == pytest.approx(6.0 / 5.0, rel=1e-15, abs=0.0)
     with pytest.raises(DomainError):
         shell_average(s, 0)
 
@@ -251,7 +251,7 @@ def test_tau_shell_projection():
         hs.append(hs[-1] + 1.0 / k)
     table = tau_shell(CoefficientOperator.projection(0), ns)
     for n, value in zip(ns, table.raw):
-        assert value == pytest.approx(hs[n] / math.log(n), rel=1e-13)
+        assert value == pytest.approx(hs[n] / math.log(n), rel=1e-13, abs=0.0)
     assert table.accelerated == ((1.0 + 0.0j),) * 3
     assert abs(table.extrapolated - 1.0) <= 1e-2
     assert table.model == "log_inverse"
@@ -316,7 +316,7 @@ def test_tau_ordered_basis_rounds_to_shells():
     table = tau_ordered_basis(CoefficientOperator.projection(0), (12, 30))
     assert table.params == (9.0, 27.0)
     h4 = 1.0 + 0.5 + 1.0 / 3.0 + 0.25
-    assert table.raw[0] == pytest.approx(h4 / math.log(10.0), rel=1e-13)
+    assert table.raw[0] == pytest.approx(h4 / math.log(10.0), rel=1e-13, abs=0.0)
 
 
 def test_tau_ordered_basis_small_grids():
