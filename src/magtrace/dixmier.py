@@ -77,7 +77,10 @@ class Spectrum(Record, eq=False):
         return int(self.values.size)
 
     def __iter__(self):
-        return iter(self.values)
+        # Python floats, 2048 (64 KiB of them) at a time: they add and divide
+        # bit for bit as numpy's scalars do, in a third of the time
+        return itertools.chain.from_iterable(
+            self.values[start:start + 2048].tolist() for start in range(0, len(self), 2048))
 
     def partial_sum(self, count: int) -> float:
         """sigma_N of the first N = count values, in numpy's in-order cumsum."""
@@ -181,10 +184,6 @@ def _provenance(op, m_max: int, n_max: int) -> str:
 # slabs, 102.4 ms in 256 KiB, 102.6 ms in 64 KiB and 109.7 ms in 16 KiB,
 # and at 64 KiB the slab is a small part of what they hold.
 BLOCK_SLAB_BYTES = 2 ** 16
-# numpy casts the real weights into the complex blocks through a buffer of
-# 8192 elements (numpy.getbufsize()) of 16 bytes; while a spectrum is
-# sorted, the same allowance covers the sort's scratch and the records
-_NUMPY_BUFFER_BYTES = 16 * 8192
 
 
 def _weighted_blocks(block, row, col, out=None):
@@ -208,24 +207,28 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     each slab reads through a window.  For a Hermitian source S, A S B is
     similar to the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen"
     factors those blocks.  The frontier block m_max + 1 is the form's own
-    A S B; the values whose modulus passes its 2-norm t are counted as
-    those above t and those below -t, with no array of moduli.  The
-    memory budget is checked before anything is allocated.
+    A S B; the values whose modulus passes its 2-norm t are counted slab
+    by slab, as those above t and those below -t, with no array of moduli.
+    The memory budget is checked before anything is allocated.
     """
     count, indices = (m_max + 1) * n_max, m_max + n_max + 1
     step = min(m_max + 1, max(1, BLOCK_SLAB_BYTES // (16 * n_max * n_max)))
-    # while the slabs are factored: the values and a mask that counts them
-    # (9 bytes per value); the weight tables, 32 bytes per diagonal index
-    # while they are built; one slab's blocks, 16 bytes per entry, the
-    # source and frontier blocks, and the slab's values
-    factoring = (9 * count + 32 * indices + 16 * (step + 2) * n_max * n_max
-                 + 8 * step * n_max)
+    # while the slabs are factored: the values; the weight tables, 32 bytes
+    # per diagonal index while they are built; one slab's blocks, 16 bytes
+    # per entry, the source and frontier blocks and the copy of a block
+    # that numpy hands to LAPACK; the slab's values and the mask that
+    # counts them; and numpy's buffers as it casts the weights into the
+    # blocks, twice its ufunc buffer of 8192 (numpy.getbufsize()) complex
+    # numbers
+    factoring = (8 * count + 32 * indices + 16 * (step + 3) * n_max * n_max
+                 + 9 * step * n_max + 32 * 8192)
     # while the spectrum is sorted and read, 17 bytes per value: the values,
     # one sorted copy (the sorted values or the eigen sort keys) and one
     # byte per value (the finite check, the keys' sign flags); then, once
     # the block values are gone, the sorted values and a cumsum, or
-    # power_sum's nonzero mask and compressed copy
-    check_memory(max(factoring, 17 * count) + _NUMPY_BUFFER_BYTES,
+    # power_sum's nonzero mask and compressed copy.  One slab's bytes
+    # cover the records and the sort's scratch (3 KB measured)
+    check_memory(max(factoring, 17 * count + BLOCK_SLAB_BYTES),
                  "the block values and one slab of weighted blocks")
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -245,11 +248,12 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     # one buffer for every slab: filling a fresh array of 390 6x6 blocks
     # took 0.63 us per block, against 0.23 us into the reused buffer
     slab = np.empty((step, n_max, n_max), dtype=complex)
+    reliable = 0
     for start in range(0, m_max + 1, step):
         stop = min(start + step, m_max + 1)
         stack = _weighted_blocks(block, row[start:stop], col[start:stop], slab[:stop - start])
-        values[start:stop] = factor(stack)
-    reliable = np.count_nonzero(values > threshold) + np.count_nonzero(values < -threshold)
+        values[start:stop] = part = factor(stack)
+        reliable += np.count_nonzero(part > threshold) + np.count_nonzero(part < -threshold)
     return values.ravel(), int(reliable)
 
 
@@ -281,6 +285,7 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "s
                           "for all j, k < %d" % n_max)
     if all(j == k for j, k in truncated):
         return _level_spectrum(op, truncated, m_max, n_max, kind)
+    del truncated  # about 50 bytes an entry, which the block route does not count
     values, reliable = _block_values(op, m_max, n_max, kind)
     return Spectrum(values, _provenance(op, m_max, n_max), kind, reliable=reliable)
 
@@ -588,7 +593,9 @@ def calderon_norm(spectrum) -> float:
         if value == 0.0 and count > 2:
             break
         total += value
-        best = max(best, total / math.log(count))
+        quotient = total / math.log(count)
+        if quotient > best:
+            best = quotient
     return float(best)
 
 

@@ -307,27 +307,30 @@ def _traced_estimates(monkeypatch):
     return estimates
 
 
+@pytest.mark.parametrize("n_max,m_max", ((16, 4095), (40, 1023)), ids=("16x4096", "40x1024"))
 @pytest.mark.parametrize("kind", ("singular", "eigen"))
 @pytest.mark.parametrize("form", ("left", "right", "split"))
-def test_weighted_stack_stays_within_its_memory_estimate(form, kind, monkeypatch):
+def test_weighted_stack_stays_within_its_memory_estimate(form, kind, n_max, m_max, monkeypatch):
     # a dense source is factored slab by slab: every form and kind holds
-    # the values, one sorted copy and one bool per value, or the values and
+    # the values, one sorted copy and one byte per value, or the values and
     # one slab, within the check_memory estimate, while the spectrum is
-    # built, estimated and summed for the Tauberian zeta
-    product = weighted_product(_dense_source(16, 16), form, 0.0, 1.0)
-    warm = collect_spectrum(product, 7, 16, kind)  # first-call imports
+    # built, estimated and summed for the Tauberian zeta; at 40 x 40 the
+    # truncated entries, were they held beside the sort, would pass it
+    product = weighted_product(_dense_source(n_max, 16), form, 0.0, 1.0)
+    warm = collect_spectrum(product, 7, n_max, kind)  # first-call imports
     tauberian_zeta(warm, 0.01)
     estimates = _traced_estimates(monkeypatch)
     tracemalloc.start()
     try:
-        spectrum = collect_spectrum(product, 4095, 16, kind)
+        spectrum = collect_spectrum(product, m_max, n_max, kind)
         dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
         tauberian_zeta(spectrum, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(estimates) == 1
-    # the values alone are 512 KiB, one stack of the blocks 17.8 MB
+    # the values alone are 512 KiB and 320 KiB, one stack of the blocks
+    # 17.8 MB and 26.8 MB
     assert 8 * len(spectrum) < peak <= estimates[0]
     assert estimates[0] <= 18 * len(spectrum) + dixmier.BLOCK_SLAB_BYTES
 
@@ -687,6 +690,30 @@ def test_calderon_norm_single_atom():
     assert calderon_norm(spec) == pytest.approx(5.0 / math.log(2.0), rel=1e-14, abs=0.0)
     with pytest.raises(DomainError):
         calderon_norm(Spectrum(np.array([1.0]), "too short"))
+
+
+def _cumsum_calderon(values):
+    """The supremum of sigma_N / log N over numpy's in-order cumsum of the listed values."""
+    sums = np.cumsum(np.asarray(list(values), dtype=float))
+    return max(float(sums[n - 1]) / math.log(n) for n in range(2, sums.size + 1))
+
+
+def test_calderon_norm_is_one_pass_over_the_cumsum(monkeypatch):
+    # the running sum and supremum give the cumsum's quotients bit for bit,
+    # on a dense spectrum (4097 values, three of them zero, across the
+    # 2048-value runs that the spectrum iterates in) and on a level spectrum
+    values = np.concatenate([np.random.default_rng(5).random(4094) ** 4, np.zeros(3)])
+    dense = Spectrum(values, "dense")
+    assert calderon_norm(dense) == _cumsum_calderon(dense.values)
+    product = weighted_product(CoefficientOperator({(0, 0): 1.0, (2, 2): 0.25}), "left", 0.0)
+    level = collect_spectrum(product, 999, 3)
+    assert isinstance(level, LevelSpectrum)
+    assert calderon_norm(level) == _cumsum_calderon(level)
+    # a level spectrum's pass allocates nothing, so its 2000 nonzero
+    # values are checked against the work limit before it starts
+    monkeypatch.setattr(errors, "WORK_LIMIT_STEPS", 1999)
+    with pytest.raises(ResourceError, match="Calderon"):
+        calderon_norm(level)
 
 
 @pytest.mark.filterwarnings("error")
