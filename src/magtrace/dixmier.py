@@ -12,8 +12,9 @@ their blocks or shells is stored.  gamma_N is extrapolated over a ladder of chec
 log_inverse model.  A zeta-function route x * Tr(T^(1+x)) -> x = 0
 provides the independent Tauberian cross-check.
 
-numpy is imported where blocks are materialized (Spectrum and the block
-slabs), so the closed-form routes never load it.
+numpy is imported where blocks are materialized (Spectrum, the block
+slabs and a dense spectrum's Calderon norm), so the closed-form routes
+never load it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import math
 import sys
 from functools import cached_property, partial
 
-from .errors import (DomainError, RangeError, Record, check_memory, check_positive_int,
-                     check_work)
+from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import DiagonalWeight, WeightedProduct, matrix_block
 from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
@@ -77,10 +77,7 @@ class Spectrum(Record, eq=False):
         return int(self.values.size)
 
     def __iter__(self):
-        # Python floats, 2048 (64 KiB of them) at a time: they add and divide
-        # bit for bit as numpy's scalars do, in a third of the time
-        return itertools.chain.from_iterable(
-            self.values[start:start + 2048].tolist() for start in range(0, len(self), 2048))
+        return iter(self.values)
 
     def partial_sum(self, count: int) -> float:
         """sigma_N of the first N = count values, in numpy's in-order cumsum."""
@@ -567,15 +564,56 @@ def gamma(spectrum, count: int) -> float:
     return sigma_p(spectrum, count) / math.log(count)
 
 
+def _dense_calderon(values) -> float:
+    """sup over N >= 2 of sigma_N / log N, read off numpy's cumsum one 64 KiB run at a time.
+
+    Each run is summed behind the running total of the runs before it,
+    which gives the whole cumsum's partial sums bit for bit.
+    """
+    import numpy as np
+
+    step = BLOCK_SLAB_BYTES // 8
+    sums = np.empty(step + 1)
+    sums[0] = values[0]
+    best = -math.inf
+    for start in range(1, values.size, step):
+        part = values[start:start + step]
+        run = sums[:part.size + 1]
+        run[1:] = part
+        np.cumsum(run, out=run)
+        # the entry at index i holds sigma_N for N = i + 1
+        quotients = run[1:] / np.log(np.arange(start + 1, start + part.size + 1))
+        best = max(best, float(quotients.max()))
+        sums[0] = run[-1]
+    return best
+
+
+def _level_calderon(spectrum) -> float:
+    """sup over N >= 2 of sigma_N / log N, in one pass over a level spectrum's values.
+
+    The running sum is numpy's in-order cumsum bit for bit.  Past N = 2 a
+    zero value ends the pass: the sum stops growing there, and the
+    quotient only falls.
+    """
+    values, log = iter(spectrum), math.log
+    total = next(values)
+    best = -math.inf
+    for count, value in enumerate(values, 2):
+        if value == 0.0 and count > 2:
+            break
+        total += value
+        quotient = total / log(count)
+        if quotient > best:
+            best = quotient
+    return best
+
+
 def calderon_norm(spectrum) -> float:
     """sup over N >= 2 of sigma_N / log N on the retained singular values.
 
-    One pass over the values in order keeps the running sum, numpy's
-    in-order cumsum bit for bit, and the running supremum, so nothing
-    sized by the spectrum is held.  Past N = 2 a zero value ends the pass:
-    the sum stops growing there, and the quotient only falls.  A level
-    spectrum holds no values to bound the pass, so its nonzero values are
-    checked against the work limit first.
+    A dense spectrum is read in runs of a fixed size and a level spectrum
+    in one pass that loads no numpy, so nothing sized by the spectrum is
+    held beside its values.
     """
     if isinstance(spectrum, ShellSpectrum):
         raise DomainError("the Calderon norm needs a materialized spectrum, not shells")
@@ -583,20 +621,13 @@ def calderon_norm(spectrum) -> float:
         raise DomainError("the Calderon norm is defined on singular values")
     if len(spectrum) < 2:
         raise DomainError("the Calderon quotient needs at least two values")
-    if isinstance(spectrum, LevelSpectrum):
-        check_work((spectrum.m_max + 1) * len(spectrum.levels),
-                   "the Calderon quotients of a level spectrum")
-    values = iter(spectrum)
-    total = next(values)
-    best = -math.inf
-    for count, value in enumerate(values, 2):
-        if value == 0.0 and count > 2:
-            break
-        total += value
-        quotient = total / math.log(count)
-        if quotient > best:
-            best = quotient
-    return float(best)
+    if isinstance(spectrum, Spectrum):
+        return _dense_calderon(spectrum.values)
+    # the pass allocates nothing, but takes one step per value: it admits
+    # the level spectra whose values and quotients, 40 bytes each, would
+    # fit in the memory limit, so it answers wherever listing them could
+    check_memory(40 * len(spectrum), "the Calderon quotients")
+    return _level_calderon(spectrum)
 
 
 def _geometric_ladder(low: int, top: int, points: int) -> list[int]:

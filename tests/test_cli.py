@@ -664,6 +664,23 @@ def test_diagonal_estimate_at_any_depth(pi0_file, capsys):
     assert peak < 8 * 2 ** 20
 
 
+@pytest.mark.parametrize("levels, shells, calderon", [
+    (200, "512", 36.603914231558555),  # 102 600 nonzero values
+    (1, "400000", 2.1640425613334453),
+])
+def test_calderon_norm_of_a_long_level_spectrum(levels, shells, calderon, tmp_path, capsys):
+    # the identity of levels 0 .. levels - 1: the Calderon norm is one pass
+    # over the level values, which holds nothing sized by them
+    source = tmp_path / "identity.json"
+    source.write_text(json.dumps({"entries": [{"j": n, "k": n, "re": 1.0}
+                                              for n in range(levels)]}))
+    rc, out, err, peak = invoke_traced(["dixmier", "gamma", "--op", str(source), "--N", "100",
+                                        "--shells", shells], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["calderon"] == pytest.approx(calderon, rel=1e-14, abs=0.0)
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize("budget", ("quick", "full"))
 def test_far_diagonal_source_stays_refused(budget, tmp_path, capsys):
     # the (5000, 5000) chain lies wholly below the frontier, so none of its

@@ -698,20 +698,30 @@ def _cumsum_calderon(values):
     return max(float(sums[n - 1]) / math.log(n) for n in range(2, sums.size + 1))
 
 
-def test_calderon_norm_is_one_pass_over_the_cumsum(monkeypatch):
-    # the running sum and supremum give the cumsum's quotients bit for bit,
-    # on a dense spectrum (4097 values, three of them zero, across the
-    # 2048-value runs that the spectrum iterates in) and on a level spectrum
-    values = np.concatenate([np.random.default_rng(5).random(4094) ** 4, np.zeros(3)])
+def _numpy_calderon(values):
+    """The same supremum with every quotient taken at once, numpy's log included."""
+    counts = np.arange(2, values.size + 1)
+    return float(np.max(np.cumsum(values)[counts - 1] / np.log(counts)))
+
+
+def test_calderon_norm_reads_the_cumsum_bit_for_bit(monkeypatch):
+    # a dense spectrum is summed in 8192-value runs, each behind the total
+    # of the runs before it (16 387 values, three of them zero, cross two
+    # run boundaries), and a level spectrum in one pass with math.log;
+    # both give the whole cumsum's quotients bit for bit
+    values = np.concatenate([np.random.default_rng(5).random(16384) ** 4, np.zeros(3)])
     dense = Spectrum(values, "dense")
-    assert calderon_norm(dense) == _cumsum_calderon(dense.values)
+    assert calderon_norm(dense) == _numpy_calderon(dense.values)
+    assert calderon_norm(Spectrum(values[:2], "two")) == _numpy_calderon(values[:2])
     product = weighted_product(CoefficientOperator({(0, 0): 1.0, (2, 2): 0.25}), "left", 0.0)
     level = collect_spectrum(product, 999, 3)
     assert isinstance(level, LevelSpectrum)
     assert calderon_norm(level) == _cumsum_calderon(level)
-    # a level spectrum's pass allocates nothing, so its 2000 nonzero
-    # values are checked against the work limit before it starts
-    monkeypatch.setattr(errors, "WORK_LIMIT_STEPS", 1999)
+    # a level spectrum's pass allocates nothing; it admits the 3000 values
+    # whose listing and quotients, 40 bytes each, fit in the memory limit
+    monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", 40 * 3000)
+    assert calderon_norm(level) == _cumsum_calderon(level)
+    monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", 40 * 3000 - 1)
     with pytest.raises(ResourceError, match="Calderon"):
         calderon_norm(level)
 
