@@ -178,8 +178,10 @@ def _provenance(op, m_max: int, n_max: int) -> str:
 # Bytes of one slab of weighted blocks.  Measured on a 2-core host with the
 # two dense 6x6 spectra of magbench's `spectra` workload (m_max 8191, with
 # their estimates), alternating in one process: they took 105.0 ms in 1 MiB
-# slabs, 102.4 ms in 256 KiB, 102.6 ms in 64 KiB and 109.7 ms in 16 KiB,
-# and at 64 KiB the slab is a small part of what they hold.
+# slabs, 102.4 ms in 256 KiB, 102.6 ms in 64 KiB and 109.7 ms in 16 KiB.
+# Their spectra alone, pinned to one core, took 72.4 ms in 1 MiB slabs and
+# 74.6 ms in 64 KiB, since each slab costs a fixed 15-20 us; at 64 KiB the
+# slab is a small part of what they hold.
 BLOCK_SLAB_BYTES = 2 ** 16
 
 
@@ -623,7 +625,7 @@ def calderon_norm(spectrum) -> float:
         raise DomainError("the Calderon quotient needs at least two values")
     if isinstance(spectrum, Spectrum):
         return _dense_calderon(spectrum.values)
-    # the pass allocates nothing, but takes one step per value: it admits
+    # the pass allocates nothing, but takes a step per value: it admits
     # the level spectra whose values and quotients, 40 bytes each, would
     # fit in the memory limit, so it answers wherever listing them could
     check_memory(40 * len(spectrum), "the Calderon quotients")
