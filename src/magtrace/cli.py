@@ -1,20 +1,22 @@
 """Command line front end.
 
 Subcommands mirror the library modules: basis, op, kernel, trace, dixmier,
-dos, and a cross-engine compare.  Exit codes: 0 on success, 2 when a
-precondition is violated, 3 when a limit is computed but flagged as
-non-convergent, 64 on usage errors.  Reports are deterministic for fixed
-inputs and budgets; JSON output is canonical (sorted keys, floats at 17
-significant digits) so emitted reports round-trip byte for byte.  CSV
-output lists each leaf of the same report as a key,value row: its dotted
-path, such as table.raw.0.re, and its JSON text (strings raw, null empty).
+dos, and a cross-engine compare.  A command line is `[global flag value]...
+command words [flag value]...`, read from the command table with exact flag
+names, each flag at most once and its value the next word; -h or --help
+anywhere prints help.  Exit codes: 0 on success, 2 when a precondition is
+violated, 3 when a limit is computed but flagged as non-convergent, 64 on
+usage errors.  Reports are deterministic for fixed inputs and budgets; JSON
+output is canonical (sorted keys, floats at 17 significant digits) so
+emitted reports round-trip byte for byte.  CSV output lists each leaf of the
+same report as a key,value row: its dotted path, such as table.raw.0.re, and
+its JSON text (strings raw, null empty).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
 import sys
 import time
 import types
@@ -73,11 +75,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(p) if p.isdigit() else int(v) for p, v in zip(text.split(","), values))
 
 
-# Every flag once, with its add_argument keywords; GLOBAL_FLAGS precede the subcommand.
-# _read_command_line reads these keys too, and only these: type, default,
-# required, choices, dest and help.
+# Every flag once, by the keys type, default, required, choices, dest and help, which
+# _read_command_line and _help read; GLOBAL_FLAGS precede the command words.
 FLAGS = {
-    "--ell": dict(type=float, default=1.0, help="magnetic length (default 1.0)"),
+    "--ell": dict(type=float, default=1.0, help="magnetic length"),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--out": dict(default=None, help="write the report to a file"),
     "--budget-profile": dict(choices=tuple(BUDGETS), default="full"),
@@ -95,8 +96,8 @@ FLAGS = {
     "--N": dict(dest="count", type=int, required=True),
     "--save": dict(default=None, help="also write the resulting operator to this path"),
     "--R": dict(dest="radius", type=float, default=8.0,
-                help="Folner box radius (default 8.0); the reported value does not "
-                     "depend on it, since the kernel diagonal is constant"),
+                help="Folner box radius; the reported value does not depend on it, "
+                     "since the kernel diagonal is constant"),
     "--a1": dict(type=float, required=True),
     "--a2": dict(type=float, required=True),
     "--lambda": dict(dest="lam", type=float, default=0.0),
@@ -431,116 +432,113 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """The argparse parser of every subcommand: help text and usage errors come from it."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise UsageError(message)
-
-    parser = Parser(prog="magtrace", description=__doc__)
-    for flag in GLOBAL_FLAGS:
-        parser.add_argument(flag, **FLAGS[flag])
-    groups = {"": parser.add_subparsers(dest="command")}
-    for name, (handler, flags) in COMMANDS.items():
-        group, _, action = name.rpartition(" ")
-        if group not in groups:
-            groups[group] = groups[""].add_parser(group).add_subparsers(dest="action")
-        leaf = groups[group].add_parser(action)
-        for flag in flags:
-            leaf.add_argument(flag, **FLAGS[flag])
-        # a subparser's defaults overwrite the group name stored under "command"
-        leaf.set_defaults(func=handler, command=name)
-    return parser
-
-
-# -- driver -----------------------------------------------------------------
+# -- command line -------------------------------------------------------------
 
 COMMAND_WORDS = {tuple(name.split()): name for name in COMMANDS}
-# argparse's pattern of the values that it takes for an option although they
-# start with "-"; compiled only when such a value comes (re caches it)
-NEGATIVE_NUMBER = r'^-\d+$|^-\d*\.\d+$'
+
+
+def _command(argv, start):
+    """The command that argv names from argv[start] on, or None."""
+    words = tuple(argv[start:start + 2])
+    return COMMAND_WORDS.get(words[:1]) or COMMAND_WORDS.get(words)
+
+
+def _choices(prefix=""):
+    """The words that may follow prefix: every group at the top, or a group's actions."""
+    return list(dict.fromkeys(name[len(prefix):].split()[0] for name in COMMANDS
+                              if name.startswith(prefix)))
 
 
 def _flag_values(argv, start, names, given):
-    """Read `flag value` pairs off argv[start:] into given while the flag is in names.
-
-    Returns the index of the first word that is not such a flag, or None
-    where a pair is not one that argparse reads alike: a repeated flag, a
-    missing value, or a value that argparse would take for an option.
-    """
+    """Read `flag value` pairs off argv[start:] into given; return the index after them."""
     while start < len(argv) and argv[start] in names:
-        flag, value = argv[start], argv[start + 1:start + 2]
-        if flag in given or not value or (
-                value[0].startswith("-") and not re.match(NEGATIVE_NUMBER, value[0])):
-            return None
-        given[flag] = value[0]
+        flag = argv[start]
+        if flag in given:
+            raise UsageError("argument %s: given more than once" % flag)
+        if start + 1 == len(argv):
+            raise UsageError("argument %s: expected one argument" % flag)
+        given[flag] = argv[start + 1]
         start += 2
     return start
 
 
 def _read_command_line(argv):
-    """The namespace that the full parser makes of a well-formed argv, or None.
+    """The namespace of `[global flag value]... command words [flag value]...`.
 
-    Well formed is `[global flag value]... command words [flag value]...`
-    with the exact flag names of that command, each flag at most once,
-    every required flag present, and each value converted by its type
-    and within its choices.  Anything else is declined, so that argparse
-    reports it.
+    Flags have their exact names, each at most once, and each value is converted
+    by its type and checked against its choices; else a UsageError says what is wrong.
     """
     given = {}
     start = _flag_values(argv, 0, GLOBAL_FLAGS, given)
-    if start is None:
-        return None
-    name = COMMAND_WORDS.get(tuple(argv[start:start + 1])) or COMMAND_WORDS.get(
-        tuple(argv[start:start + 2]))
+    name = _command(argv, start)
     if name is None:
-        return None
+        group = argv[start] + " " if argv[start:] and _choices(argv[start] + " ") else ""
+        word = argv[start + 1:start + 2] if group else argv[start:start + 1]
+        raise UsageError("%s (choose from %s)" % ("invalid choice: %r" % word[0] if word else
+                                                  "missing command", ", ".join(_choices(group))))
     handler, flags = COMMANDS[name]
-    if _flag_values(argv, start + name.count(" ") + 1, flags, given) != len(argv):
-        return None
+    end = _flag_values(argv, start + name.count(" ") + 1, flags, given)
+    if end < len(argv):
+        raise UsageError("unrecognized arguments: %s" % " ".join(argv[end:]))
+    missing = [flag for flag in flags if FLAGS[flag].get("required") and flag not in given]
+    if missing:
+        raise UsageError("the following arguments are required: %s" % ", ".join(missing))
     values = {"func": handler, "command": name}
-    group, _, action = name.rpartition(" ")
-    if group:
-        values["action"] = action
     for flag in GLOBAL_FLAGS + flags:
         spec = FLAGS[flag]
         dest = spec.get("dest", flag.lstrip("-").replace("-", "_"))
         if flag not in given:
-            if spec.get("required"):
-                return None
             values[dest] = spec.get("default")
             continue
         try:
             value = spec.get("type", str)(given[flag])
-        except (UsageError, TypeError, ValueError):  # the full parser reports these
-            return None
+        except ValueError:
+            raise UsageError("argument %s: invalid %s value: %r"
+                             % (flag, spec["type"].__name__, given[flag])) from None
         if "choices" in spec and value not in spec["choices"]:
-            return None
+            raise UsageError("argument %s: invalid choice: %r (choose from %s)"
+                             % (flag, value, ", ".join(spec["choices"])))
         values[dest] = value
     return types.SimpleNamespace(**values)
 
 
-def _parse(argv):
-    """Read argv from the command table, or else with the full parser.
+def _flag_help(flags):
+    """One line per flag: required or its default, its choices and its help."""
+    lines = ""
+    for flag in flags:
+        spec = FLAGS[flag]
+        facts = ["required" if spec.get("required") else "default %s" % (spec["default"],)]
+        facts += ["one of " + ", ".join(spec["choices"])] if "choices" in spec else []
+        lines += "  %-24s %s\n" % (flag + " VALUE", "; ".join(facts + [spec.get("help", "")]))
+    return lines.replace("; \n", "\n")
 
-    A well-formed command line never imports argparse.  Help, and every
-    argv that the table reader declines, go to the full parser, which
-    prints the help or raises the usage error.
-    """
-    args = _read_command_line(argv)
-    return build_parser().parse_args(argv) if args is None else args
+
+def _help(argv):
+    """The help of the command or group that argv names after its global flags, or of all."""
+    start = 0
+    while argv[start:start + 1] and argv[start] in GLOBAL_FLAGS:
+        start += 2
+    name = _command(argv, start)
+    group = argv[start] if argv[start:] and _choices(argv[start] + " ") else None
+    usage = "usage: magtrace [global flag VALUE]... %s [flag VALUE]...\n\n"
+    if name is not None:
+        return usage % name + "flags:\n" + _flag_help(COMMANDS[name][1])
+    if group is not None:
+        return usage % (group + " ACTION") + "actions: %s\n" % ", ".join(_choices(group + " "))
+    return usage % "COMMAND" + "%s\n\nglobal flags:\n%s\ncommands:\n%s" % (
+        __doc__.strip(), _flag_help(GLOBAL_FLAGS), "".join(
+            ("  %-8s %s" % (word, ", ".join(_choices(word + " ")))).rstrip() + "\n"
+            for word in _choices()))
 
 
 def run(argv) -> int:
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv))
+        return 0
     try:
-        args = _parse(argv)
+        args = _read_command_line(argv)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
-        return 64
-    if not hasattr(args, "func"):
-        print("usage error: missing subcommand (try --help)", file=sys.stderr)
         return 64
     start = time.perf_counter()
     try:

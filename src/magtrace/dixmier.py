@@ -277,6 +277,9 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "s
         raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
     if m_max < 0 or n_max < 1:
         raise DomainError("spectrum truncation needs m_max >= 0 and n_max >= 1")
+    if (m_max + 1) * n_max > sys.maxsize:
+        raise RangeError("spectrum truncation needs (m_max + 1) * n_max <= sys.maxsize = %d "
+                         "values, so that a length counts them" % sys.maxsize)
     truncated = {key: v for key, v in op.source.entries.items() if max(key) < n_max}
     if kind == "eigen" and any(truncated.get((k, j), 0.0) != v.conjugate()
                                for (j, k), v in truncated.items()):

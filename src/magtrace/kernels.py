@@ -50,8 +50,9 @@ class GridSpec(Record):
     def __post_init__(self):
         if not (self.extent > 0.0 and math.isfinite(self.extent)) or self.nodes < 2:
             raise DomainError("grids need a positive, finite extent and at least two nodes")
-        if not math.isfinite(self.spacing):
-            raise DomainError("the grid spacing 2 * extent / (nodes - 1) must be finite")
+        if not 0.0 < self.spacing < math.inf:
+            raise DomainError("the grid spacing 2 * extent / (nodes - 1) must be positive "
+                              "and finite")
 
     @property
     def spacing(self) -> float:
@@ -452,13 +453,17 @@ def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunctio
     around, which is flagged instead of silently accepted.
     """
     a1, a2 = (float(a[0]), float(a[1]))
-    if not (math.isfinite(a1) and math.isfinite(a2)):
-        raise DomainError("magnetic translations need a finite displacement")
-    import numpy as np
-
     spec = phi.spec
     n = spec.nodes
     h = spec.spacing
+    # the phase ramp below reaches pi (|a1| + |a2|) / h, and the magnetic
+    # phase extent (|a1| + |a2|) / (2 ell^2): both are checked before any FFT
+    reach = abs(a1) + abs(a2)
+    if not math.isfinite(math.pi * reach / h + spec.extent * reach / (2.0 * cfg.ell ** 2)):
+        raise DomainError("magnetic translations need a finite displacement whose phases "
+                          "pi (|a1| + |a2|) / h and extent (|a1| + |a2|) / (2 ell^2) are finite")
+    import numpy as np
+
     g = spec.axis()
     freq = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
     # fft2 and ifft2 one axis at a time, in the same order, and everything

@@ -240,7 +240,7 @@ def test_exit_2_on_repeated_grid_points(pi0_file, capsys):
 def test_exit_2_names_an_ngrid_integer_exactly(pi0_file, capsys):
     # an all-digit entry above 2**53 is parsed, and refused when repeated, unrounded
     argv = ["trace", "shell", "--op", pi0_file, "--Ngrid", "100,12345678901234567891"]
-    assert cli._parse(argv).ngrid == (100, 12345678901234567891)
+    assert cli._read_command_line(argv).ngrid == (100, 12345678901234567891)
     rc, out, err = invoke(argv[:-1] + ["100,12345678901234567891,12345678901234567891"], capsys)
     assert (rc, out) == (2, "")
     assert "(100, 12345678901234567891, 12345678901234567891)" in err
@@ -583,7 +583,10 @@ def test_kernel_commutant_rejects_non_finite_input(pi0_file, capsys):
                   ["--a1", "1", "--a2", "0", "--extent", "inf", "--nodes", "8"],
                   ["--a1", "nan", "--a2", "0", "--nodes", "8"],
                   ["--a1", "inf", "--a2", "0", "--nodes", "8"],
-                  ["--a1", "0", "--a2=-inf", "--nodes", "8"]):
+                  ["--a1", "0", "--a2", "-inf", "--nodes", "8"],
+                  # finite, but the phase ramp pi |a| / h overflows: refused before any FFT
+                  ["--a1", "1e308", "--a2", "0"],
+                  ["--a1", "0", "--a2", "-1e308"]):
         rc, out, err = invoke(base + flags, capsys)
         assert (rc, out) == (2, ""), flags
         assert "finite" in err
@@ -591,20 +594,23 @@ def test_kernel_commutant_rejects_non_finite_input(pi0_file, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_kernel_commutant_rejects_overflowing_spacing(pi0_file, capsys):
-    # the extent is finite but 2 * extent / (nodes - 1) is not: nothing is sampled
-    rc, out, err = invoke(["--budget-profile", "quick", "kernel", "commutant", "--op", pi0_file,
-                           "--a1", "1", "--a2", "0", "--extent", "1e308", "--nodes", "8"],
-                          capsys)
-    assert (rc, out) == (2, "")
-    assert "grid spacing" in err
+    # the extent is finite but 2 * extent / (nodes - 1) overflows, or underflows
+    # to 0: nothing is sampled
+    for extent in ("1e308", "5e-324"):
+        rc, out, err = invoke(["--budget-profile", "quick", "kernel", "commutant",
+                               "--op", pi0_file, "--a1", "1", "--a2", "0",
+                               "--extent", extent, "--nodes", "8"], capsys)
+        assert (rc, out) == (2, ""), extent
+        assert "grid spacing" in err
 
 
 @pytest.mark.filterwarnings("error")
 def test_basis_gram_rejects_overflowing_spacing(capsys):
     # the same grid check as kernel commutant: refused before any sampling
-    rc, out, err = invoke(["basis", "gram", "--max-index", "1", "--extent", "1e308"], capsys)
-    assert (rc, out) == (2, "")
-    assert "grid spacing" in err
+    for extent in ("1e308", "5e-324"):
+        rc, out, err = invoke(["basis", "gram", "--max-index", "1", "--extent", extent], capsys)
+        assert (rc, out) == (2, ""), extent
+        assert "grid spacing" in err
 
 
 def invoke_traced(argv, capsys):
@@ -717,6 +723,8 @@ CONTRACT_SOURCES = {
     "zero": {},
     "pi0": {(0, 0): 1.0},
     "hop-5e-324": {(0, 1): 5e-324, (1, 0): 5e-324},
+    "far": {(0, 0): 1.0, (5000, 5000): 1.0},
+    "far-hop": {(0, 3000): 1.0, (3000, 0): 1.0, (1, 1): 0.5},
 }
 OP_COMMANDS = sorted(name for name, (_, flags) in cli.COMMANDS.items() if "--op" in flags)
 OP_REQUIRED = {"kernel eval": ["--x1", "0.5", "--x2", "0.25"],
@@ -732,21 +740,8 @@ def _overtime(signum, frame):
     raise Overtime("the run passed its time bound")
 
 
-@pytest.mark.parametrize("source", sorted(CONTRACT_SOURCES))
-@pytest.mark.parametrize("name", OP_COMMANDS)
-def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys):
-    # sums past the largest double, a finite answer of 2e300 whose squares
-    # overflow, an index whose Laguerre recurrence would not end, the zero
-    # operator, pi0 and the smallest subnormal: each command that reads
-    # --op exits 0, 2 or 3 (64 is for usage) and raises nothing, within
-    # 10 s; the slowest, kernel commutant, takes 0.2 s on a 2-core host.
-    # numpy's floating-point warnings (overflow, and invalid values after
-    # it) are recorded, not raised: a command prints them as warnings, and
-    # no report carries them yet.  kernel commutant scales the source to
-    # its largest entry, so it raises none
-    path = tmp_path / "source.json"
-    save_operator(CoefficientOperator(CONTRACT_SOURCES[source]), str(path))
-    argv = name.split() + ["--op", str(path)] + OP_REQUIRED.get(name, [])
+def invoke_bounded(argv, capsys):
+    """invoke within 10 s, also returning the warnings that the run recorded."""
     previous = signal.signal(signal.SIGALRM, _overtime)
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
@@ -756,6 +751,26 @@ def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    return rc, out, err, caught
+
+
+@pytest.mark.parametrize("source", sorted(CONTRACT_SOURCES))
+@pytest.mark.parametrize("name", OP_COMMANDS)
+def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys):
+    # sums past the largest double, a finite answer of 2e300 whose squares
+    # overflow, an index whose Laguerre recurrence would not end, the zero
+    # operator, pi0, the smallest subnormal, a level at index 5000 and a hop
+    # 3000 off the diagonal: each command that reads --op exits 0, 2 or 3
+    # (64 is for usage) and raises nothing, within 10 s; the slowest, kernel
+    # commutant on the far level, takes about 1 s on a 2-core host.  numpy's
+    # floating-point warnings (overflow, and invalid values after it) are
+    # recorded, not raised: a command prints them as warnings, and no report
+    # carries them yet.  kernel commutant scales the source to its largest
+    # entry, so it raises none
+    path = tmp_path / "source.json"
+    save_operator(CoefficientOperator(CONTRACT_SOURCES[source]), str(path))
+    argv = name.split() + ["--op", str(path)] + OP_REQUIRED.get(name, [])
+    rc, out, err, caught = invoke_bounded(argv, capsys)
     assert rc in (0, 2, 3, 64)
     assert (out == "") == (rc == 2)
     assert all(w.category is RuntimeWarning for w in caught)
@@ -845,7 +860,7 @@ def test_package_import_loads_no_submodule():
 
 # The scalar commands, and the Dixmier routes on diagonal sources, run on the
 # standard library alone, and on its light part: no dataclasses, no inspect,
-# and a well-formed command line is read without argparse, gettext or locale.
+# and no argparse, gettext or locale, for a command or for help.
 STDLIB_ONLY = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale"}
 
 
@@ -875,10 +890,12 @@ STDLIB_ONLY = {"numpy", "dataclasses", "inspect", "argparse", "gettext", "locale
     (["--budget-profile", "quick", "compare", "--op", "{pi0}"],
      STDLIB_ONLY | {"magtrace.dos", "magtrace.kernels", "magtrace.basis"}),
     (["compare", "--op", "{pi0}"], STDLIB_ONLY | {"magtrace.dos", "magtrace.kernels"}),
+    (["--help"], STDLIB_ONLY | {"magtrace.traces", "magtrace.dixmier", "magtrace.kernels"}),
+    (["trace", "diag", "--help"], STDLIB_ONLY | {"magtrace.traces", "magtrace.dixmier"}),
 ], ids=["trace-diag", "trace-residue", "trace-shell", "trace-shell-far-grid", "trace-ordered",
         "kernel-eval", "kernel-folner", "basis-eval", "dixmier-estimate", "dixmier-tauberian",
         "dixmier-gamma", "dos-approx", "dos-idos", "op-norm", "dos-spectral", "dos-dixmier",
-        "compare", "compare-full"])
+        "compare", "compare-full", "help", "trace-diag-help"])
 def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
     loaded = _modules_loaded(["-m", "magtrace.cli", *argv])
@@ -886,50 +903,85 @@ def test_a_command_loads_only_what_it_runs(argv, absent, pi0_file, bump_file):
     assert sorted(absent & loaded) == []
 
 
-def _choices(help_text):
-    """The sets of words that a help text lists in braces, as in {trace,dos}."""
-    return [set(words.split(",")) for words in re.findall(r"\{([^}]*)\}", help_text)]
 
 
-def test_help_lists_every_subcommand(capsys):
-    # help comes from the full parser, which a fresh process imports for it
+def test_help_lists_every_command_and_flag(capsys):
+    # help is made from the command table, in a fresh process as in process
     proc = subprocess.run([sys.executable, "-m", "magtrace.cli", "--help"],
                           capture_output=True, text=True, env=_child_env())
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert {name.split()[0] for name in cli.COMMANDS} in _choices(proc.stdout)
-    assert _subcommand_names(cli.build_parser()) == list(cli.COMMANDS)
-    for name in cli.COMMANDS:
+    globals_part, _, commands_part = proc.stdout.partition("\ncommands:\n")
+    listed = [line.split(None, 1) + [""] for line in commands_part.splitlines()]
+    assert [" ".join([group, action]).strip() for group, actions, *_ in listed
+            for action in actions.split(", ")] == list(cli.COMMANDS)
+    for flag in cli.GLOBAL_FLAGS:
+        assert "\n  %s VALUE " % flag in globals_part
+    for name, (_, flags) in cli.COMMANDS.items():
         group, _, action = name.rpartition(" ")
         if group:
-            rc, out, _ = _outcome([group, "--help"], capsys)
-            assert rc == 0 and action in set().union(*_choices(out)), name
+            rc, out, err = invoke([group, "--help"], capsys)
+            assert (rc, err) == (0, "") and action in out.split("actions: ")[1].strip().split(", ")
+        rc, out, err = invoke(name.split() + ["-h"], capsys)
+        assert (rc, err) == (0, "")
+        lines = out.split("flags:\n")[1].splitlines()
+        assert [line.split()[0] for line in lines] == list(flags), name
+        for flag, line in zip(flags, lines):
+            spec = cli.FLAGS[flag]
+            assert ("required" if spec.get("required") else "default") in line
+            assert all(choice in line for choice in spec.get("choices", ()))
+            assert spec.get("help", "") in line
 
 
-def _outcome(argv, capsys):
-    try:
-        rc = run(list(argv))
-    except SystemExit as done:  # argparse's help exits
-        rc = done.code
-    captured = capsys.readouterr()
-    return rc, captured.out, captured.err
+@pytest.mark.parametrize("argv", [
+    ["trace", "diag", "--op", "{pi0}", "-h"], ["--format", "csv", "trace", "diag", "--help"],
+    ["trace", "diag", "--op", "-h"], ["--ell", "2", "--ell", "3", "trace", "diag", "-h"],
+])
+def test_help_anywhere_is_the_help_of_the_command(argv, pi0_file, capsys):
+    assert (invoke([arg.format(pi0=pi0_file) for arg in argv], capsys)
+            == invoke(["trace", "diag", "--help"], capsys))
 
 
-def _subcommand_names(parser, prefix=()):
-    """The full names of the leaf subcommands that a parser holds, in order."""
-    names = []
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, child in action.choices.items():
-                names += _subcommand_names(child, prefix + (name,)) or [" ".join(prefix + (name,))]
-    return names
+def _oracle():
+    """argparse's reading of FLAGS and COMMANDS, which the table reader must agree with."""
+    parser = argparse.ArgumentParser(prog="magtrace")
+    for flag in cli.GLOBAL_FLAGS:
+        parser.add_argument(flag, **cli.FLAGS[flag])
+    groups = {"": parser.add_subparsers()}
+    for name, (handler, flags) in cli.COMMANDS.items():
+        group, _, action = name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group).add_subparsers()
+        leaf = groups[group].add_parser(action)
+        for flag in flags:
+            leaf.add_argument(flag, **cli.FLAGS[flag])
+        leaf.set_defaults(func=handler, command=name)
+    return parser
+
+
+def _oracle_namespace(argv):
+    """The oracle's namespace of a well-formed argv, each pair given as flag=value.
+
+    argparse takes a value such as -1e-05 or -inf for an option, and reads
+    it as a value only in that form.
+    """
+    words = list(argv)
+    for at in reversed(range(len(words) - 1)):
+        if words[at] in cli.FLAGS:
+            words[at:at + 2] = [words[at] + "=" + words[at + 1]]
+    return vars(_oracle().parse_args(words))
+
+
+def _reprs(namespace):
+    # repr tells nan, -0.0 and the int/float of each value apart
+    return {key: repr(value) for key, value in namespace.items()}
 
 
 # A value for each flag: some negative, some not finite, and an integer above 2**53.
 FLAG_VALUES = {
     "--ell": "2.5", "--format": "csv", "--out": "report.csv", "--budget-profile": "quick",
-    "--n": "-3", "--m": "1", "--x1": "-0.5", "--x2": "-.5", "--max-index": "2",
+    "--n": "-3", "--m": "1", "--x1": "-1e-05", "--x2": "-.5", "--max-index": "2",
     "--extent": "6.0", "--nodes": "32", "--in": "{pi0}", "--in2": "{pi0}", "--op": "{pi0}",
-    "--p": "inf", "--N": "4", "--save": "out.json", "--R": "6.0", "--a1": "nan", "--a2": "-1",
+    "--p": "inf", "--N": "4", "--save": "out.json", "--R": "6.0", "--a1": "nan", "--a2": "-inf",
     "--lambda": "-0.5", "--lambda2": "0.25", "--xgrid": "0.1,-.5", "--eps": "-2.5",
     "--Ngrid": "100,12345678901234567891", "--form": "split", "--shells": "64", "--J": "8",
     "--f": "{bump}",
@@ -947,61 +999,143 @@ def _command_lines():
     yield ["--ell", "-1", "--format", "json", "trace", "diag", "--op", "{pi0}"]
 
 
-# Command lines that the table reader declines; the full parser runs the
-# cheap ones that it accepts.
-DECLINED = [
-    [], ["--ell", "2"], ["trace"], ["trace", "dag", "--op", "x"], ["dixmier", "diag"],
-    ["-h"], ["trace", "-h"], ["trace", "diag", "-h"], ["trace", "diag", "--op", "{pi0}", "-h"],
-    ["--help", "trace", "diag"], ["--hel", "compare"], ["trace", "diag", "--op", "-h"],
-    ["trace", "diag", "--op", "{pi0}", "--op", "{pi0}"],
-    ["--ell", "2", "--ell", "3", "trace", "diag", "--op", "{pi0}"],
-    ["trace", "diag", "--o", "{pi0}"], ["--bud", "quick", "trace", "diag", "--op", "{pi0}"],
-    ["dixmier", "spectrum", "--op", "{pi0}", "--lam", "0.5"],
-    ["trace", "diag", "--op={pi0}"], ["--ell=2", "trace", "diag", "--op", "{pi0}"],
-    ["trace", "diag", "--", "--op", "{pi0}"], ["--", "trace", "diag", "--op", "{pi0}"],
-    ["compare", "--op"], ["--out", "compare"], ["trace", "diag", "--op", "{pi0}", "extra"],
-    ["trace", "diag", "--op", "{pi0}", "--ell", "2"], ["trace", "diag", "compare"],
-    ["op", "norm", "--in", "{pi0}", "--p", "-1e-05"], ["op", "norm", "--in", "{pi0}", "--p", "x"],
-    ["op", "norm", "--in", "{pi0}", "--p", "- 1"], ["op", "norm", "--in", "{pi0}", "--p", "-"],
-    ["--format", "xml", "trace", "diag", "--op", "{pi0}"],
-    ["dixmier", "spectrum", "--op", "{pi0}", "--form", "both"],
-    ["basis", "eval", "--n", "1.5", "--m", "0", "--x1", "0", "--x2", "0"],
-    ["trace", "shell", "--op", "{pi0}", "--Ngrid", "1e500"],
-    ["trace", "residue", "--op", "{pi0}", "--xgrid", "0.1;0.01"],
-    ["trace", "diag", "--op", "{pi0}", "--Ngrid", "100"], ["trace diag", "--op", "{pi0}"],
+@pytest.mark.parametrize("argv", list(_command_lines()))
+def test_table_reader_matches_an_argparse_oracle(argv, pi0_file, bump_file):
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
+    assert _reprs(vars(cli._read_command_line(argv))) == _reprs(_oracle_namespace(argv))
+
+
+# Plain values for the required flags of a command.
+PLAIN_VALUES = {
+    "--n": "1", "--m": "0", "--x1": "0.5", "--x2": "0.25", "--in": "{pi0}", "--in2": "{pi0}",
+    "--op": "{pi0}", "--p": "2", "--N": "10", "--a1": "0.5", "--a2": "-0.3", "--eps": "2.5",
+    "--f": "{bump}",
+}
+
+
+def _line_with(flag, value):
+    """The first command that takes flag, with flag at value and plain required flags."""
+    name, flags = next((name, flags) for name, (_, flags) in cli.COMMANDS.items()
+                       if flag in flags + cli.GLOBAL_FLAGS)
+    words = [word for other in flags if cli.FLAGS[other].get("required") and other != flag
+             for word in (other, PLAIN_VALUES[other])]
+    words += ["--form", "split"] if flag == "--lambda2" else []  # read by split only
+    if flag in cli.GLOBAL_FLAGS:
+        return [flag, value] + name.split() + words
+    return name.split() + words + [flag, value]
+
+
+NUMBER_FLAGS = sorted(flag for flag, spec in cli.FLAGS.items()
+                      if spec.get("type") in (float, cli._parse_floats, cli._parse_ints))
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-inf", "-.5", "-1E+3"])
+@pytest.mark.parametrize("flag", NUMBER_FLAGS)
+def test_negative_values_are_read_in_any_notation(flag, value, pi0_file, bump_file):
+    # the word after a flag is its value, whatever it starts with: the table
+    # reader and the oracle give the same namespace, or both refuse the value
+    # with the same message (--Ngrid takes integers only)
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in _line_with(flag, value)]
+    try:
+        expected = _reprs(_oracle_namespace(argv))
+    except cli.UsageError as err:
+        with pytest.raises(cli.UsageError, match=re.escape(str(err))):
+            cli._read_command_line(argv)
+        assert flag == "--Ngrid"
+        return
+    assert _reprs(vars(cli._read_command_line(argv))) == expected
+
+
+def test_kernel_eval_reads_a_negative_exponent(pi0_file, capsys):
+    # repr writes small negative floats as -1e-05, and kernel eval reads them;
+    # pi0's kernel is radial, so the point's mirror image gives the same value
+    values = []
+    for x1 in ("-1e-05", "1e-05"):
+        rc, out, err = invoke(["kernel", "eval", "--op", pi0_file, "--x1", x1, "--x2", "0"],
+                              capsys)
+        assert (rc, err) == (0, "")
+        values.append(json.loads(out)["value"])
+    assert values[0] == values[1]
+
+
+# Command lines that are not well formed, each with the start of its usage
+# error.  Abbreviated flags, flag=value and -- are not read.
+USAGE_ERRORS = [
+    ([], "missing command (choose from basis, op, kernel, trace, dixmier, dos, compare)"),
+    (["--ell", "2"], "missing command (choose from basis"),
+    (["--out", "compare"], "missing command (choose from basis"),
+    (["trace"], "missing command (choose from diag, residue, shell, ordered)"),
+    (["trace", "dag", "--op", "x"], "invalid choice: 'dag' (choose from diag, residue"),
+    (["trace", "compare", "--op", "x"], "invalid choice: 'compare' (choose from diag"),
+    (["dixmier", "diag", "--op", "trace"], "invalid choice: 'diag' (choose from spectrum"),
+    (["trace diag", "--op", "{pi0}"], "invalid choice: 'trace diag' (choose from basis"),
+    (["--hel", "compare"], "invalid choice: '--hel'"),
+    (["--bud", "quick", "trace", "diag", "--op", "{pi0}"], "invalid choice: '--bud'"),
+    (["--ell=2", "trace", "diag", "--op", "{pi0}"], "invalid choice: '--ell=2'"),
+    (["--", "trace", "diag", "--op", "{pi0}"], "invalid choice: '--'"),
+    (["trace", "diag", "--o", "{pi0}"], "unrecognized arguments: --o "),
+    (["dixmier", "spectrum", "--op", "{pi0}", "--lam", "0.5"], "unrecognized arguments: --lam"),
+    (["trace", "diag", "--op={pi0}"], "unrecognized arguments: --op="),
+    (["trace", "diag", "--", "--op", "{pi0}"], "unrecognized arguments: -- --op "),
+    (["trace", "diag", "--op", "{pi0}", "extra"], "unrecognized arguments: extra"),
+    (["trace", "diag", "--op", "{pi0}", "--ell", "2"], "unrecognized arguments: --ell 2"),
+    (["trace", "diag", "compare"], "unrecognized arguments: compare"),
+    (["trace", "diag", "--op", "{pi0}", "--Ngrid", "100"], "unrecognized arguments: --Ngrid"),
+    (["trace", "diag", "--op", "{pi0}", "--op", "{pi0}"], "argument --op: given more than once"),
+    (["--ell", "2", "--ell", "3", "trace", "diag", "--op", "{pi0}"],
+     "argument --ell: given more than once"),
+    (["trace", "diag"], "the following arguments are required: --op"),
+    (["basis", "eval", "--n", "1"], "the following arguments are required: --m, --x1, --x2"),
+    (["compare", "--op"], "argument --op: expected one argument"),
+    (["op", "norm", "--in", "{pi0}", "--p", "x"], "argument --p: invalid float value: 'x'"),
+    (["op", "norm", "--in", "{pi0}", "--p", "- 1"], "argument --p: invalid float value: '- 1'"),
+    (["op", "norm", "--in", "{pi0}", "--p", "-"], "argument --p: invalid float value: '-'"),
+    (["basis", "eval", "--n", "1.5", "--m", "0", "--x1", "0", "--x2", "0"],
+     "argument --n: invalid int value: '1.5'"),
+    (["--format", "xml", "trace", "diag", "--op", "{pi0}"],
+     "argument --format: invalid choice: 'xml' (choose from json, csv)"),
+    (["dixmier", "spectrum", "--op", "{pi0}", "--form", "both"],
+     "argument --form: invalid choice: 'both'"),
+    (["trace", "shell", "--op", "{pi0}", "--Ngrid", "1e500"],
+     "expected a comma-separated list of integers: '1e500'"),
+    (["trace", "residue", "--op", "{pi0}", "--xgrid", "0.1;0.01"],
+     "expected a comma-separated list of numbers: '0.1;0.01'"),
+]
+HELP_LINES = [
+    ["-h"], ["--help"], ["trace", "-h"], ["trace", "--help"], ["trace", "diag", "--help"],
+    ["trace", "diag", "--op", "{pi0}", "-h"], ["--help", "trace", "diag"],
+    ["trace", "--help", "diag"], ["trace", "diag", "--op", "-h"],
 ]
 
 
-@pytest.mark.parametrize("argv", list(_command_lines()) + DECLINED)
-def test_table_reader_matches_the_full_parser(argv, pi0_file, bump_file, monkeypatch, capsys):
-    # an accepted command line gives the full parser's namespace; a declined
-    # one runs as it does under the full parser alone
-    declined = argv in DECLINED
-    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in argv]
-    args = cli._read_command_line(argv)
-    assert (args is None) == declined
-    if args is not None:
-        # repr tells nan, -0.0 and the int/float of each value apart
-        assert ({key: repr(value) for key, value in vars(args).items()}
-                == {key: repr(value) for key, value in vars(cli._parse(argv)).items()}
-                == {key: repr(value)
-                    for key, value in vars(cli.build_parser().parse_args(argv)).items()})
-        return
-    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
-    outcome = _outcome(argv, capsys)
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
-    assert _outcome(argv, capsys) == outcome
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS + [(argv, None) for argv in HELP_LINES])
+def test_usage_errors_and_help_end_the_run(argv, message, pi0_file, capsys):
+    rc, out, err = invoke([arg.format(pi0=pi0_file) for arg in argv], capsys)
+    if message is None:
+        assert (rc, out[:16], err) == (0, "usage: magtrace ", "")
+    else:
+        assert (rc, out) == (64, "")
+        assert err.startswith("usage error: " + message)
 
 
-@pytest.mark.parametrize("argv", [
-    ["--help"], ["trace", "--help"], ["trace", "diag", "--help"], ["--help", "trace", "diag"],
-    ["trace", "--help", "diag"], ["--hel", "compare"], ["trace", "dag", "--op", "x"],
-    ["trace", "compare", "--op", "x"], ["dixmier", "diag", "--op", "trace"],
-    ["trace", "diag"], ["compare", "--op"], ["--out", "compare"], ["--ell", "2"],
-])
-def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
-    assert cli._read_command_line(argv) is None
-    rc, out, err = _outcome(argv, capsys)
-    assert (rc, out[:16], err[:12]) in ((0, "usage: magtrace ", ""), (64, "", "usage error:"))
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
-    assert _outcome(argv, capsys) == (rc, out, err)
+# The extreme values of each typed flag, the grids' own, then by type.
+EXTREME_VALUES = {
+    int: ["0", "-1", str(10 ** 18), "9" * 30],
+    float: ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "-1e-05"],
+    "--xgrid": ["1e308,1e-308", "5e-324", "-0.0,0.1", "nan", "0.1,-inf"],
+    "--Ngrid": ["2,3", "-1,100", "%d,%d" % (10 ** 18, 10 ** 18 + 1), "9" * 30, "nan"],
+}
+EXTREME_FLAGS = [(flag, value) for flag, spec in cli.FLAGS.items()
+                 for value in EXTREME_VALUES.get(flag, EXTREME_VALUES.get(spec.get("type"), ()))]
+
+
+@pytest.mark.parametrize("flag, value", EXTREME_FLAGS)
+def test_extreme_flag_values_keep_the_exit_contract(flag, value, pi0_file, bump_file, capsys):
+    # each typed flag at each extreme value, in the first command that takes
+    # it: the run ends within 10 s, raises nothing, and writes a report
+    # exactly when it computed one (exit 0 or 3)
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in _line_with(flag, value)]
+    rc, out, err, caught = invoke_bounded(argv, capsys)
+    assert rc in (0, 2, 3, 64)
+    assert (out == "") == (rc in (2, 64))
+    assert all(w.category is RuntimeWarning for w in caught)

@@ -4,7 +4,7 @@ Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
 convergence table comes from the two builders in extrapolate.py, every
 flag that a CLI subcommand declares is read by its handler, every flag
-entry is declared by the parser or by some subcommand, every flag entry
+entry is a global flag or declared by some subcommand, every flag entry
 uses only the keys that the command-table reader reads, every public
 name is reached by a command, an acceptance criterion or a magbench
 workload, every CLI report is encoded by serialize, no module imports
@@ -12,7 +12,6 @@ numpy when it loads, no module imports dataclasses or typing, and every
 tolerance in the tests names its absolute part.
 """
 
-import argparse
 import ast
 import importlib
 import pathlib
@@ -181,28 +180,21 @@ def _args_read(func, functions):
     return found
 
 
-def _unread_flags(parser, source, path=()):
-    """Flags of each leaf subcommand whose dest its handler never reads."""
+def _unread_flags(commands, flags, source):
+    """Flags of each command whose dest its handler never reads."""
     functions = {node.name: node for node in ast.parse(source).body
                  if isinstance(node, ast.FunctionDef)}
     found = []
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, child in action.choices.items():
-                found += _unread_flags(child, source, path + (name,))
-    func = parser.get_default("func")
-    if func is not None:
-        read = _args_read(functions[func.__name__], functions)
-        found += ["%s %s" % (" ".join(path), action.option_strings[0])
-                  for action in parser._actions
-                  if action.option_strings and action.dest != "help"
-                  and action.dest not in read]
+    for name, (handler, names) in commands.items():
+        read = _args_read(functions[handler.__name__], functions)
+        found += ["%s %s" % (name, flag) for flag in names
+                  if flags[flag].get("dest", flag.lstrip("-").replace("-", "_")) not in read]
     return found
 
 
 def test_every_cli_flag_is_read_by_its_handler():
     source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
-    assert _unread_flags(cli.build_parser(), source) == []
+    assert _unread_flags(cli.COMMANDS, cli.FLAGS, source) == []
 
 
 def test_unread_flag_scan_flags_an_ignored_flag():
@@ -212,12 +204,9 @@ def test_unread_flag_scan_flags_an_ignored_flag():
     def cmd_norm():
         pass
 
-    parser = argparse.ArgumentParser()
-    leaf = parser.add_subparsers().add_parser("norm")
-    for flag, dest in (("--in", "infile"), ("--p", "p"), ("--save", "save")):
-        leaf.add_argument(flag, dest=dest)
-    leaf.set_defaults(func=cmd_norm)
-    assert _unread_flags(parser, source) == ["norm --save"]
+    commands = {"op norm": (cmd_norm, ("--in", "--p", "--save"))}
+    flags = {"--in": {"dest": "infile"}, "--p": {}, "--save": {}}
+    assert _unread_flags(commands, flags, source) == ["op norm --save"]
 
 
 def _undeclared_flags(flags, global_flags, commands):
@@ -230,9 +219,8 @@ def test_every_cli_flag_entry_is_declared():
     assert _undeclared_flags(cli.FLAGS, cli.GLOBAL_FLAGS, cli.COMMANDS) == []
 
 
-# The keys of a flag entry that cli._read_command_line reads as argparse
-# would; a feature of argparse alone, such as nargs or action, would let
-# the two parsers part.
+# The keys of a flag entry that cli._read_command_line and the help read: a
+# key outside them, such as nargs or action, would be declared and ignored.
 TABLE_READER_KEYS = {"type", "default", "required", "choices", "dest", "help"}
 
 

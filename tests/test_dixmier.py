@@ -1,6 +1,7 @@
 """Dixmier trace estimation from partial sums of singular values."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -473,6 +474,11 @@ def test_level_spectrum_refusals():
     for kind in ("singular", "eigen"):
         with pytest.raises(RangeError, match="largest double"):
             collect_spectrum(pair, 511, 2, kind)
+    # more values than a length can count: pi0 at 10**30 shells
+    pi0 = weighted_product(CoefficientOperator({(0, 0): 1.0}), "left", 0.0)
+    with pytest.raises(RangeError, match="sys.maxsize"):
+        collect_spectrum(pi0, 10 ** 30 - 1, 1)
+    assert len(collect_spectrum(pi0, sys.maxsize - 1, 1)) == sys.maxsize
     # levels that hold no reliable value carry too much of the l1 mass
     far = weighted_product(CoefficientOperator({(0, 0): 1.0, (5000, 5000): 1.0}), "left", 0.0)
     with pytest.raises(RangeError, match="no value above the truncation frontier"):

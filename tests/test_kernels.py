@@ -395,7 +395,9 @@ def test_translate_flags_clipping(cfg):
 
 def test_translate_needs_finite_displacement(cfg):
     phi = sample_basis(0, 0, GridSpec(extent=6.0, nodes=16), cfg)
-    for a in ((float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0)):
+    # a finite displacement whose phase ramp pi |a| / h overflows is refused too
+    for a in ((float("nan"), 0.0), (0.0, float("inf")), (float("-inf"), 1.0), (1e308, 0.0),
+              (0.0, -1e308)):
         with pytest.raises(DomainError):
             magnetic_translate(a, phi, cfg)
         with pytest.raises(DomainError):
