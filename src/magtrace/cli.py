@@ -134,7 +134,7 @@ def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
 
     _check_shifts(form, lam, lam2)
     shells = budget.shells if shells is None else shells
-    product = weighted_product(op, form, lam, lam2, s=1.0)
+    product = weighted_product(op, form, lam, lam2)
     n_max = max(op.max_index + 1, 1)
     if kind is None:
         diag_real = op.is_diagonal and all(abs(v.imag) == 0.0 for v in op.entries.values())

@@ -26,9 +26,9 @@ import math
 import sys
 from functools import cached_property, partial
 
-from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
+from .errors import DomainError, RangeError, Record, check_memory, check_positive_int, check_work
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
-from .operators import DiagonalWeight, WeightedProduct, matrix_block
+from .operators import DiagonalWeight, WeightedProduct, inverse_weight, matrix_block
 from .traces import checked_n_grid, completed_shells, hurwitz_sum, hurwitz_zeta
 
 
@@ -170,9 +170,9 @@ def _order(value: float) -> tuple[float, bool]:
 
 
 def _provenance(op, m_max: int, n_max: int) -> str:
-    """The label of a weighted product's spectrum; op has its form, shifts and s."""
-    return "%s-weighted product (lam=%g, lam2=%g, s=%g) over n<%d, m<=%d" % (
-        op.form, op.lam, op.lam2, op.s, n_max, m_max)
+    """The label of a weighted product's spectrum; op has its form and shifts."""
+    return "%s-weighted product (lam=%g, lam2=%g, s=1) over n<%d, m<=%d" % (
+        op.form, op.lam, op.lam2, n_max, m_max)
 
 
 # Bytes of one slab of weighted blocks.  Measured on a 2-core host with the
@@ -305,7 +305,7 @@ def _level_spectrum(op: WeightedProduct, diagonal, m_max: int, n_max: int,
     """
     levels = sorted((j, v.real if kind == "eigen" else abs(v)) for (j, _), v in diagonal.items())
     spectrum = LevelSpectrum(tuple((n, a) for n, a in levels if a != 0.0), op.form,
-                             op.lam, op.lam2, op.s, m_max, n_max, kind)
+                             op.lam, op.lam2, m_max, n_max, kind)
     mass = [abs(a) for _, a in spectrum.levels]
     try:
         total = math.fsum(mass)
@@ -335,23 +335,21 @@ class LevelSpectrum(Record):
     """Spectrum of a weighted product whose truncated source is diagonal, level by level.
 
     Level n holds v(n, m) = a_n w_n(m) for m = 0 .. m_max, with w_n(m) the
-    form's weight ((y + lam)(y + lam2))^(-s/2) at y = n + m + 1 (lam2 = lam
+    form's weight ((y + lam)(y + lam2))^(-1/2) at y = n + m + 1 (lam2 = lam
     for the left and right forms), and the levels without an entry hold
     zeros.  Only the nonzero levels (n, a_n) are stored, nothing sized by
     m_max or n_max.  Each value is rounded as the diagonal of the blocks
-    that WeightedProduct.block_weights weighs, from DiagonalWeight.value,
-    bit for bit at s = 1, where it is a reciprocal (at other s numpy's
-    power and Python's can differ in the last bit), so |v| falls with m in
-    every level.  A level's count above a threshold t inverts (y + lam)(y +
-    lam2) < (|a_n|/t)^(2/s) and is fixed exactly by the values at the
-    boundary.  Values that are not finite are refused.
+    that WeightedProduct.block_weights weighs, from the same
+    operators.inverse_weight, bit for bit, so |v| falls with m in every
+    level.  A level's count above a threshold t inverts (y + lam)(y + lam2)
+    < (|a_n|/t)^2 and is fixed exactly by the values at the boundary.
+    Values that are not finite are refused.
     """
 
     levels: tuple[tuple[int, float], ...]
     form: str
     lam: float
     lam2: float
-    s: float
     m_max: int
     n_max: int
     kind: str = "singular"
@@ -367,27 +365,21 @@ class LevelSpectrum(Record):
     def provenance(self) -> str:
         return _provenance(self, self.m_max, self.n_max)
 
-    @cached_property
-    def _weights(self) -> tuple[DiagonalWeight, DiagonalWeight]:
-        return DiagonalWeight(self.s, self.lam), DiagonalWeight(self.s, self.lam2)
-
     def _value(self, n: int, a: float, m: int) -> float:
         """v(n, m) of the level (n, a), multiplied in the order of the block weights."""
-        w = self._weights[0].value(n, m)
+        w = inverse_weight(n + m, self.lam)
         if self.form != "split":
             return w * a
-        return (math.sqrt(w) * a) * math.sqrt(self._weights[1].value(n, m))
+        return (math.sqrt(w) * a) * math.sqrt(inverse_weight(n + m, self.lam2))
 
     def _count_above(self, n: int, a: float, t: float) -> int:
         """Number of m <= m_max with |v(n, m)| > t >= 0."""
         end = self.m_max + 1
         guess = end
         if t > 0.0:
-            # (y + c)^2 - d^2 < r^2 with r = (|a|/t)^(1/s)
-            log_r = (math.log(abs(a)) - math.log(t)) / self.s
-            if log_r < 700.0:
-                guess = (math.hypot(math.exp(log_r), 0.5 * (self.lam - self.lam2))
-                         - 0.5 * (self.lam + self.lam2) - (n + 1))
+            # (y + c)^2 - d^2 < r^2 with r = |a|/t, which may overflow to inf
+            guess = (math.hypot(abs(a) / t, 0.5 * (self.lam - self.lam2))
+                     - 0.5 * (self.lam + self.lam2) - (n + 1))
         guess = 0 if not guess > 0.0 else end if guess >= end else math.ceil(guess)
         return _first_index(lambda m: abs(self._value(n, a, m)) <= t, guess, end)
 
@@ -423,9 +415,11 @@ class LevelSpectrum(Record):
     def _leading_counts(self, count: int) -> list[int]:
         """Each level's share of the first `count` values in the spectrum's order.
 
-        Regula falsi in u = 1/t (Illinois) finds a threshold t whose counts
-        fall short of count by at most twice the number of levels; the values
-        left are taken in order from a heap of the levels' next values, tied
+        Regula falsi in u = 1/t (Illinois), bisecting a step that is not
+        strictly inside the bracket, finds a threshold t whose counts fall
+        short of count by at most twice the number of levels, or no double
+        is left inside the bracket; the values left, within the work limit,
+        are taken in order from a heap of the levels' next values, tied
         moduli positive first.
         """
         levels, end = self.levels, self.m_max + 1
@@ -444,7 +438,9 @@ class LevelSpectrum(Record):
         while above > count and taken < count - slack:
             u = high - f_high * (high - low) / (f_high - f_low)
             if not low < u < high:
-                break
+                u = 0.5 * (low + high)
+                if not low < u < high:
+                    break
             trial = self._counts_above(1.0 / u)
             found = sum(trial)
             if found <= count:
@@ -458,6 +454,7 @@ class LevelSpectrum(Record):
                 if side > 0:
                     f_low *= 0.5
                 side = 1
+        check_work(count - taken, "the heap walk over the levels' values")
         heap = [(_order(self._value(n, a, k)), i)
                 for i, ((n, a), k) in enumerate(zip(levels, counts)) if k < end]
         heapq.heapify(heap)
@@ -475,32 +472,33 @@ class LevelSpectrum(Record):
         With c and d the mean and half-difference of the shifts, the term is
         ((y + c)^2 - d^2)^(-p/2) = sum_k ((p/2)_k / k!) d^(2k) (y + c)^(-p-2k),
         a series of Hurwitz sums that converges since both shifts exceed -1.
-        The terms with y + c below max(24, 4|d|) are summed directly, so the
+        The terms with y + c below max(24, 4|d|), at most count (an infinite
+        bound included) and within the work limit, are summed directly, so the
         series gains a factor 16 or more per step; d = 0 leaves one Hurwitz sum.
         """
         lam, lam2 = self.lam, self.lam2
         c, d = 0.5 * (lam + lam2), 0.5 * (lam - lam2)
         q = n + 1.0 + c
-        head = min(count, max(0, math.ceil(max(24.0, 4.0 * abs(d)) - q))) if d else 0
-        terms = [((n + m + 1.0 + lam) * (n + m + 1.0 + lam2)) ** (-0.5 * p)
-                 for m in range(head)]
-        scale, k = 1.0, 0
+        head = math.ceil(min(count, max(0.0, max(24.0, 4.0 * abs(d)) - q))) if d else 0
+        check_work(head, "the direct head of a split weight sum")
+        series, scale, k = [], 1.0, 0
         while count > head and scale != 0.0:
-            terms.append(scale * hurwitz_sum(p + 2.0 * k, q + head, count - head))
-            if k and abs(terms[-1]) <= 1e-17 * abs(terms[head]):
+            series.append(scale * hurwitz_sum(p + 2.0 * k, q + head, count - head))
+            if k and abs(series[-1]) <= 1e-17 * abs(series[0]):
                 break
             scale *= (0.5 * p + k) / (k + 1.0) * d * d
             k += 1
-        return math.fsum(terms)
+        return math.fsum(itertools.chain(series, (((n + m + 1.0 + lam) * (n + m + 1.0 + lam2))
+                                                  ** (-0.5 * p) for m in range(head))))
 
     def partial_sum(self, count: int) -> float:
         """sigma_N of the first N = count values: a_n times a Hurwitz sum per level."""
-        return math.fsum(a * self._weight_sum(n, k, self.s)
+        return math.fsum(a * self._weight_sum(n, k, 1.0)
                          for (n, a), k in zip(self.levels, self._leading_counts(count)) if k)
 
     def power_sum(self, p: float) -> float:
         """sum |v|^p over the retained values, level by level."""
-        return math.fsum(abs(a) ** p * self._weight_sum(n, self.m_max + 1, self.s * p)
+        return math.fsum(abs(a) ** p * self._weight_sum(n, self.m_max + 1, p)
                          for n, a in self.levels)
 
 

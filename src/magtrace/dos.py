@@ -205,7 +205,7 @@ def dixmier_dos_check(op: LandauOperator, fn: CompactTestFunction,
     from .dixmier import checkpoint_ladder, collect_spectrum, dixmier_estimate
 
     family = functional_calculus(op, fn)
-    weighted = weighted_product(family, form, lam, lam2, s=1.0)
+    weighted = weighted_product(family, form, lam, lam2)
     n_max = max(family.max_index + 1, 1)
     spectrum = collect_spectrum(weighted, m_max=m_max, n_max=n_max, kind="eigen")
     table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum))

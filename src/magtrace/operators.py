@@ -11,8 +11,8 @@ so composition and adjoints reduce to index bookkeeping.  The algebra has
 no identity element: the would-be identity sum over all projections is not
 a finite coefficient family.
 
-The coefficient calculus and DiagonalWeight.value are pure Python.  The
-array helpers (WeightedProduct.block_weights, matrix_block and
+The coefficient calculus and inverse_weight are pure Python.  The array
+helpers (WeightedProduct.block_weights, matrix_block and
 coefficient_bound_check) import numpy when they run, so a scalar command
 never loads it.
 """
@@ -155,8 +155,8 @@ def check_shift(lam: float) -> None:
 class DiagonalWeight(Record):
     """The inverse power (n + m + 1 + lam) ** (-s) of the shifted oscillator.
 
-    It is diagonal in the doubly indexed basis; q_power checks s > 0 and
-    a finite lam > -1.
+    It is diagonal in the doubly indexed basis, and shell_spectrum's bare
+    weight; q_power checks s > 0 and a finite lam > -1.
     """
 
     s: float
@@ -169,15 +169,14 @@ class DiagonalWeight(Record):
         check_shift(lam)
         return cls(s=float(s), lam=float(lam))
 
-    def value(self, n, m):
-        """Weight at (n, m): a float at Python numbers (inf on overflow), an array at arrays."""
-        x = n + m + 1.0 + self.lam
-        if self.s == 1.0:  # numpy's x ** -1.0 is this reciprocal too, bit for bit
-            return 1.0 / x
-        try:
-            return x ** -self.s
-        except OverflowError:
-            return math.inf
+
+def inverse_weight(k, lam: float):
+    """The weight 1 / (k + 1 + lam) of Q_lam^{-1} at the diagonal index k = n + m.
+
+    A float at a Python number, an array at an array, each rounded as the
+    other: the block weights and the level values are the same numbers.
+    """
+    return 1.0 / (k + 1.0 + lam)
 
 
 WEIGHT_FORMS = ("left", "right", "split")
@@ -186,18 +185,18 @@ WEIGHT_FORMS = ("left", "right", "split")
 class WeightedProduct(Record):
     """Inverse-oscillator weight combined with a coefficient operator.
 
-    form "left" is Q_lam^{-s} S, "right" is S Q_lam^{-s} and "split" is
-    Q_lam^{-s/2} S Q_lam2^{-s/2}, with Q_lam^{-s} the DiagonalWeight of
-    exponent s and shift lam.  lam2 is set to lam outside the split form,
-    the only one that reads it.  All blocks stay diagonal in the degeneracy
-    index m.
+    form "left" is Q_lam^{-1} S, "right" is S Q_lam^{-1} and "split" is
+    Q_lam^{-1/2} S Q_lam2^{-1/2}, with Q_lam^{-1} weighing (n, m) by
+    inverse_weight(n + m, lam).  Only at exponent 1 do the partial sums
+    of the Dixmier formula grow like log N.  lam2 is set to lam outside
+    the split form, the only one that reads it.  All blocks stay diagonal
+    in the degeneracy index m.
     """
 
     source: CoefficientOperator
     form: str
     lam: float
     lam2: float
-    s: float
 
     def __post_init__(self):
         if self.form != "split":
@@ -214,28 +213,28 @@ class WeightedProduct(Record):
         """
         import numpy as np
 
-        w = DiagonalWeight(self.s, self.lam).value(k, 0.0)
+        w = inverse_weight(k, self.lam)
         ones = np.broadcast_to(1.0, w.shape)
         if self.form == "left":
             return w, ones
         if self.form == "right":
             return ones, w
-        w2 = DiagonalWeight(self.s, self.lam2).value(k, 0.0)
+        w2 = inverse_weight(k, self.lam2)
         return np.sqrt(w, out=w), np.sqrt(w2, out=w2)
 
 
 def weighted_product(source: CoefficientOperator, form: str, lam: float,
                      lam2: float | None = None, s: float = 1.0) -> WeightedProduct:
+    """The weighted product of `form`; the exponent s may only be 1."""
     if form not in WEIGHT_FORMS:
         raise DomainError("weight form must be one of %s" % (WEIGHT_FORMS,))
-    if not s > 0.0:
-        raise DomainError("weight exponent s must be positive")
+    if s != 1.0:
+        raise DomainError("weighted products take the exponent s = 1 only, not %r" % (s,))
     if lam2 is None:
         lam2 = lam
     check_shift(lam)
     check_shift(lam2)
-    return WeightedProduct(source=source, form=form, lam=float(lam),
-                           lam2=float(lam2), s=float(s))
+    return WeightedProduct(source=source, form=form, lam=float(lam), lam2=float(lam2))
 
 
 def matrix_block(op: CoefficientOperator, count: int):

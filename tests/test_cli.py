@@ -1013,10 +1013,12 @@ PLAIN_VALUES = {
 }
 
 
-def _line_with(flag, value):
-    """The first command that takes flag, with flag at value and plain required flags."""
-    name, flags = next((name, flags) for name, (_, flags) in cli.COMMANDS.items()
-                       if flag in flags + cli.GLOBAL_FLAGS)
+def _line_with(flag, value, name=None):
+    """Command name, by default the first that takes flag, at value and plain required flags."""
+    if name is None:
+        name = next(name for name, (_, flags) in cli.COMMANDS.items()
+                    if flag in flags + cli.GLOBAL_FLAGS)
+    flags = cli.COMMANDS[name][1]
     words = [word for other in flags if cli.FLAGS[other].get("required") and other != flag
              for word in (other, PLAIN_VALUES[other])]
     words += ["--form", "split"] if flag == "--lambda2" else []  # read by split only
@@ -1125,16 +1127,24 @@ EXTREME_VALUES = {
     "--xgrid": ["1e308,1e-308", "5e-324", "-0.0,0.1", "nan", "0.1,-inf"],
     "--Ngrid": ["2,3", "-1,100", "%d,%d" % (10 ** 18, 10 ** 18 + 1), "9" * 30, "nan"],
 }
-EXTREME_FLAGS = [(flag, value) for flag, spec in cli.FLAGS.items()
-                 for value in EXTREME_VALUES.get(flag, EXTREME_VALUES.get(spec.get("type"), ()))]
 
 
-@pytest.mark.parametrize("flag, value", EXTREME_FLAGS)
-def test_extreme_flag_values_keep_the_exit_contract(flag, value, pi0_file, bump_file, capsys):
-    # each typed flag at each extreme value, in the first command that takes
-    # it: the run ends within 10 s, raises nothing, and writes a report
-    # exactly when it computed one (exit 0 or 3)
-    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in _line_with(flag, value)]
+def _extremes(flag):
+    return EXTREME_VALUES.get(flag, EXTREME_VALUES.get(cli.FLAGS[flag].get("type"), ()))
+
+
+# every command with each typed flag it takes, the global flags included
+EXTREME_CASES = [(name, flag, value) for name, (_, flags) in cli.COMMANDS.items()
+                 for flag in flags + cli.GLOBAL_FLAGS for value in _extremes(flag)]
+
+
+@pytest.mark.parametrize("name, flag, value", EXTREME_CASES)
+def test_extreme_flag_values_keep_the_exit_contract(name, flag, value, pi0_file, bump_file,
+                                                    capsys):
+    # each typed flag at each extreme value, in every command that takes it
+    # (--lambda2 with --form split): the run ends within 10 s, raises
+    # nothing, and writes a report exactly when it computed one (exit 0 or 3)
+    argv = [arg.format(pi0=pi0_file, bump=bump_file) for arg in _line_with(flag, value, name)]
     rc, out, err, caught = invoke_bounded(argv, capsys)
     assert rc in (0, 2, 3, 64)
     assert (out == "") == (rc in (2, 64))

@@ -1,5 +1,7 @@
 """Dixmier trace estimation from partial sums of singular values."""
 
+import heapq
+import itertools
 import math
 import sys
 import tracemalloc
@@ -31,8 +33,9 @@ from magtrace import (
     weighted_product,
 )
 from magtrace import dixmier, errors
-from magtrace.dixmier import LevelSpectrum, ShellSpectrum, _geometric_ladder
+from magtrace.dixmier import LevelSpectrum, ShellSpectrum, _geometric_ladder, _order
 from magtrace.extrapolate import log_inverse_table
+from magtrace.operators import inverse_weight
 from conftest import random_operator
 
 X_GRID = (1e-1, 1e-2, 1e-3)
@@ -270,7 +273,7 @@ def test_singular_spectrum_is_the_svd_of_the_explicit_blocks(form):
     # the blocks A S B written out, with block entry (n, n') = a_{n'n}
     n = np.arange(6.0)
     m = np.arange(m_max + 2.0)[:, None]
-    w, w2 = DiagonalWeight(1.0, lam).value(n, m), DiagonalWeight(1.0, lam2).value(n, m)
+    w, w2 = inverse_weight(n + m, lam), inverse_weight(n + m, lam2)
     ones = np.ones((m_max + 2, 6))
     a, b = {"left": (w, ones), "right": (ones, w), "split": (np.sqrt(w), np.sqrt(w2))}[form]
     blocks = a[:, :, None] * h.T * b[:, None, :]
@@ -489,6 +492,63 @@ def test_level_spectrum_refusals():
     spectrum = collect_spectrum(weighted_product(CoefficientOperator(faint), "left", 0.0),
                                 511, 3001, "eigen")
     assert spectrum.frontier_counts[-1] == 0 and spectrum.reliable > 0
+
+
+def _merged_counts(spectrum, count):
+    """Each level's share of the first count values of a brute-force merge of its runs."""
+    end = spectrum.m_max + 1
+    # each run a list: a generator in the comprehension would read the last level's n and a
+    runs = [[(_order(spectrum._value(n, a, m)), i) for m in range(end)]
+            for i, (n, a) in enumerate(spectrum.levels)]
+    counts = [0] * len(runs)
+    for _, i in itertools.islice(heapq.merge(*runs), count):
+        counts[i] += 1
+    return counts
+
+
+def test_leading_counts_equal_a_merge_of_the_level_runs():
+    # random level spectra, signed, with moduli shared across levels (so
+    # values tie across levels), in every form and at shifts up to 100:
+    # each level's share of the leading values is the brute-force merge's
+    rng = np.random.default_rng(34)
+    for trial in range(300):
+        size = int(rng.integers(1, 9))
+        ns = sorted(int(n) for n in rng.choice(40, size, replace=False))
+        moduli = rng.choice([1.0, 0.5, 3.0, float(rng.uniform(0.01, 10.0))], size)
+        levels = tuple((n, float(a * rng.choice([-1.0, 1.0]))) for n, a in zip(ns, moduli))
+        lam, lam2 = (float(rng.choice([0.0, 1.0, rng.uniform(-0.99, 100.0)])) for _ in range(2))
+        form = ("left", "right", "split")[trial % 3]
+        m_max = int(rng.choice([0, 1, 7, int(rng.integers(0, 512)), 511]))
+        spectrum = LevelSpectrum(levels, form, lam, lam2, m_max, ns[-1] + 1, "eigen")
+        total = size * (m_max + 1)
+        for count in {1, total // 3, total // 2, total - 1, total, int(rng.integers(1, total + 1))}:
+            if count >= 1:
+                assert spectrum._leading_counts(count) == _merged_counts(spectrum, count)
+
+
+def test_leading_counts_at_a_depth_of_10_to_the_18():
+    # at the first count a regula falsi step overshoots by one value and the
+    # next rounds onto the bracket's end: that step is bisected, so the heap
+    # takes a few values, not 1.25e17
+    spectrum = LevelSpectrum(((0, 1.0),), "left", 0.0, 0.0, 10 ** 18 - 1, 1, "eigen")
+    for count in (124999999999999976, 10 ** 18 - 1, 3):
+        assert spectrum._leading_counts(count) == [count]
+
+
+def test_the_split_head_is_bounded_by_the_count_and_the_work_limit():
+    # at lambda2 = 1e308 the head's bound max(24, 4|d|) overflows: the
+    # head is every value summed, not an OverflowError from ceil; past the
+    # work limit the head is refused before any term is summed
+    for lam2 in (1e300, 1e308):
+        spectrum = LevelSpectrum(((0, 1.0),), "split", 0.0, lam2, 10 ** 6, 1, "eigen")
+        if lam2 == 1e300:
+            values = math.fsum(spectrum._value(0, 1.0, m) for m in range(10))
+            assert spectrum.partial_sum(10) == pytest.approx(values, rel=1e-14, abs=0.0)
+        assert math.isfinite(spectrum.partial_sum(errors.WORK_LIMIT_STEPS))
+        with pytest.raises(ResourceError, match="direct head"):
+            spectrum.partial_sum(errors.WORK_LIMIT_STEPS + 1)
+        with pytest.raises(ResourceError, match="direct head"):
+            spectrum.power_sum(1.01)
 
 
 def _geomspace_ladder(low, top, points):

@@ -20,6 +20,7 @@ from magtrace import (
     tau_diagonal,
     weighted_product,
 )
+from magtrace.operators import inverse_weight
 from conftest import dense_matrix, random_operator
 
 SIZE = 8
@@ -134,11 +135,10 @@ def test_lp_norm_values():
 
 
 def test_weight_block_is_diagonal_of_inverse_shells():
-    w = DiagonalWeight.q_power(1.0)
-    assert np.allclose(w.value(np.arange(2), 3), [0.25, 0.2], atol=1e-15)
+    assert np.array_equal(inverse_weight(np.arange(2) + 3, 0.0), [0.25, 0.2])
     # matrix_block takes coefficient operators only
     with pytest.raises(DomainError, match="unsupported operand type"):
-        matrix_block(w, 2)
+        matrix_block(DiagonalWeight.q_power(1.0), 2)
     with pytest.raises(DomainError, match="unsupported operand type"):
         matrix_block(weighted_product(CoefficientOperator.projection(0), "left", 0.0), 2)
 
@@ -152,8 +152,9 @@ def test_weight_validation():
         weighted_product(CoefficientOperator.projection(0), "left", -1.5)
     with pytest.raises(DomainError):
         weighted_product(CoefficientOperator.projection(0), "middle", 0.0)
-    with pytest.raises(DomainError):
-        weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=-1.0)
+    for s in (-1.0, 0.7, 2.0):
+        with pytest.raises(DomainError, match="exponent s = 1 only"):
+            weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=s)
     nan = float("nan")
     with pytest.raises(DomainError, match="exponent must be positive"):
         DiagonalWeight.q_power(nan)
@@ -164,49 +165,42 @@ def test_weight_validation():
     for lam, lam2 in ((nan, None), (0.0, nan), (inf, None), (0.0, inf)):
         with pytest.raises(DomainError, match="invertible only for lambda > -1"):
             weighted_product(CoefficientOperator.projection(0), "split", lam, lam2)
-    with pytest.raises(DomainError, match="exponent s must be positive"):
+    with pytest.raises(DomainError, match="exponent s = 1 only"):
         weighted_product(CoefficientOperator.projection(0), "left", 0.0, s=nan)
+    pi0 = CoefficientOperator.projection(0)
+    assert weighted_product(pi0, "left", 0.0, s=1.0) == weighted_product(pi0, "left", 0.0)
     # a second shift is checked under every form, and kept by the split form only
     for form in ("left", "right"):
         with pytest.raises(DomainError, match="invertible only for lambda > -1"):
             weighted_product(CoefficientOperator.projection(0), form, 0.0, nan)
         assert weighted_product(CoefficientOperator.projection(0), form, 0.5, 2.0).lam2 == 0.5
-        assert WeightedProduct(CoefficientOperator.projection(0), form, 0.5, 2.0, 1.0).lam2 == 0.5
+        assert WeightedProduct(CoefficientOperator.projection(0), form, 0.5, 2.0).lam2 == 0.5
     assert weighted_product(CoefficientOperator.projection(0), "split", 0.5, 2.0).lam2 == 2.0
 
 
-@pytest.mark.parametrize("s", [1.0, 0.7, 2.0])
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.37, 2.0])
-def test_weight_value_at_python_numbers_matches_the_array(s, lam):
-    # one formula serves the block weights and the level values: a float at
-    # Python ints, the reciprocal at s = 1 in both.  At other s numpy may
-    # take a SIMD power (AVX-512) that rounds differently from the C
-    # library's in the last bit.
-    weight = DiagonalWeight(s, lam)
-    array = weight.value(np.arange(96), np.arange(96.0)[:, None])
-    scalar = [[weight.value(n, m) for n in range(96)] for m in range(96)]
+def test_inverse_weight_at_python_numbers_matches_the_array(lam):
+    # one function serves the block weights, on arrays of diagonal indices,
+    # and the level values, at Python ints: a float there, the same bits
+    array = inverse_weight(np.arange(96) + np.arange(96)[:, None], lam)
+    scalar = [[inverse_weight(n + m, lam) for n in range(96)] for m in range(96)]
     assert all(type(v) is float for row in scalar for v in row)
-    ulps = np.abs(np.array(scalar) - array) / np.spacing(array)
-    assert ulps.max() <= (0.0 if s == 1.0 else 1.0)
-
-
-def test_weight_value_overflows_to_inf():
-    assert DiagonalWeight(400.0, -0.999).value(0, 0) == math.inf
-    assert DiagonalWeight(1.0, -0.5).value(0, 0) == 2.0
+    assert np.array_equal(np.array(scalar), array)
+    assert inverse_weight(0, -0.5) == 2.0
 
 
 @pytest.mark.parametrize("form", ["left", "right", "split"])
 def test_weighted_block_matches_dense(form, rng):
     a = random_operator(rng, max_index=SIZE - 1, count=16)
-    lam, lam2, s, m_max = 0.5, 1.5, 0.8, 3
-    product = weighted_product(a, form, lam, lam2, s=s)
+    lam, lam2, m_max = 0.5, 1.5, 3
+    product = weighted_product(a, form, lam, lam2)
     spectrum = collect_spectrum(product, m_max, SIZE)
     base = dense_matrix(a, SIZE).T
     n = np.arange(SIZE)
     expected = []
     for m in range(m_max + 1):
-        w = (n + m + 1.0 + lam) ** (-s)
-        w2 = (n + m + 1.0 + lam2) ** (-s)
+        w = (n + m + 1.0 + lam) ** -1.0
+        w2 = (n + m + 1.0 + lam2) ** -1.0
         if form == "left":
             block = np.diag(w) @ base
         elif form == "right":
