@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Each module once, with the public names that the package exports from it.
 EXPORTS = {
-    "basis": ("laguerre_poly", "psi"),
+    "basis": ("psi",),
     "config": ("MagneticConfig", "make_config"),
     "dixmier": ("Spectrum", "calderon_norm", "checkpoint_ladder", "collect_spectrum",
                 "dixmier_estimate", "gamma", "shell_checkpoints", "shell_spectrum",

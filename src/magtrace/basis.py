@@ -84,37 +84,6 @@ def _scaled_laguerre(n: int, alpha: float, zeta):
     return cur, exponent
 
 
-def laguerre_poly(n: int, alpha: float, zeta):
-    """Generalized Laguerre polynomial L_n^(alpha) evaluated at zeta.
-
-    Evaluation runs the three-term recurrence
-
-        k * L_k = (2k - 1 + alpha - zeta) * L_{k-1} - (k - 1 + alpha) * L_{k-2}
-
-    upward from L_0 = 1 and L_1 = 1 + alpha - zeta, scaled by powers of
-    two (_scaled_laguerre); a value beyond the largest double is inf.  The
-    recurrence is numerically benign for the index ranges used here,
-    unlike the alternating defining sum whose terms grow factorially.
-    `zeta` may be a real number, which gives a float without numpy, or
-    any numpy-broadcastable array.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError("polynomial degree must be a non-negative integer")
-    if isinstance(zeta, numbers.Real):
-        f, e = _scaled_laguerre(n, alpha, float(zeta))
-        try:
-            return math.ldexp(f, e)
-        except OverflowError:
-            return math.copysign(math.inf, f)
-    import numpy as np
-
-    z = np.asarray(zeta, dtype=float)
-    if z.ndim == 0:
-        return laguerre_poly(n, alpha, float(z))
-    f, e = _scaled_laguerre(n, alpha, z)
-    return np.ldexp(f, e, out=f) if n else np.ones_like(z)
-
-
 def radial_factors(x1, x2, ell: float):
     """The factors that every basis function shares at the points (x1, x2).
 
@@ -195,10 +164,12 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
     which avoids the negative power of (x1 + i x2) at the origin.  The
     arithmetic, one rule at every point, is psi_term's, on the factors of
     radial_factors.  Inputs broadcast; two real numbers give a complex
-    number, computed without numpy.
+    number, computed without numpy.  An index that is not a non-negative
+    integer (a bool included) is refused.
     """
-    if n < 0 or m < 0:
-        raise DomainError("basis indices must be non-negative")
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
+               for k in (n, m)):
+        raise DomainError("basis indices must be non-negative integers")
     if isinstance(x1, numbers.Real) and isinstance(x2, numbers.Real):
         return complex(psi_term(n, m, *radial_factors(float(x1), float(x2), cfg.ell)))
     import numpy as np

@@ -42,9 +42,8 @@ class Spectrum(Record, eq=False):
     order; kind "eigen" holds the real eigenvalues of a self-adjoint
     operator ordered by non-increasing modulus, ties broken toward the
     value whose sign bit is clear, so +0.0 comes before -0.0.
-    Eigenvalues with a non-zero imaginary part are refused, and so are
-    values that are not finite real numbers (booleans and strings
-    included), before sorting.
+    Values that are not finite real numbers are refused before sorting,
+    complex values, booleans and strings included.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator; left out, it is the whole length.
     """
@@ -59,7 +58,7 @@ class Spectrum(Record, eq=False):
 
         if self.kind not in SPECTRUM_KINDS:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
-        values = _finite_values(self.values, self.kind)
+        values = _finite_values(self.values)
         if self.kind == "singular":
             # a reversed view: a contiguous copy raised peak memory
             values = np.sort(values)[::-1]
@@ -95,23 +94,18 @@ class Spectrum(Record, eq=False):
         return float(powers.sum())
 
 
-def _finite_values(values, kind: str):
+def _finite_values(values):
     """Spectrum values as a 1-D float array, refusing what is not finite and real.
 
-    Booleans, strings and other non-numeric input are refused rather than
-    cast; so are complex values, except that kind "eigen" holds complex
-    input whose imaginary parts all vanish as real.
+    Complex values, booleans, strings and other non-numeric input are
+    refused rather than cast.
     """
     import numpy as np
 
     values = np.asarray(values)
     if values.ndim != 1:
         raise DomainError("spectrum values must be a 1-D array")
-    if kind == "eigen" and values.dtype.kind == "c":
-        if np.any(values.imag):
-            raise DomainError("eigen spectra hold real eigenvalues only")
-        values = values.real
-    elif values.dtype.kind not in "iuf":
+    if values.dtype.kind not in "iuf":
         raise DomainError("spectrum values must be real numbers, not %s" % values.dtype)
     values = values.astype(float, copy=False)
     if not np.all(np.isfinite(values)):
@@ -206,21 +200,21 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     each slab reads through a window.  For a Hermitian source S, A S B is
     similar to the Hermitian (AB)^(1/2) S (AB)^(1/2), so kind "eigen"
     factors those blocks.  The frontier block m_max + 1 is the form's own
-    A S B; the values whose modulus passes its 2-norm t are counted slab
-    by slab, as those above t and those below -t, with no array of moduli.
+    A S B; the values whose modulus passes its 2-norm t are counted once,
+    after the slabs, as those above t and those below -t, with one byte
+    per value and no array of moduli.
     The memory budget is checked before anything is allocated.
     """
     count, indices = (m_max + 1) * n_max, m_max + n_max + 1
     step = min(m_max + 1, max(1, BLOCK_SLAB_BYTES // (16 * n_max * n_max)))
-    # while the slabs are factored: the values; the weight tables, 32 bytes
-    # per diagonal index while they are built; one slab's blocks, 16 bytes
-    # per entry, the source and frontier blocks and the copy of a block
-    # that numpy hands to LAPACK; the slab's values and the mask that
-    # counts them; and numpy's buffers as it casts the weights into the
-    # blocks, twice its ufunc buffer of 8192 (numpy.getbufsize()) complex
-    # numbers
-    factoring = (8 * count + 32 * indices + 16 * (step + 3) * n_max * n_max
-                 + 9 * step * n_max + 32 * 8192)
+    # while the slabs are factored: the values and the mask that counts
+    # them; the weight tables, 32 bytes per diagonal index while they are
+    # built; one slab's blocks, 16 bytes per entry, the source and frontier
+    # blocks and the copy of a block that numpy hands to LAPACK; the slab's
+    # values; and numpy's buffers as it casts the weights into the blocks,
+    # twice its ufunc buffer of 8192 (numpy.getbufsize()) complex numbers
+    factoring = (9 * count + 32 * indices + 16 * (step + 3) * n_max * n_max
+                 + 8 * step * n_max + 32 * 8192)
     # while the spectrum is sorted and read, 17 bytes per value: the values,
     # one sorted copy (the sorted values or the eigen sort keys) and one
     # byte per value (the finite check, the keys' sign flags); then, once
@@ -247,13 +241,13 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     # one buffer for every slab: filling a fresh array of 390 6x6 blocks
     # took 0.63 us per block, against 0.23 us into the reused buffer
     slab = np.empty((step, n_max, n_max), dtype=complex)
-    reliable = 0
     for start in range(0, m_max + 1, step):
         stop = min(start + step, m_max + 1)
         stack = _weighted_blocks(block, row[start:stop], col[start:stop], slab[:stop - start])
-        values[start:stop] = part = factor(stack)
-        reliable += np.count_nonzero(part > threshold) + np.count_nonzero(part < -threshold)
-    return values.ravel(), int(reliable)
+        values[start:stop] = factor(stack)
+    values = values.ravel()
+    reliable = np.count_nonzero(values > threshold) + np.count_nonzero(values < -threshold)
+    return values, int(reliable)
 
 
 def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "singular"):
@@ -419,8 +413,8 @@ class LevelSpectrum(Record):
         strictly inside the bracket, finds a threshold t whose counts fall
         short of count by at most twice the number of levels, or no double
         is left inside the bracket; the values left, within the work limit,
-        are taken in order from a heap of the levels' next values, tied
-        moduli positive first.
+        are taken in order from a merge of the levels' remaining runs, tied
+        moduli positive first and equal values to the lower level.
         """
         levels, end = self.levels, self.m_max + 1
         if count >= len(levels) * end:
@@ -454,16 +448,12 @@ class LevelSpectrum(Record):
                 if side > 0:
                     f_low *= 0.5
                 side = 1
-        check_work(count - taken, "the heap walk over the levels' values")
-        heap = [(_order(self._value(n, a, k)), i)
-                for i, ((n, a), k) in enumerate(zip(levels, counts)) if k < end]
-        heapq.heapify(heap)
-        for _ in range(count - taken):
-            _, i = heapq.heappop(heap)
+        check_work(count - taken, "the merge of the levels' values")
+        runs = [zip(map(_order, map(partial(self._value, n, a), range(k, end))),
+                    itertools.repeat(i))
+                for i, ((n, a), k) in enumerate(zip(levels, counts))]
+        for _, i in itertools.islice(heapq.merge(*runs), count - taken):
             counts[i] += 1
-            if counts[i] < end:
-                n, a = levels[i]
-                heapq.heappush(heap, (_order(self._value(n, a, counts[i])), i))
         return counts
 
     def _weight_sum(self, n: int, count: int, p: float) -> float:
@@ -473,8 +463,10 @@ class LevelSpectrum(Record):
         ((y + c)^2 - d^2)^(-p/2) = sum_k ((p/2)_k / k!) d^(2k) (y + c)^(-p-2k),
         a series of Hurwitz sums that converges since both shifts exceed -1.
         The terms with y + c below max(24, 4|d|), at most count (an infinite
-        bound included) and within the work limit, are summed directly, so the
-        series gains a factor 16 or more per step; d = 0 leaves one Hurwitz sum.
+        bound included) and within the work limit, are summed directly, each
+        as the power p of the two square roots of inverse_weight that _value
+        multiplies, so no product of the shifts overflows; then the series
+        gains a factor 16 or more per step.  d = 0 leaves one Hurwitz sum.
         """
         lam, lam2 = self.lam, self.lam2
         c, d = 0.5 * (lam + lam2), 0.5 * (lam - lam2)
@@ -488,8 +480,9 @@ class LevelSpectrum(Record):
                 break
             scale *= (0.5 * p + k) / (k + 1.0) * d * d
             k += 1
-        return math.fsum(itertools.chain(series, (((n + m + 1.0 + lam) * (n + m + 1.0 + lam2))
-                                                  ** (-0.5 * p) for m in range(head))))
+        return math.fsum(itertools.chain(series, (
+            (math.sqrt(inverse_weight(n + m, lam)) * math.sqrt(inverse_weight(n + m, lam2))) ** p
+            for m in range(head))))
 
     def partial_sum(self, count: int) -> float:
         """sigma_N of the first N = count values: a_n times a Hurwitz sum per level."""

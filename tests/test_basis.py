@@ -1,8 +1,8 @@
 """Laguerre recurrence against the defining sum, and basis function checks.
 
-The recurrence-based polynomials are validated against an independent
-evaluation of the alternating defining sum (exact small-degree algebra) and
-against scipy's implementation.  Basis function values are pinned at points
+The scaled recurrence that psi evaluates is validated against an
+independent evaluation of the alternating defining sum (exact small-degree
+algebra) and against scipy's implementation.  Basis function values are pinned at points
 where the closed form collapses to elementary numbers, and against mpmath
 where the Laguerre factor and the Gaussian overflow and underflow apart.
 """
@@ -18,11 +18,18 @@ import scipy.special
 from magtrace import (
     DomainError,
     ResourceError,
-    laguerre_poly,
+    basis,
     make_config,
     orthonormality_check,
     psi,
 )
+
+
+def laguerre(n, alpha, x):
+    """L_n^(alpha)(x) from the scaled recurrence, a float at a float and an array at an array."""
+    if isinstance(x, float):
+        return math.ldexp(*basis._scaled_laguerre(n, alpha, x))
+    return np.ldexp(*basis._scaled_laguerre(n, alpha, np.asarray(x, dtype=float)))
 
 
 def laguerre_sum(n, alpha, x):
@@ -48,7 +55,7 @@ def test_laguerre_matches_defining_sum(alpha):
     for n in range(13):
         for x in xs:
             expected = laguerre_sum(n, alpha, float(x))
-            got = laguerre_poly(n, alpha, float(x))
+            got = laguerre(n, alpha, float(x))
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -58,19 +65,30 @@ def test_laguerre_matches_scipy(rng):
         alpha = int(rng.integers(0, 9))
         x = float(rng.uniform(0.0, 40.0))
         expected = scipy.special.eval_genlaguerre(n, alpha, x)
-        assert laguerre_poly(n, alpha, x) == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        assert laguerre(n, alpha, x) == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
 
 def test_laguerre_pinned_value():
     # L_3^{(2)}(3/2) = 10 - 10 x + 5 x^2 / 2 - x^3 / 6 at x = 3/2
-    assert laguerre_poly(3, 2, 1.5) == pytest.approx(0.0625, abs=1e-12)
+    assert laguerre(3, 2, 1.5) == pytest.approx(0.0625, abs=1e-12)
 
 
 def test_laguerre_accepts_arrays():
     xs = np.array([0.0, 1.0, 2.0])
-    values = laguerre_poly(2, 0, xs)
+    values = laguerre(2, 0, xs)
     expected = [laguerre_sum(2, 0, x) for x in xs]
     assert np.allclose(values, expected, atol=1e-12)
+
+
+def test_psi_refuses_indices_that_are_not_non_negative_integers(cfg):
+    # a fractional index once gave a value and a float one a bare TypeError
+    for n, m in [(2.5, 1), (1, 0.5), (1.0, 0), (-1, 0), (0, -2), (True, 0), (0, False),
+                 ("1", 0), (None, 0)]:
+        for x1, x2 in [(0.3, 0.2), (np.zeros(2), np.ones(2))]:
+            with pytest.raises(DomainError, match="basis indices must be non-negative integers"):
+                psi(n, m, x1, x2, cfg)
+    # numpy integers are integers
+    assert psi(np.int64(2), np.uint8(1), 0.3, 0.2, cfg) == psi(2, 1, 0.3, 0.2, cfg)
 
 
 def test_psi_ground_state_at_origin(cfg):
@@ -232,8 +250,7 @@ def test_laguerre_recurrence_over_the_work_limit_is_refused(cfg):
 
     over = WORK_LIMIT_STEPS + 1
     for call in (lambda: psi(10 ** 15, 10 ** 15, 0.5, 0.25, cfg),
-                 lambda: psi(over, over + 2, np.zeros(3), np.ones(3), cfg),
-                 lambda: laguerre_poly(over, 0.0, 0.5)):
+                 lambda: psi(over, over + 2, np.zeros(3), np.ones(3), cfg)):
         with pytest.raises(ResourceError, match="over the limit of %d" % WORK_LIMIT_STEPS):
             call()
     # the limit itself is admitted, and a power alone is no recurrence

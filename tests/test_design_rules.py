@@ -137,14 +137,23 @@ def test_all_matches_the_package_imports():
 
 
 def _unreached_exports(exports, trees):
-    """Exported names that no tree reads as a Name or an Attribute."""
+    """Exported names that no tree reads as a Name or an Attribute.
+
+    A read inside the function or class of the same name, such as a
+    recursive call, does not reach the name.
+    """
     used = set()
     for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        stack = [(tree, frozenset())]
+        while stack:
+            node, own = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own |= {node.name}
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name not in own:
+                used.add(name)
+            stack.extend((child, own) for child in ast.iter_child_nodes(node))
     return sorted(set(exports) - used)
 
 
@@ -161,9 +170,12 @@ def test_every_public_name_is_reached():
 
 
 def test_unreached_export_scan_flags_an_unused_name():
-    # an import alone does not reach a name; a call or an attribute does
-    trees = [ast.parse("from .a import b, c\nb(1)\n"), ast.parse("mod.d\n")]
-    assert _unreached_exports(["b", "c", "d", "e"], trees) == ["c", "e"]
+    # an import alone does not reach a name, nor does a read inside its own
+    # definition; a call or an attribute anywhere else does
+    trees = [ast.parse("from .a import b, c\nb(1)\n"), ast.parse("mod.d\n"),
+             ast.parse("def f():\n    return f()\n"),
+             ast.parse("class G:\n    def g(self):\n        return G.h\n")]
+    assert _unreached_exports(["G", "b", "c", "d", "e", "f", "h"], trees) == ["G", "c", "e", "f"]
 
 
 def _args_read(func, functions):

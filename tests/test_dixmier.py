@@ -61,9 +61,7 @@ def test_eigen_sequence_orders_by_modulus():
     assert seq.values.dtype == float
     # a tie in modulus is broken toward the positive value
     assert list(seq.values) == [3.0, 1.0, -1.0, -0.5, 0.25]
-    # complex input whose imaginary parts vanish is held as real
-    tie = Spectrum(np.array([-2.0 + 0.0j, 2.0 + 0.0j]), "tie", "eigen")
-    assert tie.values.dtype == float
+    tie = Spectrum(np.array([-2.0, 2.0]), "tie", "eigen")
     assert list(tie.values) == [2.0, -2.0]
     # the sign bit breaks the tie of +0.0 and -0.0, whatever the input order
     zeros = Spectrum(np.array([-0.0, 1.0, 0.0, -0.0]), "zeros", "eigen")
@@ -143,12 +141,12 @@ def test_spectrum_refuses_values_that_are_not_finite_reals(kind, values, match):
 
 @pytest.mark.filterwarnings("error")
 def test_singular_spectrum_refuses_complex_values():
-    # the imaginary part used to be dropped with a ComplexWarning
+    # the imaginary part used to be dropped with a ComplexWarning; complex
+    # input is refused in both kinds, even where every imaginary part is 0
     for values in (np.array([1.0 + 1.0j, 2.0]), np.array([1.0 + 0.0j, 2.0])):
-        with pytest.raises(DomainError, match="real numbers"):
-            Spectrum(values, "complex")
-    with pytest.raises(DomainError, match="real eigenvalues"):
-        Spectrum(np.array([1.0 + 1.0j, 2.0]), "complex", "eigen")
+        for kind in ("singular", "eigen"):
+            with pytest.raises(DomainError, match="real numbers"):
+                Spectrum(values, "complex", kind)
 
 
 def test_collect_spectrum_offdiagonal_closed_form():
@@ -528,22 +526,34 @@ def test_leading_counts_equal_a_merge_of_the_level_runs():
 
 def test_leading_counts_at_a_depth_of_10_to_the_18():
     # at the first count a regula falsi step overshoots by one value and the
-    # next rounds onto the bracket's end: that step is bisected, so the heap
+    # next rounds onto the bracket's end: that step is bisected, so the merge
     # takes a few values, not 1.25e17
     spectrum = LevelSpectrum(((0, 1.0),), "left", 0.0, 0.0, 10 ** 18 - 1, 1, "eigen")
     for count in (124999999999999976, 10 ** 18 - 1, 3):
         assert spectrum._leading_counts(count) == [count]
 
 
+def test_leading_counts_when_the_first_threshold_is_short_of_the_count():
+    # the second level underflows below 1e-300, so the first threshold is
+    # 1 / 2e300: it passes only the first level's ten values, fewer than the
+    # count, and the merge takes the other five without a regula falsi step
+    spectrum = LevelSpectrum(((0, 1.0), (1, 1e-310)), "left", 0.0, 0.0, 9, 2, "eigen")
+    assert spectrum._leading_counts(15) == _merged_counts(spectrum, 15) == [10, 5]
+
+
 def test_the_split_head_is_bounded_by_the_count_and_the_work_limit():
     # at lambda2 = 1e308 the head's bound max(24, 4|d|) overflows: the
-    # head is every value summed, not an OverflowError from ceil; past the
-    # work limit the head is refused before any term is summed
+    # head is every value summed, not an OverflowError from ceil; its terms
+    # are the values themselves, where the product (y + lam)(y + lam2) of
+    # the shifted indices would overflow to inf and read 0; past the work
+    # limit the head is refused before any term is summed
     for lam2 in (1e300, 1e308):
         spectrum = LevelSpectrum(((0, 1.0),), "split", 0.0, lam2, 10 ** 6, 1, "eigen")
-        if lam2 == 1e300:
-            values = math.fsum(spectrum._value(0, 1.0, m) for m in range(10))
-            assert spectrum.partial_sum(10) == pytest.approx(values, rel=1e-14, abs=0.0)
+        values = math.fsum(spectrum._value(0, 1.0, m) for m in range(10))
+        assert spectrum.partial_sum(10) == values
+        if lam2 == 1e308:
+            # `dixmier gamma --op pi0 --N 10 --form split --lambda2 1e308`
+            assert gamma(spectrum, 10) == 2.1805916813106242e-154
         assert math.isfinite(spectrum.partial_sum(errors.WORK_LIMIT_STEPS))
         with pytest.raises(ResourceError, match="direct head"):
             spectrum.partial_sum(errors.WORK_LIMIT_STEPS + 1)
@@ -794,15 +804,15 @@ def test_calderon_norm_reads_the_cumsum_bit_for_bit(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_partial_sums_of_an_eigen_spectrum_are_real():
-    # gamma sums signed real eigenvalues, as dixmier_estimate does, with no
-    # ComplexWarning for complex input whose imaginary parts vanish
-    spec = Spectrum(np.array([1.0, 0.5 + 0.0j, -0.25, 0.125 - 0.0j]), "eigen", kind="eigen")
+    # gamma sums signed real eigenvalues, as dixmier_estimate does
+    spec = Spectrum(np.array([1.0, 0.5, -0.25, 0.125]), "eigen", kind="eigen")
     assert sigma_p(spec, 4) == 1.375
     assert isinstance(sigma_p(spec, 4), float)
     assert gamma(spec, 3) == pytest.approx(1.25 / math.log(3.0), rel=1e-15, abs=0.0)
-    # an eigenvalue off the real axis is refused when the spectrum is built
-    with pytest.raises(DomainError, match="real eigenvalues"):
-        Spectrum([1, 0.5 + 1e-3j], "drifting", kind="eigen")
+    # complex input is refused when the spectrum is built, on the real axis too
+    for values in ([1, 0.5 + 1e-3j], [1.0, 0.5 + 0.0j]):
+        with pytest.raises(DomainError, match="real numbers"):
+            Spectrum(values, "complex", kind="eigen")
     # the Calderon norm is a supremum over singular values only
     with pytest.raises(DomainError, match="singular values"):
         calderon_norm(spec)
