@@ -329,8 +329,8 @@ class LevelSpectrum(Record):
     """Spectrum of a weighted product whose truncated source is diagonal, level by level.
 
     Level n holds v(n, m) = a_n w_n(m) for m = 0 .. m_max, with w_n(m) the
-    form's weight ((y + lam)(y + lam2))^(-1/2) at y = n + m + 1 (lam2 = lam
-    for the left and right forms), and the levels without an entry hold
+    form's weight ((y + lam)(y + lam2))^(-1/2) at y = n + m + 1 (lam2 is set
+    to lam outside the split form), and the levels without an entry hold
     zeros.  Only the nonzero levels (n, a_n) are stored, nothing sized by
     m_max or n_max.  Each value is rounded as the diagonal of the blocks
     that WeightedProduct.block_weights weighs, from the same
@@ -349,6 +349,8 @@ class LevelSpectrum(Record):
     kind: str = "singular"
 
     def __post_init__(self):
+        if self.form != "split":
+            object.__setattr__(self, "lam2", self.lam)
         if not all(math.isfinite(self._value(n, a, 0)) for n, a in self.levels):
             raise DomainError("spectrum values must be finite")
 
@@ -490,9 +492,12 @@ class LevelSpectrum(Record):
                          for (n, a), k in zip(self.levels, self._leading_counts(count)) if k)
 
     def power_sum(self, p: float) -> float:
-        """sum |v|^p over the retained values, level by level."""
-        return math.fsum(abs(a) ** p * self._weight_sum(n, self.m_max + 1, p)
-                         for n, a in self.levels)
+        """sum |v|^p over the retained values, level by level, refused past the largest double."""
+        try:
+            return math.fsum(abs(a) ** p * self._weight_sum(n, self.m_max + 1, p)
+                             for n, a in self.levels)
+        except OverflowError:
+            raise RangeError("the level spectrum's power sum passes the largest double") from None
 
 
 class ShellSpectrum(Record):

@@ -17,9 +17,9 @@ one forward FFT per input row and one inverse FFT per pair of rows,
 followed by one contraction.
 Magnetic translations V(a), which generate the commutant, act as
 (V(a) phi)(x) = e^{i (x ^ a)/(2 ell^2)} phi(x - a).
-Every integral on a grid uses one rule, the trapezoid weights of
-GridSpec: grid inner products, the convolution, and the Gram matrix
-of the sampled basis functions that checks their orthonormality.
+Every integral on a grid uses one rule, the nodes x nodes trapezoid
+weights of GridSpec: grid inner products, the convolution, and the Gram
+matrix of the sampled basis functions that checks their orthonormality.
 numpy is imported by the functions that work on grids, so the kernel
 at a point (KernelFunction at two numbers, kernel_at_zero, folner_trace)
 never loads it.
@@ -64,12 +64,13 @@ class GridSpec(Record):
         return np.linspace(-self.extent, self.extent, self.nodes)
 
     def trapezoid_weights(self) -> np.ndarray:
+        """The nodes x nodes trapezoid weights, the outer product of the axis weights."""
         import numpy as np
 
         w = np.full(self.nodes, self.spacing)
         w[0] *= 0.5
         w[-1] *= 0.5
-        return w
+        return np.outer(w, w)
 
 
 class GridFunction(Record, eq=False):
@@ -79,13 +80,14 @@ class GridFunction(Record, eq=False):
     values: np.ndarray
     warnings: tuple[str, ...] = ()
 
-    def with_warning(self, message: str) -> "GridFunction":
-        return GridFunction(self.spec, self.values, self.warnings + (message,))
-
 
 def grid_from_function(fn, spec: GridSpec) -> GridFunction:
+    """fn sampled on the grid, refused first past the memory limit: the samples, a
+    complex temporary and the point temporaries of KernelFunction or psi."""
     import numpy as np
 
+    check_memory((32 + _POINT_BYTES) * spec.nodes ** 2,
+                 "a grid function on %d nodes" % spec.nodes)
     g = spec.axis()
     return GridFunction(spec, np.asarray(fn(g[:, None], g[None, :]), dtype=complex))
 
@@ -99,8 +101,7 @@ def grid_inner(f: GridFunction, g: GridFunction) -> complex:
         raise DomainError("grid functions live on different grids")
     import numpy as np
 
-    w = f.spec.trapezoid_weights()
-    return complex(((w[:, None] * w[None, :]) * np.conjugate(f.values) * g.values).sum())
+    return complex((f.spec.trapezoid_weights() * np.conjugate(f.values) * g.values).sum())
 
 
 def grid_norm(f: GridFunction) -> float:
@@ -134,8 +135,7 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
     # plus eight temporaries, all nodes x nodes complex arrays
     check_memory(16 * spec.nodes ** 2 * (3 * len(indices) + 8),
                  "the Gram matrix on %d nodes" % spec.nodes)
-    w = spec.trapezoid_weights()
-    weights = (w[:, None] * w[None, :]).ravel()
+    weights = spec.trapezoid_weights().ravel()
     stack = np.stack([sample_basis(n, m, spec, cfg).values.ravel() for n, m in indices])
     gram = (stack.conj() * weights) @ stack.T
     return np.abs(gram - np.eye(len(indices)))
@@ -217,19 +217,15 @@ def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
 
 
 def _edge_band_fraction(values: np.ndarray, cells1: int, cells2: int) -> float:
+    """Share of the moduli within cells1 rows and cells2 columns of the boundary."""
     import numpy as np
 
-    total = float(np.abs(values).sum())
+    moduli = np.abs(values)
+    total = float(moduli.sum())
     if total == 0.0:
         return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
-    if cells1 > 0:
-        mask[:cells1, :] = True
-        mask[-cells1:, :] = True
-    if cells2 > 0:
-        mask[:, :cells2] = True
-        mask[:, -cells2:] = True
-    return float(np.abs(values[mask]).sum()) / total
+    rows, cols = moduli.shape
+    return (total - float(moduli[cells1:rows - cells1, cells2:cols - cells2].sum())) / total
 
 
 def _fft_length(minimum: int) -> int:
@@ -297,18 +293,6 @@ def check_convolution_budget(spec: GridSpec) -> None:
     check_memory(grid + slab + 32 * np.getbufsize(), "the twisted convolution on %d nodes" % n)
 
 
-class _KernelTable(Record, eq=False):
-    """FFTs of the chirped, reversed kernel rows on the lattice of grid differences.
-
-    spectra[d + n - 1] is the length-L FFT of the reversed row
-    f_S(d h, e h) e^{-i d e h^2 / 2 ell^2}, e = n - 1 - m for m = 0..2n-2;
-    edge is the share of the table's mass on its boundary.
-    """
-
-    spectra: np.ndarray
-    edge: float
-
-
 def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> np.ndarray:
     """The (2n-1) x L kernel table, rows reversed and zero-padded.
 
@@ -337,7 +321,13 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     return rows
 
 
-def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _KernelTable:
+def _tabulate(s: CoefficientOperator, spec: GridSpec,
+              cfg: MagneticConfig) -> tuple[np.ndarray, float]:
+    """The kernel table's row FFTs, and the share of its mass on its boundary.
+
+    Row d + n - 1 is the length-L FFT of the chirped, reversed row
+    f_S(d h, e h) e^{-i d e h^2 / 2 ell^2}, e = n - 1 - m for m = 0..2n-2.
+    """
     import numpy as np
 
     check_convolution_budget(spec)
@@ -358,31 +348,31 @@ def _tabulate(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> _K
     lower[:, n - 1::-1] *= conjugate[1:]
     lower[:, n:2 * n - 1] *= quadrant[1:, 1:]
     np.fft.fft(spectra, axis=1, out=spectra)
-    return _KernelTable(spectra, edge)
+    return spectra, edge
 
 
-def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
+def _convolve(table: np.ndarray, edge: float, phi: GridFunction,
+              cfg: MagneticConfig) -> GridFunction:
     import numpy as np
 
     spec = phi.spec
     n = spec.nodes
     g = spec.axis()
-    w = spec.trapezoid_weights()
     tail = _edge_band_fraction(phi.values, 1, 1)
-    length = table.spectra.shape[1]
+    length = table.shape[1]
     # phase[i1, i2] = e^{i g_i1 g_i2 / 2 ell^2} chirps the input, and then
     # the output: each slab's sums are multiplied into its rows in place
     phase = np.exp(1j * np.outer(g, g) / (2.0 * cfg.ell ** 2))
     # spectrum[j1] is the FFT of W[j1, j2] e^{i g_j1 g_j2 / 2 ell^2} over j2,
     # zero-padded to the length L, transformed once and in place
     spectrum = np.zeros((n, length), dtype=complex)
-    np.multiply(w[:, None] * w[None, :], phi.values, out=spectrum[:, :n])
+    np.multiply(spec.trapezoid_weights(), phi.values, out=spectrum[:, :n])
     spectrum[:, :n] *= phase
     np.fft.fft(spectrum, axis=-1, out=spectrum)
     back = np.conjugate(phase)
     back *= back
     # rows[s, j1] is the spectrum of kernel row j1 - i1 for s = n - 1 - i1
-    rows = np.lib.stride_tricks.sliding_window_view(table.spectra, n, axis=0)
+    rows = np.lib.stride_tricks.sliding_window_view(table, n, axis=0)
     rows = rows.transpose(0, 2, 1)
     step, width = _slab_shape(n, length)
     buffer = np.empty((step, width, length), dtype=complex)
@@ -404,12 +394,11 @@ def _convolve(table: _KernelTable, phi: GridFunction, cfg: MagneticConfig) -> Gr
         out = phase[start:stop]
         np.multiply(sums, out, out=out)
     phase /= 2.0 * math.pi * cfg.ell ** 2
-    result = GridFunction(spec, phase, phi.warnings)
-    if tail > 1e-9 or table.edge > 1e-9:
-        result = result.with_warning(
-            "grid may be too small: boundary carries %.1e of the data mass"
-            % max(tail, table.edge))
-    return result
+    warnings = phi.warnings
+    if tail > 1e-9 or edge > 1e-9:
+        warnings += ("grid may be too small: boundary carries %.1e of the data mass"
+                     % max(tail, edge),)
+    return GridFunction(spec, phase, warnings)
 
 
 def apply_kernel(s: CoefficientOperator, phi: GridFunction,
@@ -440,7 +429,7 @@ def apply_kernel(s: CoefficientOperator, phi: GridFunction,
     1226 nodes per axis).  Grids around 128 nodes per axis keep sup
     errors near 1e-7 for low-index data.
     """
-    return _convolve(_tabulate(s, phi.spec, cfg), phi, cfg)
+    return _convolve(*_tabulate(s, phi.spec, cfg), phi, cfg)
 
 
 def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunction:
@@ -481,13 +470,12 @@ def magnetic_translate(a, phi: GridFunction, cfg: MagneticConfig) -> GridFunctio
     np.exp(phase, out=phase)
     phase *= spectrum
     del spectrum
-    result = GridFunction(spec, phase, phi.warnings)
     cells1 = min(int(math.ceil(abs(a1) / h)), n // 2)
     cells2 = min(int(math.ceil(abs(a2) / h)), n // 2)
+    warnings = phi.warnings
     if _edge_band_fraction(phi.values, cells1, cells2) > 1e-9:
-        result = result.with_warning(
-            "translated support clipped: data mass within |a| of the boundary")
-    return result
+        warnings += ("translated support clipped: data mass within |a| of the boundary",)
+    return GridFunction(spec, phase, warnings)
 
 
 def commutant_residual(s: CoefficientOperator, a, phi: GridFunction,
@@ -512,9 +500,9 @@ def commutant_residual(s: CoefficientOperator, a, phi: GridFunction,
     s = CoefficientOperator({key: complex(math.ldexp(v.real, -scale), math.ldexp(v.imag, -scale))
                              for key, v in s.entries.items()}, s.declared_class)
     shifted = magnetic_translate(a, phi, cfg)
-    table = _tabulate(s, phi.spec, cfg)
-    lhs = _convolve(table, shifted, cfg)
-    rhs = magnetic_translate(a, _convolve(table, phi, cfg), cfg)
+    table, edge = _tabulate(s, phi.spec, cfg)
+    lhs = _convolve(table, edge, shifted, cfg)
+    rhs = magnetic_translate(a, _convolve(table, edge, phi, cfg), cfg)
     defect = GridFunction(phi.spec, lhs.values - rhs.values)
     try:
         return math.ldexp(grid_norm(defect) / norm, scale)

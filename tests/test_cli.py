@@ -719,6 +719,7 @@ def test_dixmier_spectrum_lists_a_far_level_head_only(tmp_path, capsys):
 CONTRACT_SOURCES = {
     "pair-1e308": {(0, 0): 1e308, (1, 1): 1e308},
     "hop-1e300": {(0, 1): 1e300, (1, 0): 1e300},
+    "level-1e300": {(0, 0): 1e300},
     "index-1e15": {(10 ** 15, 10 ** 15): 1.0},
     "zero": {},
     "pi0": {(0, 0): 1.0},
@@ -817,6 +818,20 @@ def test_work_limit_is_checked_first(tmp_path, capsys):
         rc, out, err = invoke(argv, capsys)
         assert (rc, out) == (2, "")
         assert "steps, over the limit" in err
+
+
+def test_level_power_sums_past_the_largest_double_are_refused(tmp_path, capsys):
+    # zeta_T sums |v|^(1 + x) level by level; where a power, a Hurwitz term
+    # or their sum passes the largest double (1e300 at x = 0.1, 2 and 4 at
+    # x = 2000), the run is refused, not ended by an OverflowError
+    path = tmp_path / "source.json"
+    for entries, xgrid in (({(0, 0): 1e300}, []),
+                           ({(0, 0): 2.0}, ["--xgrid", "2000,1500,1000"]),
+                           ({(3, 3): 4.0}, ["--xgrid", "2000,1500,1000"])):
+        save_operator(CoefficientOperator(entries), str(path))
+        rc, out, err = invoke(["dixmier", "tauberian", "--op", str(path)] + xgrid, capsys)
+        assert (rc, out) == (2, ""), entries
+        assert "largest double" in err
 
 
 def test_huge_dos_threshold_is_refused_briefly(capsys):

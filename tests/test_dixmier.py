@@ -561,6 +561,24 @@ def test_the_split_head_is_bounded_by_the_count_and_the_work_limit():
             spectrum.power_sum(1.01)
 
 
+def test_left_and_right_level_spectra_hold_one_shift():
+    # outside the split form lam2 is set to lam, as in WeightedProduct: a
+    # spectrum built or replaced with another lam2 sums its own values, which
+    # read lam alone (once lam2 moved its sums: 3.494 for the first 50 values'
+    # 5.117, and 1.393 for the 1.5 power sum's 2.788)
+    for form, lam in (("left", 0.0), ("right", 1.5)):
+        spectrum = LevelSpectrum(((0, 1.0), (2, 0.5)), form, lam, 5.0, 99, 3, "singular")
+        assert spectrum.lam2 == lam
+        assert spectrum.replace(lam2=-0.5) == spectrum
+        values = list(spectrum)
+        for count in (1, 50, 150, len(values)):
+            assert spectrum.partial_sum(count) == pytest.approx(math.fsum(values[:count]),
+                                                                rel=1e-14, abs=0.0)
+        for p in (1.5, 2.0, 3.0):
+            assert spectrum.power_sum(p) == pytest.approx(math.fsum(abs(v) ** p for v in values),
+                                                          rel=1e-14, abs=0.0)
+
+
 def _geomspace_ladder(low, top, points):
     return sorted({int(n) for n in np.geomspace(low, top, points)})
 

@@ -364,6 +364,49 @@ def test_convolution_stays_within_its_memory_estimate(nodes, entries, monkeypatc
         assert peak <= estimates[0]
 
 
+def test_grid_function_is_refused_before_sampling(cfg):
+    # 10**5 nodes per axis would need 920 GB: the count fires before the axis
+    # or any sample is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="a grid function on 100000 nodes"):
+            sample_basis(0, 0, GridSpec(extent=10.0, nodes=10 ** 5), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("nodes", (100, 300))
+@pytest.mark.parametrize("kind", ("basis", "kernel"))
+def test_grid_function_stays_within_its_memory_estimate(kind, nodes, monkeypatch, cfg):
+    # the samples, a complex temporary and the point temporaries of psi at a
+    # high index, or of a kernel's terms, one at a time: the one count that
+    # grid_from_function checks bounds the peak of both
+    from magtrace import kernels
+
+    estimates = []
+    check = kernels.check_memory
+    monkeypatch.setattr(kernels, "check_memory",
+                        lambda size, what: (estimates.append(size), check(size, what)))
+    if kind == "basis":
+        def sample(spec):
+            return sample_basis(40, 7, spec, cfg)
+    else:
+        def sample(spec):
+            return grid_from_function(KernelFunction(CoefficientOperator(INDEX_SEVEN), cfg), spec)
+    sample(GridSpec(extent=12.0, nodes=8))  # first call
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        sample(GridSpec(extent=12.0, nodes=nodes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(estimates) == 1
+    assert peak <= estimates[0]
+
+
 def test_translate_identity(cfg, work_basis):
     out = magnetic_translate((0.0, 0.0), work_basis[(0, 0)], cfg)
     assert np.abs(out.values - work_basis[(0, 0)].values).max() <= 1e-12
