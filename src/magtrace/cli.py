@@ -24,8 +24,8 @@ import types
 from . import serialize
 from .config import make_config
 from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, Record, ResourceError
-from .operators import (WEIGHT_FORMS, adjoint, check_shift, compose, lp_norm,
-                        matrix_block, weighted_product)
+from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
+                        weighted_product)
 
 # The handlers import the other library modules that they call, so that a
 # process loads only what its subcommand runs.
@@ -120,21 +120,18 @@ def _load(args):
     return serialize.load_operator(args.infile)
 
 
-def _check_shifts(form, lam, lam2):
-    """Check --lambda and --lambda2, then refuse a --lambda2 that the form does not read."""
-    check_shift(lam)
-    if lam2 is not None:
-        check_shift(lam2)
-        if form != "split":
-            raise DomainError("--lambda2 is read by --form split only, not --form %s" % form)
+def _check_lambda2(form, lam2):
+    """Refuse a --lambda2 that the form does not read; weighted_product checks the shifts."""
+    if lam2 is not None and form != "split":
+        raise DomainError("--lambda2 is read by --form split only, not --form %s" % form)
 
 
 def _weighted_spectrum(op, form, lam, lam2, shells, budget, kind=None):
     from .dixmier import collect_spectrum
 
-    _check_shifts(form, lam, lam2)
-    shells = budget.shells if shells is None else shells
     product = weighted_product(op, form, lam, lam2)
+    _check_lambda2(form, lam2)
+    shells = budget.shells if shells is None else shells
     n_max = max(op.max_index + 1, 1)
     if kind is None:
         diag_real = op.is_diagonal and all(abs(v.imag) == 0.0 for v in op.entries.values())
@@ -339,7 +336,7 @@ def cmd_dos_dixmier(args, cfg, budget):
 
     fn = serialize.load_test_function(args.testfn)
     op = _dos_operator(fn.support[1])
-    _check_shifts(args.form, args.lam, args.lam2)
+    _check_lambda2(args.form, args.lam2)
     check = dosmod.dixmier_dos_check(op, fn, cfg, form=args.form, lam=args.lam,
                                      lam2=args.lam2, m_max=budget.shells * 4 - 1)
     return {"dixmier_value": check.dixmier_value, "measure_value": check.measure_value,

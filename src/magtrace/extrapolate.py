@@ -23,6 +23,11 @@ from .errors import DomainError, Record
 MODELS = ("richardson_x", "log_inverse", "none")
 
 
+def converged_tolerance(value) -> float:
+    """0.05 (1 + |value|): the largest error that a converged limit `value` may carry."""
+    return 0.05 * (1.0 + abs(value))
+
+
 class ConvergenceTable(Record):
     params: tuple[float, ...]
     raw: tuple[complex, ...]
@@ -42,7 +47,7 @@ class ConvergenceTable(Record):
     @property
     def converged(self) -> bool:
         """Heuristic flag: the fit residual is small on the scale of the limit."""
-        return self.residual <= 0.05 * (1.0 + abs(self.extrapolated))
+        return self.residual <= converged_tolerance(self.extrapolated)
 
 
 def richardson_zero(xs, ys) -> tuple[complex, float]:

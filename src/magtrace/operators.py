@@ -20,6 +20,7 @@ never loads it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 
 from .errors import DomainError, Record, check_memory
@@ -33,7 +34,9 @@ class CoefficientOperator:
     The declared class ("L1", "L2", "Itau" or "unclassified") is advisory
     metadata: it records which summability hypothesis the caller claims,
     and operations never silently reclassify beyond obvious bookkeeping.
-    Instances are treated as immutable after construction.
+    Keys must be pairs of non-negative integers and values finite numbers,
+    booleans excluded; anything else is refused, not coerced.  Instances
+    are treated as immutable after construction.
     """
 
     __slots__ = ("entries", "declared_class")
@@ -44,14 +47,23 @@ class CoefficientOperator:
             raise DomainError("declared class must be one of %s" % (OPERATOR_CLASSES,))
         cleaned: dict[tuple[int, int], complex] = {}
         for key, value in (entries or {}).items():
-            j, k = key
-            if j < 0 or k < 0 or j != int(j) or k != int(k):
-                raise DomainError("transition indices must be non-negative integers")
-            value = complex(value)
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(i, numbers.Integral) and not isinstance(i, bool) and i >= 0
+                    for i in key)):
+                raise DomainError("transition indices must be pairs of non-negative integers, "
+                                  "not %r" % (key,))
+            j, k = int(key[0]), int(key[1])
+            if not isinstance(value, numbers.Number) or isinstance(value, bool):
+                raise DomainError("coefficient at (%d, %d) must be a number, not %r"
+                                  % (j, k, value))
+            try:
+                value = complex(value)
+            except OverflowError:  # an integer past the largest double
+                value = complex(math.inf)
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise DomainError("coefficient at (%d, %d) is not finite" % (j, k))
             if value != 0:
-                cleaned[(int(j), int(k))] = value
+                cleaned[(j, k)] = value
         self.entries = cleaned
         self.declared_class = declared_class
 

@@ -671,7 +671,7 @@ def test_diagonal_estimate_at_any_depth(pi0_file, capsys):
 
 
 @pytest.mark.parametrize("levels, shells, calderon", [
-    (200, "512", 36.603914231558555),  # 102 600 nonzero values
+    (200, "512", 36.603914231558555),  # 102 400 nonzero values
     (1, "400000", 2.1640425613334453),
 ])
 def test_calderon_norm_of_a_long_level_spectrum(levels, shells, calderon, tmp_path, capsys):

@@ -786,38 +786,111 @@ def test_calderon_norm_single_atom():
         calderon_norm(Spectrum(np.array([1.0]), "too short"))
 
 
-def _cumsum_calderon(values):
-    """The supremum of sigma_N / log N over numpy's in-order cumsum of the listed values."""
+def _cumsum_quotients(values):
+    """sigma_N / log N for N >= 2 over numpy's in-order cumsum of the listed values."""
     sums = np.cumsum(np.asarray(list(values), dtype=float))
-    return max(float(sums[n - 1]) / math.log(n) for n in range(2, sums.size + 1))
+    return [float(sums[n - 1]) / math.log(n) for n in range(2, sums.size + 1)]
 
 
-def _numpy_calderon(values):
-    """The same supremum with every quotient taken at once, numpy's log included."""
-    counts = np.arange(2, values.size + 1)
-    return float(np.max(np.cumsum(values)[counts - 1] / np.log(counts)))
+def _cumsum_calderon(values):
+    """The supremum of the in-order cumsum's quotients, each divided by math.log."""
+    return max(_cumsum_quotients(values))
 
 
 def test_calderon_norm_reads_the_cumsum_bit_for_bit(monkeypatch):
-    # a dense spectrum is summed in 8192-value runs, each behind the total
-    # of the runs before it (16 387 values, three of them zero, cross two
-    # run boundaries), and a level spectrum in one pass with math.log;
-    # both give the whole cumsum's quotients bit for bit
+    # every spectrum is summed in 2048-value runs, each behind the total of
+    # the runs before it (16 387 values, three of them zero, cross seven
+    # run boundaries), and divided by math.log; that gives the whole
+    # cumsum's quotients bit for bit
     values = np.concatenate([np.random.default_rng(5).random(16384) ** 4, np.zeros(3)])
     dense = Spectrum(values, "dense")
-    assert calderon_norm(dense) == _numpy_calderon(dense.values)
-    assert calderon_norm(Spectrum(values[:2], "two")) == _numpy_calderon(values[:2])
+    assert calderon_norm(dense) == _cumsum_calderon(dense.values)
+    assert calderon_norm(Spectrum(values[:2], "two")) == _cumsum_calderon(values[:2])
     product = weighted_product(CoefficientOperator({(0, 0): 1.0, (2, 2): 0.25}), "left", 0.0)
     level = collect_spectrum(product, 999, 3)
     assert isinstance(level, LevelSpectrum)
     assert calderon_norm(level) == _cumsum_calderon(level)
-    # a level spectrum's pass allocates nothing; it admits the 3000 values
+    # a level spectrum's pass holds one run; it admits the 3000 values
     # whose listing and quotients, 40 bytes each, fit in the memory limit
     monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", 40 * 3000)
     assert calderon_norm(level) == _cumsum_calderon(level)
     monkeypatch.setattr(errors, "MEMORY_LIMIT_BYTES", 40 * 3000 - 1)
     with pytest.raises(ResourceError, match="Calderon"):
         calderon_norm(level)
+
+
+def _identity_levels(levels, shells, form="left", lam=0.0, lam2=None):
+    source = CoefficientOperator({(n, n): 1.0 for n in range(levels)})
+    return collect_spectrum(weighted_product(source, form, lam, lam2), shells - 1, levels)
+
+
+# name: (the spectrum from a seeded generator, where the supremum lies)
+CALDERON_SPECTRA = {
+    "dense-early": (lambda rng: Spectrum(rng.random(6000) * 0.9 ** np.arange(6000), "early"),
+                    "early"),
+    "dense-late": (lambda rng: Spectrum(1.0 + 1e-3 * rng.random(6000), "late"), "last"),
+    "dense-zero-tail": (lambda rng: Spectrum(np.concatenate([0.5 + rng.random(3000),
+                                                             np.zeros(3000)]), "tail"), None),
+    "dense-split": (lambda rng: collect_spectrum(weighted_product(
+        random_operator(rng, max_index=5, count=24), "split", -0.5, 2.0), 599, 6), None),
+    # the first value and two runs: the supremum is the quotient at N = 4097
+    "dense-run-boundary": (lambda rng: Spectrum(1.0 + 1e-3 * rng.random(4097), "runs"), "last"),
+    "level-early": (lambda rng: collect_spectrum(weighted_product(
+        CoefficientOperator({(0, 0): 1.0}), "left", 0.0), 9999, 1), "early"),
+    "level-late": (lambda rng: _identity_levels(40, 100), "last"),
+    "level-zero-tail": (lambda rng: collect_spectrum(weighted_product(CoefficientOperator(
+        {(0, 0): 1.0, (5, 5): float(rng.random())}), "right", 0.5), 999, 8), None),
+    "level-split": (lambda rng: collect_spectrum(weighted_product(CoefficientOperator(
+        {(n, n): complex(*rng.normal(size=2)) for n in (0, 2, 3, 7)}), "split", -0.5, 2.0),
+        1499, 8), None),
+    "level-run-boundary": (lambda rng: _identity_levels(1, 2049, "split", -0.75, 3.0), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALDERON_SPECTRA))
+def test_calderon_norm_is_the_supremum_of_the_cumsum_quotients(name):
+    make, where = CALDERON_SPECTRA[name]
+    spec = make(np.random.default_rng(11))
+    assert isinstance(spec, LevelSpectrum if name.startswith("level") else Spectrum)
+    quotients = _cumsum_quotients(spec)
+    argmax = quotients.index(max(quotients)) + 2
+    if where == "early":
+        assert argmax < 100
+    elif where == "last":
+        assert argmax == len(spec)
+    assert calderon_norm(spec) == max(quotients)
+
+
+class CountedReads:
+    """A spectrum whose values are counted as they are read."""
+
+    def __init__(self, spectrum):
+        self.spectrum, self.kind, self.reads = spectrum, spectrum.kind, 0
+
+    def __len__(self):
+        return len(self.spectrum)
+
+    def power_sum(self, p):
+        return self.spectrum.power_sum(p)
+
+    def __iter__(self):
+        for value in self.spectrum:
+            self.reads += 1
+            yield value
+
+
+def test_calderon_pass_stops_once_the_total_cannot_raise_the_quotient():
+    # pi0 at 10^6 shells: the supremum 1.5 / log 2 is the first quotient,
+    # and sigma_total / log N falls below it inside the first run
+    pi0 = weighted_product(CoefficientOperator({(0, 0): 1.0}), "left", 0.0)
+    counted = CountedReads(collect_spectrum(pi0, 10 ** 6 - 1, 1))
+    assert calderon_norm(counted) == 1.5 / math.log(2.0)
+    assert counted.reads <= 1 + dixmier.BLOCK_SLAB_BYTES // 32  # the first value and one run
+    # the 200-level identity at 512 shells peaks at its last quotient, so
+    # the pass reads every value
+    counted = CountedReads(_identity_levels(200, 512))
+    assert calderon_norm(counted) == pytest.approx(36.603914231558555, rel=1e-14, abs=0.0)
+    assert counted.reads == len(counted) == 102400
 
 
 @pytest.mark.filterwarnings("error")

@@ -56,6 +56,31 @@ def test_invalid_entries_rejected():
         CoefficientOperator({(0, 0): 1.0}, "L7")
 
 
+@pytest.mark.parametrize("entries", [
+    pytest.param({(1.0, 2.0): 1.0}, id="float-indices"),
+    pytest.param({(True, 0): 1.0}, id="bool-index"),
+    pytest.param({("3", 0): 1.0}, id="string-index"),
+    pytest.param({(math.nan, 0): 1.0}, id="nan-index"),
+    pytest.param({(math.inf, 0): 1.0}, id="inf-index"),
+    pytest.param({(0,): 1.0}, id="one-tuple-key"),
+    pytest.param({(0, 0): "1+2j"}, id="string-value"),
+    pytest.param({(0, 0): True}, id="bool-value"),
+    pytest.param({(0, 0): np.bool_(True)}, id="numpy-bool-value"),
+    pytest.param({(0, 0): None}, id="none-value"),
+    pytest.param({(0, 0): 10 ** 400}, id="huge-int-value"),
+])
+def test_entries_are_validated_not_coerced(entries):
+    with pytest.raises(DomainError):
+        CoefficientOperator(entries)
+
+
+def test_numeric_entries_of_python_and_numpy_types_build():
+    op = CoefficientOperator({(np.int64(1), 2): np.float64(0.5), (0, np.uint8(3)): 2,
+                              (4, 4): np.complex64(1j), (5, 5): np.float32(0.25)})
+    assert op.entries == {(1, 2): 0.5, (0, 3): 2.0, (4, 4): 1j, (5, 5): 0.25}
+    assert all(type(j) is int and type(k) is int for j, k in op.entries)
+
+
 def test_adjoint_matches_conjugate_transpose(rng):
     a = random_operator(rng, max_index=SIZE - 1, count=14)
     lhs = dense_matrix(adjoint(a), SIZE)
