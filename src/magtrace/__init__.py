@@ -30,9 +30,8 @@ EXPORTS = {
     "errors": ("CalculusError", "DomainError", "RangeError", "ResourceError"),
     "extrapolate": ("ConvergenceTable", "log_inverse_fit", "richardson_zero"),
     "kernels": ("GridFunction", "GridSpec", "apply_kernel", "commutant_residual",
-                "folner_trace", "grid_from_function", "grid_inner", "grid_norm",
-                "kernel_at_zero", "magnetic_translate", "orthonormality_check",
-                "sample_basis"),
+                "grid_from_function", "grid_inner", "grid_norm", "kernel_at_zero",
+                "magnetic_translate", "orthonormality_check", "sample_basis"),
     "operators": ("CoefficientOperator", "DiagonalWeight", "WeightedProduct",
                   "absorb_product", "adjoint", "coefficient_bound_check", "compose",
                   "lp_norm", "matrix_block", "weighted_product"),

@@ -188,8 +188,11 @@ def cmd_kernel_eval(args, cfg, budget):
 def cmd_kernel_folner(args, cfg, budget):
     from . import kernels
 
-    value = kernels.folner_trace(_load(args), args.radius, cfg)
-    return {"radius": args.radius, "value": value}, True
+    op = _load(args)
+    if not (args.radius > 0.0 and math.isfinite(args.radius)):
+        raise DomainError("the averaging box must have a positive, finite radius")
+    # every box average of the diagonal f_S(0)/(2 pi ell^2), times omega_ell/2, is f_S(0)
+    return {"radius": args.radius, "value": kernels.kernel_at_zero(op, cfg)}, True
 
 
 def cmd_kernel_commutant(args, cfg, budget):

@@ -89,13 +89,20 @@ class Spectrum(Record, eq=False):
         return float(np.cumsum(self.values[:count])[-1])
 
     def power_sum(self, p: float) -> float:
-        """sum |v|^p over the nonzero values, in place on one compressed copy."""
+        """sum |v|^p over the nonzero values, in place on one compressed copy.
+
+        A sum past the largest double is refused, as for level spectra.
+        """
         import numpy as np
 
         powers = self.values[self.values != 0.0]
         np.abs(powers, out=powers)
-        powers **= p
-        return float(powers.sum())
+        with np.errstate(over="ignore"):
+            powers **= p
+            total = float(powers.sum())
+        if total == math.inf:
+            raise RangeError("the spectrum's power sum passes the largest double")
+        return total
 
 
 def _finite_values(values):

@@ -21,8 +21,8 @@ Every integral on a grid uses one rule, the nodes x nodes trapezoid
 weights of GridSpec: grid inner products, the convolution, and the Gram
 matrix of the sampled basis functions that checks their orthonormality.
 numpy is imported by the functions that work on grids, so the kernel
-at a point (KernelFunction at two numbers, kernel_at_zero, folner_trace)
-never loads it.
+at a point (KernelFunction at two numbers, kernel_at_zero) never loads
+it.
 """
 
 from __future__ import annotations
@@ -208,10 +208,13 @@ class KernelFunction(Record):
 
 
 def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
-    """f_S(0), which equals the diagonal coefficient sum.
+    """f_S(0): the diagonal coefficient sum, and the trace per unit volume.
 
     Off-diagonal basis functions vanish at the origin, so the kernel series
     collapses onto the diagonal there.  The value does not depend on ell.
+    S commutes with the magnetic translations, so its kernel diagonal is the
+    constant f_S(0)/(2 pi ell^2), and every Folner box average of it, scaled
+    by omega_ell/2 = 2 pi ell^2, is f_S(0).
     """
     return KernelFunction(s, cfg)(0.0, 0.0)
 
@@ -509,16 +512,3 @@ def commutant_residual(s: CoefficientOperator, a, phi: GridFunction,
     except OverflowError:
         raise RangeError("the commutant residual passes the largest double") from None
 
-
-def folner_trace(s: CoefficientOperator, box_radius: float,
-                 cfg: MagneticConfig) -> complex:
-    """Trace per unit volume over the box [-R, R]^2, scaled by omega_ell/2.
-
-    The diagonal of the kernel realization is the constant f_S(0)/(2 pi
-    ell^2), so the box average equals that constant for every radius and
-    the scaled value reproduces the canonical trace.
-    """
-    if not (box_radius > 0.0 and math.isfinite(box_radius)):
-        raise DomainError("the averaging box must have a positive, finite radius")
-    diagonal = kernel_at_zero(s, cfg) / (2.0 * math.pi * cfg.ell ** 2)
-    return complex(0.5 * cfg.omega_ell * diagonal)

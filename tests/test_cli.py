@@ -437,6 +437,10 @@ def test_kernel_eval_and_folner(pi0_file, capsys):
                         capsys)
     assert rc == 0
     assert json.loads(out)["value"]["re"] == pytest.approx(1.0, abs=1e-8)
+    for radius in ("0", "-1", "nan", "inf"):
+        rc, out, err = invoke(["kernel", "folner", "--op", pi0_file, "--R", radius], capsys)
+        assert (rc, out) == (2, ""), radius
+        assert "the averaging box must have a positive, finite radius" in err
 
 
 def test_kernel_commutant(pi0_file, capsys):
@@ -780,15 +784,29 @@ def test_every_op_command_keeps_the_exit_contract(name, source, tmp_path, capsys
 
 
 def test_overflowing_sources_are_refused_or_scaled(tmp_path, capsys):
-    # a level mass past the largest double is refused; a hop of 2**996,
-    # whose fit residuals square past it, gives 2**996 times the unit hop's
-    # estimate and commutant residual, bit for bit
+    # a level mass past the largest double is refused, and so is a commutant
+    # residual that scales back past it (the 1e300 hop on the same grid reads
+    # about 9e299); a hop of 2**996, whose fit residuals square past it,
+    # gives 2**996 times the unit hop's estimate and commutant residual, bit
+    # for bit
     pair = tmp_path / "pair.json"
     save_operator(CoefficientOperator(CONTRACT_SOURCES["pair-1e308"]), str(pair))
     for action in ("spectrum", "estimate", "tauberian"):
         rc, out, err = invoke(["dixmier", action, "--op", str(pair)], capsys)
         assert (rc, out) == (2, ""), action
         assert "largest double" in err
+    square = tmp_path / "square.json"
+    save_operator(CoefficientOperator({key: 1.7e308 for key in ((0, 0), (0, 1), (1, 0), (1, 1))}),
+                  str(square))
+    hop = tmp_path / "hop.json"
+    save_operator(CoefficientOperator(CONTRACT_SOURCES["hop-1e300"]), str(hop))
+    grid = ["--a1", "3", "--a2", "3", "--extent", "3", "--nodes", "16"]
+    rc, out, err = invoke(["kernel", "commutant", "--op", str(square)] + grid, capsys)
+    assert (rc, out) == (2, "")
+    assert "the commutant residual passes the largest double" in err
+    rc, out, err = invoke(["kernel", "commutant", "--op", str(hop)] + grid, capsys)
+    assert (rc, err) == (0, "")
+    assert 9e299 < json.loads(out)["residual"] < 9.1e299
     tables, residuals = [], []
     for k in (0, 996):
         hop = tmp_path / ("hop%d.json" % k)
@@ -823,11 +841,13 @@ def test_work_limit_is_checked_first(tmp_path, capsys):
 def test_level_power_sums_past_the_largest_double_are_refused(tmp_path, capsys):
     # zeta_T sums |v|^(1 + x) level by level; where a power, a Hurwitz term
     # or their sum passes the largest double (1e300 at x = 0.1, 2 and 4 at
-    # x = 2000), the run is refused, not ended by an OverflowError
+    # x = 2000), the run is refused, not ended by an OverflowError; a dense
+    # spectrum's power sum (the 1e300 hop) is refused alike, with no warning
     path = tmp_path / "source.json"
     for entries, xgrid in (({(0, 0): 1e300}, []),
                            ({(0, 0): 2.0}, ["--xgrid", "2000,1500,1000"]),
-                           ({(3, 3): 4.0}, ["--xgrid", "2000,1500,1000"])):
+                           ({(3, 3): 4.0}, ["--xgrid", "2000,1500,1000"]),
+                           ({(0, 1): 1e300, (1, 0): 1e300}, [])):
         save_operator(CoefficientOperator(entries), str(path))
         rc, out, err = invoke(["dixmier", "tauberian", "--op", str(path)] + xgrid, capsys)
         assert (rc, out) == (2, ""), entries

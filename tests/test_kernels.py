@@ -17,7 +17,6 @@ from magtrace import (
     commutant_residual,
     coefficient_bound_check,
     compose,
-    folner_trace,
     grid_from_function,
     grid_inner,
     grid_norm,
@@ -97,6 +96,12 @@ def test_kernel_at_zero_is_diagonal_sum(rng, cfg):
     for trial in range(10):
         s = random_operator(rng, max_index=7, count=12)
         assert kernel_at_zero(s, cfg) == pytest.approx(tau_diagonal(s), abs=1e-12)
+
+
+def test_kernel_at_zero_matches_other_lengths():
+    # the trace per unit volume of pi0 is 1 at every magnetic length
+    pi0 = CoefficientOperator.projection(0)
+    assert kernel_at_zero(pi0, make_config(2.0)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_at_zero_ignores_offdiagonal(cfg):
@@ -481,32 +486,6 @@ def test_position_operator_negative_control(cfg, work_basis):
     rhs = magnetic_translate((1.0, 0.0), mult(phi), cfg)
     residual = grid_norm(GridFunction(WORK_GRID, lhs.values - rhs.values)) / grid_norm(phi)
     assert residual >= 0.1
-
-
-def test_folner_trace_projection(cfg):
-    pi0 = CoefficientOperator.projection(0)
-    for radius in (0.5, 3.0, 25.0):
-        assert folner_trace(pi0, radius, cfg) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_folner_trace_linearity(cfg):
-    s = 2.0 * CoefficientOperator.projection(0) + CoefficientOperator.projection(1)
-    assert folner_trace(s, 4.0, cfg) == pytest.approx(3.0, abs=1e-10)
-    assert folner_trace(CoefficientOperator({}), 4.0, cfg) == 0.0
-
-
-def test_folner_trace_needs_positive_radius(cfg):
-    for radius in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            folner_trace(CoefficientOperator.projection(0), radius, cfg)
-
-
-def test_folner_matches_other_lengths():
-    from magtrace import make_config
-
-    wide = make_config(2.0)
-    pi0 = CoefficientOperator.projection(0)
-    assert folner_trace(pi0, 4.0, wide) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_norm_bound(rng, cfg):
