@@ -163,9 +163,10 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
 
     which avoids the negative power of (x1 + i x2) at the origin.  The
     arithmetic, one rule at every point, is psi_term's, on the factors of
-    radial_factors.  Inputs broadcast; two real numbers give a complex
-    number, computed without numpy.  An index that is not a non-negative
-    integer (a bool included) is refused.
+    radial_factors.  Two real numbers give a complex number, computed
+    without numpy, and arrays, which broadcast, give an array.  Two 0-d
+    arrays, and an index that is not a non-negative integer (a bool
+    included), are refused.
     """
     if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
                for k in (n, m)):
@@ -177,5 +178,5 @@ def psi(n: int, m: int, x1, x2, cfg: MagneticConfig):
     a1 = np.asarray(x1, dtype=float)
     a2 = np.asarray(x2, dtype=float)
     if a1.ndim == 0 and a2.ndim == 0:
-        return psi(n, m, float(a1), float(a2), cfg)
+        raise DomainError("psi takes two real numbers, or arrays of at least one dimension")
     return np.asarray(psi_term(n, m, *radial_factors(a1, a2, cfg.ell)), dtype=complex)

@@ -557,6 +557,7 @@ def shell_spectrum(weight: DiagonalWeight, shells: int) -> ShellSpectrum:
 
 
 def _check_count(spectrum, count: int, minimum: int = 1) -> None:
+    check_positive_int(count, "the number of terms")
     if count < minimum:
         raise DomainError("partial sums need at least %d terms" % minimum)
     if count > len(spectrum):

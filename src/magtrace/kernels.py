@@ -20,9 +20,10 @@ Magnetic translations V(a), which generate the commutant, act as
 Every integral on a grid uses one rule, the nodes x nodes trapezoid
 weights of GridSpec: grid inner products, the convolution, and the Gram
 matrix of the sampled basis functions that checks their orthonormality.
-numpy is imported by the functions that work on grids, so the kernel
-at a point (KernelFunction at two numbers, kernel_at_zero) never loads
-it.
+KernelFunction evaluates the kernel at a point of two real numbers
+without numpy (kernel_at_zero reads it at the origin), and _kernel_rows
+on the lattice of grid differences, from the same terms in the same
+order; numpy is imported only by the functions that work on grids.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class GridFunction(Record, eq=False):
 
 def grid_from_function(fn, spec: GridSpec) -> GridFunction:
     """fn sampled on the grid, refused first past the memory limit: the samples, a
-    complex temporary and the point temporaries of KernelFunction or psi."""
+    complex temporary and the point temporaries of psi."""
     import numpy as np
 
     check_memory((32 + _POINT_BYTES) * spec.nodes ** 2,
@@ -142,36 +143,26 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
 
 
 class KernelFunction(Record):
-    """Callable reduced kernel f_A of a coefficient family.
+    """Reduced kernel f_A of a coefficient family at one point of two real numbers.
 
     The radial factors of the basis functions (basis.radial_factors:
     zeta, the complex base and the normalization's log) are computed once
     per call; each term (-1)^(j-k) a_jk psi_{k,j} is then built by
-    basis.psi_term, the coefficient on the left, and added into one sum,
-    so at most one term and one scaled Laguerre recurrence live beside
-    the factors (_POINT_BYTES per point).  At two real numbers the sum
-    is a complex number, made without numpy from the same terms in the
-    same order.
+    basis.psi_term, the coefficient on the left, and added into one
+    complex sum, without numpy.  Anything else is refused: grids go
+    through _kernel_rows.
     """
 
     source: CoefficientOperator
     cfg: MagneticConfig
 
-    def __call__(self, x1, x2):
-        if isinstance(x1, numbers.Real) and isinstance(x2, numbers.Real):
-            total = 0j
-            for _, term in self._terms(radial_factors(float(x1), float(x2), self.cfg.ell)):
-                total += term
-            return SQRT_TWO_PI * self.cfg.ell * total
-        import numpy as np
-
-        a1 = np.asarray(x1, dtype=float)
-        a2 = np.asarray(x2, dtype=float)
-        if a1.ndim == 0 and a2.ndim == 0:
-            return self(float(a1), float(a2))
-        total = np.zeros(np.broadcast_shapes(a1.shape, a2.shape), dtype=complex)
-        self._add_into(a1, a2, total)
-        return total
+    def __call__(self, x1, x2) -> complex:
+        if not (isinstance(x1, numbers.Real) and isinstance(x2, numbers.Real)):
+            raise DomainError("the kernel is evaluated at a point of two real numbers")
+        total = 0j
+        for _, term in self._terms(radial_factors(float(x1), float(x2), self.cfg.ell)):
+            total += term
+        return SQRT_TWO_PI * self.cfg.ell * total
 
     def _terms(self, factors):
         """(odd, (-1)^(j-k) a_jk psi_{k,j}) at the radial factors, in sorted (j, k) order.
@@ -182,29 +173,6 @@ class KernelFunction(Record):
         for (j, k), v in sorted(self.source.entries.items()):
             odd = (j - k) % 2
             yield odd, (-v if odd else v) * psi_term(k, j, *factors)
-
-    def _add_into(self, a1, a2, total, mirror=None):
-        """Add f_A at the points (a1, a2) into `total`, and f_A at (-a1, -a2)
-        on their last len(mirror) rows into `mirror`.
-
-        psi_{k,j}(-x) = (-1)^(j-k) psi_{k,j}(x), so each term goes into
-        mirror with the sign of its parity: f_A(-x) = E(x) - O(x) for the
-        even and odd parts E and O, summed in the same order as f_A(x).
-        """
-        import numpy as np
-
-        if not self.source.entries:
-            return
-        for odd, term in self._terms(radial_factors(a1, a2, self.cfg.ell)):
-            total += term
-            if mirror is not None:
-                signed = np.subtract if odd else np.add
-                signed(mirror, term[len(term) - len(mirror):], out=mirror)
-            del term
-        scale = SQRT_TWO_PI * self.cfg.ell
-        np.multiply(scale, total, out=total)
-        if mirror is not None:
-            np.multiply(scale, mirror, out=mirror)
 
 
 def kernel_at_zero(s: CoefficientOperator, cfg: MagneticConfig) -> complex:
@@ -254,11 +222,11 @@ def _slab_shape(nodes: int, length: int) -> tuple[int, int]:
     return rows, max(1, min(nodes, SLAB_BYTES // (length * 16)))
 
 
-# Temporaries of KernelFunction._add_into, in bytes per point: zeta (8),
-# the complex base (16) and one term at a time (36: the scaled Laguerre
-# recurrence's three float arrays and three int32 arrays, its exponent
-# and two shifts, which also bound the term's power with the Laguerre
-# factor and the folded log, or with its product by the coefficient).
+# Temporaries of _kernel_rows, or of psi on arrays, in bytes per point:
+# zeta (8), the complex base (16) and one term at a time (36: the scaled
+# Laguerre recurrence's three float arrays and three int32 arrays, its
+# exponent and two shifts, which also bound the term's power with the
+# Laguerre factor and the folded log, or its product by the coefficient).
 _POINT_BYTES = 60
 
 
@@ -299,13 +267,13 @@ def check_convolution_budget(spec: GridSpec) -> None:
 def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) -> np.ndarray:
     """The (2n-1) x L kernel table, rows reversed and zero-padded.
 
-    Row d + n - 1 holds f_S(d h, (n - 1 - m) h) at column m = 0..2n-2.
-    Only the rows d >= 0 are evaluated: row -d, read backwards, is
-    f_S(-x) on row d, which KernelFunction adds up from the same terms
-    with the signs of their parities.  Both are summed straight into the
-    table; row 0 is written once, from the direct sum.  The rows d >= 0
-    go in slabs, each with its mirrored rows, so that the temporaries of
-    one slab (_POINT_BYTES per point) stay within SLAB_BYTES.
+    Row d + n - 1 holds f_S(d h, (n - 1 - m) h) at column m = 0..2n-2,
+    summed straight into the table from KernelFunction's terms, in its
+    order, and scaled by sqrt(2 pi) ell once, in place.  Only the rows
+    d >= 0 are evaluated: psi_{k,j}(-x) = (-1)^(j-k) psi_{k,j}(x), so each
+    term also goes into row -d, read backwards, with the sign of its
+    parity; row 0 is written once.  Slabs of rows d >= 0 and their mirrors
+    keep the temporaries (_POINT_BYTES per point) within SLAB_BYTES.
     """
     import numpy as np
 
@@ -319,8 +287,15 @@ def _kernel_rows(s: CoefficientOperator, spec: GridSpec, cfg: MagneticConfig) ->
     step = max(1, SLAB_BYTES // (_POINT_BYTES * size))
     for start in range(0, n, step):
         stop = min(start + step, n)
-        kernel._add_into(diffs[n - 1 + start:n - 1 + stop, None], diffs[None, :],
-                         upper[start:stop], lower[max(start, 1) - 1:stop - 1])
+        total, mirror = upper[start:stop], lower[max(start, 1) - 1:stop - 1]
+        factors = radial_factors(diffs[n - 1 + start:n - 1 + stop, None], diffs[None, :], cfg.ell)
+        for odd, term in kernel._terms(factors):
+            total += term
+            signed = np.subtract if odd else np.add
+            signed(mirror, term[len(term) - len(mirror):], out=mirror)
+            del term
+        del factors
+    np.multiply(SQRT_TWO_PI * cfg.ell, rows, out=rows)
     return rows
 
 

@@ -91,6 +91,17 @@ def test_psi_refuses_indices_that_are_not_non_negative_integers(cfg):
     assert psi(np.int64(2), np.uint8(1), 0.3, 0.2, cfg) == psi(2, 1, 0.3, 0.2, cfg)
 
 
+def test_psi_refuses_a_pair_of_0d_arrays(cfg):
+    # numbers give a complex number and arrays an array: two 0-d arrays are
+    # neither, and are refused rather than coerced
+    with pytest.raises(DomainError, match="arrays of at least one dimension"):
+        psi(1, 0, np.array(0.3), np.array(0.2), cfg)
+    value = psi(1, 0, np.float64(0.3), 0.2, cfg)
+    assert isinstance(value, complex)
+    array = psi(1, 0, np.array(0.3), np.array([0.2]), cfg)
+    assert array.shape == (1,) and array[0] == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
 def test_psi_ground_state_at_origin(cfg):
     value = psi(0, 0, 0.0, 0.0, cfg)
     assert value == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-15)

@@ -720,6 +720,12 @@ def test_sigma_and_gamma():
         sigma_p(spec, 0)
     with pytest.raises(DomainError):
         gamma(spec, 1)
+    # counts are validated, not coerced: 2.5 once gave sigma_2 / log 2.5, 3.9
+    # gave sigma_3 and True sigma_1
+    for call, count in ((gamma, 2.5), (sigma_p, 3.9), (sigma_p, True)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(spec, count)
+    assert sigma_p(spec, np.int64(4)) == sigma_p(spec, 4)
 
 
 def test_gamma_reads_the_estimate_rows():

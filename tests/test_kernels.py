@@ -62,34 +62,36 @@ def test_kernel_of_zero_operator(cfg):
 
 
 def _kernel_by_psi(entries, x1, x2, cfg):
-    # the defining series, one basis function at a time
+    # the defining series, one basis function at a time, in the sorted
+    # (j, k) order of KernelFunction's terms
     total = 0.0
-    for (j, k), v in entries.items():
+    for (j, k), v in sorted(entries.items()):
         total = total + (-1.0) ** (j - k) * v * psi(k, j, x1, x2, cfg)
     return math.sqrt(2.0 * math.pi) * cfg.ell * total
 
 
 @pytest.mark.parametrize("ell", [1.0, 2.0])
 def test_kernel_function_matches_basis_sum(rng, ell):
-    # the shared radial factors give the term-by-term value, for arrays
-    # and for the scalars that `kernel eval` passes
+    # the shared radial factors give the term-by-term value at the numbers
+    # that `kernel eval` passes
     cfg = make_config(ell)
     for trial in range(6):
         s = random_operator(rng, max_index=7, count=10)
         fn = KernelFunction(s, cfg)
-        x1 = rng.uniform(-4.0, 4.0, size=(5, 1)) * ell
-        x2 = rng.uniform(-4.0, 4.0, size=(1, 7)) * ell
-        got = fn(x1, x2)
-        expected = _kernel_by_psi(s.entries, x1, x2, cfg)
-        assert got.shape == (5, 7)
-        assert np.abs(got - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
-        for u, v in [(0.0, 0.0), (float(x1[0, 0]), float(x2[0, 0])), (-1.5 * ell, 0.25)]:
+        x1, x2 = rng.uniform(-4.0, 4.0, size=2) * ell
+        for u, v in [(0.0, 0.0), (float(x1), float(x2)), (-1.5 * ell, 0.25), (x1, 3)]:
             value = fn(u, v)
             assert isinstance(value, complex)
             assert abs(value - _kernel_by_psi(s.entries, u, v, cfg)) <= 1e-14 * max(1.0, abs(value))
-            # the scalar sum, made without numpy, against the array sum at the same point
-            array = complex(fn(np.array([u]), np.array([v]))[0])
-            assert abs(value - array) <= 1e-14 * abs(array)
+
+
+def test_kernel_function_refuses_anything_but_two_numbers(cfg):
+    # a point is two real numbers; grids go through _kernel_rows
+    fn = KernelFunction(CoefficientOperator.projection(0), cfg)
+    for x1, x2 in [(np.zeros(3), np.zeros(3)), (np.array(0.5), 0.2), (0.5, np.array([0.2])),
+                   (0.5, 1j), ("0.5", 0.2), (None, 0.0)]:
+        with pytest.raises(DomainError, match="a point of two real numbers"):
+            fn(x1, x2)
 
 
 def test_kernel_at_zero_is_diagonal_sum(rng, cfg):
@@ -162,13 +164,13 @@ def _brute_force_apply(s, phi, cfg):
     w = np.full(n, spec.spacing)
     w[0] = w[-1] = 0.5 * spec.spacing
     y1, y2 = g[:, None], g[None, :]
-    ker = KernelFunction(s, cfg)
     out = np.zeros((n, n), dtype=complex)
     for i1 in range(n):
         for i2 in range(n):
             x1, x2 = g[i1], g[i2]
             wedge = x1 * y2 - x2 * y1
-            terms = (ker(y1 - x1, y2 - x2) * np.exp(1j * wedge / (2.0 * cfg.ell ** 2))
+            terms = (_kernel_by_psi(s.entries, y1 - x1, y2 - x2, cfg)
+                     * np.exp(1j * wedge / (2.0 * cfg.ell ** 2))
                      * w[:, None] * w[None, :] * phi.values)
             out[i1, i2] = terms.sum() / (2.0 * math.pi * cfg.ell ** 2)
     return out
@@ -249,13 +251,13 @@ def test_slabs_stay_within_slab_bytes():
 
 
 def _direct_rows(s, spec, cfg):
-    # the full-lattice table, evaluated in one call, in the layout of
+    # the defining series on the full lattice, in the layout of
     # _kernel_rows: rows reversed, zero-padded to the FFT length
     from magtrace import kernels
 
     n = spec.nodes
     diffs = np.arange(-(n - 1), n) * spec.spacing
-    table = KernelFunction(s, cfg)(diffs[:, None], diffs[None, :])
+    table = _kernel_by_psi(s.entries, diffs[:, None], diffs[None, :], cfg)
     rows = np.zeros((2 * n - 1, kernels._fft_length(2 * n - 1)), dtype=complex)
     rows[:, :2 * n - 1] = table[:, ::-1]
     return rows
@@ -383,28 +385,20 @@ def test_grid_function_is_refused_before_sampling(cfg):
 
 
 @pytest.mark.parametrize("nodes", (100, 300))
-@pytest.mark.parametrize("kind", ("basis", "kernel"))
-def test_grid_function_stays_within_its_memory_estimate(kind, nodes, monkeypatch, cfg):
+def test_grid_function_stays_within_its_memory_estimate(nodes, monkeypatch, cfg):
     # the samples, a complex temporary and the point temporaries of psi at a
-    # high index, or of a kernel's terms, one at a time: the one count that
-    # grid_from_function checks bounds the peak of both
+    # high index: the one count that grid_from_function checks bounds the peak
     from magtrace import kernels
 
     estimates = []
     check = kernels.check_memory
     monkeypatch.setattr(kernels, "check_memory",
                         lambda size, what: (estimates.append(size), check(size, what)))
-    if kind == "basis":
-        def sample(spec):
-            return sample_basis(40, 7, spec, cfg)
-    else:
-        def sample(spec):
-            return grid_from_function(KernelFunction(CoefficientOperator(INDEX_SEVEN), cfg), spec)
-    sample(GridSpec(extent=12.0, nodes=8))  # first call
+    sample_basis(40, 7, GridSpec(extent=12.0, nodes=8), cfg)  # first call
     estimates.clear()
     tracemalloc.start()
     try:
-        sample(GridSpec(extent=12.0, nodes=nodes))
+        sample_basis(40, 7, GridSpec(extent=12.0, nodes=nodes), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,7 +488,7 @@ def test_kernel_norm_bound(rng, cfg):
     spec = GridSpec(extent=12.0, nodes=192)
     for trial in range(4):
         a = random_operator(rng, max_index=4, count=8)
-        fa = grid_from_function(KernelFunction(a, cfg), spec)
+        fa = grid_from_function(lambda u, v: _kernel_by_psi(a.entries, u, v, cfg), spec)
         block_norm = coefficient_bound_check(dict(a.entries), 5).block_norm
         assert math.sqrt(2.0 * math.pi) * block_norm <= grid_norm(fa) + 1e-8
 
@@ -505,8 +499,8 @@ def test_kernel_pairing_matches_coefficients(rng, cfg):
     for trial in range(3):
         a = random_operator(rng, max_index=4, count=8)
         b = random_operator(rng, max_index=4, count=8)
-        fa = grid_from_function(KernelFunction(a, cfg), spec)
-        fb = grid_from_function(KernelFunction(b, cfg), spec)
+        fa = grid_from_function(lambda u, v: _kernel_by_psi(a.entries, u, v, cfg), spec)
+        fb = grid_from_function(lambda u, v: _kernel_by_psi(b.entries, u, v, cfg), spec)
         quad = grid_inner(fa, fb) / (2.0 * math.pi * cfg.ell ** 2)
         exact = sum(np.conj(v) * b.entries.get(key, 0.0) for key, v in a.entries.items())
         assert quad == pytest.approx(exact, abs=1e-6)
