@@ -23,7 +23,7 @@ import types
 
 from . import serialize
 from .config import make_config
-from .errors import MEMORY_LIMIT_BYTES, CalculusError, DomainError, Record, ResourceError
+from .errors import CalculusError, DomainError, Record
 from .operators import (WEIGHT_FORMS, adjoint, compose, lp_norm, matrix_block,
                         weighted_product)
 
@@ -286,17 +286,12 @@ def cmd_dixmier_tauberian(args, cfg, budget):
 def _dos_operator(minimum: float):
     """The Landau levels that cover a threshold or support end `minimum`.
 
-    The level count is checked against the memory limit before it is
-    sized, so a huge threshold is refused without spelling it out.
+    landau_hamiltonian refuses a level count past the memory limit.
     """
-    from .dos import LEVEL_BYTES, landau_hamiltonian
+    from .dos import landau_hamiltonian
 
     if not math.isfinite(minimum):
         raise DomainError("the threshold must be finite")
-    limit = MEMORY_LIMIT_BYTES // LEVEL_BYTES
-    if minimum + 2.0 >= limit + 1:
-        raise ResourceError("threshold %g needs more Landau levels than %d, over the limit "
-                            "of %d bytes" % (minimum, limit, MEMORY_LIMIT_BYTES))
     return landau_hamiltonian(max(64, int(minimum + 2.0)))
 
 

@@ -39,12 +39,12 @@ SPECTRUM_KINDS = ("singular", "eigen")
 class Spectrum(Record, eq=False):
     """Sorted spectrum of a compact operator with provenance metadata.
 
-    kind "singular" holds non-negative singular values in non-increasing
-    order; kind "eigen" holds the real eigenvalues of a self-adjoint
-    operator ordered by non-increasing modulus, ties broken toward the
-    value whose sign bit is clear, so +0.0 comes before -0.0.
-    Values that are not finite real numbers are refused before sorting,
-    complex values, booleans and strings included.
+    kind "singular" holds non-negative singular values, kind "eigen" the
+    real eigenvalues of a self-adjoint operator; both sort one way, by
+    non-increasing modulus, ties broken toward the value whose sign bit is
+    clear (+0.0 before -0.0), which on non-negative values is the singular order.
+    Values that are not finite real numbers, or negative singular values, are
+    refused before sorting, complex values, booleans and strings included.
     `reliable` bounds the prefix of the sorted sequence that is faithful to
     the untruncated operator; left out, it is the whole length.
     """
@@ -55,21 +55,15 @@ class Spectrum(Record, eq=False):
     reliable: int | None = None
 
     def __post_init__(self):
-        import numpy as np
-
         if self.kind not in SPECTRUM_KINDS:
             raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
         values = _finite_values(self.values)
-        if self.kind == "singular":
-            # a reversed view: a contiguous copy raised peak memory
-            values = np.sort(values)[::-1]
-        else:
-            key = _eigen_keys(values)
-            key.sort()
-            values = _decode_keys(key)[::-1]
-        if self.kind == "singular" and values.size and values[-1] < 0.0:
+        if self.kind == "singular" and values.size and values.min() < 0.0:
             raise DomainError("singular values must be non-negative")
-        object.__setattr__(self, "values", values)
+        key = _eigen_keys(values)
+        key.sort()
+        # a reversed view: a contiguous copy raised peak memory
+        object.__setattr__(self, "values", _decode_keys(key)[::-1])
         if self.reliable is None:
             object.__setattr__(self, "reliable", len(self))
 
@@ -227,11 +221,10 @@ def _block_values(op: WeightedProduct, m_max: int, n_max: int, kind: str):
     factoring = (9 * count + 32 * indices + 16 * (step + 3) * n_max * n_max
                  + 8 * step * n_max + 32 * 8192)
     # while the spectrum is sorted and read, 17 bytes per value: the values,
-    # one sorted copy (the sorted values or the eigen sort keys) and one
-    # byte per value (the finite check, the keys' sign flags); then, once
-    # the block values are gone, the sorted values and a cumsum, or
-    # power_sum's nonzero mask and compressed copy.  One slab's bytes
-    # cover the records and the sort's scratch (3 KB measured)
+    # their sort keys and one byte per value (the finite check, the keys'
+    # sign flags); then, once the block values are gone, the sorted values
+    # and a cumsum, or power_sum's nonzero mask and compressed copy.  One
+    # slab's bytes cover the records and the sort's scratch (3 KB measured)
     check_memory(max(factoring, 17 * count + BLOCK_SLAB_BYTES),
                  "the block values and one slab of weighted blocks")
     import numpy as np
@@ -280,8 +273,8 @@ def collect_spectrum(op: WeightedProduct, m_max: int, n_max: int, kind: str = "s
         raise DomainError("collect_spectrum expects a WeightedProduct")
     if kind not in SPECTRUM_KINDS:
         raise DomainError("spectrum kind must be one of %s" % (SPECTRUM_KINDS,))
-    if m_max < 0 or n_max < 1:
-        raise DomainError("spectrum truncation needs m_max >= 0 and n_max >= 1")
+    check_positive_int(m_max, "the truncation depth m_max", 0)
+    check_positive_int(n_max, "the truncation size n_max")
     if (m_max + 1) * n_max > sys.maxsize:
         raise RangeError("spectrum truncation needs (m_max + 1) * n_max <= sys.maxsize = %d "
                          "values, so that a length counts them" % sys.maxsize)
@@ -622,8 +615,8 @@ def _geometric_ladder(low: int, top: int, points: int) -> list[int]:
     differently from the C library's, which can move an integer part only
     where a step lands within rounding of an integer.
     """
-    if points < 2:
-        return [low] if points == 1 else []
+    if points == 1:
+        return [low]
     start = math.log10(low)
     step = (math.log10(top) - start) / (points - 1)
     inner = (int(10.0 ** (k * step + start)) for k in range(1, points - 1))
@@ -638,6 +631,7 @@ def checkpoint_ladder(spectrum, points: int = 6, minimum: float = math.inf) -> l
     which biases the extrapolated trace, so by default the ladder starts at
     the top eighth.
     """
+    check_positive_int(points, "the number of checkpoints")
     top = min(spectrum.reliable, len(spectrum))
     if top < 4:
         raise DomainError("spectrum too short for a checkpoint ladder")

@@ -14,8 +14,9 @@ from __future__ import annotations
 import bisect
 import math
 
+from . import errors
 from .config import MagneticConfig
-from .errors import DomainError, RangeError, Record, check_memory, check_positive_int
+from .errors import DomainError, RangeError, Record, ResourceError, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table
 from .operators import CoefficientOperator, weighted_product
 from .traces import tau_diagonal, tau_shell
@@ -45,10 +46,15 @@ def landau_hamiltonian(truncation: int) -> LandauOperator:
     """Landau Hamiltonian with levels j + 1/2 for j < truncation.
 
     The truncation must be an integer of at least 1, and the memory budget
-    is checked for LEVEL_BYTES per level before any route builds one.
+    is checked for LEVEL_BYTES per level before any route builds one.  The
+    refusal gives the level count by %g, so a huge one is not spelled out.
     """
     check_positive_int(truncation, "the Landau truncation")
-    check_memory(LEVEL_BYTES * truncation, "a Landau operator with %d levels" % truncation)
+    limit = errors.MEMORY_LIMIT_BYTES // LEVEL_BYTES
+    if truncation > limit:
+        levels = "%g" % truncation if truncation < 1e308 else "over 1e+308"
+        raise ResourceError("a Landau operator with %s levels is over the limit of %d levels, "
+                            "%d bytes" % (levels, limit, errors.MEMORY_LIMIT_BYTES))
     return LandauOperator(int(truncation))
 
 

@@ -56,10 +56,11 @@ def check_work(steps: int, what: str) -> None:
                             % (what, steps, WORK_LIMIT_STEPS))
 
 
-def check_positive_int(value, what: str) -> None:
-    """Refuse anything but an integer of at least 1; booleans are not integers here."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise DomainError("%s must be an integer of at least 1, not %r" % (what, value))
+def check_positive_int(value, what: str, minimum: int = 1) -> None:
+    """Refuse anything but an integer of at least `minimum`; booleans are not integers here."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise DomainError("%s must be an integer of at least %d, not %r"
+                          % (what, minimum, value))
 
 
 class _DataclassFields:

@@ -32,7 +32,8 @@ import math
 import numbers
 
 from .config import MagneticConfig
-from .errors import DomainError, RangeError, Record, ResourceError, check_memory
+from .errors import (DomainError, RangeError, Record, ResourceError, check_memory,
+                     check_positive_int)
 from .operators import CoefficientOperator
 from .basis import SQRT_TWO_PI, psi, psi_term, radial_factors
 
@@ -49,8 +50,9 @@ class GridSpec(Record):
     nodes: int
 
     def __post_init__(self):
-        if not (self.extent > 0.0 and math.isfinite(self.extent)) or self.nodes < 2:
-            raise DomainError("grids need a positive, finite extent and at least two nodes")
+        if not (self.extent > 0.0 and math.isfinite(self.extent)):
+            raise DomainError("grids need a positive, finite extent")
+        check_positive_int(self.nodes, "a grid's node count", 2)
         if not 0.0 < self.spacing < math.inf:
             raise DomainError("the grid spacing 2 * extent / (nodes - 1) must be positive "
                               "and finite")
@@ -121,8 +123,7 @@ def orthonormality_check(max_index: int, cfg: MagneticConfig, extent: float | No
     <= 8; ResourceError is raised for a smaller grid, or when the sampled
     basis functions would pass the memory limit.
     """
-    if max_index < 0:
-        raise DomainError("max_index must be non-negative")
+    check_positive_int(max_index, "max_index", 0)
     import numpy as np
 
     spec = GridSpec(extent=12.0 * cfg.ell if extent is None else extent,

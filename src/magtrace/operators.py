@@ -23,7 +23,7 @@ import math
 import numbers
 from collections.abc import Mapping
 
-from .errors import DomainError, Record, check_memory
+from .errors import DomainError, Record, check_memory, check_positive_int
 
 OPERATOR_CLASSES = ("L1", "L2", "Itau", "unclassified")
 
@@ -260,8 +260,7 @@ def matrix_block(op: CoefficientOperator, count: int):
 
     if not isinstance(op, CoefficientOperator):
         raise DomainError("unsupported operand type for matrix_block: %r" % type(op))
-    if count < 1:
-        raise DomainError("truncation size must be at least 1")
+    check_positive_int(count, "the truncation size")
     check_memory(16 * count * count, "a block of size %d" % count)
     block = np.zeros((count, count), dtype=complex)
     for (j, k), v in op.entries.items():
@@ -305,8 +304,7 @@ def coefficient_bound_check(t_entries: Mapping[tuple[int, int], complex],
     """
     import numpy as np
 
-    if count < 1:
-        raise DomainError("truncation size must be at least 1")
+    check_positive_int(count, "the truncation size")
     op = CoefficientOperator(dict(t_entries), "unclassified")
     if op.max_index >= count:
         raise DomainError("truncation %d does not cover entries up to index %d"

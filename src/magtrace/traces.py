@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_int
 from .extrapolate import ConvergenceTable, log_inverse_table, richardson_table
 from .operators import CoefficientOperator, check_shift
 
@@ -125,8 +125,7 @@ def shell_average(s: CoefficientOperator, j: int) -> complex:
     The shell with index j holds the basis states (n, m) with n + m + 1 = j,
     one for each n < j, so the average is (1/j) * sum_{n<j} s_nn.
     """
-    if j < 1:
-        raise DomainError("energy shells are indexed by j >= 1")
+    check_positive_int(j, "the energy shell index j")
     total = sum(v for (a, b), v in sorted(s.entries.items()) if a == b and a < j)
     return complex(total) / j
 

@@ -854,6 +854,23 @@ def test_level_power_sums_past_the_largest_double_are_refused(tmp_path, capsys):
         assert "largest double" in err
 
 
+@pytest.mark.xfail(reason="ROADMAP item 24b: the Hurwitz sum at a shift near -1 overflows "
+                          "although the level's power sum underflows to 0")
+@pytest.mark.parametrize("flags", (["--lambda", "-0.999"],
+                                   ["--form", "right", "--lambda", "-0.5"]),
+                         ids=("lambda-0.999", "right-lambda-0.5"))
+def test_a_power_sum_that_underflows_is_not_refused(flags, tmp_path, capsys):
+    # the smallest subnormal level at x = 2000: every power underflows to 0,
+    # as at lambda = 0, where the run exits 0 with a column of zeros
+    path = tmp_path / "source.json"
+    save_operator(CoefficientOperator({(0, 0): 5e-324}), str(path))
+    rc, out, err = invoke(["dixmier", "tauberian", "--op", str(path),
+                           "--xgrid", "2000,1500,1000"] + flags, capsys)
+    assert (rc, err) == (0, "")
+    table = json.loads(out)["table"]
+    assert table["converged"] and table["raw"] == [{"im": 0, "re": 0}] * 3
+
+
 def test_huge_dos_threshold_is_refused_briefly(capsys):
     # the level count is not spelled out: the message names the threshold
     # and the limit

@@ -1,4 +1,4 @@
-"""Guards for twelve design rules of the package and its tests.
+"""Guards for thirteen design rules of the package and its tests.
 
 Modules use each other's public names only, the trace routes that
 cross-check the diagonal sum never compute it themselves, every
@@ -8,7 +8,8 @@ entry is a global flag or declared by some subcommand, every flag entry
 uses only the keys that the command-table reader reads, every public
 name is reached by a command, an acceptance criterion or a magbench
 workload, every CLI report is encoded by serialize, no module imports
-numpy when it loads, no module imports dataclasses or typing, and every
+numpy when it loads, no module imports dataclasses or typing, every
+integer size is refused unless it is an integer in range, and every
 tolerance in the tests names its absolute part.
 """
 
@@ -23,9 +24,17 @@ import magtrace
 from magtrace import cli
 from magtrace import (
     CoefficientOperator,
+    DomainError,
+    GridSpec,
+    Spectrum,
     checkpoint_ladder,
+    coefficient_bound_check,
     collect_spectrum,
     dixmier_estimate,
+    make_config,
+    matrix_block,
+    orthonormality_check,
+    shell_average,
     tau_ordered_basis,
     tau_residue,
     tau_shell,
@@ -122,6 +131,30 @@ def test_trace_routes_do_not_call_the_diagonal_sum(monkeypatch):
                                 kind="eigen")
     table = dixmier_estimate(spectrum, checkpoint_ladder(spectrum))
     assert abs(complex(table.extrapolated) - 2.0) <= 1e-2
+
+
+PI0 = CoefficientOperator({(0, 0): 1.0})
+HARMONIC = Spectrum([1.0 / n for n in range(1, 101)], "harmonic sequence")
+# Calls whose size is a float or a boolean, or an integer below its bound:
+# each was cast, misread or failed later with a bare TypeError
+SIZE_CALLS = {
+    "grid-nodes-float": lambda: GridSpec(1.0, 2.0),
+    "m_max-float": lambda: collect_spectrum(weighted_product(PI0, "left", 0.0), 2.5, 1),
+    "m_max-bool": lambda: collect_spectrum(weighted_product(PI0, "left", 0.0), True, 1),
+    "n_max-bool": lambda: collect_spectrum(weighted_product(PI0, "left", 0.0), 8, True),
+    "block-bool": lambda: matrix_block(PI0, True),
+    "bound-check-float": lambda: coefficient_bound_check({(0, 0): 1.0}, 2.5),
+    "max-index-bool": lambda: orthonormality_check(True, make_config()),
+    "ladder-points-bool": lambda: checkpoint_ladder(HARMONIC, points=True),
+    "ladder-points-zero": lambda: checkpoint_ladder(HARMONIC, points=0),
+    "shell-index-float": lambda: shell_average(PI0, 2.5),
+}
+
+
+@pytest.mark.parametrize("call", SIZE_CALLS.values(), ids=SIZE_CALLS)
+def test_integer_sizes_are_validated_not_coerced(call):
+    with pytest.raises(DomainError, match="must be an integer of at least"):
+        call()
 
 
 def test_all_matches_the_package_imports():

@@ -93,6 +93,23 @@ def test_eigen_order_matches_the_lexsort_rule(seed):
     assert np.array_equal(Spectrum(nonzero, "nonzero", "eigen").values, plain)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_singular_order_matches_the_lexsort_rule(seed):
+    # singular values sort by the eigen order too: non-increasing, bit for
+    # bit, with repeats, subnormals and +0.0 before -0.0
+    rng = np.random.default_rng([seed, 16])
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=300)
+    tiny = np.array([5e-324, 5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0, -0.0, 0.0])
+    small = rng.integers(0, 4, size=60).astype(float)
+    values = rng.permutation(np.concatenate([magnitudes, rng.choice(magnitudes, 80), tiny,
+                                             small, np.full(20, -0.0)]))
+    spec = Spectrum(values, "non-negative", "singular")
+    expected = values[_lexsort_order(values)]
+    assert spec.values.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    zeros = np.signbit(spec.values[spec.values == 0.0])
+    assert zeros.any() and list(zeros) == sorted(zeros)
+
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
                2.0, -2.0, -2.0, 2.0, 1.5, -0.75, 0.75, -0.0, 0.0]
 
@@ -314,7 +331,7 @@ def _traced_estimates(monkeypatch):
 @pytest.mark.parametrize("form", ("left", "right", "split"))
 def test_weighted_stack_stays_within_its_memory_estimate(form, kind, n_max, m_max, monkeypatch):
     # a dense source is factored slab by slab: every form and kind holds
-    # the values, one sorted copy and one byte per value, or the values and
+    # the values, their sort keys and one byte per value, or the values and
     # one slab, within the check_memory estimate, while the spectrum is
     # built, estimated and summed for the Tauberian zeta; at 40 x 40 the
     # truncated entries, were they held beside the sort, would pass it
@@ -340,7 +357,7 @@ def test_weighted_stack_stays_within_its_memory_estimate(form, kind, n_max, m_ma
 def test_slabs_admit_what_one_stack_would_not(monkeypatch):
     # one stack of a dense 16x16 source at m_max 4095 would need 17.8 MB,
     # over a 16 MiB limit; slab by slab it needs 1.2 MB and computes the
-    # same values, and a depth whose values and their sorted copy pass the
+    # same values, and a depth whose values and their sort keys pass the
     # limit stays refused
     product = weighted_product(_dense_source(16, 16), "split", 0.0, 1.0)
     expected = collect_spectrum(product, 4095, 16)
@@ -399,10 +416,6 @@ def _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, kind, levels=None
     return data
 
 
-def _sorted_like_the_spectrum(values, kind):
-    return np.sort(values)[::-1] if kind == "singular" else values[_lexsort_order(values)]
-
-
 LEVEL_SOURCES = {
     "signed": {(0, 0): 0.7, (2, 2): -0.4, (3, 3): 0.9, (5, 5): -0.3},
     "tied": {(0, 0): 1.0, (1, 1): 1.0},
@@ -424,7 +437,8 @@ def test_level_spectrum_matches_the_materialized_diagonal(source, form, kind, sh
                                                      lam, lam2), m_max, n_max, kind)
         assert isinstance(spectrum, LevelSpectrum)
         data = _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, kind)
-        expected = _sorted_like_the_spectrum(data[:-1].ravel(), kind)
+        flat = data[:-1].ravel()
+        expected = flat[_lexsort_order(flat)]
         values = np.asarray(spectrum.values)
         assert values.dtype == float and len(spectrum) == expected.size
         assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
@@ -452,7 +466,8 @@ def test_level_spectrum_at_index_a_million(form):
                                                  lam, lam2), m_max, n_max, "eigen")
     data = _weighted_diagonal(entries, form, lam, lam2, m_max, n_max, "eigen",
                               levels=(10 ** 6, 10 ** 6 + 1))
-    expected = _sorted_like_the_spectrum(data[:-1].ravel(), "eigen")
+    flat = data[:-1].ravel()
+    expected = flat[_lexsort_order(flat)]
     assert len(spectrum) == (m_max + 1) * n_max
     assert spectrum.reliable == np.count_nonzero(np.abs(expected) > np.abs(data[-1]).max())
     exact = np.cumsum(expected.astype(np.longdouble))
